@@ -19,7 +19,7 @@ use sparker_blocking::{
     canopy_blocking, ngram_blocking, rarest_token_key, sorted_neighborhood, sorted_neighborhood_by,
     token_blocking,
 };
-use sparker_core::BlockingQuality;
+use sparker_core::{BlockingQuality, CandidateSet};
 use sparker_datasets::{generate, DatasetConfig, Domain, NoiseConfig};
 use sparker_profiles::Pair;
 use std::collections::HashSet;
@@ -66,6 +66,7 @@ fn main() {
             ),
         ];
         for (name, candidates) in methods {
+            let candidates: CandidateSet = candidates.into_iter().collect();
             let q = BlockingQuality::measure(&candidates, &ds.ground_truth, &ds.collection);
             t.row(vec![
                 noise_name.to_string(),

@@ -14,14 +14,16 @@
 
 use sparker_bench::{f, standard_suite, Table};
 use sparker_blocking::{block_filtering, purge_oversized, token_blocking, BlockCollection};
-use sparker_core::BlockingQuality;
+use sparker_core::{BlockingQuality, CandidateSet};
 use sparker_datasets::GeneratedDataset;
 use sparker_looseschema::{loose_schema_keys, partition_attributes, LshConfig};
 use sparker_metablocking::{block_entropies, meta_blocking_graph, BlockGraph, MetaBlockingConfig};
-use sparker_profiles::Pair;
-use std::collections::HashSet;
 
-fn quality(ds: &GeneratedDataset, candidates: &HashSet<Pair>) -> BlockingQuality {
+fn block_pairs(blocks: &BlockCollection) -> CandidateSet {
+    blocks.candidate_pairs().into_iter().collect()
+}
+
+fn quality(ds: &GeneratedDataset, candidates: &CandidateSet) -> BlockingQuality {
     BlockingQuality::measure(candidates, &ds.ground_truth, &ds.collection)
 }
 
@@ -32,8 +34,8 @@ fn stage_rows(name: &str, ds: &GeneratedDataset, blast: bool, t: &mut Table) {
         None => token_blocking(&ds.collection),
     };
     let variant = if blast { "blast" } else { "schema-agnostic" };
-    let mut push = |stage: &str, blocks: &BlockCollection, candidates: &HashSet<Pair>| {
-        let q = quality(ds, candidates);
+    let mut push = |stage: &str, blocks: &BlockCollection, candidates: CandidateSet| {
+        let q = quality(ds, &candidates);
         t.row(vec![
             name.to_string(),
             variant.to_string(),
@@ -46,11 +48,11 @@ fn stage_rows(name: &str, ds: &GeneratedDataset, blast: bool, t: &mut Table) {
         ]);
     };
 
-    push("token-blocking", &blocks, &blocks.candidate_pairs());
+    push("token-blocking", &blocks, block_pairs(&blocks));
     let blocks = purge_oversized(blocks, ds.collection.len(), 0.5);
-    push("+purging", &blocks, &blocks.candidate_pairs());
+    push("+purging", &blocks, block_pairs(&blocks));
     let blocks = block_filtering(blocks, 0.8);
-    push("+filtering", &blocks, &blocks.candidate_pairs());
+    push("+filtering", &blocks, block_pairs(&blocks));
 
     let (config, entropies) = if blast {
         (
@@ -62,8 +64,11 @@ fn stage_rows(name: &str, ds: &GeneratedDataset, blast: bool, t: &mut Table) {
     };
     let graph = BlockGraph::new(&blocks, entropies.as_ref());
     let retained = meta_blocking_graph(&graph, &config);
-    let candidates: HashSet<Pair> = retained.iter().map(|(p, _)| *p).collect();
-    push("+meta-blocking", &blocks, &candidates);
+    push(
+        "+meta-blocking",
+        &blocks,
+        CandidateSet::from_sorted(retained),
+    );
 }
 
 fn main() {
@@ -103,7 +108,7 @@ fn main() {
                 ..MetaBlockingConfig::blast()
             };
             let retained = meta_blocking_graph(&graph, &config);
-            let candidates: HashSet<Pair> = retained.iter().map(|(p, _)| *p).collect();
+            let candidates = CandidateSet::from_sorted(retained);
             let q = quality(ds, &candidates);
             t.row(vec![
                 name.to_string(),
@@ -122,7 +127,7 @@ fn main() {
     let mut t = Table::new(&["max-fraction", "blocks", "candidates", "PC", "PQ"]);
     for frac in [1.0, 0.75, 0.5, 0.25, 0.1, 0.05] {
         let blocks = purge_oversized(token_blocking(&ds.collection), ds.collection.len(), frac);
-        let q = quality(ds, &blocks.candidate_pairs());
+        let q = quality(ds, &block_pairs(&blocks));
         t.row(vec![
             format!("{frac:.2}"),
             blocks.len().to_string(),
@@ -138,7 +143,7 @@ fn main() {
     for ratio in [1.0, 0.9, 0.8, 0.6, 0.4, 0.2] {
         let blocks = purge_oversized(token_blocking(&ds.collection), ds.collection.len(), 0.5);
         let blocks = block_filtering(blocks, ratio);
-        let q = quality(ds, &blocks.candidate_pairs());
+        let q = quality(ds, &block_pairs(&blocks));
         t.row(vec![
             format!("{ratio:.1}"),
             q.candidates.to_string(),

@@ -15,15 +15,14 @@ use sparker_bench::{abt_buy_like, f, Table};
 use sparker_blocking::{block_filtering, keyed_blocking, purge_oversized};
 use sparker_core::looseschema::AttributePartitioning;
 use sparker_core::metablocking::{block_entropies, meta_blocking_graph, BlockGraph};
-use sparker_core::profiles::{Pair, SourceId};
-use sparker_core::{BlockingQuality, LostPairsReport, Pipeline, PipelineConfig};
+use sparker_core::profiles::SourceId;
+use sparker_core::{BlockingQuality, CandidateSet, LostPairsReport, Pipeline, PipelineConfig};
 use sparker_looseschema::loose_schema_keys;
-use std::collections::HashSet;
 
 fn run_with_partitioning(
     ds: &sparker_datasets::GeneratedDataset,
     parts: &AttributePartitioning,
-) -> (HashSet<Pair>, BlockingQuality) {
+) -> (CandidateSet, BlockingQuality) {
     let blocks = keyed_blocking(&ds.collection, |p| loose_schema_keys(p, parts));
     let blocks = purge_oversized(blocks, ds.collection.len(), 0.5);
     let blocks = block_filtering(blocks, 0.8);
@@ -34,7 +33,7 @@ fn run_with_partitioning(
         ..Default::default()
     };
     let retained = meta_blocking_graph(&graph, &config);
-    let candidates: HashSet<Pair> = retained.iter().map(|(p, _)| *p).collect();
+    let candidates = CandidateSet::from_sorted(retained);
     let q = BlockingQuality::measure(&candidates, &ds.ground_truth, &ds.collection);
     (candidates, q)
 }

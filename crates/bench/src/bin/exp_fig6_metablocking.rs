@@ -11,11 +11,9 @@
 
 use sparker_bench::{abt_buy_like, f, Table};
 use sparker_blocking::{block_filtering, keyed_blocking, purge_oversized};
-use sparker_core::{BlockingQuality, Pipeline, PipelineConfig};
+use sparker_core::{BlockingQuality, CandidateSet, Pipeline, PipelineConfig};
 use sparker_looseschema::{loose_schema_keys, partition_attributes, LshConfig};
 use sparker_metablocking::{block_entropies, meta_blocking_graph, BlockGraph, MetaBlockingConfig};
-use sparker_profiles::Pair;
-use std::collections::HashSet;
 
 fn main() {
     let ds = abt_buy_like(1000);
@@ -42,7 +40,7 @@ fn main() {
     let blocks = keyed_blocking(&ds.collection, |p| loose_schema_keys(p, &parts));
     let blocks = purge_oversized(blocks, ds.collection.len(), 0.5);
     let blocks = block_filtering(blocks, 0.8);
-    let before = blocks.candidate_pairs();
+    let before: CandidateSet = blocks.candidate_pairs().into_iter().collect();
     let q_before = BlockingQuality::measure(&before, &ds.ground_truth, &ds.collection);
 
     // Meta-blocking with entropy — the Figure 6(e) state.
@@ -55,7 +53,7 @@ fn main() {
             ..MetaBlockingConfig::default()
         },
     );
-    let after: HashSet<Pair> = retained.iter().map(|(p, _)| *p).collect();
+    let after = CandidateSet::from_sorted(retained);
     let q_after = BlockingQuality::measure(&after, &ds.ground_truth, &ds.collection);
 
     // Schema-agnostic end-to-end baseline for reference (Figure 6(a)).

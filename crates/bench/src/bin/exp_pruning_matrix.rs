@@ -11,19 +11,17 @@
 
 use sparker_bench::{abt_buy_like, f, Table};
 use sparker_blocking::{block_filtering, purge_oversized, token_blocking};
-use sparker_core::BlockingQuality;
+use sparker_core::{BlockingQuality, CandidateSet};
 use sparker_metablocking::{
     meta_blocking_graph, BlockGraph, EdgeScorer, MetaBlockingConfig, PruningStrategy, WeightScheme,
 };
-use sparker_profiles::Pair;
-use std::collections::HashSet;
 
 fn main() {
     let ds = abt_buy_like(1000);
     let blocks = purge_oversized(token_blocking(&ds.collection), ds.collection.len(), 0.5);
     let blocks = block_filtering(blocks, 0.8);
     let graph = BlockGraph::new(&blocks, None);
-    let baseline = blocks.candidate_pairs();
+    let baseline: CandidateSet = blocks.candidate_pairs().into_iter().collect();
     let q0 = BlockingQuality::measure(&baseline, &ds.ground_truth, &ds.collection);
     println!(
         "input blocks (post purge+filter): {} candidates, PC {}, PQ {}\n",
@@ -63,7 +61,7 @@ fn main() {
                 use_entropy: false,
             };
             let retained = meta_blocking_graph(&graph, &config);
-            let candidates: HashSet<Pair> = retained.iter().map(|(p, _)| *p).collect();
+            let candidates = CandidateSet::from_sorted(retained);
             let q = BlockingQuality::measure(&candidates, &ds.ground_truth, &ds.collection);
             let pruning_label = match pruning {
                 PruningStrategy::Wnp {

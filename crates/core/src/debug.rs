@@ -1,6 +1,7 @@
 //! Process debugging (Section 3 of the paper): representative sampling,
 //! false-positive drill-down, and threshold sweeps.
 
+use crate::candidates::CandidateSet;
 use crate::config::PipelineConfig;
 use crate::evaluate::BlockingQuality;
 use crate::pipeline::Pipeline;
@@ -121,10 +122,10 @@ impl LostPairsReport {
     pub fn build(
         collection: &ProfileCollection,
         ground_truth: &GroundTruth,
-        candidates: &HashSet<Pair>,
+        candidates: &CandidateSet,
     ) -> Self {
         let lost = ground_truth
-            .lost_pairs(candidates)
+            .lost_pairs(|pair| candidates.contains(pair))
             .into_iter()
             .map(|pair| {
                 let a = collection.get(pair.first);
@@ -290,7 +291,7 @@ mod tests {
                 .build()],
         );
         let gt = GroundTruth::from_original_ids(&coll, vec![("abt-1", "buy-1")]).unwrap();
-        let report = LostPairsReport::build(&coll, &gt, &HashSet::new());
+        let report = LostPairsReport::build(&coll, &gt, &CandidateSet::default());
         assert_eq!(report.len(), 1);
         assert_eq!(report.lost[0].original_ids.0, "abt-1");
         assert_eq!(
@@ -304,7 +305,7 @@ mod tests {
     #[test]
     fn nothing_lost_when_candidates_cover_ground_truth() {
         let ds = dataset();
-        let candidates: HashSet<Pair> = ds.ground_truth.iter().copied().collect();
+        let candidates: CandidateSet = ds.ground_truth.iter().copied().collect();
         let report = LostPairsReport::build(&ds.collection, &ds.ground_truth, &candidates);
         assert!(report.is_empty());
         assert!(report.most_common_shared_tokens(5).is_empty());

@@ -5,9 +5,9 @@
 //! recall = pair completeness (PC), precision = pair quality (PQ), plus the
 //! reduction ratio (RR) against the naive all-pairs baseline.
 
+use crate::candidates::CandidateSet;
 use sparker_clustering::EntityClusters;
 use sparker_profiles::{GroundTruth, Pair, ProfileCollection};
-use std::collections::HashSet;
 
 /// Quality of a candidate-pair set (after blocking or meta-blocking).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +27,7 @@ pub struct BlockingQuality {
 impl BlockingQuality {
     /// Measure a candidate set against the ground truth.
     pub fn measure(
-        candidates: &HashSet<Pair>,
+        candidates: &CandidateSet,
         ground_truth: &GroundTruth,
         collection: &ProfileCollection,
     ) -> Self {
@@ -38,7 +38,7 @@ impl BlockingQuality {
     /// (the reduction-ratio baseline). The ground truth is scanned once:
     /// the found-match count drives both `recall` and `lost_matches`.
     pub fn measure_with_total(
-        candidates: &HashSet<Pair>,
+        candidates: &CandidateSet,
         ground_truth: &GroundTruth,
         total: u64,
     ) -> Self {
@@ -159,7 +159,7 @@ mod tests {
         // 5 profiles → 10 comparable pairs. GT = {(0,1),(2,3)}.
         let coll = collection(5);
         let gt = GroundTruth::from_pairs(vec![pair(0, 1), pair(2, 3)]);
-        let candidates: HashSet<Pair> = [pair(0, 1), pair(0, 2), pair(1, 4)].into();
+        let candidates: CandidateSet = [pair(0, 1), pair(0, 2), pair(1, 4)].into_iter().collect();
         let q = BlockingQuality::measure(&candidates, &gt, &coll);
         assert!((q.recall - 0.5).abs() < 1e-12);
         assert!((q.precision - 1.0 / 3.0).abs() < 1e-12);
@@ -172,7 +172,7 @@ mod tests {
     fn empty_candidates() {
         let coll = collection(4);
         let gt = GroundTruth::from_pairs(vec![pair(0, 1)]);
-        let q = BlockingQuality::measure(&HashSet::new(), &gt, &coll);
+        let q = BlockingQuality::measure(&CandidateSet::default(), &gt, &coll);
         assert_eq!(q.recall, 0.0);
         assert_eq!(q.reduction_ratio, 1.0);
         assert_eq!(q.lost_matches, 1);

@@ -45,6 +45,7 @@
 //! ```
 
 mod backend;
+mod candidates;
 mod config;
 mod debug;
 mod evaluate;
@@ -54,6 +55,7 @@ mod pipeline;
 mod report;
 
 pub use backend::ExecutionBackend;
+pub use candidates::CandidateSet;
 pub use config::{BlockingConfig, ClusteringAlgorithm, MatcherConfig, PipelineConfig, PurgeConfig};
 pub use debug::{
     representative_sample, threshold_sweep, FalsePositive, LostPairsReport, SampleConfig,

@@ -7,6 +7,7 @@
 //! one-line wrappers selecting a backend.
 
 use crate::backend::ExecutionBackend;
+use crate::candidates::CandidateSet;
 use crate::config::{PipelineConfig, PurgeConfig};
 use crate::evaluate::{BlockingQuality, PairQuality, PipelineEvaluation};
 use crate::report::{PipelineReport, PipelineStage, StageReport, StageScope};
@@ -65,11 +66,9 @@ pub struct BlockerOutput {
     pub cleaned_blocks: usize,
     /// Comparison count after purging + filtering.
     pub cleaned_comparisons: u64,
-    /// The final candidate pairs (post meta-blocking when enabled).
-    pub candidates: HashSet<Pair>,
-    /// Retained edges with meta-blocking weights (empty when meta-blocking
-    /// is disabled).
-    pub weighted_candidates: Vec<(Pair, f64)>,
+    /// The final candidate pairs (post meta-blocking when enabled), with
+    /// their meta-blocking weights ([`CandidateSet::weighted`]).
+    pub candidates: CandidateSet,
 }
 
 /// Result of a full pipeline run.
@@ -161,8 +160,8 @@ impl Pipeline {
         // the cleaned blocks otherwise.
         let scope = StageScope::begin(PipelineStage::PruneCandidates, ctx, budget);
         let mut scoring = ScoringStats::off();
-        let (candidates, weighted_candidates) = match &bc.meta_blocking {
-            None => (blocks.candidate_pairs(), Vec::new()),
+        let candidates = match &bc.meta_blocking {
+            None => blocks.candidate_pairs().into_iter().collect(),
             Some(mb) => {
                 let entropies = entropies_for(mb, partitioning.as_ref(), &blocks, collection);
                 let started = Instant::now();
@@ -171,8 +170,7 @@ impl Pipeline {
                     edge_scorer: mb.scorer.name(),
                     time: started.elapsed(),
                 };
-                let set: HashSet<Pair> = retained.iter().map(|(p, _)| *p).collect();
-                (set, retained)
+                CandidateSet::from_sorted(retained)
             }
         };
         stages.push(scope.finish(cleaned_comparisons, candidates.len() as u64));
@@ -184,7 +182,6 @@ impl Pipeline {
             cleaned_blocks,
             cleaned_comparisons,
             candidates,
-            weighted_candidates,
         };
         (output, stages, scoring)
     }
@@ -281,7 +278,11 @@ impl Pipeline {
         let scope = StageScope::begin(PipelineStage::ScorePairs, ctx, &budget);
         let matcher =
             ThresholdMatcher::new(self.config.matching.measure, self.config.matching.threshold);
-        let similarity = backend.score_pairs(&matcher, collection, &blocker.candidates, &budget);
+        let similarity = {
+            // `score_pairs` takes a hashed set; it lives for this stage only.
+            let hashed: HashSet<Pair> = blocker.candidates.iter().copied().collect();
+            backend.score_pairs(&matcher, collection, &hashed, &budget)
+        };
         stages.push(scope.finish(blocker.candidates.len() as u64, similarity.len() as u64));
 
         // Stage 5: entity clustering.
@@ -300,9 +301,11 @@ impl Pipeline {
     /// range by range through a bounded channel
     /// ([`StreamingMetaBlocking::prune_range`]) and the matcher's cascade
     /// scores them concurrently ([`ThresholdMatcher::score_stream`]). No
-    /// `CandidateGraph` is built and the full pair list first exists
-    /// *after* scoring finished. Byte-identical to the staged path at any
-    /// worker count and channel capacity (pinned by the parity matrix).
+    /// `CandidateGraph` and no hashed pair set is built: the retained
+    /// edges exist once, as per-morsel batches while the stage runs and as
+    /// the [`CandidateSet`]'s sorted list after it. Byte-identical to the
+    /// staged path at any worker count and channel capacity (pinned by the
+    /// parity matrix).
     ///
     /// Report shape is unchanged (all five stage rows): `prune_candidates`
     /// covers the graph build + pass A, `score_pairs` covers the fused
@@ -363,7 +366,7 @@ impl Pipeline {
                 prune_locals.with(worker, |scratch| stream.prune_range(range.clone(), scratch))
             }
         });
-        let candidates: HashSet<Pair> = outcome.retained.iter().map(|(p, _)| *p).collect();
+        let candidates = CandidateSet::from_sorted(outcome.retained);
         let similarity = outcome.similarity;
         stages[prune_row].output = candidates.len() as u64;
         stages.push(scope.finish(candidates.len() as u64, similarity.len() as u64));
@@ -381,7 +384,6 @@ impl Pipeline {
             cleaned_blocks,
             cleaned_comparisons,
             candidates,
-            weighted_candidates: outcome.retained,
         };
         assemble_result(
             backend, budget, stages, scoring, blocker, similarity, clusters, collection,
@@ -531,7 +533,7 @@ mod tests {
             "blast recall {}",
             eval.blocking.recall
         );
-        assert!(!result.blocker.weighted_candidates.is_empty());
+        assert!(!result.blocker.candidates.is_empty());
     }
 
     #[test]
@@ -655,6 +657,27 @@ mod tests {
                 + result.timings.matching
                 + result.timings.clustering
         );
+    }
+
+    #[test]
+    fn fused_report_counts_candidates_like_the_staged_run() {
+        // The fused driver learns the candidate count only when its batch
+        // has drained and patches the report rows afterwards; they must
+        // read exactly as the staged run's.
+        use crate::report::PipelineStage;
+        let ds = dataset(100);
+        let pipeline = Pipeline::new(PipelineConfig::default());
+        let staged = pipeline.run_on(&ExecutionBackend::pool(2), &ds.collection);
+        let fused = pipeline.run_on(&ExecutionBackend::fused(2), &ds.collection);
+        assert!(!staged.blocker.candidates.is_empty());
+        assert_eq!(fused.blocker.candidates, staged.blocker.candidates);
+        for stage in [PipelineStage::PruneCandidates, PipelineStage::ScorePairs] {
+            let f = fused.report.stage(stage).unwrap();
+            let s = staged.report.stage(stage).unwrap();
+            assert_eq!((f.input, f.output), (s.input, s.output), "{}", stage.name());
+        }
+        let pruned = fused.report.stage(PipelineStage::PruneCandidates).unwrap();
+        assert_eq!(pruned.output, fused.blocker.candidates.len() as u64);
     }
 
     #[test]

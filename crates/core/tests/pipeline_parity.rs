@@ -189,7 +189,8 @@ fn cascade_matches_naive_scorer_across_backends() {
     let ds = dirty_dataset(60, 23, true);
     let pipeline = Pipeline::new(PipelineConfig::default());
     let blocked = pipeline.run_on(&ExecutionBackend::Sequential, &ds.collection);
-    let candidates = &blocked.blocker.candidates;
+    let candidates: std::collections::HashSet<_> =
+        blocked.blocker.candidates.iter().copied().collect();
     assert!(!candidates.is_empty());
     for measure in SimilarityMeasure::ALL {
         for threshold in [0.3, 0.5, 0.8] {
@@ -203,7 +204,7 @@ fn cascade_matches_naive_scorer_across_backends() {
                 ExecutionBackend::fused(2),
             ] {
                 let got =
-                    backend.score_pairs(&cascade, &ds.collection, candidates, &backend.budget());
+                    backend.score_pairs(&cascade, &ds.collection, &candidates, &backend.budget());
                 assert_eq!(
                     got,
                     naive,
@@ -349,7 +350,8 @@ fn fused_matches_pool_under_scaling_config() {
                 &format!("scaling {tag} fused workers={workers}"),
             );
             assert_eq!(
-                reference.blocker.weighted_candidates, run.blocker.weighted_candidates,
+                reference.blocker.candidates.weighted(),
+                run.blocker.candidates.weighted(),
                 "scaling {tag} fused workers={workers}: weighted candidates diverged"
             );
         }
@@ -445,8 +447,8 @@ proptest! {
         prop_assert_eq!(&reference.similarity, &run.similarity);
         prop_assert_eq!(&reference.clusters, &run.clusters);
         prop_assert_eq!(
-            &reference.blocker.weighted_candidates,
-            &run.blocker.weighted_candidates
+            reference.blocker.candidates.weighted(),
+            run.blocker.candidates.weighted()
         );
     }
 }

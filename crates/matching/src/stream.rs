@@ -31,9 +31,10 @@ pub struct FusedMatchOutcome {
     /// The scored matches, identical to the staged matcher's output.
     pub similarity: SimilarityGraph,
     /// The pruned candidate pairs with their meta-blocking weights, in
-    /// ascending pair order — identical to the staged pruning output
-    /// (flattened from the producer payloads after the batch, so the full
-    /// list exists only once scoring is already done).
+    /// ascending pair order — identical to the staged pruning output. The
+    /// producer payloads are moved into this one pre-sized list after the
+    /// batch, each freed as soon as it is copied, so the retained edges
+    /// are never resident twice.
     pub retained: Vec<(Pair, f64)>,
     /// Merged cascade statistics across all workers.
     pub stats: FilterStats,
@@ -92,7 +93,10 @@ impl ThresholdMatcher {
             },
         );
         let similarity = SimilarityGraph::from_sorted_shards(scored_shards);
-        let retained: Vec<(Pair, f64)> = produced.into_iter().flatten().collect();
+        let mut retained = Vec::with_capacity(produced.iter().map(Vec::len).sum());
+        for batch in produced {
+            retained.extend_from_slice(&batch);
+        }
         let stats = match Arc::try_unwrap(locals) {
             Ok(locals) => {
                 let mut merged = FilterStats::default();

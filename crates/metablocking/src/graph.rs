@@ -24,13 +24,19 @@ pub struct EdgeAccumulator {
 }
 
 /// Reusable accumulation buffer for [`BlockGraph::neighborhood_with`]:
-/// a dense per-profile accumulator plus the list of touched slots, reset
-/// after every call. Avoids per-node hashing and allocation in
-/// meta-blocking's hot loop.
+/// a dense per-profile accumulator plus a bitmap of the touched slots,
+/// reset after every call. Avoids per-node hashing, sorting of neighbor
+/// ids and allocation in meta-blocking's hot loop.
 #[derive(Debug, Clone)]
 pub struct NeighborhoodScratch {
     acc: Vec<EdgeAccumulator>,
-    touched: Vec<u32>,
+    /// One bit per profile slot, set while the slot holds a neighbor of
+    /// the node being materialized; all-zero between calls.
+    touched_bits: Vec<u64>,
+    /// Indices of the non-zero words of `touched_bits`, in first-touch
+    /// order: the emit sweep visits only these, so a sparse neighborhood
+    /// never pays for the whole bitmap.
+    touched_words: Vec<u32>,
     /// Output buffer of [`BlockGraph::neighborhood_buffered`], reused
     /// across nodes so a warm scratch makes the whole pass allocation-free.
     out: Vec<(ProfileId, EdgeAccumulator)>,
@@ -333,7 +339,8 @@ impl BlockGraph {
     pub fn scratch(&self) -> NeighborhoodScratch {
         NeighborhoodScratch {
             acc: vec![EdgeAccumulator::default(); self.num_profiles],
-            touched: Vec::new(),
+            touched_bits: vec![0; self.num_profiles.div_ceil(64)],
+            touched_words: Vec::new(),
             out: Vec::new(),
         }
     }
@@ -404,20 +411,31 @@ impl BlockGraph {
                 }
                 let slot = &mut scratch.acc[other.index()];
                 if slot.shared_blocks == 0 {
-                    scratch.touched.push(other.0);
+                    let word = &mut scratch.touched_bits[other.index() / 64];
+                    if *word == 0 {
+                        scratch.touched_words.push(other.0 / 64);
+                    }
+                    *word |= 1 << (other.0 % 64);
                 }
                 slot.shared_blocks += 1;
                 slot.arcs += 1.0 / comparisons;
                 slot.entropy_sum += entropy;
             }
         }
-        scratch.touched.sort_unstable();
+        // Ascending words, ascending bits within a word: neighbors come out
+        // sorted by id having ordered only the (≤ degree, ≤ n/64) words.
+        scratch.touched_words.sort_unstable();
         scratch.out.clear();
-        for &t in &scratch.touched {
-            scratch.out.push((ProfileId(t), scratch.acc[t as usize]));
-            scratch.acc[t as usize] = EdgeAccumulator::default();
+        for &w in &scratch.touched_words {
+            let mut bits = std::mem::take(&mut scratch.touched_bits[w as usize]);
+            while bits != 0 {
+                let t = w as usize * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                scratch.out.push((ProfileId(t as u32), scratch.acc[t]));
+                scratch.acc[t] = EdgeAccumulator::default();
+            }
         }
-        scratch.touched.clear();
+        scratch.touched_words.clear();
         &scratch.out
     }
 
@@ -586,6 +604,105 @@ mod tests {
             let owned = g.neighborhood(node);
             let borrowed = g.neighborhood_buffered(node, &mut scratch).to_vec();
             assert_eq!(owned, borrowed, "node {i}");
+        }
+    }
+
+    /// The neighbor ids around the bitmap's word boundaries.
+    const BOUNDARY_IDS: [u32; 6] = [0, 63, 64, 65, 127, 128];
+
+    fn ids(v: &[u32]) -> Vec<ProfileId> {
+        v.iter().map(|&i| ProfileId(i)).collect()
+    }
+
+    fn assert_scratch_clean(scratch: &NeighborhoodScratch) {
+        assert!(scratch.touched_bits.iter().all(|&w| w == 0), "bitmap dirty");
+        assert!(scratch.touched_words.is_empty(), "word list dirty");
+        assert!(
+            scratch.acc.iter().all(|a| *a == EdgeAccumulator::default()),
+            "accumulators dirty"
+        );
+    }
+
+    #[test]
+    fn dirty_neighbors_ascend_across_word_boundaries() {
+        use sparker_blocking::Block;
+        // Node 130 meets the boundary ids through blocks listed so that
+        // first-touch order is neither id order nor word order; 130 slots
+        // + 1 is not a multiple of 64, so the last bitmap word is partial.
+        let blocks = BlockCollection::new(
+            ErKind::Dirty,
+            vec![
+                Block::dirty("a", ids(&[128, 130, 65])),
+                Block::dirty("b", ids(&[0, 127, 130])),
+                Block::dirty("c", ids(&[64, 63, 130, 128])),
+            ],
+        );
+        let g = BlockGraph::new(&blocks, None);
+        assert_eq!(g.num_profiles(), 131);
+        let mut scratch = g.scratch();
+        assert_eq!(scratch.touched_bits.len(), 3);
+        let got = g.neighborhood_buffered(ProfileId(130), &mut scratch);
+        let got_ids: Vec<u32> = got.iter().map(|(p, _)| p.0).collect();
+        assert_eq!(got_ids, BOUNDARY_IDS);
+        let shared: Vec<u32> = got.iter().map(|(_, a)| a.shared_blocks).collect();
+        assert_eq!(shared, [1, 1, 1, 1, 1, 2]);
+        assert_scratch_clean(&scratch);
+    }
+
+    #[test]
+    fn clean_clean_neighbors_ascend_across_word_boundaries() {
+        use sparker_blocking::Block;
+        // Source 0 holds the boundary ids, source 1 the two probes; each
+        // side sees only the other, in ascending id order although node
+        // 200 first touches the bitmap words in descending order.
+        let blocks = BlockCollection::new(
+            ErKind::CleanClean,
+            vec![
+                Block::clean_clean("a", ids(&[128]), ids(&[200])),
+                Block::clean_clean("b", ids(&[65, 127, 64]), ids(&[129, 200])),
+                Block::clean_clean("c", ids(&[0, 63]), ids(&[200])),
+            ],
+        );
+        let g = BlockGraph::new(&blocks, None);
+        assert_eq!(g.num_profiles(), 201);
+        let mut scratch = g.scratch();
+        let probe = |node: u32, scratch: &mut NeighborhoodScratch| -> Vec<u32> {
+            let out = g.neighborhood_buffered(ProfileId(node), scratch);
+            out.iter().map(|(p, _)| p.0).collect()
+        };
+        assert_eq!(probe(200, &mut scratch), BOUNDARY_IDS);
+        assert_scratch_clean(&scratch);
+        assert_eq!(probe(129, &mut scratch), [64, 65, 127]);
+        assert_eq!(probe(64, &mut scratch), [129, 200]);
+        assert_eq!(probe(128, &mut scratch), [200]);
+        assert_scratch_clean(&scratch);
+    }
+
+    #[test]
+    fn reused_scratch_is_clean_after_every_node() {
+        // One scratch over every node of a graph spanning several bitmap
+        // words: each call must leave it as it found it, and repeating a
+        // node must repeat its output.
+        let coll = ProfileCollection::dirty(
+            (0..150)
+                .map(|i| {
+                    Profile::builder(SourceId(0), i.to_string())
+                        .attr("t", format!("tok{} tok{} hub", i % 11, (i * 7) % 13))
+                        .build()
+                })
+                .collect(),
+        );
+        let g = BlockGraph::new(&token_blocking(&coll), None);
+        let mut scratch = g.scratch();
+        for i in 0..g.num_profiles() as u32 {
+            let first = g.neighborhood_buffered(ProfileId(i), &mut scratch).to_vec();
+            assert!(
+                first.windows(2).all(|w| w[0].0 < w[1].0),
+                "node {i} unsorted"
+            );
+            assert_scratch_clean(&scratch);
+            let again = g.neighborhood_buffered(ProfileId(i), &mut scratch).to_vec();
+            assert_eq!(first, again, "node {i}");
         }
     }
 

@@ -9,8 +9,8 @@
 //!
 //! Concretely: the compact [`BlockGraph`] is broadcast, node ids are
 //! partitioned, and two node-parallel stages run — pass A computes per-node
-//! statistics (means / maxima / k-th weights, plus the global weight pool
-//! for the edge-centric strategies), pass B re-materializes each
+//! statistics (means / maxima / k-th weights, plus the forward weight sums
+//! or pool the edge-centric strategies need), pass B re-materializes each
 //! neighborhood and applies the retention rule. Results are identical to
 //! the sequential driver (asserted by tests and proptests).
 //!
@@ -37,7 +37,7 @@
 
 use crate::graph::BlockGraph;
 use crate::pruning::{
-    cnp_budget, node_pass_single, resolve_rule, MetaBlockingConfig, NodeStats, PruningStrategy,
+    cnp_budget, node_pass_single, resolve_rule, ForwardWeights, MetaBlockingConfig, NodeStats,
 };
 use crate::scorer::ScoringContext;
 use sparker_dataflow::{Broadcast, Context, WorkerLocal};
@@ -169,10 +169,7 @@ pub fn meta_blocking_scheduled(
         Scheduling::EqualCount => (config.scoring_context(graph), None),
     };
     let cnp_k = cnp_budget(config.pruning, graph);
-    let needs_global = matches!(
-        config.pruning,
-        PruningStrategy::Wep { .. } | PruningStrategy::Cep { .. }
-    );
+    let pruning = config.pruning;
 
     // Broadcast the graph (no payload clone: the Arc is adopted) and the
     // scoring context to every task.
@@ -199,9 +196,9 @@ pub fn meta_blocking_scheduled(
 
     // Pass A: per-node statistics (+ forward edge weights for WEP/CEP).
     // Each task emits (stats, forward-weights) for its contiguous node run;
-    // the driver concatenates in task order = node order, so the global
-    // weight pool is ordered exactly as the sequential driver builds it.
-    type PassA = (Vec<NodeStats>, Vec<f64>);
+    // the driver concatenates in task order = node order, so the forward
+    // record is ordered exactly as the sequential driver builds it.
+    type PassA = (Vec<NodeStats>, ForwardWeights);
     let run_pass_a = |nodes: &[u32],
                       scratch: &mut crate::graph::NeighborhoodScratch,
                       weights: &mut Vec<f64>,
@@ -209,14 +206,13 @@ pub fn meta_blocking_scheduled(
                       b_scoring: &ScoringContext|
      -> PassA {
         let mut stats_out = Vec::with_capacity(nodes.len());
-        let mut forward = Vec::new();
+        let mut forward = ForwardWeights::for_pruning(pruning);
         for &i in nodes {
             stats_out.push(node_pass_single(
                 b_graph,
                 ProfileId(i),
                 b_scoring,
                 cnp_k,
-                needs_global,
                 &mut forward,
                 scratch,
                 weights,
@@ -252,12 +248,12 @@ pub fn meta_blocking_scheduled(
         .collect()
     };
     let mut node_stats = Vec::with_capacity(num_nodes);
-    let mut all_weights = Vec::new();
+    let mut forward = ForwardWeights::for_pruning(pruning);
     for (s, fw) in pass_a {
         node_stats.extend(s);
-        all_weights.extend(fw);
+        forward.append(fw);
     }
-    let rule = resolve_rule(config.pruning, graph, &mut all_weights);
+    let rule = resolve_rule(pruning, graph, forward);
 
     // Pass B: re-materialize neighborhoods and retain edges.
     let b_node_stats = ctx.broadcast(node_stats);
@@ -312,7 +308,7 @@ pub fn meta_blocking_scheduled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pruning::meta_blocking_graph;
+    use crate::pruning::{meta_blocking_graph, PruningStrategy};
     use crate::scorer::EdgeScorer;
     use crate::weights::WeightScheme;
     use sparker_blocking::token_blocking;

@@ -1,7 +1,7 @@
 //! Pruning strategies and the sequential meta-blocking driver.
 
 use crate::entropy::BlockEntropies;
-use crate::graph::{BlockGraph, NeighborhoodScratch};
+use crate::graph::{BlockGraph, EdgeAccumulator, NeighborhoodScratch};
 use crate::scorer::{EdgeScorer, ScoringContext};
 use sparker_blocking::BlockCollection;
 use sparker_profiles::{Pair, ProfileId};
@@ -127,29 +127,100 @@ pub struct NodeStats {
     pub kth: f64,
 }
 
+/// Σw and |E| over a set of edges — all that WEP's mean-weight threshold
+/// needs, so no weight is kept once it has been folded in.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct WeightSum {
+    sum: f64,
+    count: u64,
+}
+
+/// What pass A keeps of the forward (`node < j`, so each edge once) edge
+/// weights for the edge-centric strategies. Every driver records nodes
+/// through [`ForwardWeights::record_node`] and hands the node-ordered
+/// result to [`resolve_rule`], which fixes one f64 summation order — the
+/// canonical one — for all of them: neighbor order within a node, node
+/// order across nodes.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ForwardWeights {
+    /// Node-centric strategies (WNP, CNP, Blast): nothing global.
+    Unused,
+    /// WEP: one `(Σw, |E|)` per node, in node order.
+    NodeSums(Vec<WeightSum>),
+    /// CEP: every weight — the k-th largest needs the whole pool.
+    Pool(Vec<f64>),
+}
+
+impl ForwardWeights {
+    /// The empty accumulator `pruning` needs.
+    pub(crate) fn for_pruning(pruning: PruningStrategy) -> Self {
+        match pruning {
+            PruningStrategy::Wep { .. } => ForwardWeights::NodeSums(Vec::new()),
+            PruningStrategy::Cep { .. } => ForwardWeights::Pool(Vec::new()),
+            _ => ForwardWeights::Unused,
+        }
+    }
+
+    /// `true` for the node-centric strategies, whose pass A needs no
+    /// forward weights at all.
+    pub(crate) fn is_unused(&self) -> bool {
+        matches!(self, ForwardWeights::Unused)
+    }
+
+    /// Record one node's forward weights, given in neighbor order. Must be
+    /// called once per node, in node order.
+    pub(crate) fn record_node(&mut self, forward: &[f64]) {
+        match self {
+            ForwardWeights::Unused => {}
+            ForwardWeights::NodeSums(sums) => sums.push(WeightSum {
+                sum: forward.iter().fold(0.0, |sum, w| sum + w),
+                count: forward.len() as u64,
+            }),
+            ForwardWeights::Pool(pool) => pool.extend_from_slice(forward),
+        }
+    }
+
+    /// Append the record of the node range that follows this one's.
+    pub(crate) fn append(&mut self, next: ForwardWeights) {
+        match (self, next) {
+            (ForwardWeights::Unused, ForwardWeights::Unused) => {}
+            (ForwardWeights::NodeSums(a), ForwardWeights::NodeSums(b)) => a.extend(b),
+            (ForwardWeights::Pool(a), ForwardWeights::Pool(b)) => a.extend(b),
+            _ => unreachable!("forward-weight records of one pass share a strategy"),
+        }
+    }
+}
+
+/// Index of the first forward (`node < j`) neighbor: neighborhoods are
+/// sorted by id, so the forward edges are a suffix.
+pub(crate) fn first_forward(
+    node: ProfileId,
+    neighborhood: &[(ProfileId, EdgeAccumulator)],
+) -> usize {
+    neighborhood.partition_point(|&(j, _)| j < node)
+}
+
 /// Per-node half of the first pass: materialize one node's neighborhood,
 /// weight its edges, and summarize. This is the unit of work SparkER
 /// distributes, so it is the hot loop of meta-blocking — after warm-up it
 /// performs **zero heap allocation per node**: the neighborhood lives in
 /// `scratch`, the edge weights in the caller's reusable `weights` buffer,
-/// and (when `collect_weights`) the node's `node < j` edge weights are
-/// appended to `all_weights` so each edge is counted once globally. The
-/// CNP k-th weight uses an O(n) order-statistic selection instead of a
-/// full sort, and mean/max are folded in the same pass that computes the
-/// weights.
-#[allow(clippy::too_many_arguments)]
+/// and the node's forward edge weights are folded into `forward` so each
+/// edge is counted once globally. The CNP k-th weight uses an O(n)
+/// order-statistic selection instead of a full sort, and mean/max are
+/// folded in the same pass that computes the weights.
 pub(crate) fn node_pass_single(
     graph: &BlockGraph,
     node: ProfileId,
     scoring: &ScoringContext,
     cnp_k: usize,
-    collect_weights: bool,
-    all_weights: &mut Vec<f64>,
+    forward: &mut ForwardWeights,
     scratch: &mut NeighborhoodScratch,
     weights: &mut Vec<f64>,
 ) -> NodeStats {
     let neighborhood = graph.neighborhood_buffered(node, scratch);
     if neighborhood.is_empty() {
+        forward.record_node(&[]);
         return NodeStats {
             kth: f64::INFINITY,
             ..NodeStats::default()
@@ -164,10 +235,8 @@ pub(crate) fn node_pass_single(
         weights.push(w);
         sum += w;
         max = max.max(w);
-        if collect_weights && node < j {
-            all_weights.push(w);
-        }
     }
+    forward.record_node(&weights[first_forward(node, neighborhood)..]);
     let mean = sum / weights.len() as f64;
     // k-th largest = element at rank k-1 of the descending order; selection
     // yields exactly the value a full descending sort would put there.
@@ -181,17 +250,16 @@ pub(crate) fn node_pass_single(
     }
 }
 
-/// First pass: per-node statistics (and the global weight list when CEP
-/// needs it). `collect_weights` gathers each edge's weight once (i < j).
+/// First pass: per-node statistics, plus the forward edge weights in the
+/// form the strategy's global threshold needs (see [`ForwardWeights`]).
 pub(crate) fn node_stats_pass(
     graph: &BlockGraph,
     scoring: &ScoringContext,
     cnp_k: usize,
-    collect_weights: bool,
-) -> (Vec<NodeStats>, Vec<f64>) {
+    mut forward: ForwardWeights,
+) -> (Vec<NodeStats>, ForwardWeights) {
     let n = graph.num_profiles();
     let mut node_stats = vec![NodeStats::default(); n];
-    let mut all_weights = Vec::new();
     let mut scratch = graph.scratch();
     let mut weights = Vec::new();
     for (i, slot) in node_stats.iter_mut().enumerate() {
@@ -200,13 +268,12 @@ pub(crate) fn node_stats_pass(
             ProfileId(i as u32),
             scoring,
             cnp_k,
-            collect_weights,
-            &mut all_weights,
+            &mut forward,
             &mut scratch,
             &mut weights,
         );
     }
-    (node_stats, all_weights)
+    (node_stats, forward)
 }
 
 /// Fold pass-A output into one scalar so benchmarks can consume (and
@@ -226,7 +293,10 @@ fn pass_checksum(node_stats: &[NodeStats], all_weights: &[f64]) -> f64 {
 pub fn node_stats_pass_checksum(graph: &BlockGraph, config: &MetaBlockingConfig) -> f64 {
     let scoring = config.scoring_context(graph);
     let cnp_k = cnp_budget(config.pruning, graph);
-    let (ns, aw) = node_stats_pass(graph, &scoring, cnp_k, true);
+    let (ns, forward) = node_stats_pass(graph, &scoring, cnp_k, ForwardWeights::Pool(Vec::new()));
+    let ForwardWeights::Pool(aw) = forward else {
+        unreachable!("the pass returns the accumulator it was given");
+    };
     pass_checksum(&ns, &aw)
 }
 
@@ -335,23 +405,29 @@ impl RetentionRule {
     }
 }
 
-/// Resolve a pruning strategy into a concrete rule given the pass-A output.
+/// Resolve a pruning strategy into a concrete rule given the pass-A
+/// forward weights (the record [`ForwardWeights::for_pruning`] started,
+/// covering every node in node order).
 pub(crate) fn resolve_rule(
     pruning: PruningStrategy,
     graph: &BlockGraph,
-    all_weights: &mut [f64],
+    forward: ForwardWeights,
 ) -> RetentionRule {
-    match pruning {
-        PruningStrategy::Wep { factor } => {
+    match (pruning, forward) {
+        (PruningStrategy::Wep { factor }, ForwardWeights::NodeSums(sums)) => {
             assert!(factor > 0.0, "WEP factor must be positive");
-            let mean = if all_weights.is_empty() {
+            let total = sums.iter().fold(WeightSum::default(), |t, s| WeightSum {
+                sum: t.sum + s.sum,
+                count: t.count + s.count,
+            });
+            let mean = if total.count == 0 {
                 0.0
             } else {
-                all_weights.iter().sum::<f64>() / all_weights.len() as f64
+                total.sum / total.count as f64
             };
             RetentionRule::GlobalThreshold(factor * mean)
         }
-        PruningStrategy::Cep { retain } => {
+        (PruningStrategy::Cep { retain }, ForwardWeights::Pool(mut all_weights)) => {
             let budget = retain.unwrap_or(graph.total_assignments() / 2).max(1) as usize;
             if all_weights.is_empty() {
                 return RetentionRule::GlobalThreshold(0.0);
@@ -360,12 +436,15 @@ pub(crate) fn resolve_rule(
             let threshold = all_weights[(budget.min(all_weights.len())).saturating_sub(1)];
             RetentionRule::GlobalThreshold(threshold)
         }
-        PruningStrategy::Wnp { factor, reciprocal } => {
+        (PruningStrategy::Wep { .. } | PruningStrategy::Cep { .. }, _) => {
+            unreachable!("pass A fills the record `ForwardWeights::for_pruning` started")
+        }
+        (PruningStrategy::Wnp { factor, reciprocal }, _) => {
             assert!(factor > 0.0, "WNP factor must be positive");
             RetentionRule::NodeMean { factor, reciprocal }
         }
-        PruningStrategy::Cnp { reciprocal, .. } => RetentionRule::NodeKth { reciprocal },
-        PruningStrategy::Blast { ratio } => {
+        (PruningStrategy::Cnp { reciprocal, .. }, _) => RetentionRule::NodeKth { reciprocal },
+        (PruningStrategy::Blast { ratio }, _) => {
             assert!(
                 ratio > 0.0 && ratio <= 1.0,
                 "Blast ratio must be in (0, 1], got {ratio}"
@@ -400,12 +479,13 @@ pub(crate) fn cnp_budget(pruning: PruningStrategy, graph: &BlockGraph) -> usize 
 pub fn meta_blocking_graph(graph: &BlockGraph, config: &MetaBlockingConfig) -> Vec<(Pair, f64)> {
     let scoring = config.scoring_context(graph);
     let cnp_k = cnp_budget(config.pruning, graph);
-    let needs_global = matches!(
-        config.pruning,
-        PruningStrategy::Wep { .. } | PruningStrategy::Cep { .. }
+    let (node_stats, forward) = node_stats_pass(
+        graph,
+        &scoring,
+        cnp_k,
+        ForwardWeights::for_pruning(config.pruning),
     );
-    let (node_stats, mut all_weights) = node_stats_pass(graph, &scoring, cnp_k, needs_global);
-    let rule = resolve_rule(config.pruning, graph, &mut all_weights);
+    let rule = resolve_rule(config.pruning, graph, forward);
 
     let mut retained = Vec::new();
     let mut scratch = graph.scratch();

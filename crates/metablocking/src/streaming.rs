@@ -15,7 +15,7 @@
 //! ## Parity with the staged drivers
 //!
 //! `prepare` reuses the exact staged building blocks — `node_pass_single`
-//! for the node-centric rules, the same forward-only weight collection
+//! for the node-centric rules, the same per-node forward weight record
 //! (same order, same f64 summation sequence) for the global rules, the
 //! same `resolve_rule` — so concatenating `prune_range` over a disjoint
 //! ascending cover of `0..num_profiles` is byte-identical to the staged
@@ -30,8 +30,8 @@
 use crate::graph::{BlockGraph, NeighborhoodScratch};
 use crate::parallel::degrees_parallel;
 use crate::pruning::{
-    cnp_budget, node_pass_single, resolve_rule, MetaBlockingConfig, NodeStats, PruningStrategy,
-    RetentionRule,
+    cnp_budget, first_forward, node_pass_single, resolve_rule, ForwardWeights, MetaBlockingConfig,
+    NodeStats, RetentionRule,
 };
 use crate::scorer::ScoringContext;
 use sparker_dataflow::{Broadcast, Context, WorkerLocal};
@@ -54,21 +54,19 @@ pub struct StreamingMetaBlocking {
 }
 
 impl StreamingMetaBlocking {
-    /// Run pass A (per-node statistics and/or the global weight pool) on
-    /// the context's worker pool and resolve the retention rule.
+    /// Run pass A (per-node statistics and/or the forward weight record)
+    /// on the context's worker pool and resolve the retention rule.
     ///
     /// The global rules (WEP/CEP) never read `NodeStats`, so their pass
     /// A is specialized: it computes only the forward (`node < j`) edge
-    /// weights — in the same neighborhood order the staged pass collects
-    /// them, preserving f64 summation order — and skips the mean/max/k-th
+    /// weights — recorded per node like the staged pass records them,
+    /// preserving f64 summation order — and skips the mean/max/k-th
     /// folding entirely, roughly halving pass-A weight computes.
     pub fn prepare(ctx: &Context, graph: &Arc<BlockGraph>, config: &MetaBlockingConfig) -> Self {
         let num_nodes = graph.num_profiles();
         let cnp_k = cnp_budget(config.pruning, graph);
-        let needs_global = matches!(
-            config.pruning,
-            PruningStrategy::Wep { .. } | PruningStrategy::Cep { .. }
-        );
+        let pruning = config.pruning;
+        let needs_global = !ForwardWeights::for_pruning(pruning).is_unused();
 
         // Scorers that read node degrees (EJS, supervised) need them
         // *before* pass A can weight anything; compute them node-parallel.
@@ -87,8 +85,7 @@ impl StreamingMetaBlocking {
         };
 
         if num_nodes == 0 {
-            let mut all_weights = Vec::new();
-            let rule = resolve_rule(config.pruning, graph, &mut all_weights);
+            let rule = resolve_rule(pruning, graph, ForwardWeights::for_pruning(pruning));
             return StreamingMetaBlocking {
                 graph: Arc::clone(graph),
                 scoring,
@@ -109,14 +106,14 @@ impl StreamingMetaBlocking {
         // (node stats, forward weights, degrees) per morsel, concatenated
         // in node order — dynamic morsel claiming absorbs degree skew
         // without a separate cost-hint pass.
-        type PassA = (Vec<NodeStats>, Vec<f64>, Vec<u32>);
+        type PassA = (Vec<NodeStats>, ForwardWeights, Vec<u32>);
         let pass_a: Vec<PassA> = {
             let scratches = Arc::clone(&scratches);
             ctx.parallelize_default(ids)
                 .map_morsels_named("fused_pass_a", grain, move |worker, nodes| {
                     scratches.with(worker, |(scratch, weights)| {
                         let mut stats_out = Vec::new();
-                        let mut forward = Vec::new();
+                        let mut forward = ForwardWeights::for_pruning(pruning);
                         let mut degs = Vec::with_capacity(nodes.len());
                         for &i in nodes {
                             let node = ProfileId(i);
@@ -125,24 +122,19 @@ impl StreamingMetaBlocking {
                                 let blocks_node = b_graph.blocks_of(node).len();
                                 let neighborhood = b_graph.neighborhood_buffered(node, scratch);
                                 degs.push(neighborhood.len() as u32);
-                                for &(j, ref acc) in neighborhood {
-                                    if node < j {
-                                        forward.push(b_scoring.weigh(
-                                            node,
-                                            j,
-                                            acc,
-                                            blocks_node,
-                                            b_graph.blocks_of(j).len(),
-                                        ));
-                                    }
-                                }
+                                weights.clear();
+                                let from = first_forward(node, neighborhood);
+                                weights.extend(neighborhood[from..].iter().map(|(j, acc)| {
+                                    let blocks_j = b_graph.blocks_of(*j).len();
+                                    b_scoring.weigh(node, *j, acc, blocks_node, blocks_j)
+                                }));
+                                forward.record_node(weights);
                             } else {
                                 stats_out.push(node_pass_single(
                                     &b_graph,
                                     node,
                                     &b_scoring,
                                     cnp_k,
-                                    false,
                                     &mut forward,
                                     scratch,
                                     weights,
@@ -157,14 +149,14 @@ impl StreamingMetaBlocking {
         };
 
         let mut node_stats = Vec::with_capacity(if needs_global { 0 } else { num_nodes });
-        let mut all_weights = Vec::new();
+        let mut forward = ForwardWeights::for_pruning(pruning);
         let mut degrees = Vec::with_capacity(num_nodes);
         for (s, fw, d) in pass_a {
             node_stats.extend(s);
-            all_weights.extend(fw);
+            forward.append(fw);
             degrees.extend(d);
         }
-        let rule = resolve_rule(config.pruning, graph, &mut all_weights);
+        let rule = resolve_rule(pruning, graph, forward);
 
         StreamingMetaBlocking {
             graph: Arc::clone(graph),
@@ -267,7 +259,7 @@ impl StreamingMetaBlocking {
 mod tests {
     use super::*;
     use crate::entropy::BlockEntropies;
-    use crate::pruning::meta_blocking_graph;
+    use crate::pruning::{meta_blocking_graph, PruningStrategy};
     use crate::scorer::EdgeScorer;
     use crate::weights::WeightScheme;
     use sparker_blocking::token_blocking;
@@ -339,6 +331,86 @@ mod tests {
                     "{}+{} morsel cover diverged",
                     scheme.name(),
                     pruning.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wep_threshold_from_node_sums_matches_pooled_mean() {
+        // WEP folds one (Σw, |E|) per node instead of pooling every forward
+        // weight. CBS weights are integers, so its mean is bit-identical to
+        // the pooled one; the float schemes may round the sum differently,
+        // and whatever threshold results, every driver — at every morsel
+        // cut — must arrive at the same bits and the same retained edges.
+        use crate::pruning::node_stats_pass;
+        let coll = skewed_collection(150);
+        let blocks = token_blocking(&coll);
+        let graph = Arc::new(BlockGraph::new(&blocks, None));
+        for scheme in WeightScheme::ALL {
+            let config = MetaBlockingConfig {
+                scorer: EdgeScorer::Classic(scheme),
+                pruning: PruningStrategy::Wep { factor: 1.0 },
+                use_entropy: false,
+            };
+            let scoring = config.scoring_context(&graph);
+            let mut pool = Vec::new();
+            let mut scratch = graph.scratch();
+            for i in 0..graph.num_profiles() as u32 {
+                let node = ProfileId(i);
+                let blocks_node = graph.blocks_of(node).len();
+                for &(j, ref acc) in graph.neighborhood_buffered(node, &mut scratch) {
+                    if node < j {
+                        pool.push(scoring.weigh(
+                            node,
+                            j,
+                            acc,
+                            blocks_node,
+                            graph.blocks_of(j).len(),
+                        ));
+                    }
+                }
+            }
+            let pooled = pool.iter().sum::<f64>() / pool.len() as f64;
+
+            let (_, forward) = node_stats_pass(
+                &graph,
+                &scoring,
+                1,
+                ForwardWeights::for_pruning(config.pruning),
+            );
+            let RetentionRule::GlobalThreshold(threshold) =
+                resolve_rule(config.pruning, &graph, forward)
+            else {
+                panic!("WEP resolves to a global threshold");
+            };
+            if scheme == WeightScheme::Cbs {
+                assert_eq!(threshold.to_bits(), pooled.to_bits(), "CBS mean moved");
+            } else {
+                assert!(
+                    (threshold - pooled).abs() <= 1e-12 * pooled,
+                    "{}: {threshold} vs pooled {pooled}",
+                    scheme.name()
+                );
+            }
+
+            let staged = meta_blocking_graph(&graph, &config);
+            for workers in [1, 2, 4] {
+                let ctx = Context::new(workers);
+                let stream = StreamingMetaBlocking::prepare(&ctx, &graph, &config);
+                let RetentionRule::GlobalThreshold(streamed) = stream.rule else {
+                    panic!("WEP resolves to a global threshold");
+                };
+                assert_eq!(
+                    streamed.to_bits(),
+                    threshold.to_bits(),
+                    "{} at {workers} workers",
+                    scheme.name()
+                );
+                assert_eq!(stream.prune_all(), staged);
+                assert_eq!(
+                    crate::parallel::meta_blocking(&ctx, &graph, &config),
+                    staged
                 );
             }
         }

@@ -2,14 +2,14 @@
 //! implicit edges), parallel/sequential parity, weight invariants.
 
 use proptest::prelude::*;
-use sparker_blocking::token_blocking;
+use sparker_blocking::{token_blocking, Block, BlockCollection};
 use sparker_dataflow::Context;
 use sparker_metablocking::{
     meta_blocking_graph, parallel, BlockEntropies, BlockGraph, EdgeScorer, LinearModel,
     MetaBlockingConfig, PruningStrategy, Scheduling, ScoringContext, WeightScheme, NUM_FEATURES,
 };
-use sparker_profiles::{Pair, Profile, ProfileCollection, SourceId};
-use std::collections::HashSet;
+use sparker_profiles::{ErKind, Pair, Profile, ProfileCollection, ProfileId, SourceId};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 fn collection_strategy() -> impl Strategy<Value = ProfileCollection> {
@@ -63,6 +63,36 @@ fn skewed_collection_strategy() -> impl Strategy<Value = ProfileCollection> {
                     .collect(),
             )
         })
+}
+
+/// Random blocks over an id space of up to 200 slots (several words of the
+/// neighborhood bitmap, the last one partial), dirty or clean–clean, with
+/// per-block entropies.
+fn raw_blocks_strategy() -> impl Strategy<Value = (BlockCollection, BlockEntropies)> {
+    (1u32..200, proptest::bool::ANY).prop_flat_map(|(n, clean_clean)| {
+        let blocks = prop::collection::vec(prop::collection::vec(0..n, 1..12), 0..24);
+        (blocks, 0..n).prop_map(move |(raw, separator)| {
+            let blocks = raw.into_iter().enumerate().map(|(i, members)| {
+                let members = members.into_iter().map(ProfileId);
+                if clean_clean {
+                    let (s0, s1) = members.partition(|p| p.0 < separator);
+                    Block::clean_clean(format!("b{i}"), s0, s1)
+                } else {
+                    Block::dirty(format!("b{i}"), members.collect())
+                }
+            });
+            let kind = if clean_clean {
+                ErKind::CleanClean
+            } else {
+                ErKind::Dirty
+            };
+            // `new` drops blocks without comparisons; align to what is left.
+            let blocks = BlockCollection::new(kind, blocks.collect());
+            let entropies = (0..blocks.len()).map(|b| 0.1 + (b % 5) as f64 * 0.3);
+            let entropies = BlockEntropies::new(entropies.collect());
+            (blocks, entropies)
+        })
+    })
 }
 
 fn config_strategy() -> impl Strategy<Value = MetaBlockingConfig> {
@@ -183,6 +213,40 @@ proptest! {
                 prop_assert!(reverse.is_some(), "asymmetric edge {node}-{j}");
                 prop_assert_eq!(reverse.unwrap().1, acc);
             }
+        }
+    }
+
+    #[test]
+    fn neighborhood_equals_naive_btreemap_reference(input in raw_blocks_strategy()) {
+        // The bitmap sweep must return exactly what an ordered map gives:
+        // the same neighbors ascending, the same accumulators bit for bit
+        // (both add blocks in ascending block order) — with one scratch
+        // reused across all nodes.
+        let (blocks, entropies) = input;
+        let kind = blocks.kind();
+        let graph = BlockGraph::new(&blocks, Some(&entropies));
+        let mut scratch = graph.scratch();
+        for i in 0..graph.num_profiles() as u32 {
+            let node = ProfileId(i);
+            let mut reference = BTreeMap::new();
+            for (b, block) in blocks.blocks().iter().enumerate() {
+                let side = block.members.iter().position(|m| m.binary_search(&node).is_ok());
+                let Some(side) = side else { continue };
+                let others = match kind {
+                    ErKind::Dirty => &block.members[0],
+                    ErKind::CleanClean => &block.members[1 - side],
+                };
+                for &other in others.iter().filter(|&&o| o != node) {
+                    let acc = reference
+                        .entry(other)
+                        .or_insert_with(sparker_metablocking::EdgeAccumulator::default);
+                    acc.shared_blocks += 1;
+                    acc.arcs += 1.0 / block.comparisons(kind).max(1) as f64;
+                    acc.entropy_sum += entropies.as_slice()[b];
+                }
+            }
+            let expected: Vec<_> = reference.into_iter().collect();
+            prop_assert_eq!(graph.neighborhood_buffered(node, &mut scratch), &expected[..]);
         }
     }
 

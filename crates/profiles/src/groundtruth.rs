@@ -102,14 +102,14 @@ impl GroundTruth {
         }
     }
 
-    /// True matches that are *missing* from `candidates` — the "false
+    /// True matches for which `is_candidate` is false — the "false
     /// positives" of the paper's Figure 6(d) debug view (ground-truth pairs
     /// lost during blocking).
-    pub fn lost_pairs(&self, candidates: &HashSet<Pair>) -> Vec<Pair> {
+    pub fn lost_pairs(&self, is_candidate: impl Fn(&Pair) -> bool) -> Vec<Pair> {
         let mut lost: Vec<Pair> = self
             .matches
             .iter()
-            .filter(|p| !candidates.contains(p))
+            .filter(|p| !is_candidate(p))
             .copied()
             .collect();
         lost.sort();
@@ -157,8 +157,10 @@ mod tests {
     #[test]
     fn lost_pairs_sorted() {
         let gt = GroundTruth::from_pairs(vec![pair(4, 5), pair(0, 1), pair(2, 3)]);
-        let kept: HashSet<Pair> = [pair(2, 3)].into_iter().collect();
-        assert_eq!(gt.lost_pairs(&kept), vec![pair(0, 1), pair(4, 5)]);
+        assert_eq!(
+            gt.lost_pairs(|p| *p == pair(2, 3)),
+            vec![pair(0, 1), pair(4, 5)]
+        );
     }
 
     #[test]

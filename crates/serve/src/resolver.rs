@@ -324,13 +324,6 @@ impl FastPath {
             None => cands,
             Some(ratio) => {
                 let quota = ((cands.len() as f64 * ratio).ceil() as usize).max(1);
-                let kind = if self.blocks.is_empty() || self.blocks[0].members[1].is_empty() {
-                    // kind only matters for comparison counts; infer below.
-                    ErKind::Dirty
-                } else {
-                    ErKind::CleanClean
-                };
-                let _ = kind; // comparisons are taken per block via the caller-passed kind
                 let mut ordered = cands;
                 ordered.sort_by(|&x, &y| {
                     let bx = &self.blocks[x as usize];
@@ -454,6 +447,9 @@ pub struct ResolverState {
     filter_stats: FilterStats,
     fast: Option<FastPath>,
     dirty: bool,
+    /// `SPARKER_SERVE_CHECK` was set when the resolver was created: every
+    /// upsert then refreshes and deep-verifies against the batch pipeline.
+    check_every_op: bool,
     retained: HashSet<(PKey, PKey)>,
     matches: BTreeMap<(PKey, PKey), f64>,
     clusters: Option<EntityClusters>,
@@ -482,6 +478,7 @@ impl ResolverState {
             filter_stats: FilterStats::default(),
             fast,
             dirty: true,
+            check_every_op: std::env::var("SPARKER_SERVE_CHECK").is_ok_and(|v| !v.is_empty()),
             retained: HashSet::new(),
             matches: BTreeMap::new(),
             clusters: None,
@@ -553,7 +550,7 @@ impl ResolverState {
             OpKind::Updated => self.counters.updates += 1,
         }
         self.dirty = true;
-        if std::env::var("SPARKER_SERVE_CHECK").is_ok_and(|v| !v.is_empty()) {
+        if self.check_every_op {
             self.refresh();
             self.verify_inner();
         }

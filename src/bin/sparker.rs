@@ -407,14 +407,14 @@ fn run() -> Result<(), String> {
     if let Some(path) = &args.export_edges {
         let tsv = export_edges_tsv(
             &collection,
-            &result.blocker.weighted_candidates,
+            result.blocker.candidates.weighted(),
             weight_filter.as_ref(),
         );
         std::fs::write(path, &tsv).map_err(|e| format!("writing {path}: {e}"))?;
         println!(
             "exported {} of {} weighted edges to {path}",
             tsv.lines().count() - 1,
-            result.blocker.weighted_candidates.len(),
+            result.blocker.candidates.len(),
         );
     }
 
