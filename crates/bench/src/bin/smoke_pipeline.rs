@@ -13,7 +13,7 @@ fn main() {
     let sequential = pipeline.run_on(&ExecutionBackend::Sequential, &ds.collection);
     let seq_eval = sequential.evaluate(&ds.ground_truth);
 
-    for backend in [ExecutionBackend::dataflow(2), ExecutionBackend::pool(2)] {
+    for backend in [ExecutionBackend::dataflow(2), ExecutionBackend::fused(2)] {
         let result = pipeline.run_on(&backend, &ds.collection);
         assert_eq!(
             sequential.clusters,
@@ -36,8 +36,11 @@ fn main() {
             "{} backend missing stage-scope markers",
             backend.name()
         );
-        if backend.name() == "pool" {
-            assert!(has("match_candidates"), "matcher did not run on the pool");
+        if backend.name() == "fused" {
+            assert!(
+                has("fused_prune_score"),
+                "prune and score did not run fused"
+            );
             assert!(
                 has("cluster_components"),
                 "clusterer did not run on the pool"
@@ -47,7 +50,7 @@ fn main() {
 
     println!(
         "pipeline smoke OK: {} profiles, {} clusters, clustering F1 {:.4} \
-         (dataflow == pool == sequential, 2 workers)",
+         (dataflow == fused == sequential, 2 workers)",
         ds.collection.len(),
         sequential.clusters.num_clusters(),
         seq_eval.clustering.f1,

@@ -74,8 +74,7 @@ pub fn citations(entities: usize) -> GeneratedDataset {
 /// partitioning. The pool is wide and the exponent mild so the hub is made
 /// of *many mid-size* hot blocks: those survive the standard
 /// purge + block-filtering pipeline (which kills the few monster blocks)
-/// and keep the hub dense while the tail goes sparse. Same seed as
-/// [`uniform_dirty`], so the skew knob is the only delta.
+/// and keep the hub dense while the tail goes sparse.
 pub fn skewed_dirty(entities: usize) -> GeneratedDataset {
     generate_dirty(
         &DatasetConfig {
@@ -90,22 +89,6 @@ pub fn skewed_dirty(entities: usize) -> GeneratedDataset {
                 hot_entity_fraction: 0.125,
                 appends: 96,
             }),
-        },
-        2,
-    )
-}
-
-/// The unskewed control for [`skewed_dirty`]: identical configuration with
-/// the Zipf knob off.
-pub fn uniform_dirty(entities: usize) -> GeneratedDataset {
-    generate_dirty(
-        &DatasetConfig {
-            entities,
-            unmatched_per_source: 0,
-            domain: Domain::Products,
-            noise: NoiseConfig::default(),
-            seed: 0x51E3BF,
-            skew: None,
         },
         2,
     )

@@ -30,32 +30,29 @@ use std::sync::Arc;
 
 /// An execution substrate for the ER pipeline.
 ///
-/// Each variant is a thin strategy over a pre-existing implementation; the
-/// three correspond to the historical drivers `Pipeline::run`,
-/// `Pipeline::run_dataflow` and `Pipeline::run_pipeline_parallel`, which
-/// are now one-line wrappers over [`crate::Pipeline::run_on`] with the
-/// matching backend. All backends produce byte-identical results at any
-/// worker count (pinned by the backend-matrix parity suite).
+/// Production ([`ExecutionBackend::FusedPool`]) × reference oracle
+/// ([`ExecutionBackend::Sequential`]) × the paper-faithful reproduction
+/// ([`ExecutionBackend::Dataflow`]). All backends produce byte-identical
+/// results at any worker count (pinned by the backend-matrix parity suite).
 #[derive(Debug, Clone)]
 pub enum ExecutionBackend {
-    /// Single-threaded driver loops.
+    /// Single-threaded driver loops — the oracle the parity suites compare
+    /// the engine backends against.
     Sequential,
     /// Every data-parallel stage as dataflow operators: shuffle-based
     /// blocking and filtering, broadcast-join meta-blocking, broadcast
     /// matching, label-propagation connected components (the GraphX path).
     Dataflow(Context),
-    /// Morsel-driven persistent worker pool: dataflow blocker stages, CSR
+    /// Morsel-driven persistent worker pool with the prune→score stages
+    /// fused: meta-blocking emits pruned pairs through a bounded morsel
+    /// channel and the matcher scores them concurrently on the same pool,
+    /// so the candidates and matching critical paths overlap and no
+    /// `CandidateGraph` is materialized. The fusion lives in
+    /// [`crate::Pipeline::run_on`]'s driver; the stage entry points called
+    /// individually (and a run without meta-blocking, which has nothing to
+    /// fuse) are the staged pool stages: dataflow blocker stages, CSR
     /// candidate streaming with degree-cost morsels in the matcher,
     /// per-worker union–find forests in the clusterer.
-    Pool(Context),
-    /// The pool backend with the prune→score stages fused: meta-blocking
-    /// emits pruned pairs through a bounded morsel channel and the matcher
-    /// scores them concurrently on the same pool, so the candidates and
-    /// matching critical paths overlap and no `CandidateGraph` is ever
-    /// materialized. Byte-identical to [`ExecutionBackend::Pool`] (pinned
-    /// by the parity matrix); stage entry points called individually
-    /// behave exactly as the pool backend — the fusion lives in
-    /// [`crate::Pipeline::run_on`]'s driver.
     FusedPool(Context),
 }
 
@@ -66,28 +63,21 @@ impl ExecutionBackend {
         ExecutionBackend::Dataflow(Context::new(workers))
     }
 
-    /// The pool backend on a fresh engine context with `workers` workers.
-    pub fn pool(workers: usize) -> Self {
-        ExecutionBackend::Pool(Context::new(workers))
-    }
-
     /// The fused pool backend on a fresh engine context with `workers`
     /// workers.
     pub fn fused(workers: usize) -> Self {
         ExecutionBackend::FusedPool(Context::new(workers))
     }
 
-    /// Parse a backend name (`"sequential"`, `"dataflow"`, `"pool"`,
-    /// `"fused"`), attaching a `workers`-sized engine context where one is
-    /// needed.
+    /// Parse a backend name (`"sequential"`, `"dataflow"`, `"fused"`),
+    /// attaching a `workers`-sized engine context where one is needed.
     pub fn parse(name: &str, workers: usize) -> Result<Self, String> {
         match name {
             "sequential" => Ok(ExecutionBackend::Sequential),
             "dataflow" => Ok(ExecutionBackend::dataflow(workers)),
-            "pool" => Ok(ExecutionBackend::pool(workers)),
             "fused" => Ok(ExecutionBackend::fused(workers)),
             other => Err(format!(
-                "unknown backend {other:?}; expected sequential, dataflow, pool or fused"
+                "unknown backend {other:?}; expected sequential, dataflow or fused"
             )),
         }
     }
@@ -97,7 +87,6 @@ impl ExecutionBackend {
         match self {
             ExecutionBackend::Sequential => "sequential",
             ExecutionBackend::Dataflow(_) => "dataflow",
-            ExecutionBackend::Pool(_) => "pool",
             ExecutionBackend::FusedPool(_) => "fused",
         }
     }
@@ -107,9 +96,7 @@ impl ExecutionBackend {
     pub fn context(&self) -> Option<&Context> {
         match self {
             ExecutionBackend::Sequential => None,
-            ExecutionBackend::Dataflow(ctx)
-            | ExecutionBackend::Pool(ctx)
-            | ExecutionBackend::FusedPool(ctx) => Some(ctx),
+            ExecutionBackend::Dataflow(ctx) | ExecutionBackend::FusedPool(ctx) => Some(ctx),
         }
     }
 
@@ -127,9 +114,9 @@ impl ExecutionBackend {
     pub fn budget(&self) -> MemBudget {
         match self {
             ExecutionBackend::Sequential => MemBudget::from_env(),
-            ExecutionBackend::Dataflow(ctx)
-            | ExecutionBackend::Pool(ctx)
-            | ExecutionBackend::FusedPool(ctx) => ctx.budget().clone(),
+            ExecutionBackend::Dataflow(ctx) | ExecutionBackend::FusedPool(ctx) => {
+                ctx.budget().clone()
+            }
         }
     }
 
@@ -152,20 +139,14 @@ impl ExecutionBackend {
                 let (dict, compact) = token_blocking_with_dict_budgeted(collection, budget);
                 compact.materialize(&dict)
             }
-            (
-                ExecutionBackend::Dataflow(ctx)
-                | ExecutionBackend::Pool(ctx)
-                | ExecutionBackend::FusedPool(ctx),
-                Some(parts),
-            ) => sparker_blocking::dataflow::keyed_blocking(ctx, collection, |p| {
-                loose_schema_keys(p, parts)
-            }),
-            (
-                ExecutionBackend::Dataflow(ctx)
-                | ExecutionBackend::Pool(ctx)
-                | ExecutionBackend::FusedPool(ctx),
-                None,
-            ) => sparker_blocking::dataflow::token_blocking(ctx, collection),
+            (ExecutionBackend::Dataflow(ctx) | ExecutionBackend::FusedPool(ctx), Some(parts)) => {
+                sparker_blocking::dataflow::keyed_blocking(ctx, collection, |p| {
+                    loose_schema_keys(p, parts)
+                })
+            }
+            (ExecutionBackend::Dataflow(ctx) | ExecutionBackend::FusedPool(ctx), None) => {
+                sparker_blocking::dataflow::token_blocking(ctx, collection)
+            }
         }
     }
 
@@ -178,9 +159,7 @@ impl ExecutionBackend {
     pub fn filter_blocks(&self, blocks: BlockCollection, ratio: f64) -> BlockCollection {
         match self {
             ExecutionBackend::Sequential => block_filtering(blocks, ratio),
-            ExecutionBackend::Dataflow(ctx)
-            | ExecutionBackend::Pool(ctx)
-            | ExecutionBackend::FusedPool(ctx) => {
+            ExecutionBackend::Dataflow(ctx) | ExecutionBackend::FusedPool(ctx) => {
                 sparker_blocking::dataflow::block_filtering(ctx, blocks, ratio)
             }
         }
@@ -200,9 +179,7 @@ impl ExecutionBackend {
                 let graph = BlockGraph::new_budgeted(blocks, entropies, budget);
                 meta_blocking_graph(&graph, config)
             }
-            ExecutionBackend::Dataflow(ctx)
-            | ExecutionBackend::Pool(ctx)
-            | ExecutionBackend::FusedPool(ctx) => {
+            ExecutionBackend::Dataflow(ctx) | ExecutionBackend::FusedPool(ctx) => {
                 let graph = Arc::new(BlockGraph::new_budgeted(blocks, entropies, budget));
                 parallel::meta_blocking(ctx, &graph, config)
             }
@@ -227,7 +204,7 @@ impl ExecutionBackend {
                 pairs.sort_unstable();
                 matcher.match_pairs_dataflow(ctx, collection, pairs)
             }
-            ExecutionBackend::Pool(ctx) | ExecutionBackend::FusedPool(ctx) => {
+            ExecutionBackend::FusedPool(ctx) => {
                 let graph = Arc::new(CandidateGraph::from_pairs_budgeted(
                     collection.len(),
                     candidates.iter().copied(),
@@ -252,9 +229,7 @@ impl ExecutionBackend {
         let mode = match self {
             ExecutionBackend::Sequential => ComponentsMode::Sequential,
             ExecutionBackend::Dataflow(ctx) => ComponentsMode::Dataflow(ctx),
-            ExecutionBackend::Pool(ctx) | ExecutionBackend::FusedPool(ctx) => {
-                ComponentsMode::Pool(ctx)
-            }
+            ExecutionBackend::FusedPool(ctx) => ComponentsMode::Pool(ctx),
         };
         cluster_edges(
             algorithm,
@@ -272,10 +247,66 @@ impl ExecutionBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Pipeline, PipelineConfig};
+    use sparker_datasets::{generate, DatasetConfig};
+
+    fn dataset() -> sparker_datasets::GeneratedDataset {
+        generate(&DatasetConfig {
+            entities: 120,
+            unmatched_per_source: 30,
+            seed: 77,
+            ..DatasetConfig::default()
+        })
+    }
+
+    #[test]
+    fn engine_metrics_cover_all_stages() {
+        let ds = dataset();
+        let backend = ExecutionBackend::dataflow(2);
+        Pipeline::new(PipelineConfig::default()).run_on(&backend, &ds.collection);
+        let ctx = backend.context().unwrap();
+        let snap = ctx.metrics();
+        assert!(
+            snap.stages.iter().any(|s| s.name == "group_by_key"),
+            "blocking shuffles"
+        );
+        assert!(snap.broadcasts >= 2, "meta-blocking + matching broadcasts");
+        assert!(snap.total_shuffle_records() > 0);
+        // The persistent pool's accounting flows through to the pipeline:
+        // operator stages carry wall + busy time, and the context reports
+        // cumulative per-worker busy time for its pool. (Driver-recorded
+        // `pipeline/…` scope markers aggregate many operators, so they are
+        // excluded from the per-operator invariant.)
+        assert!(snap
+            .stages
+            .iter()
+            .filter(|s| !s.name.starts_with("pipeline/"))
+            .all(|s| s.wall_time >= s.busy_time || s.tasks > 1));
+        assert!(snap.total_busy_time() > std::time::Duration::ZERO);
+        assert_eq!(snap.worker_busy.len(), ctx.workers());
+        assert!(snap.worker_busy.iter().sum::<std::time::Duration>() > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn stage_scope_markers_cover_every_pipeline_stage() {
+        let ds = dataset();
+        let backend = ExecutionBackend::dataflow(2);
+        Pipeline::new(PipelineConfig::default()).run_on(&backend, &ds.collection);
+        let snap = backend.context().unwrap().metrics();
+        for stage in crate::report::PipelineStage::ALL {
+            assert!(
+                snap.stages
+                    .iter()
+                    .any(|s| s.name == format!("pipeline/{}", stage.name())),
+                "missing scope marker for {}",
+                stage.name()
+            );
+        }
+    }
 
     #[test]
     fn parse_roundtrips_every_backend() {
-        for name in ["sequential", "dataflow", "pool", "fused"] {
+        for name in ["sequential", "dataflow", "fused"] {
             let backend = ExecutionBackend::parse(name, 3).unwrap();
             assert_eq!(backend.name(), name);
             if name == "sequential" {
@@ -285,6 +316,9 @@ mod tests {
                 assert_eq!(backend.workers(), 3);
             }
         }
-        assert!(ExecutionBackend::parse("spark", 2).is_err());
+        for gone in ["spark", "pool"] {
+            let err = ExecutionBackend::parse(gone, 2).unwrap_err();
+            assert!(err.contains("sequential, dataflow or fused"), "{err}");
+        }
     }
 }

@@ -14,12 +14,12 @@
 //! driver, [`Pipeline::run_on`], over a pluggable [`ExecutionBackend`]:
 //!
 //! ```text
-//!                        │ Sequential │ Dataflow          │ Pool
+//!                        │ Sequential │ Dataflow          │ FusedPool
 //!  ──────────────────────┼────────────┼───────────────────┼──────────────────
 //!  build_blocks          │ driver loop│ shuffle op        │ shuffle op
 //!  filter_blocks         │ driver loop│ shuffle op        │ shuffle op
-//!  prune_candidates      │ node scan  │ broadcast join    │ cost morsels
-//!  score_pairs           │ pair loop  │ broadcast map     │ CSR streaming
+//!  prune_candidates      │ node scan  │ broadcast join    │ ┐ one batch: pruned
+//!  score_pairs           │ pair loop  │ broadcast map     │ ┘ ranges → matcher
 //!  cluster_edges (CC)    │ union–find │ label propagation │ forest merge
 //! ```
 //!
@@ -27,9 +27,9 @@
 //! is a thin strategy over the five stage entry points, and every stage —
 //! on every backend — runs inside a [`StageScope`] that records wall/busy
 //! time and input/output cardinalities into the run's [`PipelineReport`].
-//! The historical drivers ([`Pipeline::run`], [`Pipeline::run_dataflow`],
-//! [`Pipeline::run_pipeline_parallel`]) are one-line wrappers selecting a
-//! backend, and all backends produce byte-identical results at any worker
+//! `FusedPool` is the production path (prune→score overlapped in one pool
+//! batch), `Sequential` the reference oracle, `Dataflow` the paper-faithful
+//! reproduction; all three produce byte-identical results at any worker
 //! count.
 //!
 //! ```
@@ -38,7 +38,7 @@
 //!
 //! let ds = generate(&DatasetConfig { entities: 80, unmatched_per_source: 20, ..Default::default() });
 //! let result = Pipeline::new(PipelineConfig::default())
-//!     .run_on(&ExecutionBackend::pool(4), &ds.collection);
+//!     .run_on(&ExecutionBackend::fused(4), &ds.collection);
 //! let eval = result.evaluate(&ds.ground_truth);
 //! assert!(eval.blocking.recall > 0.8);
 //! println!("{}", result.report.render_table());
@@ -50,7 +50,6 @@ mod config;
 mod debug;
 mod evaluate;
 mod export;
-mod parallel;
 mod pipeline;
 mod report;
 
@@ -63,7 +62,7 @@ pub use debug::{
 };
 pub use evaluate::{BlockingQuality, PairQuality, PipelineEvaluation};
 pub use export::{export_edges_tsv, WeightFilter};
-pub use pipeline::{BlockerOutput, Pipeline, PipelineResult, StepTimings, FUSED_CHANNEL_CAP_ENV};
+pub use pipeline::{BlockerOutput, Pipeline, PipelineResult, StepTimings};
 pub use report::{PipelineReport, PipelineStage, StageReport, StageScope};
 
 // Re-export the building blocks so downstream users need only this crate.

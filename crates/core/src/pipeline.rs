@@ -2,9 +2,8 @@
 //! driver over a pluggable [`ExecutionBackend`].
 //!
 //! [`Pipeline::run_on`] is the single source of truth for stage ordering,
-//! timing and result assembly; the historical entry points
-//! ([`Pipeline::run`], `run_dataflow`, `run_pipeline_parallel`) are
-//! one-line wrappers selecting a backend.
+//! timing and result assembly; [`Pipeline::run`] is `run_on` with the
+//! sequential backend.
 
 use crate::backend::ExecutionBackend;
 use crate::candidates::CandidateSet;
@@ -23,11 +22,6 @@ use sparker_profiles::{GroundTruth, Pair, ProfileCollection};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Environment override for the fused prune→score channel capacity
-/// (in queued morsel payloads). Any value must leave results unchanged —
-/// capacity is a schedule-only knob, pinned by the parity proptests.
-pub const FUSED_CHANNEL_CAP_ENV: &str = "SPARKER_FUSED_CHANNEL_CAP";
 
 /// Wall-clock time of each pipeline step — the legacy four-way split,
 /// derived from the per-stage [`PipelineReport`].
@@ -138,7 +132,7 @@ impl Pipeline {
     /// resolved once by the caller so sequential-backend spill statistics
     /// accumulate across stages. Returns the blocker output plus the three
     /// stage-report rows.
-    pub(crate) fn run_blocker_on(
+    fn run_blocker_on(
         &self,
         backend: &ExecutionBackend,
         collection: &ProfileCollection,
@@ -252,8 +246,8 @@ impl Pipeline {
     /// let pipeline = Pipeline::new(PipelineConfig::default());
     ///
     /// let sequential = pipeline.run_on(&ExecutionBackend::Sequential, &ds.collection);
-    /// let pool = pipeline.run_on(&ExecutionBackend::pool(4), &ds.collection);
-    /// assert_eq!(sequential.clusters, pool.clusters);
+    /// let fused = pipeline.run_on(&ExecutionBackend::fused(4), &ds.collection);
+    /// assert_eq!(sequential.clusters, fused.clusters);
     /// ```
     pub fn run_on(
         &self,
@@ -354,10 +348,7 @@ impl Pipeline {
             ThresholdMatcher::new(self.config.matching.measure, self.config.matching.threshold);
         let morsels = stream.cost_morsels(ctx.workers() * 32);
         let payload_bytes = (stream.total_edges() * 16 / morsels.len().max(1) as u64).max(1);
-        let capacity = std::env::var(FUSED_CHANNEL_CAP_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| fused_channel_capacity(budget, ctx.workers(), payload_bytes));
+        let capacity = fused_channel_capacity(budget, ctx.workers(), payload_bytes);
         let prune_locals = Arc::new(WorkerLocal::new(ctx.workers(), || stream.make_scratch()));
         let outcome = matcher.score_stream(ctx, collection, &morsels, capacity, {
             let stream = &stream;
@@ -667,7 +658,7 @@ mod tests {
         use crate::report::PipelineStage;
         let ds = dataset(100);
         let pipeline = Pipeline::new(PipelineConfig::default());
-        let staged = pipeline.run_on(&ExecutionBackend::pool(2), &ds.collection);
+        let staged = pipeline.run_on(&ExecutionBackend::Sequential, &ds.collection);
         let fused = pipeline.run_on(&ExecutionBackend::fused(2), &ds.collection);
         assert!(!staged.blocker.candidates.is_empty());
         assert_eq!(fused.blocker.candidates, staged.blocker.candidates);

@@ -107,7 +107,7 @@ pub struct StageReport {
 /// with how many workers, and what every stage saw and cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
-    /// Backend name (`"sequential"`, `"dataflow"` or `"pool"`).
+    /// Backend name (`"sequential"`, `"dataflow"` or `"fused"`).
     pub backend: &'static str,
     /// Worker count (1 for the sequential backend).
     pub workers: usize,
@@ -224,13 +224,12 @@ impl PipelineReport {
         out
     }
 
-    /// Serialize the report to JSON (the schema documented in the README
-    /// and consumed by `scripts/bench.sh` dumps). Durations are fractional
-    /// seconds:
+    /// Serialize the report to JSON (the schema documented in the
+    /// README). Durations are fractional seconds:
     ///
     /// ```json
     /// {
-    ///   "backend": "pool",
+    ///   "backend": "fused",
     ///   "workers": 4,
     ///   "edge_scorer": "CBS",
     ///   "scoring_s": 0.0112,

@@ -1,9 +1,8 @@
 //! Backend-matrix parity suite, driven through the *unified* driver.
 //!
-//! Every cell of `backend ∈ {Sequential, Dataflow(w), Pool(w),
-//! FusedPool(w)} × {CleanClean, Dirty} × {default, blast} × workers ∈
-//! {1, 2, 8}` must be *indistinguishable* from the sequential reference
-//! run: identical candidate sets, identical similarity graphs, identical
+//! Every cell of `backend ∈ {Sequential, Dataflow(w), FusedPool(w)} ×
+//! {CleanClean, Dirty} × {default, blast} × workers ∈ {1, 2, 8}` must be
+//! *indistinguishable* from the sequential reference run: identical candidate sets, identical similarity graphs, identical
 //! entity clusters, identical evaluations. One helper asserts the whole
 //! matrix — there is no per-driver test copy anywhere else.
 
@@ -45,10 +44,9 @@ fn config_with(algorithm: ClusteringAlgorithm) -> PipelineConfig {
 }
 
 /// The engine-backed backends at one worker count.
-fn engine_backends(workers: usize) -> [ExecutionBackend; 3] {
+fn engine_backends(workers: usize) -> [ExecutionBackend; 2] {
     [
         ExecutionBackend::dataflow(workers),
-        ExecutionBackend::pool(workers),
         ExecutionBackend::fused(workers),
     ]
 }
@@ -82,7 +80,7 @@ fn assert_equivalent(
 }
 
 /// Run the full backend matrix for one pipeline on one dataset: the
-/// sequential backend is the reference; dataflow and pool must match it
+/// sequential backend is the reference; dataflow and fused must match it
 /// at 1, 2 and 8 workers.
 fn assert_backend_matrix(pipeline: &Pipeline, ds: &GeneratedDataset) {
     let reference = pipeline.run_on(&ExecutionBackend::Sequential, &ds.collection);
@@ -130,7 +128,7 @@ fn backend_matrix_dirty_default_and_blast() {
 fn backend_matrix_supervised_scorer() {
     // The supervised edge scorer must be backend- and worker-invariant
     // exactly like the classic schemes: same candidates, similarity graph
-    // and clusters across Sequential/Dataflow/Pool/FusedPool at 1/2/8.
+    // and clusters across Sequential/Dataflow/FusedPool at 1/2/8.
     use sparker_metablocking::{EdgeScorer, LinearModel, MetaBlockingConfig};
     let mut model = LinearModel::zero();
     model.weights[0] = 0.7; // shared blocks
@@ -184,7 +182,8 @@ fn cascade_matches_naive_scorer_across_backends() {
     // backend; it must retain exactly the pairs the naive score-everything
     // matcher retains, with bit-identical scores — for every similarity
     // measure, at permissive / default-ish / strict thresholds, through
-    // the sequential, dataflow and pool matchers alike.
+    // the sequential, dataflow and staged pool matchers alike (`score_pairs`
+    // on the fused backend is the staged pool matcher).
     use sparker_matching::{Matcher, ScoringMode, SimilarityMeasure, ThresholdMatcher};
     let ds = dirty_dataset(60, 23, true);
     let pipeline = Pipeline::new(PipelineConfig::default());
@@ -200,7 +199,6 @@ fn cascade_matches_naive_scorer_across_backends() {
             for backend in [
                 ExecutionBackend::Sequential,
                 ExecutionBackend::dataflow(2),
-                ExecutionBackend::pool(2),
                 ExecutionBackend::fused(2),
             ] {
                 let got =
@@ -225,7 +223,6 @@ fn report_is_stage_complete_on_every_backend() {
     let backends = [
         ExecutionBackend::Sequential,
         ExecutionBackend::dataflow(2),
-        ExecutionBackend::pool(2),
         ExecutionBackend::fused(2),
     ];
     for backend in backends {
@@ -268,9 +265,13 @@ fn report_is_stage_complete_on_every_backend() {
 #[test]
 fn engine_backends_record_matcher_and_clusterer_stages() {
     let ds = clean_dataset(90, 5, true);
-    let pool = ExecutionBackend::pool(4);
-    Pipeline::new(PipelineConfig::default()).run_on(&pool, &ds.collection);
-    let names: Vec<String> = pool
+    // Without meta-blocking there is nothing to fuse: the fused backend
+    // runs the staged pool matcher.
+    let mut unpruned = PipelineConfig::default();
+    unpruned.blocking.meta_blocking = None;
+    let staged = ExecutionBackend::fused(4);
+    Pipeline::new(unpruned).run_on(&staged, &ds.collection);
+    let names: Vec<String> = staged
         .context()
         .unwrap()
         .metrics()
@@ -292,8 +293,8 @@ fn engine_backends_record_matcher_and_clusterer_stages() {
         "scope marker missing from {names:?}"
     );
 
-    // The fused backend replaces the staged matcher with the overlapped
-    // prune→score batch — and never builds the staged pass stages.
+    // With meta-blocking on, the overlapped prune→score batch replaces
+    // the staged matcher.
     let fused = ExecutionBackend::fused(4);
     Pipeline::new(PipelineConfig::default()).run_on(&fused, &ds.collection);
     let names: Vec<String> = fused
@@ -309,8 +310,8 @@ fn engine_backends_record_matcher_and_clusterer_stages() {
         "fused stage missing from {names:?}"
     );
     assert!(
-        names.iter().any(|n| n == "fused_pass_a"),
-        "fused pass-A stage missing from {names:?}"
+        names.iter().any(|n| n == "prune_pass_a"),
+        "pass-A stage missing from {names:?}"
     );
     assert!(
         !names.iter().any(|n| n == "match_candidates"),
@@ -330,10 +331,10 @@ fn engine_backends_record_matcher_and_clusterer_stages() {
 }
 
 #[test]
-fn fused_matches_pool_under_scaling_config() {
+fn fused_matches_sequential_under_scaling_config() {
     // The scaling-tier configuration (comparison-level purge, 0.5 filter,
     // its own meta-blocking setting) is the other production config; the
-    // fused driver must agree with the staged pool on it too, clean and
+    // fused driver must agree with the sequential run on it too, clean and
     // dirty, across worker counts.
     for (tag, ds) in [
         ("clean", clean_dataset(80, 7, true)),
@@ -421,35 +422,56 @@ proptest! {
             );
         }
     }
+}
 
-    /// Channel capacity is a *scheduling* knob, never a semantic one: a
-    /// capacity of 1 (fully serialized hand-off), 2, or effectively
-    /// unbounded must leave every fused result byte-identical to the
-    /// sequential reference.
-    #[test]
-    fn fused_channel_capacity_never_changes_results(
-        seed in 0u64..1_000,
-        entities in 30usize..70,
-        workers in prop::sample::select(&WORKERS[..]),
-        capacity in prop::sample::select(&[1usize, 2, 1 << 20][..]),
-        dirty in any::<bool>(),
-    ) {
-        let ds = if dirty {
-            dirty_dataset(entities.min(50), seed, true)
-        } else {
-            clean_dataset(entities, seed, true)
-        };
-        let pipeline = Pipeline::new(PipelineConfig::default());
-        let reference = pipeline.run_on(&ExecutionBackend::Sequential, &ds.collection);
-        std::env::set_var(sparker_core::FUSED_CHANNEL_CAP_ENV, capacity.to_string());
-        let run = pipeline.run_on(&ExecutionBackend::fused(workers), &ds.collection);
-        std::env::remove_var(sparker_core::FUSED_CHANNEL_CAP_ENV);
-        prop_assert_eq!(&reference.similarity, &run.similarity);
-        prop_assert_eq!(&reference.clusters, &run.clusters);
-        prop_assert_eq!(
-            reference.blocker.candidates.weighted(),
-            run.blocker.candidates.weighted()
-        );
+#[test]
+fn fused_plan_into_score_stream_is_capacity_invariant() {
+    // Channel capacity is a scheduling parameter, never a semantic one. The
+    // matcher's own test sweeps it over pre-cut uniform batches; this is
+    // the fused driver's actual wiring — the plan's `prune_range` producers
+    // with per-worker scratch and hub-skewed payloads — at a capacity of 1
+    // (fully serialized hand-off), 2 and effectively unbounded, against
+    // the sequential run.
+    use sparker_core::PurgeConfig;
+    use sparker_dataflow::{Context, WorkerLocal};
+    use sparker_matching::ThresholdMatcher;
+    use sparker_metablocking::{BlockGraph, StreamingMetaBlocking};
+    use std::sync::Arc;
+    let mut config = PipelineConfig::default();
+    config.blocking.purge = PurgeConfig::Off;
+    config.blocking.filter_ratio = None;
+    let mb = config.blocking.meta_blocking.unwrap();
+    let matcher = ThresholdMatcher::new(config.matching.measure, config.matching.threshold);
+    let sequential = ExecutionBackend::Sequential;
+    for ds in [clean_dataset(70, 17, true), dirty_dataset(50, 29, true)] {
+        let reference = Pipeline::new(config.clone()).run_on(&sequential, &ds.collection);
+        assert!(!reference.similarity.is_empty());
+        let blocks = sequential.build_blocks(&ds.collection, None, &sequential.budget());
+        let graph = Arc::new(BlockGraph::new(&blocks, None));
+        for workers in WORKERS {
+            let ctx = Context::new(workers);
+            let plan = StreamingMetaBlocking::prepare(&ctx, &graph, &mb);
+            let morsels = plan.cost_morsels(workers * 32);
+            let scratches = WorkerLocal::new(workers, || plan.make_scratch());
+            for capacity in [1, 2, 1 << 20] {
+                let out = matcher.score_stream(
+                    &ctx,
+                    &ds.collection,
+                    &morsels,
+                    capacity,
+                    |worker, range: &std::ops::Range<u32>| {
+                        scratches.with(worker, |scratch| plan.prune_range(range.clone(), scratch))
+                    },
+                );
+                let tag = format!("workers={workers} capacity={capacity}");
+                assert_eq!(
+                    out.retained,
+                    reference.blocker.candidates.weighted(),
+                    "{tag}"
+                );
+                assert_eq!(out.similarity, reference.similarity, "{tag}");
+            }
+        }
     }
 }
 
@@ -469,11 +491,7 @@ fn budgeted_pipeline_is_bit_identical_to_in_ram() {
     assert_eq!(reference.report.mem_budget_bytes, 0, "reference is in-RAM");
     assert_eq!(reference.report.spill_batches, 0, "reference never spills");
     for workers in [1, 2, 4] {
-        for make in [
-            ExecutionBackend::Dataflow,
-            ExecutionBackend::Pool,
-            ExecutionBackend::FusedPool,
-        ] {
+        for make in [ExecutionBackend::Dataflow, ExecutionBackend::FusedPool] {
             let budget = MemBudget::limited(16 * 1024);
             let backend = make(Context::new(workers).with_budget(budget.clone()));
             let run = pipeline.run_on(&backend, &ds.collection);
@@ -487,10 +505,10 @@ fn budgeted_pipeline_is_bit_identical_to_in_ram() {
 }
 
 #[test]
-fn budgeted_pipeline_full_10k_preset_on_pool() {
+fn budgeted_pipeline_full_10k_preset_on_fused() {
     // One full-scale cell of the scaling tier in the test suite: the real
     // dirty_10k preset under the scaling-tier configuration (the same pair
-    // the CLI's --preset runs), pool backend, 1 MiB budget — byte-identical
+    // the CLI's --preset runs), fused backend, 1 MiB budget — byte-identical
     // to the unbudgeted sequential run, with spilling actually exercised.
     use sparker_dataflow::{Context, MemBudget};
     let ds = sparker_datasets::Preset::by_name("dirty_10k")
@@ -498,9 +516,10 @@ fn budgeted_pipeline_full_10k_preset_on_pool() {
         .generate();
     let pipeline = Pipeline::new(PipelineConfig::scaling());
     let reference = pipeline.run_on(&ExecutionBackend::Sequential, &ds.collection);
-    let backend = ExecutionBackend::Pool(Context::new(4).with_budget(MemBudget::limited(1 << 20)));
+    let backend =
+        ExecutionBackend::FusedPool(Context::new(4).with_budget(MemBudget::limited(1 << 20)));
     let run = pipeline.run_on(&backend, &ds.collection);
-    assert_equivalent(&reference, &run, &ds, "budgeted 10k pool");
+    assert_equivalent(&reference, &run, &ds, "budgeted 10k fused");
     assert!(run.report.spill_batches > 0, "expected spilling at 1 MiB");
     assert!(run.report.peak_rss_bytes > 0, "VmHWM should be readable");
 }

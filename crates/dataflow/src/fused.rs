@@ -136,15 +136,6 @@ impl FusedStageStats {
     pub fn busy_time(&self) -> Duration {
         self.produce_busy + self.consume_busy
     }
-
-    /// The slowest worker's CPU time — the batch's critical path.
-    pub fn critical_path(&self) -> Duration {
-        self.per_worker_busy
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or_default()
-    }
 }
 
 /// Write-once result slots shared across the fused batch's workers.

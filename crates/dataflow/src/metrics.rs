@@ -60,16 +60,6 @@ impl StageMetrics {
             per_worker_busy: Vec::new(),
         }
     }
-
-    /// The slowest worker's busy time in this stage — the stage's critical
-    /// path (wall-clock lower bound on a one-core-per-worker machine).
-    pub fn critical_path(&self) -> Duration {
-        self.per_worker_busy
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or_default()
-    }
 }
 
 /// Point-in-time copy of all metrics recorded by a [`crate::Context`].
@@ -130,12 +120,6 @@ impl MetricsSnapshot {
             }
         }
         totals
-    }
-
-    /// Sum over stages of each stage's slowest worker: the pipeline's
-    /// critical path under the recorded schedule.
-    pub fn total_critical_path(&self) -> Duration {
-        self.stages.iter().map(StageMetrics::critical_path).sum()
     }
 }
 
@@ -207,7 +191,6 @@ mod tests {
             s.stage_worker_busy(),
             vec![Duration::from_millis(10), Duration::from_millis(6)]
         );
-        assert_eq!(s.total_critical_path(), Duration::from_millis(10));
     }
 
     #[test]

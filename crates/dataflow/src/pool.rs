@@ -46,17 +46,6 @@ pub struct StageStats {
     pub per_worker_busy: Vec<Duration>,
 }
 
-impl StageStats {
-    /// The slowest worker's busy time — the stage's critical path.
-    pub fn critical_path(&self) -> Duration {
-        self.per_worker_busy
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or_default()
-    }
-}
-
 impl std::ops::Add for StageStats {
     type Output = StageStats;
 
@@ -801,8 +790,6 @@ mod tests {
         assert_eq!(stats.per_worker_busy.len(), 4);
         let sum: Duration = stats.per_worker_busy.iter().sum();
         assert_eq!(sum, stats.busy_time, "per-worker slices cover the stage");
-        assert!(stats.critical_path() >= sum / 4, "max ≥ mean");
-        assert!(stats.critical_path() <= stats.busy_time);
     }
 
     #[test]
@@ -844,6 +831,5 @@ mod tests {
             sum.per_worker_busy,
             vec![Duration::from_millis(5), Duration::from_millis(2)]
         );
-        assert_eq!(sum.critical_path(), Duration::from_millis(5));
     }
 }

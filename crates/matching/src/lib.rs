@@ -32,8 +32,8 @@
 //! reject most candidate pairs before any token comparison, and the
 //! survivors are verified with early-abandoning kernels (budgeted
 //! merge-joins, banded Levenshtein). The cascade retains exactly the naive
-//! scorer's pairs with bit-identical scores; `SPARKER_NAIVE_MATCHER=1` (or
-//! [`ScoringMode::Naive`]) switches back to score-everything.
+//! scorer's pairs with bit-identical scores; [`ScoringMode::Naive`] is the
+//! score-everything reference the equivalence tests compare against.
 
 pub mod similarity;
 

@@ -6,8 +6,9 @@
 //! alone, most pairs are rejected or handed an early-abandon budget, and
 //! only the survivors pay for full verification. The cascade is
 //! *exact* — the retained pairs and their scores are byte-identical to the
-//! naive score-everything loop, which remains available as
-//! [`ScoringMode::Naive`] (escape hatch: set `SPARKER_NAIVE_MATCHER=1`).
+//! naive score-everything loop, which remains available in code as
+//! [`ScoringMode::Naive`], the reference the equivalence tests compare
+//! against.
 
 use crate::candidates::{filter_candidates_pool, CandidateGraph};
 use crate::graph::SimilarityGraph;
@@ -357,8 +358,8 @@ impl FilterStats {
 }
 
 /// How [`ThresholdMatcher`] scores candidate pairs. Both modes retain the
-/// same pairs with the same score bits; `Naive` exists as an escape hatch
-/// and as the reference side of the equivalence tests.
+/// same pairs with the same score bits; `Naive` exists as the reference
+/// side of the equivalence tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScoringMode {
     /// Filter–verify cascade (the default).
@@ -369,15 +370,6 @@ pub enum ScoringMode {
 }
 
 impl ScoringMode {
-    /// Read the mode from the environment: `SPARKER_NAIVE_MATCHER` set to
-    /// anything non-empty selects [`ScoringMode::Naive`].
-    pub fn from_env() -> Self {
-        match std::env::var("SPARKER_NAIVE_MATCHER") {
-            Ok(v) if !v.is_empty() => ScoringMode::Naive,
-            _ => ScoringMode::Cascade,
-        }
-    }
-
     /// Stable name for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -527,12 +519,10 @@ pub struct ThresholdMatcher {
 }
 
 impl ThresholdMatcher {
-    /// Create a matcher; `threshold` must be in `[0, 1]`. The scoring mode
-    /// is read from the environment once here (see
-    /// [`ScoringMode::from_env`]); use [`ThresholdMatcher::with_mode`] to
-    /// pick it explicitly.
+    /// Create a matcher scoring through the filter–verify cascade;
+    /// `threshold` must be in `[0, 1]`.
     pub fn new(measure: SimilarityMeasure, threshold: f64) -> Self {
-        Self::with_mode(measure, threshold, ScoringMode::from_env())
+        Self::with_mode(measure, threshold, ScoringMode::Cascade)
     }
 
     /// Create a matcher with an explicit scoring mode.
@@ -585,8 +575,7 @@ impl ThresholdMatcher {
     /// prepared pair, returning `Some(score)` iff it clears the threshold.
     /// This is the per-pair unit the online resolver calls when an edge is
     /// (re)retained — identical decisions to the batch drivers, including
-    /// the filter–verify cascade and the `SPARKER_NAIVE_MATCHER` escape
-    /// hatch, because it *is* the same code path.
+    /// the filter–verify cascade, because it *is* the same code path.
     pub fn decide_prepared(
         &self,
         a: &PreparedProfile,
@@ -1059,11 +1048,12 @@ mod tests {
     }
 
     #[test]
-    fn scoring_mode_env_escape_hatch_parses() {
-        // Can't mutate the process environment safely in a parallel test
-        // run; `from_env` is exercised for the unset case and the explicit
-        // constructor covers the rest.
+    fn scoring_mode_defaults_to_cascade() {
         assert_eq!(ScoringMode::default(), ScoringMode::Cascade);
+        assert_eq!(
+            ThresholdMatcher::new(SimilarityMeasure::Dice, 0.3).mode(),
+            ScoringMode::Cascade
+        );
         assert_eq!(ScoringMode::Cascade.name(), "cascade");
         assert_eq!(ScoringMode::Naive.name(), "naive");
         let m = ThresholdMatcher::with_mode(SimilarityMeasure::Dice, 0.3, ScoringMode::Naive);

@@ -25,11 +25,10 @@
 //! * **Parallel execution** ([`parallel::meta_blocking`]): the paper's
 //!   broadcast-join formulation — "it partitions the nodes of the blocking
 //!   graph and sends in broadcast all the information needed to materialize
-//!   the neighborhood of each node one at a time". By default the node
-//!   work is scheduled skew-aware ([`Scheduling::CostMorsel`]):
-//!   degree-cost-balanced partitions executed as dynamically claimed
-//!   morsels with per-worker scratch reuse, byte-identical to the
-//!   equal-count baseline.
+//!   the neighborhood of each node one at a time". One plan
+//!   ([`StreamingMetaBlocking`]) serves both consumers: the staged driver
+//!   concatenates its degree-cost node ranges, the fused pipeline streams
+//!   them into the matcher.
 //!
 //! ```
 //! use sparker_blocking::token_blocking;
@@ -59,7 +58,6 @@ mod weights;
 
 pub use entropy::{block_entropies, BlockEntropies};
 pub use graph::{BlockGraph, EdgeAccumulator, NeighborhoodScratch};
-pub use parallel::Scheduling;
 pub use progressive::{progressive_global, progressive_node_first};
 pub use pruning::{
     derived_cnp_k, meta_blocking, meta_blocking_graph, MetaBlockingConfig, NodeStats,
@@ -71,6 +69,3 @@ pub use scorer::{
 pub use streaming::StreamingMetaBlocking;
 pub use train::{train_supervised, TrainOptions, TrainReport};
 pub use weights::WeightScheme;
-
-#[doc(hidden)]
-pub use pruning::{node_stats_pass_baseline_checksum, node_stats_pass_checksum};

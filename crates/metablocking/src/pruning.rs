@@ -276,81 +276,6 @@ pub(crate) fn node_stats_pass(
     (node_stats, forward)
 }
 
-/// Fold pass-A output into one scalar so benchmarks can consume (and
-/// cross-check) both pass variants without materializing results.
-fn pass_checksum(node_stats: &[NodeStats], all_weights: &[f64]) -> f64 {
-    let s: f64 = node_stats
-        .iter()
-        .map(|s| s.mean + s.max + if s.kth.is_finite() { s.kth } else { 0.0 })
-        .sum();
-    s + all_weights.iter().sum::<f64>()
-}
-
-/// Unstable hook for the in-repo node-pass micro-benchmark: run the full
-/// first (statistics) pass with the allocation-free per-node loop and
-/// return a checksum over its output. Not part of the public API.
-#[doc(hidden)]
-pub fn node_stats_pass_checksum(graph: &BlockGraph, config: &MetaBlockingConfig) -> f64 {
-    let scoring = config.scoring_context(graph);
-    let cnp_k = cnp_budget(config.pruning, graph);
-    let (ns, forward) = node_stats_pass(graph, &scoring, cnp_k, ForwardWeights::Pool(Vec::new()));
-    let ForwardWeights::Pool(aw) = forward else {
-        unreachable!("the pass returns the accumulator it was given");
-    };
-    pass_checksum(&ns, &aw)
-}
-
-/// Unstable hook for the in-repo node-pass micro-benchmark: the pre-morsel
-/// per-node loop — a fresh weights `Vec` per node, an owned neighborhood
-/// `Vec`, and a full `clone` + descending `sort` for the CNP k-th weight.
-/// Produces the same checksum as [`node_stats_pass_checksum`] (asserted in
-/// tests) so the benchmark compares equal work. Not part of the public API.
-#[doc(hidden)]
-pub fn node_stats_pass_baseline_checksum(graph: &BlockGraph, config: &MetaBlockingConfig) -> f64 {
-    let scoring = config.scoring_context(graph);
-    let cnp_k = cnp_budget(config.pruning, graph);
-    let n = graph.num_profiles();
-    let mut scratch = graph.scratch();
-    let mut node_stats = Vec::with_capacity(n);
-    let mut all_weights = Vec::new();
-    for i in 0..n {
-        let node = ProfileId(i as u32);
-        let neighborhood = graph.neighborhood_with(node, &mut scratch);
-        if neighborhood.is_empty() {
-            node_stats.push(NodeStats {
-                kth: f64::INFINITY,
-                ..NodeStats::default()
-            });
-            continue;
-        }
-        let mut weights: Vec<f64> = Vec::with_capacity(neighborhood.len());
-        for (j, acc) in &neighborhood {
-            let w = scoring.weigh(
-                node,
-                *j,
-                acc,
-                graph.blocks_of(node).len(),
-                graph.blocks_of(*j).len(),
-            );
-            weights.push(w);
-            if node < *j {
-                all_weights.push(w);
-            }
-        }
-        let sum: f64 = weights.iter().sum();
-        let max = weights.iter().fold(0.0f64, |a, &b| a.max(b));
-        let mut sorted = weights.clone();
-        sorted.sort_by(|a, b| b.partial_cmp(a).expect("weights are finite"));
-        let kth = sorted[(cnp_k.min(sorted.len())).saturating_sub(1)];
-        node_stats.push(NodeStats {
-            mean: sum / weights.len() as f64,
-            max,
-            kth,
-        });
-    }
-    pass_checksum(&node_stats, &all_weights)
-}
-
 /// Resolved retention rule, shared by the sequential and parallel drivers
 /// (and replayed edge-by-edge by the incremental resolver, which is why it
 /// is public: the decision for one edge depends only on its weight and the
@@ -826,45 +751,6 @@ mod tests {
                         pruning.name(),
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn allocation_free_pass_matches_sort_clone_baseline() {
-        // The micro-benchmark hooks must agree bit-for-bit: the O(n)
-        // selection and single-pass folds change no output.
-        let profiles: Vec<Profile> = (0..50)
-            .map(|i| {
-                Profile::builder(SourceId(0), i.to_string())
-                    .attr("name", format!("a{} b{} c{}", i % 6, i % 4, (i + 1) % 6))
-                    .build()
-            })
-            .collect();
-        let coll = ProfileCollection::dirty(profiles);
-        let graph = BlockGraph::new(&token_blocking(&coll), None);
-        for scheme in WeightScheme::ALL {
-            for pruning in [
-                PruningStrategy::Cnp {
-                    k: None,
-                    reciprocal: false,
-                },
-                PruningStrategy::Wep { factor: 1.0 },
-            ] {
-                let config = MetaBlockingConfig {
-                    scorer: EdgeScorer::Classic(scheme),
-                    pruning,
-                    use_entropy: false,
-                };
-                let fast = node_stats_pass_checksum(&graph, &config);
-                let slow = node_stats_pass_baseline_checksum(&graph, &config);
-                assert_eq!(
-                    fast.to_bits(),
-                    slow.to_bits(),
-                    "{}+{} checksum diverged",
-                    scheme.name(),
-                    pruning.name(),
-                );
             }
         }
     }

@@ -1,25 +1,25 @@
-//! Streaming pair emission for fused prune→score execution.
+//! The parallel node pass: a pruning plan that emits pairs range by range.
 //!
-//! The staged drivers ([`crate::meta_blocking_graph`],
-//! [`crate::parallel::meta_blocking`]) run pruning to completion and hand
-//! the matcher one fully materialized pair list. The fused pipeline
-//! instead wants pruned pairs *as they are produced*, one contiguous node
-//! range at a time, so the matcher can score range `k` while range `k+1`
-//! is still pruning. [`StreamingMetaBlocking`] is that seam: `prepare`
-//! runs everything global (pass A statistics, rule resolution) on the
-//! worker pool, and [`StreamingMetaBlocking::prune_range`] then emits the
-//! retained pairs of any node range independently — a pure function of
-//! the range, safe to call concurrently from fused producer workers in
-//! any order.
+//! The fused pipeline wants pruned pairs *as they are produced*, one
+//! contiguous node range at a time, so the matcher can score range `k`
+//! while range `k+1` is still pruning. [`StreamingMetaBlocking`] is that
+//! seam: `prepare` runs everything global (pass A statistics, rule
+//! resolution) on the worker pool, and
+//! [`StreamingMetaBlocking::prune_range`] then emits the retained pairs of
+//! any node range independently — a pure function of the range, safe to
+//! call concurrently from pool workers in any order. The staged
+//! [`crate::parallel::meta_blocking`] is the same plan with the ranges
+//! concatenated instead of streamed.
 //!
-//! ## Parity with the staged drivers
+//! ## Parity with the sequential oracle
 //!
-//! `prepare` reuses the exact staged building blocks — `node_pass_single`
-//! for the node-centric rules, the same per-node forward weight record
-//! (same order, same f64 summation sequence) for the global rules, the
-//! same `resolve_rule` — so concatenating `prune_range` over a disjoint
-//! ascending cover of `0..num_profiles` is byte-identical to the staged
-//! output (pinned by tests here and in the core parity matrix). Each
+//! `prepare` reuses the building blocks of [`crate::meta_blocking_graph`] —
+//! `node_pass_single` for the node-centric rules, the same per-node
+//! forward weight record (same order, same f64 summation sequence) for
+//! the global rules, the same `resolve_rule` — so concatenating
+//! `prune_range` over a disjoint ascending cover of `0..num_profiles` is
+//! byte-identical to its output (pinned by tests here and in the core
+//! parity matrix). Each
 //! range's emissions are already sorted by pair: nodes ascend, and
 //! [`BlockGraph::neighborhood_buffered`] returns neighbors in ascending
 //! id order, so the forward (`node < j`) emissions of consecutive nodes
@@ -28,7 +28,7 @@
 //! global re-sort.
 
 use crate::graph::{BlockGraph, NeighborhoodScratch};
-use crate::parallel::degrees_parallel;
+use crate::parallel::{degrees_parallel, morsel_grain};
 use crate::pruning::{
     cnp_budget, first_forward, node_pass_single, resolve_rule, ForwardWeights, MetaBlockingConfig,
     NodeStats, RetentionRule,
@@ -59,7 +59,7 @@ impl StreamingMetaBlocking {
     ///
     /// The global rules (WEP/CEP) never read `NodeStats`, so their pass
     /// A is specialized: it computes only the forward (`node < j`) edge
-    /// weights — recorded per node like the staged pass records them,
+    /// weights — recorded per node like the sequential pass records them,
     /// preserving f64 summation order — and skips the mean/max/k-th
     /// folding entirely, roughly halving pass-A weight computes.
     pub fn prepare(ctx: &Context, graph: &Arc<BlockGraph>, config: &MetaBlockingConfig) -> Self {
@@ -100,7 +100,7 @@ impl StreamingMetaBlocking {
         let scratches = Arc::new(WorkerLocal::new(ctx.workers(), || {
             (graph.scratch(), Vec::<f64>::new())
         }));
-        let grain = (num_nodes / (ctx.workers() * 32)).max(1);
+        let grain = morsel_grain(num_nodes, ctx);
         let ids: Vec<u32> = (0..num_nodes as u32).collect();
 
         // (node stats, forward weights, degrees) per morsel, concatenated
@@ -110,7 +110,7 @@ impl StreamingMetaBlocking {
         let pass_a: Vec<PassA> = {
             let scratches = Arc::clone(&scratches);
             ctx.parallelize_default(ids)
-                .map_morsels_named("fused_pass_a", grain, move |worker, nodes| {
+                .map_morsels_named("prune_pass_a", grain, move |worker, nodes| {
                     scratches.with(worker, |(scratch, weights)| {
                         let mut stats_out = Vec::new();
                         let mut forward = ForwardWeights::for_pruning(pruning);
@@ -214,7 +214,7 @@ impl StreamingMetaBlocking {
 
     /// Emit the retained pairs of a contiguous node range: re-materialize
     /// each node's neighborhood, weight its forward (`node < j`) edges and
-    /// apply the resolved retention rule — the staged pass B, scoped to
+    /// apply the resolved retention rule — pass B, scoped to
     /// `range`. Output is sorted by pair (see the module docs); disjoint
     /// ranges are independent, so fused producers call this concurrently.
     pub fn prune_range(
@@ -247,8 +247,7 @@ impl StreamingMetaBlocking {
         out
     }
 
-    /// Prune every node sequentially — the staged result, used by parity
-    /// tests and as a fallback for contexts without a pool.
+    /// Prune every node sequentially, as one range.
     pub fn prune_all(&self) -> Vec<(Pair, f64)> {
         let mut scratch = self.make_scratch();
         self.prune_range(0..self.num_nodes() as u32, &mut scratch)

@@ -6,7 +6,7 @@ use sparker_blocking::{token_blocking, Block, BlockCollection};
 use sparker_dataflow::Context;
 use sparker_metablocking::{
     meta_blocking_graph, parallel, BlockEntropies, BlockGraph, EdgeScorer, LinearModel,
-    MetaBlockingConfig, PruningStrategy, Scheduling, ScoringContext, WeightScheme, NUM_FEATURES,
+    MetaBlockingConfig, PruningStrategy, ScoringContext, WeightScheme, NUM_FEATURES,
 };
 use sparker_profiles::{ErKind, Pair, Profile, ProfileCollection, ProfileId, SourceId};
 use std::collections::{BTreeMap, HashSet};
@@ -137,35 +137,19 @@ proptest! {
 
     #[test]
     fn parallel_equals_sequential(
-        coll in collection_strategy(),
-        config in config_strategy(),
-        workers in 1usize..5,
-    ) {
-        let blocks = token_blocking(&coll);
-        let graph = std::sync::Arc::new(BlockGraph::new(&blocks, None));
-        let seq = meta_blocking_graph(&graph, &config);
-        let ctx = Context::new(workers);
-        let par = parallel::meta_blocking(&ctx, &graph, &config);
-        prop_assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn scheduled_parallel_equals_sequential(
         coll in prop_oneof![collection_strategy(), skewed_collection_strategy()],
         config in config_strategy(),
-        workers in prop::sample::select(vec![1usize, 2, 8]),
+        workers in prop::sample::select(vec![1usize, 2, 3, 4, 8]),
     ) {
-        // Both scheduling policies — including the skew-aware cost-morsel
-        // default — must reproduce the sequential driver byte for byte, on
-        // hub-heavy graphs as well as uniform ones.
+        // The parallel driver — degree-cost ranges claimed dynamically —
+        // must reproduce the sequential one byte for byte, on hub-heavy
+        // graphs as well as uniform ones.
         let blocks = token_blocking(&coll);
         let graph = Arc::new(BlockGraph::new(&blocks, None));
         let seq = meta_blocking_graph(&graph, &config);
         let ctx = Context::new(workers);
-        for sched in [Scheduling::EqualCount, Scheduling::CostMorsel] {
-            let par = parallel::meta_blocking_scheduled(&ctx, &graph, &config, sched);
-            prop_assert_eq!(&seq, &par, "{} diverged at {} workers", sched.name(), workers);
-        }
+        let par = parallel::meta_blocking(&ctx, &graph, &config);
+        prop_assert_eq!(&seq, &par, "diverged at {} workers", workers);
     }
 
     #[test]
@@ -337,11 +321,11 @@ proptest! {
     }
 }
 
-/// Deterministic exhaustive companion to `scheduled_parallel_equals_sequential`:
+/// Deterministic exhaustive companion to `parallel_equals_sequential`:
 /// every `WeightScheme × PruningStrategy` at 1/2/8 workers, on one fixed
 /// hub-skewed and one fixed uniform collection.
 #[test]
-fn full_matrix_scheduling_parity_at_1_2_8_workers() {
+fn full_matrix_parallel_parity_at_1_2_8_workers() {
     let make = |skewed: bool| -> Arc<BlockGraph> {
         let profiles = (0..60)
             .map(|i| {
@@ -381,17 +365,14 @@ fn full_matrix_scheduling_parity_at_1_2_8_workers() {
                 let seq = meta_blocking_graph(&graph, &config);
                 for workers in [1usize, 2, 8] {
                     let ctx = Context::new(workers);
-                    for sched in [Scheduling::EqualCount, Scheduling::CostMorsel] {
-                        assert_eq!(
-                            seq,
-                            parallel::meta_blocking_scheduled(&ctx, &graph, &config, sched),
-                            "{}/{} diverged under {} at {} workers",
-                            scheme.name(),
-                            pruning.name(),
-                            sched.name(),
-                            workers
-                        );
-                    }
+                    assert_eq!(
+                        seq,
+                        parallel::meta_blocking(&ctx, &graph, &config),
+                        "{}/{} diverged at {} workers",
+                        scheme.name(),
+                        pruning.name(),
+                        workers
+                    );
                 }
             }
         }

@@ -144,7 +144,7 @@ proptest! {
         let collection = resolver.materialize_collection();
         let pipeline = Pipeline::new(PipelineConfig::default());
         for workers in [1usize, 2, 8] {
-            let batch = pipeline.run_on(&ExecutionBackend::pool(workers), &collection);
+            let batch = pipeline.run_on(&ExecutionBackend::fused(workers), &collection);
             prop_assert_eq!(resolver.entity_clusters(), &batch.clusters);
         }
     }

@@ -4,8 +4,9 @@
 //! the *same* unified driver (`Pipeline::run_on`) once per
 //! `ExecutionBackend` — sequential driver loops, the shuffle-based
 //! dataflow engine (broadcast-join meta-blocking, label-propagation
-//! connected components) and the morsel-driven pool (CSR candidate
-//! streaming + per-worker union–find) — asserts the results are
+//! connected components) and the morsel-driven pool with the prune→score
+//! stages fused (per-worker union–find in the clusterer) — asserts the
+//! results are
 //! identical, prints each run's per-stage `PipelineReport` table, and
 //! dumps the engine's per-stage accounting: the tasks/shuffle-volume
 //! numbers that determine cluster cost.
@@ -31,7 +32,7 @@ fn main() {
     let backends = [
         ExecutionBackend::Sequential,
         ExecutionBackend::dataflow(workers),
-        ExecutionBackend::pool(workers),
+        ExecutionBackend::fused(workers),
     ];
 
     let mut results = Vec::new();
@@ -49,14 +50,15 @@ fn main() {
     }
 
     // The defining property: identical results from all three backends.
-    let [seq, df, pool] = &results[..] else {
+    let [seq, df, fused] = &results[..] else {
         unreachable!()
     };
     assert_eq!(seq.blocker.candidates, df.blocker.candidates);
     assert_eq!(seq.similarity, df.similarity);
     assert_eq!(seq.clusters, df.clusters);
-    assert_eq!(seq.similarity, pool.similarity);
-    assert_eq!(seq.clusters, pool.clusters);
+    assert_eq!(seq.blocker.candidates, fused.blocker.candidates);
+    assert_eq!(seq.similarity, fused.similarity);
+    assert_eq!(seq.clusters, fused.clusters);
     println!(
         "results identical: {} candidates, {} matches, {} entities\n",
         df.blocker.candidates.len(),
@@ -64,7 +66,7 @@ fn main() {
         df.clusters.num_clusters()
     );
 
-    // Engine accounting of the pool run: what a Spark UI would show. The
+    // Engine accounting of the fused run: what a Spark UI would show. The
     // `pipeline/...` rows are the driver's stage-scope markers.
     let snap = backends[2].context().unwrap().metrics();
     println!(
@@ -84,7 +86,7 @@ fn main() {
         snap.broadcasts,
         snap.total_shuffle_records()
     );
-    let eval = pool.evaluate(&ds.ground_truth);
+    let eval = fused.evaluate(&ds.ground_truth);
     println!(
         "quality: blocking recall {:.4}, cluster F1 {:.4}",
         eval.blocking.recall, eval.clustering.f1

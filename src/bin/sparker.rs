@@ -40,7 +40,6 @@ struct Args {
     id_column: String,
     demo: bool,
     show_lost: bool,
-    fused: bool,
     backend: Option<String>,
     workers: Option<usize>,
     preset: Option<String>,
@@ -68,15 +67,15 @@ OPTIONS:
                            (PipelineConfig::to_config_string); default config otherwise.
     --output <file>        Write resolved entities as CSV (entity_id,source,original_id).
     --id-column <name>     CSV column holding record ids (default: id).
-    --backend <name>       Execution backend: sequential, dataflow, pool, or
-                           fused (default: pool). All backends produce
-                           identical results.
-    --fused                Shorthand for --backend fused: run the pool engine
-                           with the prune->score stages fused — meta-blocking
+    --backend <name>       Execution backend: sequential, dataflow or fused
+                           (default: fused). All backends produce identical
+                           results. fused runs the worker-pool engine with
+                           the prune->score stages overlapped: meta-blocking
                            streams pruned pairs through a bounded channel into
-                           the matcher so both stages overlap and the full
-                           candidate list is never materialized.
-    --workers <n>          Worker count for the dataflow/pool backends
+                           the matcher, so no candidate graph is built.
+                           sequential is the single-threaded reference,
+                           dataflow the paper's shuffle/broadcast formulation.
+    --workers <n>          Worker count for the dataflow/fused backends
                            (default: available parallelism).
     --preset <name>        Run on a named generated scaling preset instead of
                            files: dirty_10k, dirty_100k or skewed_1m. The
@@ -107,11 +106,6 @@ OPTIONS:
 ENVIRONMENT:
     SPARKER_MEM_BUDGET_MB  Memory budget in MiB (see --mem-budget-mb, which
                            takes precedence).
-    SPARKER_NAIVE_MATCHER  Set non-empty to disable the matcher's
-                           filter-verify cascade and score every candidate
-                           pair naively. Results are identical either way
-                           (the cascade is exact); escape hatch for
-                           debugging and A/B timing.
 
 SERVE MODE:
     sparker serve boots the online incremental ER service: a resident
@@ -187,7 +181,6 @@ fn parse_args() -> Result<Args, String> {
             "--export-edges" => args.export_edges = Some(value("--export-edges")?),
             "--weight-filter" => args.weight_filter = Some(value("--weight-filter")?),
             "--show-lost" => args.show_lost = true,
-            "--fused" => args.fused = true,
             "--demo" => args.demo = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -257,15 +250,7 @@ fn run() -> Result<(), String> {
     let workers = args
         .workers
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
-    let backend_name = match (&args.backend, args.fused) {
-        (Some(name), true) if name != "fused" => {
-            return Err(format!("--fused conflicts with --backend {name}"));
-        }
-        (_, true) => "fused",
-        (Some(name), false) => name.as_str(),
-        (None, false) => "pool",
-    };
-    let backend = ExecutionBackend::parse(backend_name, workers)?;
+    let backend = ExecutionBackend::parse(args.backend.as_deref().unwrap_or("fused"), workers)?;
 
     // Data.
     let (collection, ground_truth) = if let Some(name) = &args.preset {
@@ -337,7 +322,7 @@ fn run() -> Result<(), String> {
         );
     }
 
-    // Run on the selected backend (default: the pool engine).
+    // Run on the selected backend (default: the fused pool engine).
     let pipeline = Pipeline::new(config);
     let result = pipeline.run_on(&backend, &collection);
 

@@ -162,11 +162,11 @@ b2,apple iphone
     };
     let seq_out = run("sequential");
     let df_out = run("dataflow");
-    let pool_out = run("pool");
+    let fused_out = run("fused");
     assert!(df_out.contains("dataflow engine: 4 workers"), "{df_out}");
-    assert!(pool_out.contains("pool engine: 4 workers"), "{pool_out}");
+    assert!(fused_out.contains("fused engine: 4 workers"), "{fused_out}");
     // Every backend prints the per-stage report table...
-    for out in [&seq_out, &df_out, &pool_out] {
+    for out in [&seq_out, &df_out, &fused_out] {
         for stage in [
             "build_blocks",
             "filter_blocks",
@@ -185,25 +185,57 @@ b2,apple iphone
             .expect("result counts line")
     };
     assert_eq!(counts(&seq_out), counts(&df_out));
-    assert_eq!(counts(&seq_out), counts(&pool_out));
+    assert_eq!(counts(&seq_out), counts(&fused_out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn default_backend_is_fused() {
+    let dir = tempdir("default-backend");
+    let src = write(
+        &dir,
+        "records.csv",
+        "id,title\nr1,entity resolution at scale\nr2,entity resolution at scale\n",
+    );
+    let result = sparker().args(["--source-a", &src]).output().unwrap();
+    assert!(
+        result.status.success(),
+        "{}",
+        String::from_utf8_lossy(&result.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&result.stdout);
+    assert!(stdout.contains("fused engine:"), "{stdout}");
+    assert!(stdout.contains("backend=fused"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn unknown_backend_fails_cleanly() {
-    let result = sparker()
-        .args(["--demo", "--backend", "spark"])
-        .output()
-        .unwrap();
-    assert!(!result.status.success());
-    assert!(String::from_utf8_lossy(&result.stderr).contains("unknown backend"));
+    // `pool` was a backend once; it must fail like any other unknown name,
+    // and the error names the three that exist.
+    for name in ["spark", "pool"] {
+        let result = sparker()
+            .args(["--demo", "--backend", name])
+            .output()
+            .unwrap();
+        assert!(!result.status.success(), "{name}");
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert!(stderr.contains("unknown backend"), "{name}: {stderr}");
+        assert!(
+            stderr.contains("sequential, dataflow or fused"),
+            "{name}: {stderr}"
+        );
+    }
 }
 
 #[test]
 fn bad_flags_fail_cleanly() {
-    let result = sparker().args(["--bogus"]).output().unwrap();
-    assert!(!result.status.success());
-    assert!(String::from_utf8_lossy(&result.stderr).contains("unknown flag"));
+    for flag in ["--bogus", "--fused"] {
+        let result = sparker().args(["--demo", flag]).output().unwrap();
+        assert!(!result.status.success(), "{flag}");
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
 
     let result = sparker().output().unwrap();
     assert!(!result.status.success());

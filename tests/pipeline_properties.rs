@@ -7,7 +7,8 @@ use sparker::datasets::{generate, DatasetConfig, Domain, NoiseConfig};
 use sparker::matching::SimilarityMeasure;
 use sparker::metablocking::{EdgeScorer, MetaBlockingConfig, PruningStrategy, WeightScheme};
 use sparker::{
-    BlockingConfig, ClusteringAlgorithm, MatcherConfig, Pipeline, PipelineConfig, PurgeConfig,
+    BlockingConfig, ClusteringAlgorithm, ExecutionBackend, MatcherConfig, Pipeline, PipelineConfig,
+    PurgeConfig,
 };
 
 fn config_strategy() -> impl Strategy<Value = PipelineConfig> {
@@ -151,8 +152,7 @@ proptest! {
         });
         let pipeline = Pipeline::new(config);
         let seq = pipeline.run(&ds.collection);
-        let ctx = sparker::dataflow::Context::new(workers);
-        let par = pipeline.run_dataflow(&ctx, &ds.collection);
+        let par = pipeline.run_on(&ExecutionBackend::dataflow(workers), &ds.collection);
         prop_assert_eq!(&seq.blocker.candidates, &par.blocker.candidates);
         prop_assert_eq!(seq.similarity.edges(), par.similarity.edges());
         prop_assert_eq!(&seq.clusters, &par.clusters);
