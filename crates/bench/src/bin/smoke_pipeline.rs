@@ -1,7 +1,8 @@
 //! End-to-end pipeline smoke: run the unified driver on a small skewed
 //! dataset once per execution backend (2 workers for the engine backends)
 //! and assert every backend is indistinguishable from the sequential
-//! reference (same clusters, same evaluation). Exercised by `ci.sh`.
+//! reference (same clusters, same evaluation, same matcher cascade
+//! counters). Exercised by `ci.sh`.
 
 use sparker_bench::skewed_dirty;
 use sparker_core::{ExecutionBackend, Pipeline, PipelineConfig};
@@ -28,6 +29,12 @@ fn main() {
             backend.name()
         );
         assert_eq!(result.report.backend, backend.name());
+        assert_eq!(
+            sequential.report.matcher,
+            result.report.matcher,
+            "{} backend diverged from sequential cascade counters",
+            backend.name()
+        );
 
         let snap = backend.context().unwrap().metrics();
         let has = |name: &str| snap.stages.iter().any(|s| s.name == name);
@@ -44,6 +51,10 @@ fn main() {
             assert!(
                 has("cluster_components"),
                 "clusterer did not run on the pool"
+            );
+            assert!(
+                result.report.fused.is_some(),
+                "fused report lost the produce/consume split"
             );
         }
     }

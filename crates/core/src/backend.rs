@@ -20,7 +20,7 @@ use sparker_clustering::{
 };
 use sparker_dataflow::{Context, MemBudget};
 use sparker_looseschema::{loose_schema_keys, AttributePartitioning};
-use sparker_matching::{CandidateGraph, Matcher, SimilarityGraph, ThresholdMatcher};
+use sparker_matching::{CandidateGraph, FilterStats, SimilarityGraph, ThresholdMatcher};
 use sparker_metablocking::{
     meta_blocking_graph, parallel, BlockEntropies, BlockGraph, MetaBlockingConfig,
 };
@@ -195,14 +195,27 @@ impl ExecutionBackend {
         candidates: &HashSet<Pair>,
         budget: &MemBudget,
     ) -> SimilarityGraph {
+        self.score_pairs_with_stats(matcher, collection, candidates, budget)
+            .0
+    }
+
+    /// [`ExecutionBackend::score_pairs`] plus the matcher cascade's
+    /// counters — what the driver carries into the report.
+    pub(crate) fn score_pairs_with_stats(
+        &self,
+        matcher: &ThresholdMatcher,
+        collection: &ProfileCollection,
+        candidates: &HashSet<Pair>,
+        budget: &MemBudget,
+    ) -> (SimilarityGraph, FilterStats) {
         match self {
             ExecutionBackend::Sequential => {
-                matcher.match_pairs(collection, candidates.iter().copied())
+                matcher.match_pairs_stats(collection, candidates.iter().copied())
             }
             ExecutionBackend::Dataflow(ctx) => {
                 let mut pairs: Vec<Pair> = candidates.iter().copied().collect();
                 pairs.sort_unstable();
-                matcher.match_pairs_dataflow(ctx, collection, pairs)
+                matcher.match_pairs_dataflow_stats(ctx, collection, pairs)
             }
             ExecutionBackend::FusedPool(ctx) => {
                 let graph = Arc::new(CandidateGraph::from_pairs_budgeted(
@@ -210,7 +223,7 @@ impl ExecutionBackend {
                     candidates.iter().copied(),
                     budget,
                 ));
-                matcher.match_candidates_pool(ctx, collection, &graph)
+                matcher.match_candidates_pool_stats(ctx, collection, &graph)
             }
         }
     }

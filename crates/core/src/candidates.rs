@@ -1,46 +1,70 @@
 //! The blocker's candidate pairs as a sorted set.
 //!
-//! Every pruning driver already emits its retained edges sorted by pair,
-//! so the set is that list itself: membership is a binary search and no
-//! second, hashed copy of millions of pairs is ever built.
+//! Every pruning driver already emits its retained edges sorted by pair —
+//! the fused driver as a run of sorted per-morsel batches that ascend — so
+//! the set is those lists themselves, adopted as chunks: membership is two
+//! binary searches and no second, hashed or concatenated copy of millions
+//! of pairs is ever built.
 
 use sparker_profiles::Pair;
 
 /// A set of candidate pairs, each with its meta-blocking weight, stored
-/// strictly ascending by pair.
+/// strictly ascending by pair in one or more sorted chunks.
 ///
 /// Set semantics are over the pairs alone: two sets are equal when they
-/// hold the same pairs. Sets built from bare pairs (meta-blocking
-/// disabled: the blocking graph is unweighted) give every pair weight 1.
+/// hold the same pairs, however they are chunked. Sets built from bare
+/// pairs (meta-blocking disabled: the blocking graph is unweighted) give
+/// every pair weight 1.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateSet {
-    edges: Vec<(Pair, f64)>,
+    /// Non-empty chunks; strictly ascending within and across chunks.
+    chunks: Vec<Vec<(Pair, f64)>>,
+    len: usize,
 }
 
 impl CandidateSet {
     /// Adopt a retained-edge list that is already strictly ascending by
-    /// pair — what every meta-blocking driver returns. Panics otherwise.
+    /// pair — what the staged meta-blocking drivers return. Panics
+    /// otherwise.
     pub fn from_sorted(edges: Vec<(Pair, f64)>) -> Self {
+        Self::from_sorted_chunks(vec![edges])
+    }
+
+    /// Adopt a run of retained-edge lists whose concatenation is strictly
+    /// ascending by pair — what the fused driver's producers emit, one
+    /// list per morsel — without copying them. Empty lists are dropped.
+    /// Panics on an equal or descending pair inside a list or across a
+    /// list boundary.
+    pub fn from_sorted_chunks(mut chunks: Vec<Vec<(Pair, f64)>>) -> Self {
+        chunks.retain(|c| !c.is_empty());
         assert!(
-            edges.windows(2).all(|w| w[0].0 < w[1].0),
+            chunks.iter().all(|c| c.windows(2).all(|w| w[0].0 < w[1].0))
+                && chunks
+                    .windows(2)
+                    .all(|w| w[0][w[0].len() - 1].0 < w[1][0].0),
             "candidate edges must be strictly ascending by pair"
         );
-        CandidateSet { edges }
+        let len = chunks.iter().map(Vec::len).sum();
+        CandidateSet { chunks, len }
     }
 
     /// Number of candidate pairs.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.len
     }
 
     /// `true` when there are no candidates.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.len == 0
     }
 
-    /// Membership test (binary search).
+    /// Membership test: binary search for the one chunk that could hold
+    /// `pair` (the first whose last pair is not below it), then within it.
     pub fn contains(&self, pair: &Pair) -> bool {
-        self.edges.binary_search_by(|(p, _)| p.cmp(pair)).is_ok()
+        let k = self.chunks.partition_point(|c| c[c.len() - 1].0 < *pair);
+        self.chunks
+            .get(k)
+            .is_some_and(|c| c.binary_search_by(|(p, _)| p.cmp(pair)).is_ok())
     }
 
     /// The candidate pairs, ascending.
@@ -49,8 +73,8 @@ impl CandidateSet {
     }
 
     /// The candidates with their meta-blocking weights, ascending by pair.
-    pub fn weighted(&self) -> &[(Pair, f64)] {
-        &self.edges
+    pub fn weighted(&self) -> impl Iterator<Item = &(Pair, f64)> + '_ {
+        self.chunks.iter().flatten()
     }
 }
 
@@ -68,17 +92,19 @@ impl FromIterator<Pair> for CandidateSet {
         let mut edges: Vec<(Pair, f64)> = pairs.into_iter().map(|p| (p, 1.0)).collect();
         edges.sort_unstable_by_key(|&(p, _)| p);
         edges.dedup_by_key(|&mut (p, _)| p);
-        CandidateSet { edges }
+        Self::from_sorted(edges)
     }
 }
 
 impl<'a> IntoIterator for &'a CandidateSet {
     type Item = &'a Pair;
-    type IntoIter =
-        std::iter::Map<std::slice::Iter<'a, (Pair, f64)>, fn(&'a (Pair, f64)) -> &'a Pair>;
+    type IntoIter = std::iter::Map<
+        std::iter::Flatten<std::slice::Iter<'a, Vec<(Pair, f64)>>>,
+        fn(&'a (Pair, f64)) -> &'a Pair,
+    >;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.edges.iter().map(|(p, _)| p)
+        self.chunks.iter().flatten().map(|(p, _)| p)
     }
 }
 
@@ -101,6 +127,7 @@ mod tests {
         assert!(!set.contains(&pair(0, 1)));
         assert_eq!(set.iter().count(), 0);
         assert_eq!(set, CandidateSet::from_sorted(Vec::new()));
+        assert_eq!(set, CandidateSet::from_sorted_chunks(vec![vec![], vec![]]));
     }
 
     #[test]
@@ -108,7 +135,7 @@ mod tests {
         let a = CandidateSet::from_sorted(vec![(pair(0, 1), 2.0), (pair(0, 2), 3.0)]);
         let b: CandidateSet = [pair(0, 2), pair(0, 1)].into_iter().collect();
         assert_eq!(a, b);
-        assert_eq!(a.weighted()[1], (pair(0, 2), 3.0));
+        assert_eq!(a.weighted().nth(1), Some(&(pair(0, 2), 3.0)));
         assert_ne!(a, CandidateSet::from_sorted(vec![(pair(0, 1), 2.0)]));
     }
 
@@ -124,13 +151,35 @@ mod tests {
         CandidateSet::from_sorted(vec![(pair(0, 1), 1.0), (pair(0, 1), 1.0)]);
     }
 
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn equal_pairs_across_a_chunk_boundary_rejected() {
+        CandidateSet::from_sorted_chunks(vec![
+            vec![(pair(0, 1), 1.0), (pair(0, 2), 1.0)],
+            vec![],
+            vec![(pair(0, 2), 1.0), (pair(0, 3), 1.0)],
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn descending_pairs_across_a_chunk_boundary_rejected() {
+        CandidateSet::from_sorted_chunks(vec![
+            vec![(pair(1, 2), 1.0)],
+            vec![(pair(0, 5), 1.0), (pair(0, 6), 1.0)],
+        ]);
+    }
+
     proptest! {
-        /// `len`/`contains`/`iter`/`Eq` agree with a `HashSet` oracle, built
-        /// either way (bare pairs in any order, or the sorted edge list).
+        /// `len`/`contains`/`iter`/`weighted`/`Eq` agree with a `HashSet`
+        /// oracle, built either way (bare pairs in any order, or the sorted
+        /// edge list cut into random chunks, empty ones included) — and
+        /// `contains` finds the first and last pair of every chunk.
         #[test]
         fn agrees_with_hashset_oracle(
             raw in proptest::collection::vec((0u32..24, 0u32..24), 0..120),
             probes in proptest::collection::vec((0u32..24, 0u32..24), 0..60),
+            cuts in proptest::collection::vec(0usize..121, 0..8),
         ) {
             let pairs: Vec<Pair> = raw
                 .into_iter()
@@ -146,20 +195,44 @@ mod tests {
             prop_assert!(listed.windows(2).all(|w| w[0] < w[1]), "iter is ascending");
             prop_assert_eq!(listed.iter().copied().collect::<HashSet<_>>(), oracle.clone());
             prop_assert_eq!((&set).into_iter().count(), oracle.len());
-            for (a, b) in probes {
+            for &(a, b) in &probes {
                 if a != b {
                     let p = pair(a, b);
                     prop_assert_eq!(set.contains(&p), oracle.contains(&p));
                 }
             }
 
-            let mut sorted: Vec<(Pair, f64)> = oracle.iter().map(|&p| (p, 0.5)).collect();
-            sorted.sort_by_key(|&(p, _)| p);
-            let adopted = CandidateSet::from_sorted(sorted);
+            let sorted: Vec<(Pair, f64)> = listed.iter().map(|&p| (p, 0.5)).collect();
+            let adopted = CandidateSet::from_sorted(sorted.clone());
             prop_assert_eq!(&adopted, &set);
             if let Some(&drop) = listed.first() {
                 let fewer: CandidateSet = listed.iter().copied().filter(|p| *p != drop).collect();
                 prop_assert_ne!(&fewer, &set);
+            }
+
+            // The same list cut at random (possibly repeated, so possibly
+            // empty-chunk-producing) points.
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(sorted.len())).collect();
+            cuts.sort_unstable();
+            let mut chunks = Vec::new();
+            let mut start = 0;
+            for &cut in cuts.iter().chain([&sorted.len()]) {
+                chunks.push(sorted[start..cut].to_vec());
+                start = cut;
+            }
+            let chunked = CandidateSet::from_sorted_chunks(chunks.clone());
+            prop_assert_eq!(&chunked, &set);
+            prop_assert_eq!(chunked.len(), oracle.len());
+            prop_assert!(chunked.weighted().eq(sorted.iter()));
+            for &(a, b) in &probes {
+                if a != b {
+                    let p = pair(a, b);
+                    prop_assert_eq!(chunked.contains(&p), oracle.contains(&p));
+                }
+            }
+            for chunk in chunks.iter().filter(|c| !c.is_empty()) {
+                prop_assert!(chunked.contains(&chunk[0].0));
+                prop_assert!(chunked.contains(&chunk[chunk.len() - 1].0));
             }
         }
     }

@@ -85,9 +85,9 @@ impl WeightFilter {
 /// the edges `filter` accepts (all of them when `None`). Weights use
 /// shortest round-trip float formatting, so re-parsing restores the exact
 /// bits.
-pub fn export_edges_tsv(
+pub fn export_edges_tsv<'a>(
     collection: &ProfileCollection,
-    edges: &[(Pair, f64)],
+    edges: impl IntoIterator<Item = &'a (Pair, f64)>,
     filter: Option<&WeightFilter>,
 ) -> String {
     let key = |id: ProfileId| {

@@ -12,9 +12,9 @@ use crate::evaluate::{BlockingQuality, PairQuality, PipelineEvaluation};
 use crate::report::{PipelineReport, PipelineStage, StageReport, StageScope};
 use sparker_blocking::{purge_by_comparison_level, purge_oversized, BlockCollection};
 use sparker_clustering::EntityClusters;
-use sparker_dataflow::{fused_channel_capacity, Context, MemBudget, WorkerLocal};
+use sparker_dataflow::{fused_channel_capacity, Context, FusedStageStats, MemBudget, WorkerLocal};
 use sparker_looseschema::{partition_attributes, AttributePartitioning};
-use sparker_matching::{SimilarityGraph, ThresholdMatcher};
+use sparker_matching::{FilterStats, SimilarityGraph, ThresholdMatcher};
 use sparker_metablocking::{
     block_entropies, BlockEntropies, BlockGraph, MetaBlockingConfig, StreamingMetaBlocking,
 };
@@ -272,10 +272,10 @@ impl Pipeline {
         let scope = StageScope::begin(PipelineStage::ScorePairs, ctx, &budget);
         let matcher =
             ThresholdMatcher::new(self.config.matching.measure, self.config.matching.threshold);
-        let similarity = {
+        let (similarity, matcher_stats) = {
             // `score_pairs` takes a hashed set; it lives for this stage only.
             let hashed: HashSet<Pair> = blocker.candidates.iter().copied().collect();
-            backend.score_pairs(&matcher, collection, &hashed, &budget)
+            backend.score_pairs_with_stats(&matcher, collection, &hashed, &budget)
         };
         stages.push(scope.finish(blocker.candidates.len() as u64, similarity.len() as u64));
 
@@ -286,7 +286,16 @@ impl Pipeline {
         stages.push(scope.finish(similarity.len() as u64, clusters.num_clusters() as u64));
 
         assemble_result(
-            backend, &budget, stages, scoring, blocker, similarity, clusters, collection,
+            backend,
+            &budget,
+            stages,
+            scoring,
+            matcher_stats,
+            None,
+            blocker,
+            similarity,
+            clusters,
+            collection,
         )
     }
 
@@ -296,15 +305,16 @@ impl Pipeline {
     /// ([`StreamingMetaBlocking::prune_range`]) and the matcher's cascade
     /// scores them concurrently ([`ThresholdMatcher::score_stream`]). No
     /// `CandidateGraph` and no hashed pair set is built: the retained
-    /// edges exist once, as per-morsel batches while the stage runs and as
-    /// the [`CandidateSet`]'s sorted list after it. Byte-identical to the
-    /// staged path at any worker count and channel capacity (pinned by the
-    /// parity matrix).
+    /// edges exist once, as per-morsel batches — while the stage runs and
+    /// after it, when the [`CandidateSet`] adopts the batches as its
+    /// chunks. Byte-identical to the staged path at any worker count and
+    /// channel capacity (pinned by the parity matrix).
     ///
     /// Report shape is unchanged (all five stage rows): `prune_candidates`
     /// covers the graph build + pass A, `score_pairs` covers the fused
     /// batch — its busy time counts both pruning and scoring work, so
-    /// overlap shows up as busy ≫ wall at multiple workers.
+    /// overlap shows up as busy ≫ wall at multiple workers, and
+    /// [`PipelineReport::fused`] splits it into pass B and cascade time.
     fn run_fused(
         &self,
         backend: &ExecutionBackend,
@@ -357,7 +367,7 @@ impl Pipeline {
                 prune_locals.with(worker, |scratch| stream.prune_range(range.clone(), scratch))
             }
         });
-        let candidates = CandidateSet::from_sorted(outcome.retained);
+        let candidates = CandidateSet::from_sorted_chunks(outcome.retained);
         let similarity = outcome.similarity;
         stages[prune_row].output = candidates.len() as u64;
         stages.push(scope.finish(candidates.len() as u64, similarity.len() as u64));
@@ -377,7 +387,16 @@ impl Pipeline {
             candidates,
         };
         assemble_result(
-            backend, budget, stages, scoring, blocker, similarity, clusters, collection,
+            backend,
+            budget,
+            stages,
+            scoring,
+            outcome.stats,
+            Some(outcome.report),
+            blocker,
+            similarity,
+            clusters,
+            collection,
         )
     }
 
@@ -444,6 +463,8 @@ fn assemble_result(
     budget: &MemBudget,
     stages: Vec<StageReport>,
     scoring: ScoringStats,
+    matcher: FilterStats,
+    fused: Option<FusedStageStats>,
     blocker: BlockerOutput,
     similarity: SimilarityGraph,
     clusters: EntityClusters,
@@ -454,6 +475,8 @@ fn assemble_result(
         workers: backend.workers(),
         edge_scorer: scoring.edge_scorer,
         scoring: scoring.time,
+        matcher,
+        fused,
         stages,
         mem_budget_bytes: budget.limit_bytes(),
         peak_rss_bytes: MemBudget::peak_rss_bytes(),
@@ -669,6 +692,18 @@ mod tests {
         }
         let pruned = fused.report.stage(PipelineStage::PruneCandidates).unwrap();
         assert_eq!(pruned.output, fused.blocker.candidates.len() as u64);
+        // The fused driver keeps its own numbers: the same cascade counters
+        // as the staged matcher, plus the produce/consume split.
+        assert_eq!(fused.report.matcher, staged.report.matcher);
+        assert_eq!(
+            staged.report.matcher.pairs,
+            staged.blocker.candidates.len() as u64
+        );
+        assert_eq!(staged.report.matcher.kept, staged.similarity.len() as u64);
+        assert!(staged.report.fused.is_none());
+        let split = fused.report.fused.as_ref().expect("fused stats carried");
+        assert!(split.morsels > 0);
+        assert!(fused.report.to_json().contains("\"produce_busy_s\":"));
     }
 
     #[test]

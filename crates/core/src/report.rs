@@ -10,7 +10,8 @@
 //! [`PipelineReport::to_json`]).
 
 use crate::pipeline::StepTimings;
-use sparker_dataflow::{Context, MemBudget, StageMetrics};
+use sparker_dataflow::{Context, FusedStageStats, MemBudget, StageMetrics};
+use sparker_matching::FilterStats;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -117,8 +118,17 @@ pub struct PipelineReport {
     /// Wall-clock time of edge scoring: the weight/feature-extraction work
     /// of the `prune_candidates` stage (the full pruning call on the staged
     /// drivers; pass A preparation on the fused driver, whose pass B is
-    /// overlapped with matching). Zero when meta-blocking is disabled.
+    /// overlapped with matching — see [`PipelineReport::fused`] for that
+    /// split). Zero when meta-blocking is disabled.
     pub scoring: Duration,
+    /// The matcher cascade's counters over every candidate pair of the
+    /// `score_pairs` stage — identical on every backend, since each pair's
+    /// fate is a pure function of the pair.
+    pub matcher: FilterStats,
+    /// Overlap accounting of the fused prune→score batch: how its time
+    /// split between pass B (`produce_busy`) and the matcher cascade
+    /// (`consume_busy`). `None` on the staged drivers.
+    pub fused: Option<FusedStageStats>,
     /// One row per executed stage, in execution order.
     pub stages: Vec<StageReport>,
     /// Memory budget the run was held to, in bytes (0 = unlimited).
@@ -233,6 +243,12 @@ impl PipelineReport {
     ///   "workers": 4,
     ///   "edge_scorer": "CBS",
     ///   "scoring_s": 0.0112,
+    ///   "matcher": {"pairs": 5210, "bound_rejected": 12, "abandoned": 4901,
+    ///               "verified": 297, "kept": 297},
+    ///   "fused": {"morsels": 128, "produce_busy_s": 0.0402,
+    ///             "consume_busy_s": 0.0317, "queue_wait_s": 0.0011,
+    ///             "backpressure_yields": 3, "max_queue_depth": 9,
+    ///             "wall_s": 0.0391},
     ///   "stages": [
     ///     {"stage": "build_blocks", "input": 1000, "output": 1523,
     ///      "input_unit": "profiles", "output_unit": "blocks",
@@ -248,16 +264,45 @@ impl PipelineReport {
     ///   "spilled_bytes": 0
     /// }
     /// ```
+    ///
+    /// `fused` is `null` on the staged drivers.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
+        let m = &self.matcher;
         let _ = write!(
             out,
-            "{{\"backend\":\"{}\",\"workers\":{},\"edge_scorer\":\"{}\",\"scoring_s\":{:.9},\"stages\":[",
+            "{{\"backend\":\"{}\",\"workers\":{},\"edge_scorer\":\"{}\",\"scoring_s\":{:.9},\
+             \"matcher\":{{\"pairs\":{},\"bound_rejected\":{},\"abandoned\":{},\
+             \"verified\":{},\"kept\":{}}},\"fused\":",
             self.backend,
             self.workers,
             self.edge_scorer,
-            self.scoring.as_secs_f64()
+            self.scoring.as_secs_f64(),
+            m.pairs,
+            m.bound_rejected,
+            m.abandoned,
+            m.verified,
+            m.kept,
         );
+        match &self.fused {
+            None => out.push_str("null"),
+            Some(f) => {
+                let _ = write!(
+                    out,
+                    "{{\"morsels\":{},\"produce_busy_s\":{:.9},\"consume_busy_s\":{:.9},\
+                     \"queue_wait_s\":{:.9},\"backpressure_yields\":{},\
+                     \"max_queue_depth\":{},\"wall_s\":{:.9}}}",
+                    f.morsels,
+                    f.produce_busy.as_secs_f64(),
+                    f.consume_busy.as_secs_f64(),
+                    f.queue_wait.as_secs_f64(),
+                    f.backpressure_yields,
+                    f.max_queue_depth,
+                    f.wall.as_secs_f64(),
+                );
+            }
+        }
+        out.push_str(",\"stages\":[");
         for (i, s) in self.stages.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -380,6 +425,14 @@ mod tests {
             workers: 1,
             edge_scorer: "CBS",
             scoring: Duration::from_millis(2),
+            matcher: FilterStats {
+                pairs: 40,
+                bound_rejected: 3,
+                abandoned: 30,
+                verified: 7,
+                kept: 5,
+            },
+            fused: None,
             stages: PipelineStage::ALL
                 .iter()
                 .enumerate()
@@ -431,7 +484,31 @@ mod tests {
         assert!(json.contains("\"peak_rss_bytes\":73400320"));
         assert!(json.contains("\"spill_batches\":0"));
         assert!(json.contains("\"spilled_bytes\":0"));
+        assert!(json.contains(
+            "\"matcher\":{\"pairs\":40,\"bound_rejected\":3,\"abandoned\":30,\
+             \"verified\":7,\"kept\":5},\"fused\":null,"
+        ));
         assert!(json.starts_with('{') && json.ends_with('}'));
+
+        let mut fused = report();
+        fused.fused = Some(FusedStageStats {
+            morsels: 64,
+            produce_busy: Duration::from_millis(300),
+            consume_busy: Duration::from_millis(200),
+            backpressure_yields: 2,
+            max_queue_depth: 9,
+            ..FusedStageStats::default()
+        });
+        let json = fused.to_json();
+        assert!(
+            json.contains(
+                "\"fused\":{\"morsels\":64,\"produce_busy_s\":0.300000000,\
+                 \"consume_busy_s\":0.200000000,\"queue_wait_s\":0.000000000,\
+                 \"backpressure_yields\":2,\"max_queue_depth\":9,\"wall_s\":0.000000000},\
+                 \"stages\":["
+            ),
+            "{json}"
+        );
     }
 
     #[test]

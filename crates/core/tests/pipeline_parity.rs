@@ -11,6 +11,7 @@ use sparker_core::{
     BlockingConfig, ClusteringAlgorithm, ExecutionBackend, Pipeline, PipelineConfig, PipelineResult,
 };
 use sparker_datasets::{generate, generate_dirty, DatasetConfig, GeneratedDataset, ZipfSkew};
+use sparker_profiles::{Attribute, Pair, ProfileCollection};
 
 const WORKERS: [usize; 3] = [1, 2, 8];
 
@@ -176,6 +177,27 @@ fn backend_matrix_all_clustering_algorithms() {
     }
 }
 
+/// `ds` with ten code tokens per true match, shared by exactly its two
+/// representations: ~600 tokens of document frequency 2, more than the 512
+/// hot ids hold, so matching pairs share tail tokens as well as hot ones.
+fn with_match_codes(ds: &GeneratedDataset) -> GeneratedDataset {
+    let mut profiles = ds.collection.profiles().to_vec();
+    for (k, pair) in ds.ground_truth.iter().enumerate() {
+        let codes: Vec<String> = (0..10).map(|c| format!("m{k}x{c}")).collect();
+        for id in [pair.first, pair.second] {
+            profiles[id.index()].attributes.push(Attribute {
+                name: "code".to_string(),
+                value: codes.join(" "),
+            });
+        }
+    }
+    let (a, b) = profiles.split_at(ds.collection.separator() as usize);
+    GeneratedDataset {
+        collection: ProfileCollection::clean_clean(a.to_vec(), b.to_vec()),
+        ground_truth: ds.ground_truth.clone(),
+    }
+}
+
 #[test]
 fn cascade_matches_naive_scorer_across_backends() {
     // The filter–verify cascade is the default scoring path on every
@@ -183,14 +205,45 @@ fn cascade_matches_naive_scorer_across_backends() {
     // matcher retains, with bit-identical scores — for every similarity
     // measure, at permissive / default-ish / strict thresholds, through
     // the sequential, dataflow and staged pool matchers alike (`score_pairs`
-    // on the fused backend is the staged pool matcher).
-    use sparker_matching::{Matcher, ScoringMode, SimilarityMeasure, ThresholdMatcher};
-    let ds = dirty_dataset(60, 23, true);
+    // on the fused backend is the staged pool matcher). The collection has
+    // more than 512 distinct tokens, so every matcher's prepared views
+    // carry both a bitset-counted hot prefix and a merge-joined tail, and
+    // both carry matches: some share hot tokens, some tail tokens.
+    use sparker_matching::{
+        Matcher, PreparedProfile, ScoringMode, SimilarityMeasure, ThresholdMatcher,
+    };
+    use std::collections::HashSet;
+    let ds = with_match_codes(&clean_dataset(60, 11, true));
+    let prepared = PreparedProfile::prepare_all(&ds.collection);
+    let vocabulary: HashSet<u32> = prepared
+        .iter()
+        .flat_map(|p| p.token_ids.iter().copied())
+        .collect();
+    assert!(
+        vocabulary.len() > 512,
+        "{} distinct tokens",
+        vocabulary.len()
+    );
     let pipeline = Pipeline::new(PipelineConfig::default());
     let blocked = pipeline.run_on(&ExecutionBackend::Sequential, &ds.collection);
-    let candidates: std::collections::HashSet<_> =
-        blocked.blocker.candidates.iter().copied().collect();
+    let candidates: HashSet<_> = blocked.blocker.candidates.iter().copied().collect();
     assert!(!candidates.is_empty());
+    let jaccard = ThresholdMatcher::with_mode(SimilarityMeasure::Jaccard, 0.5, ScoringMode::Naive)
+        .match_pairs(&ds.collection, candidates.iter().copied());
+    let shares = |pair: &Pair, hot: bool| {
+        let b = &prepared[pair.second.index()].token_ids;
+        prepared[pair.first.index()]
+            .token_ids
+            .iter()
+            .any(|t| (*t < 512) == hot && b.binary_search(t).is_ok())
+    };
+    for hot in [true, false] {
+        assert!(
+            jaccard.edges().iter().any(|(p, _)| shares(p, hot)),
+            "no match shares {} tokens",
+            if hot { "hot" } else { "tail" }
+        );
+    }
     for measure in SimilarityMeasure::ALL {
         for threshold in [0.3, 0.5, 0.8] {
             let naive = ThresholdMatcher::with_mode(measure, threshold, ScoringMode::Naive)
@@ -350,10 +403,17 @@ fn fused_matches_sequential_under_scaling_config() {
                 &ds,
                 &format!("scaling {tag} fused workers={workers}"),
             );
-            assert_eq!(
-                reference.blocker.candidates.weighted(),
-                run.blocker.candidates.weighted(),
+            assert!(
+                reference
+                    .blocker
+                    .candidates
+                    .weighted()
+                    .eq(run.blocker.candidates.weighted()),
                 "scaling {tag} fused workers={workers}: weighted candidates diverged"
+            );
+            assert_eq!(
+                reference.report.matcher, run.report.matcher,
+                "scaling {tag} fused workers={workers}: cascade counters diverged"
             );
         }
     }
@@ -464,9 +524,11 @@ fn fused_plan_into_score_stream_is_capacity_invariant() {
                     },
                 );
                 let tag = format!("workers={workers} capacity={capacity}");
-                assert_eq!(
-                    out.retained,
-                    reference.blocker.candidates.weighted(),
+                assert!(
+                    out.retained
+                        .iter()
+                        .flatten()
+                        .eq(reference.blocker.candidates.weighted()),
                     "{tag}"
                 );
                 assert_eq!(out.similarity, reference.similarity, "{tag}");

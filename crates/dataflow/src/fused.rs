@@ -106,7 +106,7 @@ impl MorselQueue {
 /// What one [`pipelined_stage`] run did, beyond its outputs: the overlap
 /// accounting a fused stage reports (produce vs consume CPU on the same
 /// wall interval, channel pressure, stall time).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FusedStageStats {
     /// Number of morsels processed (produced and consumed).
     pub morsels: usize,

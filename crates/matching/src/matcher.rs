@@ -235,7 +235,7 @@ impl SimilarityMeasure {
                 None
             }
             ScoreBound::MinOverlap(need) => {
-                match similarity::intersect_ids_at_least(&a.token_ids, &b.token_ids, need) {
+                match a.intersect_at_least(b, need) {
                     None => {
                         stats.abandoned += 1;
                         None
@@ -389,7 +389,9 @@ impl ScoringMode {
 /// [`DictBuilder`]: two views are only comparable when prepared against the
 /// same builder. Set-measure scores depend only on intersection counts and
 /// set sizes, which any injective token → id mapping preserves, so the
-/// builder's insertion-order ids need no lexicographic remap.
+/// builder's insertion-order ids need no lexicographic remap — and
+/// [`PreparedProfile::prepare_all`] is free to renumber the collection's
+/// most frequent tokens into the hot prefix the cascade counts by bitset.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedProfile {
     /// Sorted, deduplicated interned token ids of the schema-agnostic
@@ -399,7 +401,26 @@ pub struct PreparedProfile {
     pub concatenated: String,
     /// Char count of `concatenated` (cached for length filters).
     pub chars: usize,
+    /// The hot prefix of `token_ids` (its ids `< HOT_TOKENS`), if any.
+    /// Only [`PreparedProfile::prepare_all`] renumbers tokens that way, and
+    /// only views holding hot tokens get one, so no other view pays for it.
+    hot: Option<Box<HotPrefix>>,
 }
+
+/// The hot prefix of a prepared view's `token_ids`, mirrored as a bitset.
+#[derive(Debug, Clone, PartialEq)]
+struct HotPrefix {
+    /// Number of hot ids at the front of `token_ids`.
+    len: u32,
+    /// Bit `t` set iff hot id `t` is in `token_ids`.
+    bits: [u64; HOT_WORDS],
+}
+
+/// How many of a collection's most frequent tokens
+/// [`PreparedProfile::prepare_all`] renumbers into the bitset-counted hot
+/// prefix.
+const HOT_TOKENS: usize = 512;
+const HOT_WORDS: usize = HOT_TOKENS / 64;
 
 impl PreparedProfile {
     /// Derive the matching views of one profile against `dict`.
@@ -416,6 +437,7 @@ impl PreparedProfile {
             token_ids,
             concatenated,
             chars,
+            ..PreparedProfile::default()
         }
     }
 
@@ -430,6 +452,7 @@ impl PreparedProfile {
             token_ids,
             concatenated: value.to_string(),
             chars: value.chars().count(),
+            ..PreparedProfile::default()
         }
     }
 
@@ -445,16 +468,126 @@ impl PreparedProfile {
     }
 
     /// Prepare every profile of a collection against one shared interner
-    /// (index = profile id).
+    /// (index = profile id), with the collection's 512 most frequent
+    /// tokens renumbered into a bitset-mirrored hot prefix.
+    ///
+    /// Document frequencies are counted in the preparing pass itself; the
+    /// hot tokens take ids `0..512` ranked by df descending, then
+    /// provisional id, and every other token moves past them. The
+    /// renumbering is injective, so every score is
+    /// unchanged; what it buys is that the cascade counts the shared hot
+    /// tokens — the long, mostly-shared head of skewed token sets — with
+    /// AND + popcount and merge-joins only the tails.
     pub fn prepare_all(collection: &ProfileCollection) -> Vec<PreparedProfile> {
         let mut dict = DictBuilder::new();
         let mut scratch = String::new();
-        collection
+        let mut df: Vec<u32> = Vec::new();
+        let mut prepared: Vec<PreparedProfile> = collection
             .profiles()
             .iter()
-            .map(|p| PreparedProfile::from_profile(p, &mut dict, &mut scratch))
-            .collect()
+            .map(|p| {
+                let view = PreparedProfile::from_profile(p, &mut dict, &mut scratch);
+                df.resize(dict.len(), 0);
+                for &t in &view.token_ids {
+                    df[t as usize] += 1;
+                }
+                view
+            })
+            .collect();
+        let remap = hot_remap(&df);
+        for view in &mut prepared {
+            view.adopt_hot_ids(&remap);
+        }
+        prepared
     }
+
+    /// Renumber this view's ids through `remap` (see [`hot_remap`]): the
+    /// hot ids become a sorted prefix mirrored in a [`HotPrefix`], the
+    /// others keep their order, shifted past it.
+    fn adopt_hot_ids(&mut self, remap: &[u32]) {
+        let ids = &mut self.token_ids;
+        let mut bits = [0u64; HOT_WORDS];
+        let mut cold = 0;
+        for i in 0..ids.len() {
+            let t = remap[ids[i] as usize];
+            if (t as usize) < HOT_TOKENS {
+                bits[t as usize / 64] |= 1 << (t % 64);
+            } else {
+                ids[cold] = t;
+                cold += 1;
+            }
+        }
+        let hot = ids.len() - cold;
+        if hot == 0 {
+            return;
+        }
+        ids.copy_within(..cold, hot);
+        let mut k = 0;
+        for (w, &word) in bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                ids[k] = (w * 64) as u32 + rest.trailing_zeros();
+                rest &= rest - 1;
+                k += 1;
+            }
+        }
+        self.hot = Some(Box::new(HotPrefix {
+            len: hot as u32,
+            bits,
+        }));
+    }
+
+    /// `Some(|A∩B|)` iff the two token sets share at least `need` tokens —
+    /// [`similarity::intersect_ids_at_least`] with the hot prefixes counted
+    /// by AND + popcount and only the tails merge-joined, under the
+    /// remaining budget. Hot and tail ids are disjoint (`< HOT_TOKENS` vs
+    /// `≥`), so the count is exact and `None` means exactly what it means
+    /// for the plain merge-join; views without a hot prefix merge-join in
+    /// full.
+    fn intersect_at_least(&self, other: &PreparedProfile, need: usize) -> Option<usize> {
+        let hot = match (&self.hot, &other.hot) {
+            (Some(a), Some(b)) => a
+                .bits
+                .iter()
+                .zip(&b.bits)
+                .map(|(x, y)| (x & y).count_ones() as usize)
+                .sum(),
+            _ => 0,
+        };
+        let a = &self.token_ids[self.hot_len()..];
+        let b = &other.token_ids[other.hot_len()..];
+        if hot + a.len().min(b.len()) < need {
+            return None;
+        }
+        similarity::intersect_ids_at_least(a, b, need.saturating_sub(hot)).map(|tail| hot + tail)
+    }
+
+    /// Length of the hot prefix of `token_ids` (0 without one).
+    fn hot_len(&self) -> usize {
+        self.hot.as_ref().map_or(0, |h| h.len as usize)
+    }
+}
+
+/// The renumbering [`PreparedProfile::prepare_all`] applies, from each
+/// provisional token id's document frequency: `remap[t]` is `t`'s rank
+/// among the [`HOT_TOKENS`] most frequent tokens (df descending, ties by
+/// provisional id — a deterministic set), or `t + HOT_TOKENS` for every
+/// other token.
+fn hot_remap(df: &[u32]) -> Vec<u32> {
+    let rank = |t: &u32| (std::cmp::Reverse(df[*t as usize]), *t);
+    let mut hot: Vec<u32> = (0..df.len() as u32).collect();
+    if hot.len() > HOT_TOKENS {
+        hot.select_nth_unstable_by_key(HOT_TOKENS - 1, rank);
+        hot.truncate(HOT_TOKENS);
+    }
+    hot.sort_unstable_by_key(rank);
+    let mut remap: Vec<u32> = (0..df.len() as u32)
+        .map(|t| t + HOT_TOKENS as u32)
+        .collect();
+    for (rank, &t) in hot.iter().enumerate() {
+        remap[t as usize] = rank as u32;
+    }
+    remap
 }
 
 /// Anything that scores candidate pairs and retains matches.
@@ -591,18 +724,8 @@ impl ThresholdMatcher {
     /// vector), the prepared profile views are broadcast once, and ids are
     /// cost-partitioned by candidate degree into dynamically claimed
     /// morsels with per-worker kernel scratch. Byte-identical to
-    /// [`Matcher::match_pairs`] over the same pair set at any worker count.
-    pub fn match_candidates_pool(
-        &self,
-        ctx: &Context,
-        collection: &ProfileCollection,
-        graph: &Arc<CandidateGraph>,
-    ) -> SimilarityGraph {
-        self.match_candidates_pool_stats(ctx, collection, graph).0
-    }
-
-    /// [`ThresholdMatcher::match_candidates_pool`] plus the cascade's
-    /// merged [`FilterStats`] (what fraction of pairs the bounds filtered).
+    /// [`Matcher::match_pairs`] over the same pair set at any worker count;
+    /// returns the cascade's merged [`FilterStats`] beside the graph.
     pub fn match_candidates_pool_stats(
         &self,
         ctx: &Context,
@@ -630,6 +753,73 @@ impl ThresholdMatcher {
         };
         (graph_out, stats)
     }
+
+    /// [`Matcher::match_pairs`] plus the cascade's [`FilterStats`].
+    pub fn match_pairs_stats(
+        &self,
+        collection: &ProfileCollection,
+        candidates: impl IntoIterator<Item = Pair>,
+    ) -> (SimilarityGraph, FilterStats) {
+        // Prepare each profile once; candidate sets typically reference the
+        // same profiles many times, and tokenization dominates the naive
+        // per-pair loop.
+        let prepared = PreparedProfile::prepare_all(collection);
+        let mut scratch = MatchScratch::default();
+        let mut stats = FilterStats::default();
+        let graph = SimilarityGraph::new(candidates.into_iter().filter_map(|pair| {
+            self.decide(
+                &prepared[pair.first.index()],
+                &prepared[pair.second.index()],
+                &mut scratch,
+                &mut stats,
+            )
+            .map(|s| (pair, s))
+        }));
+        (graph, stats)
+    }
+
+    /// [`Matcher::match_pairs_dataflow`] plus the cascade's
+    /// [`FilterStats`], merged across partitions (a sum, so independent of
+    /// the order partitions finish in).
+    pub fn match_pairs_dataflow_stats(
+        &self,
+        ctx: &Context,
+        collection: &ProfileCollection,
+        candidates: Vec<Pair>,
+    ) -> (SimilarityGraph, FilterStats) {
+        // Broadcast the prepared views instead of the raw collection: every
+        // task scores from the shared cache. Partition-granular mapping
+        // gives each task one scratch warmed across its whole slice.
+        let prepared = ctx.broadcast(PreparedProfile::prepare_all(collection));
+        let merged = std::sync::Mutex::new(FilterStats::default());
+        let ds = ctx.parallelize_default(candidates);
+        let scored = ds.map_partitions(|_, pairs| {
+            let mut scratch = MatchScratch::default();
+            let mut stats = FilterStats::default();
+            let kept = pairs
+                .iter()
+                .filter_map(|pair| {
+                    self.decide(
+                        &prepared[pair.first.index()],
+                        &prepared[pair.second.index()],
+                        &mut scratch,
+                        &mut stats,
+                    )
+                    .map(|s| (*pair, s))
+                })
+                .collect();
+            merged
+                .lock()
+                .expect("no task panics while merging its counters")
+                .merge(&stats);
+            kept
+        });
+        let graph = SimilarityGraph::new(scored.collect());
+        let stats = merged
+            .into_inner()
+            .expect("no task panics while merging its counters");
+        (graph, stats)
+    }
 }
 
 impl Matcher for ThresholdMatcher {
@@ -646,21 +836,7 @@ impl Matcher for ThresholdMatcher {
         collection: &ProfileCollection,
         candidates: impl IntoIterator<Item = Pair>,
     ) -> SimilarityGraph {
-        // Prepare each profile once; candidate sets typically reference the
-        // same profiles many times, and tokenization dominates the naive
-        // per-pair loop.
-        let prepared = PreparedProfile::prepare_all(collection);
-        let mut scratch = MatchScratch::default();
-        let mut stats = FilterStats::default();
-        SimilarityGraph::new(candidates.into_iter().filter_map(|pair| {
-            self.decide(
-                &prepared[pair.first.index()],
-                &prepared[pair.second.index()],
-                &mut scratch,
-                &mut stats,
-            )
-            .map(|s| (pair, s))
-        }))
+        self.match_pairs_stats(collection, candidates).0
     }
 
     fn match_pairs_dataflow(
@@ -669,30 +845,8 @@ impl Matcher for ThresholdMatcher {
         collection: &ProfileCollection,
         candidates: Vec<Pair>,
     ) -> SimilarityGraph {
-        // Broadcast the prepared views instead of the raw collection: every
-        // task scores from the shared cache. Partition-granular mapping
-        // gives each task one scratch warmed across its whole slice.
-        let prepared = ctx.broadcast(PreparedProfile::prepare_all(collection));
-        let matcher = self.clone();
-        let ds = ctx.parallelize_default(candidates);
-        let scored = ds.map_partitions(move |_, pairs| {
-            let mut scratch = MatchScratch::default();
-            let mut stats = FilterStats::default();
-            pairs
-                .iter()
-                .filter_map(|pair| {
-                    matcher
-                        .decide(
-                            &prepared[pair.first.index()],
-                            &prepared[pair.second.index()],
-                            &mut scratch,
-                            &mut stats,
-                        )
-                        .map(|s| (*pair, s))
-                })
-                .collect()
-        });
-        SimilarityGraph::new(scored.collect())
+        self.match_pairs_dataflow_stats(ctx, collection, candidates)
+            .0
     }
 }
 
@@ -1022,6 +1176,76 @@ mod tests {
                 assert_eq!(naive, cascade, "{} @ {threshold}", measure.name());
             }
         }
+    }
+
+    /// Ten profiles of 60 tokens each, every token in exactly one profile
+    /// (df ties throughout), plus `common` in all of them when asked.
+    fn tied_collection(common: bool) -> ProfileCollection {
+        ProfileCollection::dirty(
+            (0..10)
+                .map(|p| {
+                    let mut text: Vec<String> =
+                        (0..60).map(|t| format!("t{}", p * 60 + t)).collect();
+                    if common {
+                        text.push("common".to_string());
+                    }
+                    Profile::builder(SourceId(0), p.to_string())
+                        .attr("text", text.join(" "))
+                        .build()
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn df_ties_select_a_deterministic_hot_set() {
+        // All 600 tokens tie at df 1: the hot set is the 512 first interned
+        // (lowest provisional ids) — profiles 0–7 entirely, 32 tokens of
+        // profile 8, none of profile 9 — in provisional order.
+        let prepared = PreparedProfile::prepare_all(&tied_collection(false));
+        let hot: Vec<usize> = prepared.iter().map(PreparedProfile::hot_len).collect();
+        assert_eq!(hot, [60, 60, 60, 60, 60, 60, 60, 60, 32, 0]);
+        assert!(prepared[9].hot.is_none(), "no hot tokens, no prefix");
+        assert_eq!(prepared[0].token_ids, (0..60).collect::<Vec<u32>>());
+        assert_eq!(
+            prepared[8].token_ids[..32],
+            (480..512).collect::<Vec<u32>>()
+        );
+        assert!(prepared[9].token_ids.iter().all(|&t| t >= 512));
+        // A token in every profile outranks the ties and takes hot id 0,
+        // pushing the last tied token out of the hot set.
+        let prepared = PreparedProfile::prepare_all(&tied_collection(true));
+        let hot: Vec<usize> = prepared.iter().map(PreparedProfile::hot_len).collect();
+        assert_eq!(hot, [61, 61, 61, 61, 61, 61, 61, 61, 32, 1]);
+        assert!(prepared.iter().all(|p| p.token_ids[0] == 0));
+        // The same collection always prepares to the same bits.
+        let again = PreparedProfile::prepare_all(&tied_collection(true));
+        for (a, b) in prepared.iter().zip(&again) {
+            assert_eq!((&a.token_ids, &a.hot), (&b.token_ids, &b.hot));
+        }
+    }
+
+    #[test]
+    fn hot_prefix_is_sorted_and_mirrored_by_the_bitset() {
+        let prepared = PreparedProfile::prepare_all(&tied_collection(true));
+        for p in &prepared {
+            assert!(p.token_ids.windows(2).all(|w| w[0] < w[1]), "unsorted");
+            let prefix = p.hot.as_ref().expect("every profile holds `common`");
+            let hot = p.hot_len();
+            assert!(p.token_ids[..hot].iter().all(|&t| t < HOT_TOKENS as u32));
+            assert!(p.token_ids[hot..].iter().all(|&t| t >= HOT_TOKENS as u32));
+            let ones: u32 = prefix.bits.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(ones as usize, hot);
+            for &t in &p.token_ids[..hot] {
+                assert_ne!(prefix.bits[t as usize / 64] & (1 << (t % 64)), 0);
+            }
+        }
+        // Views prepared one by one carry no hot prefix.
+        let (a, _) = PreparedProfile::pair(
+            tied_collection(false).get(ProfileId(0)),
+            tied_collection(false).get(ProfileId(1)),
+        );
+        assert!(a.hot.is_none());
     }
 
     #[test]

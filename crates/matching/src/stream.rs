@@ -30,12 +30,12 @@ use std::sync::Arc;
 pub struct FusedMatchOutcome {
     /// The scored matches, identical to the staged matcher's output.
     pub similarity: SimilarityGraph,
-    /// The pruned candidate pairs with their meta-blocking weights, in
-    /// ascending pair order — identical to the staged pruning output. The
-    /// producer payloads are moved into this one pre-sized list after the
-    /// batch, each freed as soon as it is copied, so the retained edges
-    /// are never resident twice.
-    pub retained: Vec<(Pair, f64)>,
+    /// The pruned candidate pairs with their meta-blocking weights: the
+    /// producer batches themselves, in morsel order. Each batch is sorted
+    /// and the batches ascend, so their concatenation is the staged
+    /// pruning output; they are handed over as they are — never copied
+    /// into one list, so the retained edges are resident exactly once.
+    pub retained: Vec<Vec<(Pair, f64)>>,
     /// Merged cascade statistics across all workers.
     pub stats: FilterStats,
     /// Overlap accounting for the fused stage (produce vs consume busy,
@@ -93,10 +93,6 @@ impl ThresholdMatcher {
             },
         );
         let similarity = SimilarityGraph::from_sorted_shards(scored_shards);
-        let mut retained = Vec::with_capacity(produced.iter().map(Vec::len).sum());
-        for batch in produced {
-            retained.extend_from_slice(&batch);
-        }
         let stats = match Arc::try_unwrap(locals) {
             Ok(locals) => {
                 let mut merged = FilterStats::default();
@@ -109,7 +105,7 @@ impl ThresholdMatcher {
         };
         FusedMatchOutcome {
             similarity,
-            retained,
+            retained: produced,
             stats,
             report,
         }
@@ -158,10 +154,7 @@ mod tests {
                     staged.edges(),
                     "workers={workers} capacity={capacity}"
                 );
-                assert_eq!(
-                    out.retained.len(),
-                    morsels.iter().map(Vec::len).sum::<usize>()
-                );
+                assert_eq!(out.retained, morsels);
                 assert!(out.stats.pairs > 0);
                 assert_eq!(out.report.morsels, morsels.len());
             }

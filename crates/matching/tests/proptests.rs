@@ -5,8 +5,10 @@
 
 use proptest::prelude::*;
 use sparker_matching::similarity::*;
-use sparker_matching::{PreparedProfile, SimilarityMeasure};
-use sparker_profiles::{DictBuilder, Profile, SourceId};
+use sparker_matching::{
+    FilterStats, PreparedProfile, ScoringMode, SimilarityMeasure, ThresholdMatcher,
+};
+use sparker_profiles::{DictBuilder, Profile, ProfileCollection, ProfileId, SourceId};
 use std::collections::BTreeSet;
 
 fn profile(values: &[String]) -> Profile {
@@ -36,6 +38,44 @@ fn values_strategy() -> impl Strategy<Value = Vec<String>> {
 
 fn token_set() -> impl Strategy<Value = BTreeSet<String>> {
     prop::collection::btree_set("[a-z]{1,6}", 0..12)
+}
+
+/// Two probe token sets over words `w0`..`w699`, drawn around a shared core
+/// (so matches happen) from the whole vocabulary, from the hot words
+/// `w0`..`w511` only, or from the cold words only; any set may be empty.
+fn hot_probe_pair() -> impl Strategy<Value = (BTreeSet<u32>, BTreeSet<u32>)> {
+    let ids = |range: std::ops::Range<u32>, max: usize| prop::collection::btree_set(range, 0..max);
+    prop_oneof![Just(0u32..700), Just(0u32..512), Just(512u32..700)]
+        .prop_flat_map(move |r| (ids(r.clone(), 40), ids(r.clone(), 8), ids(r, 8)))
+        .prop_map(|(shared, only_a, only_b)| (&shared | &only_a, &shared | &only_b))
+}
+
+/// Three filler profiles holding all of `w0`..`w511` (df ≥ 3) followed by
+/// the two probes (ids 3 and 4): a cold word's df is at most 2, so the
+/// collection's 512 hot tokens are exactly `w0`..`w511`.
+fn hot_collection(a: &BTreeSet<u32>, b: &BTreeSet<u32>) -> ProfileCollection {
+    let words = |ids: &mut dyn Iterator<Item = u32>| {
+        ids.map(|k| format!("w{k}")).collect::<Vec<_>>().join(" ")
+    };
+    let filler = words(&mut (0..512));
+    let texts = [
+        filler.clone(),
+        filler.clone(),
+        filler,
+        words(&mut a.iter().copied()),
+        words(&mut b.iter().copied()),
+    ];
+    ProfileCollection::dirty(
+        texts
+            .into_iter()
+            .enumerate()
+            .map(|(i, text)| {
+                Profile::builder(SourceId(0), i.to_string())
+                    .attr("text", text)
+                    .build()
+            })
+            .collect(),
+    )
 }
 
 proptest! {
@@ -219,6 +259,45 @@ proptest! {
             stats.pairs,
             stats.bound_rejected + stats.abandoned + stats.verified
         );
+    }
+
+    #[test]
+    fn hot_prefix_cascade_equals_naive(pair in hot_probe_pair()) {
+        // The cascade on `prepare_all` views — hot prefix counted by
+        // bitset, tail merge-joined — decides every set measure exactly
+        // like the naive scorer on plain `pair` views, with the same score
+        // bits, and with the same filter counters as the plain cascade.
+        let (a, b) = pair;
+        let coll = hot_collection(&a, &b);
+        let prepared = PreparedProfile::prepare_all(&coll);
+        let (hot_a, hot_b) = (&prepared[3], &prepared[4]);
+        prop_assert_eq!(
+            hot_a.token_ids.iter().filter(|&&t| t < 512).count(),
+            a.range(..512).count(),
+            "the hot set is w0..w511"
+        );
+        let (plain_a, plain_b) = PreparedProfile::pair(coll.get(ProfileId(3)), coll.get(ProfileId(4)));
+        let mut scratch = MatchScratch::default();
+        for measure in &SimilarityMeasure::ALL[..4] {
+            for threshold in [0.3, 0.5, 0.8] {
+                let naive = ThresholdMatcher::with_mode(*measure, threshold, ScoringMode::Naive);
+                let cascade = ThresholdMatcher::new(*measure, threshold);
+                let (mut naive_stats, mut hot_stats, mut plain_stats) =
+                    (FilterStats::default(), FilterStats::default(), FilterStats::default());
+                let expected = naive
+                    .decide_prepared(&plain_a, &plain_b, &mut scratch, &mut naive_stats)
+                    .map(f64::to_bits);
+                let hot = cascade
+                    .decide_prepared(hot_a, hot_b, &mut scratch, &mut hot_stats)
+                    .map(f64::to_bits);
+                let plain = cascade
+                    .decide_prepared(&plain_a, &plain_b, &mut scratch, &mut plain_stats)
+                    .map(f64::to_bits);
+                prop_assert_eq!(hot, expected, "{} @ {}", measure.name(), threshold);
+                prop_assert_eq!(plain, expected, "{} @ {}", measure.name(), threshold);
+                prop_assert_eq!(hot_stats, plain_stats, "{} @ {}", measure.name(), threshold);
+            }
+        }
     }
 
     #[test]

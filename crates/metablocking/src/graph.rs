@@ -43,10 +43,11 @@ pub struct NeighborhoodScratch {
 }
 
 impl NeighborhoodScratch {
-    /// Size of the most recent [`BlockGraph::neighborhood_buffered`] output
-    /// — the materialized node's degree — without re-walking its blocks.
-    pub(crate) fn last_neighborhood_len(&self) -> usize {
-        self.out.len()
+    /// Forward degree of `node` (neighbors with a larger id) read off the
+    /// most recent [`BlockGraph::neighborhood_buffered`] output, which
+    /// must have materialized `node` — without re-walking its blocks.
+    pub(crate) fn last_forward_degree(&self, node: ProfileId) -> usize {
+        self.out.len() - self.out.partition_point(|&(j, _)| j <= node)
     }
 }
 
@@ -400,12 +401,46 @@ impl BlockGraph {
         node: ProfileId,
         scratch: &'s mut NeighborhoodScratch,
     ) -> &'s [(ProfileId, EdgeAccumulator)] {
+        self.materialize(node, scratch, false)
+    }
+
+    /// The forward half of [`BlockGraph::neighborhood_buffered`]: only the
+    /// neighbors with an id greater than `node`, i.e. each edge from its
+    /// lower endpoint — all a pass that counts every edge once needs.
+    ///
+    /// Block members are sorted (per side), so the forward co-members of a
+    /// block are the suffix past `node`, found by `partition_point`; the
+    /// backward half is never touched. Every forward neighbor receives its
+    /// contributions from the same blocks in the same ascending block
+    /// order as in the full walk, so the output is bit-identical to the
+    /// `j > node` suffix of `neighborhood_buffered` (pinned by proptest).
+    pub fn forward_neighborhood<'s>(
+        &self,
+        node: ProfileId,
+        scratch: &'s mut NeighborhoodScratch,
+    ) -> &'s [(ProfileId, EdgeAccumulator)] {
+        self.materialize(node, scratch, true)
+    }
+
+    /// Shared body of the two neighborhood walks: accumulate the
+    /// co-members of `node` (only those with a larger id when `forward`),
+    /// then emit them ascending via the bitmap sweep.
+    fn materialize<'s>(
+        &self,
+        node: ProfileId,
+        scratch: &'s mut NeighborhoodScratch,
+        forward: bool,
+    ) -> &'s [(ProfileId, EdgeAccumulator)] {
         debug_assert_eq!(scratch.acc.len(), self.num_profiles, "foreign scratch");
         for &b in self.blocks_of(node) {
             let bi = b as usize;
             let comparisons = self.block_comparisons[bi].max(1) as f64;
             let entropy = self.entropies.as_ref().map_or(1.0, |e| e[bi]);
-            for &other in self.candidates_of(node, bi) {
+            let mut others = self.candidates_of(node, bi);
+            if forward {
+                others = &others[others.partition_point(|&p| p <= node)..];
+            }
+            for &other in others {
                 if other == node {
                     continue;
                 }
@@ -675,6 +710,62 @@ mod tests {
         assert_eq!(probe(129, &mut scratch), [64, 65, 127]);
         assert_eq!(probe(64, &mut scratch), [129, 200]);
         assert_eq!(probe(128, &mut scratch), [200]);
+        assert_scratch_clean(&scratch);
+    }
+
+    #[test]
+    fn forward_neighbors_cross_word_boundaries_and_leave_scratch_clean() {
+        use sparker_blocking::Block;
+        // Probes sit on either side of the bitmap's word boundaries; each
+        // must see exactly its larger-id co-members, in id order, with the
+        // full walk's accumulators, and leave the scratch as it found it.
+        let dirty = BlockCollection::new(
+            ErKind::Dirty,
+            vec![
+                Block::dirty("a", ids(&[128, 130, 65, 63])),
+                Block::dirty("b", ids(&[0, 127, 130, 64])),
+                Block::dirty("c", ids(&[64, 63, 130, 128, 127])),
+            ],
+        );
+        let clean = BlockCollection::new(
+            ErKind::CleanClean,
+            vec![
+                Block::clean_clean("a", ids(&[63, 128]), ids(&[129, 200])),
+                Block::clean_clean("b", ids(&[0, 64, 127]), ids(&[65, 129])),
+            ],
+        );
+        for blocks in [dirty, clean] {
+            let g = BlockGraph::new(&blocks, None);
+            let mut scratch = g.scratch();
+            for node in [0, 63, 64, 65, 127, 128, 129, 130, 200] {
+                let node = ProfileId(node);
+                let full = g.neighborhood_buffered(node, &mut scratch).to_vec();
+                assert_scratch_clean(&scratch);
+                let forward = g.forward_neighborhood(node, &mut scratch).to_vec();
+                assert_scratch_clean(&scratch);
+                let suffix: Vec<_> = full.into_iter().filter(|&(j, _)| j > node).collect();
+                assert_eq!(forward, suffix, "{:?} node {node}", blocks.kind());
+                assert_eq!(scratch.last_forward_degree(node), forward.len());
+            }
+        }
+        // Node 63 of the dirty blocks: forward co-members in three words.
+        let g = BlockGraph::new(
+            &BlockCollection::new(
+                ErKind::Dirty,
+                vec![
+                    Block::dirty("a", ids(&[0, 63, 128])),
+                    Block::dirty("b", ids(&[63, 64, 127])),
+                ],
+            ),
+            None,
+        );
+        let mut scratch = g.scratch();
+        let got: Vec<u32> = g
+            .forward_neighborhood(ProfileId(63), &mut scratch)
+            .iter()
+            .map(|(p, _)| p.0)
+            .collect();
+        assert_eq!(got, [64, 127, 128]);
         assert_scratch_clean(&scratch);
     }
 

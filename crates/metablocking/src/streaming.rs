@@ -19,19 +19,25 @@
 //! the global rules, the same `resolve_rule` — so concatenating
 //! `prune_range` over a disjoint ascending cover of `0..num_profiles` is
 //! byte-identical to its output (pinned by tests here and in the core
-//! parity matrix). Each
-//! range's emissions are already sorted by pair: nodes ascend, and
-//! [`BlockGraph::neighborhood_buffered`] returns neighbors in ascending
-//! id order, so the forward (`node < j`) emissions of consecutive nodes
-//! concatenate sorted — which is what lets the fused matcher feed its
-//! shards straight into `SimilarityGraph::from_sorted_shards` without a
-//! global re-sort.
+//! parity matrix).
+//!
+//! Only the oracle and the node-centric pass A walk full neighborhoods.
+//! The global rules' pass A and every pass B walk
+//! [`BlockGraph::forward_neighborhood`] — each edge from its lower
+//! endpoint only, half the accumulations — whose accumulators are
+//! bit-identical to the `node < j` suffix of the full walk, so weights,
+//! the WEP/CEP threshold and the retained pairs do not move. Each
+//! range's emissions are already sorted by pair: nodes ascend and forward
+//! neighbors come out in ascending id order, so the emissions of
+//! consecutive nodes concatenate sorted — which is what lets the fused
+//! matcher feed its shards straight into
+//! `SimilarityGraph::from_sorted_shards` without a global re-sort.
 
 use crate::graph::{BlockGraph, NeighborhoodScratch};
 use crate::parallel::{degrees_parallel, morsel_grain};
 use crate::pruning::{
-    cnp_budget, first_forward, node_pass_single, resolve_rule, ForwardWeights, MetaBlockingConfig,
-    NodeStats, RetentionRule,
+    cnp_budget, node_pass_single, resolve_rule, ForwardWeights, MetaBlockingConfig, NodeStats,
+    RetentionRule,
 };
 use crate::scorer::ScoringContext;
 use sparker_dataflow::{Broadcast, Context, WorkerLocal};
@@ -49,7 +55,9 @@ pub struct StreamingMetaBlocking {
     /// (WEP/CEP), whose [`RetentionRule::keeps`] ignores them.
     node_stats: Vec<NodeStats>,
     rule: RetentionRule,
-    /// Node degrees observed during pass A, for degree-cost morsel cuts.
+    /// Forward degree of every node (neighbors with a larger id), observed
+    /// during pass A: exactly the edges pass B weighs for that node, so
+    /// the cost hint of the degree-cost morsel cuts.
     degrees: Vec<u32>,
 }
 
@@ -58,10 +66,11 @@ impl StreamingMetaBlocking {
     /// on the context's worker pool and resolve the retention rule.
     ///
     /// The global rules (WEP/CEP) never read `NodeStats`, so their pass
-    /// A is specialized: it computes only the forward (`node < j`) edge
-    /// weights — recorded per node like the sequential pass records them,
-    /// preserving f64 summation order — and skips the mean/max/k-th
-    /// folding entirely, roughly halving pass-A weight computes.
+    /// A is specialized: it walks only the forward neighborhood and
+    /// weighs only the forward (`node < j`) edges — recorded per node like
+    /// the sequential pass records them, preserving f64 summation order —
+    /// and skips the mean/max/k-th folding entirely, halving pass-A
+    /// accumulations and weight computes.
     pub fn prepare(ctx: &Context, graph: &Arc<BlockGraph>, config: &MetaBlockingConfig) -> Self {
         let num_nodes = graph.num_profiles();
         let cnp_k = cnp_budget(config.pruning, graph);
@@ -120,11 +129,10 @@ impl StreamingMetaBlocking {
                             if needs_global {
                                 // Global rule: forward weights only.
                                 let blocks_node = b_graph.blocks_of(node).len();
-                                let neighborhood = b_graph.neighborhood_buffered(node, scratch);
+                                let neighborhood = b_graph.forward_neighborhood(node, scratch);
                                 degs.push(neighborhood.len() as u32);
                                 weights.clear();
-                                let from = first_forward(node, neighborhood);
-                                weights.extend(neighborhood[from..].iter().map(|(j, acc)| {
+                                weights.extend(neighborhood.iter().map(|(j, acc)| {
                                     let blocks_j = b_graph.blocks_of(*j).len();
                                     b_scoring.weigh(node, *j, acc, blocks_node, blocks_j)
                                 }));
@@ -139,7 +147,7 @@ impl StreamingMetaBlocking {
                                     scratch,
                                     weights,
                                 ));
-                                degs.push(scratch.last_neighborhood_len() as u32);
+                                degs.push(scratch.last_forward_degree(node) as u32);
                             }
                         }
                         vec![(stats_out, forward, degs)]
@@ -172,10 +180,11 @@ impl StreamingMetaBlocking {
         self.graph.num_profiles()
     }
 
-    /// Total forward edges observed in pass A (Σ degree / 2) — an upper
-    /// bound on emitted pairs, used to size fused channel payloads.
+    /// Total edges of the blocking graph (Σ forward degree, each edge
+    /// counted once) — an upper bound on emitted pairs, used to size fused
+    /// channel payloads.
     pub fn total_edges(&self) -> u64 {
-        self.degrees.iter().map(|&d| u64::from(d)).sum::<u64>() / 2
+        self.degrees.iter().map(|&d| u64::from(d)).sum()
     }
 
     /// A reusable neighborhood buffer for [`StreamingMetaBlocking::prune_range`].
@@ -183,8 +192,9 @@ impl StreamingMetaBlocking {
         self.graph.scratch()
     }
 
-    /// Cut `0..num_nodes` into contiguous ranges of roughly equal *degree*
-    /// cost (degree + 1 per node, so isolated nodes still advance), about
+    /// Cut `0..num_nodes` into contiguous ranges of roughly equal pass-B
+    /// cost (forward degree + 1 per node, so nodes without forward edges
+    /// still advance), about
     /// `target_tasks` of them. Boundaries are schedule-only: concatenating
     /// [`StreamingMetaBlocking::prune_range`] over any disjoint ascending
     /// cover yields the same pairs.
@@ -212,10 +222,11 @@ impl StreamingMetaBlocking {
         cuts
     }
 
-    /// Emit the retained pairs of a contiguous node range: re-materialize
-    /// each node's neighborhood, weight its forward (`node < j`) edges and
-    /// apply the resolved retention rule — pass B, scoped to
-    /// `range`. Output is sorted by pair (see the module docs); disjoint
+    /// Emit the retained pairs of a contiguous node range: materialize
+    /// each node's forward (`node < j`) neighborhood, weight its edges and
+    /// apply the resolved retention rule — pass B, scoped to `range`. Node
+    /// statistics were resolved in pass A, so no rule needs the backward
+    /// half. Output is sorted by pair (see the module docs); disjoint
     /// ranges are independent, so fused producers call this concurrently.
     pub fn prune_range(
         &self,
@@ -227,10 +238,7 @@ impl StreamingMetaBlocking {
         for i in range {
             let node = ProfileId(i);
             let blocks_node = self.graph.blocks_of(node).len();
-            for &(j, ref acc) in self.graph.neighborhood_buffered(node, scratch) {
-                if node >= j {
-                    continue;
-                }
+            for &(j, ref acc) in self.graph.forward_neighborhood(node, scratch) {
                 let w =
                     self.scoring
                         .weigh(node, j, acc, blocks_node, self.graph.blocks_of(j).len());
@@ -488,6 +496,30 @@ mod tests {
             }
         }
         assert!(last.is_some(), "expected at least one retained pair");
+    }
+
+    #[test]
+    fn pass_a_records_forward_degrees_for_every_rule() {
+        // Pass A's cost hints are the forward degrees whichever pass A ran
+        // (forward walk for WEP/CEP, full walk for the node-centric rules),
+        // so `total_edges` is the graph's exact edge count.
+        let coll = skewed_collection(90);
+        let graph = Arc::new(BlockGraph::new(&token_blocking(&coll), None));
+        let (_, edges) = graph.degrees();
+        let mut scratch = graph.scratch();
+        let forward: Vec<u32> = (0..graph.num_profiles() as u32)
+            .map(|i| graph.forward_neighborhood(ProfileId(i), &mut scratch).len() as u32)
+            .collect();
+        let ctx = Context::new(2);
+        for pruning in ALL_PRUNINGS {
+            let config = MetaBlockingConfig {
+                pruning,
+                ..MetaBlockingConfig::default()
+            };
+            let stream = StreamingMetaBlocking::prepare(&ctx, &graph, &config);
+            assert_eq!(stream.degrees, forward, "{}", pruning.name());
+            assert_eq!(stream.total_edges(), edges, "{}", pruning.name());
+        }
     }
 
     #[test]

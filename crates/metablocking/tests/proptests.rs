@@ -205,7 +205,7 @@ proptest! {
         // The bitmap sweep must return exactly what an ordered map gives:
         // the same neighbors ascending, the same accumulators bit for bit
         // (both add blocks in ascending block order) — with one scratch
-        // reused across all nodes.
+        // reused across all nodes and both walks.
         let (blocks, entropies) = input;
         let kind = blocks.kind();
         let graph = BlockGraph::new(&blocks, Some(&entropies));
@@ -231,6 +231,10 @@ proptest! {
             }
             let expected: Vec<_> = reference.into_iter().collect();
             prop_assert_eq!(graph.neighborhood_buffered(node, &mut scratch), &expected[..]);
+            // The forward walk is the `j > node` suffix of the same
+            // reference, accumulators bit for bit, from the same scratch.
+            let from = expected.partition_point(|(j, _)| *j <= node);
+            prop_assert_eq!(graph.forward_neighborhood(node, &mut scratch), &expected[from..]);
         }
     }
 

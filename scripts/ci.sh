@@ -84,19 +84,22 @@ rm -f "${export_tsv}"
 
 # Fused-execution smoke: on the 10k scaling preset the fused backend
 # (prune->score overlapped through the bounded morsel channel) must report
-# result counts identical to the sequential reference run.
+# result counts and matcher cascade counters identical to the sequential
+# reference run (the `matcher:` line minus its timing).
 echo "==> sparker --preset dirty_10k: sequential vs fused"
-seq_counts="$(cargo run -q --release --bin sparker -- --preset dirty_10k --backend sequential \
-  | grep '^result counts:')"
+seq_out="$(cargo run -q --release --bin sparker -- --preset dirty_10k --backend sequential)"
 fused_out="$(cargo run -q --release --bin sparker -- --preset dirty_10k --backend fused --workers 4)"
-fused_counts="$(printf '%s\n' "${fused_out}" | grep '^result counts:')"
-echo "    sequential: ${seq_counts#result counts: }"
-echo "    fused:      ${fused_counts#result counts: }"
+for line in '^result counts:' '^matcher:'; do
+  seq_line="$(printf '%s\n' "${seq_out}" | grep "${line}" | sed 's/ ([^)]*)//')"
+  fused_line="$(printf '%s\n' "${fused_out}" | grep "${line}" | sed 's/ ([^)]*)//')"
+  echo "    sequential: ${seq_line}"
+  echo "    fused:      ${fused_line}"
+  if [ -z "${seq_line}" ] || [ "${seq_line}" != "${fused_line}" ]; then
+    echo "fused run diverged from sequential: '${fused_line}' != '${seq_line}'" >&2
+    exit 1
+  fi
+done
 printf '%s\n' "${fused_out}" | grep '^fused:' | sed 's/^/    /'
-if [ "${seq_counts}" != "${fused_counts}" ]; then
-  echo "fused run diverged from sequential: '${fused_counts}' != '${seq_counts}'" >&2
-  exit 1
-fi
 
 # Out-of-core smoke: the dirty_100k scaling preset under a hard 8 MiB
 # budget must actually spill and still report result counts identical to

@@ -338,20 +338,13 @@ fn run() -> Result<(), String> {
         );
     }
     print!("{}", result.report.render_table());
-    if let Some(ctx) = backend.context().filter(|_| backend.name() == "fused") {
-        let snap = ctx.metrics();
-        if let Some(s) = snap
-            .stages
-            .iter()
-            .rev()
-            .find(|s| s.name == "fused_prune_score")
-        {
-            let overlap = s.busy_time.as_secs_f64() / s.wall_time.as_secs_f64().max(1e-9);
-            println!(
-                "fused: {} morsels, busy {:.1?} over wall {:.1?} (overlap {overlap:.2}x), queue wait {:.1?}",
-                s.tasks, s.busy_time, s.wall_time, s.queue_wait,
-            );
-        }
+    if let Some(f) = &result.report.fused {
+        let overlap = f.busy_time().as_secs_f64() / f.wall.as_secs_f64().max(1e-9);
+        println!(
+            "fused: {} morsels, produce busy {:.1?} + consume busy {:.1?} over wall {:.1?} \
+             (overlap {overlap:.2}x), queue wait {:.1?}, backpressure {}",
+            f.morsels, f.produce_busy, f.consume_busy, f.wall, f.queue_wait, f.backpressure_yields,
+        );
     }
     println!(
         "blocker: {} blocks -> {} cleaned ({:.1?})",
@@ -362,10 +355,16 @@ fn run() -> Result<(), String> {
         result.blocker.candidates.len(),
         result.timings.candidates,
     );
+    let m = &result.report.matcher;
     println!(
-        "matcher: {} matching pairs ({:.1?})",
+        "matcher: {} matching pairs ({:.1?}); pairs={} bound_rejected={} abandoned={} verified={} kept={}",
         result.similarity.len(),
         result.timings.matching,
+        m.pairs,
+        m.bound_rejected,
+        m.abandoned,
+        m.verified,
+        m.kept,
     );
     println!(
         "clusterer: {} entities, {} with >1 profile ({:.1?})",
