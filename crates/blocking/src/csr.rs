@@ -15,86 +15,8 @@
 
 use crate::block::Block;
 use crate::collection::BlockCollection;
-use sparker_profiles::{ErKind, ProfileId, TokenDict, TokenId};
-
-/// Per-profile key-id lists in CSR form: the keys of profile `p` are
-/// `ids[offsets[p]..offsets[p + 1]]`, each list sorted and deduplicated.
-/// The intermediate between tokenization and block construction.
-#[derive(Debug, Clone)]
-pub struct ProfileKeys {
-    ids: Vec<u32>,
-    offsets: Vec<u32>,
-}
-
-impl ProfileKeys {
-    /// Collect per-profile key lists. `fill` appends the (unsorted,
-    /// possibly duplicated) key ids of one profile into the buffer; the
-    /// builder sorts and deduplicates each list.
-    pub fn collect<P>(profiles: &[P], mut fill: impl FnMut(&P, &mut Vec<u32>)) -> Self {
-        let mut keys = ProfileKeys::new();
-        let mut buf: Vec<u32> = Vec::new();
-        for p in profiles {
-            fill(p, &mut buf);
-            keys.push_keys(&mut buf);
-        }
-        keys
-    }
-
-    /// An empty key table to grow incrementally with
-    /// [`ProfileKeys::push_keys`] — the streaming entry point used when
-    /// profiles arrive in chunks instead of as one slice.
-    pub fn new() -> Self {
-        ProfileKeys {
-            ids: Vec::new(),
-            offsets: vec![0],
-        }
-    }
-
-    /// Append the next profile's key list. `buf` holds its (unsorted,
-    /// possibly duplicated) key ids; the list is sorted, deduplicated and
-    /// adopted, and `buf` is left cleared for reuse.
-    pub fn push_keys(&mut self, buf: &mut Vec<u32>) {
-        buf.sort_unstable();
-        buf.dedup();
-        self.ids.extend_from_slice(buf);
-        self.offsets.push(self.ids.len() as u32);
-        buf.clear();
-    }
-
-    /// Number of profiles.
-    pub fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// `true` when no profiles were collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Key ids of profile `p`, deduplicated (sorted unless the lists were
-    /// [`ProfileKeys::remap`]ped afterwards).
-    pub fn keys_of(&self, p: usize) -> &[u32] {
-        &self.ids[self.offsets[p] as usize..self.offsets[p + 1] as usize]
-    }
-
-    /// Remap every key id through `perm` (`id ← perm[id]`) — how the
-    /// provisional insertion-order ids a `DictBuilder` hands out during the
-    /// single tokenization pass become final lexicographic `TokenId`s.
-    /// `perm` must be a bijection over the id space, so per-list dedup is
-    /// preserved; per-list *order* is not, which the counting-sort
-    /// construction in [`CompactBlocks::from_profile_keys`] never relies on.
-    pub fn remap(&mut self, perm: &[u32]) {
-        for id in &mut self.ids {
-            *id = perm[*id as usize];
-        }
-    }
-}
-
-impl Default for ProfileKeys {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+use sparker_dataflow::MemBudget;
+use sparker_profiles::{ErKind, ProfileId, ProfileKeys, TokenDict, TokenId};
 
 /// A block collection packed in CSR form: `members` holds every block's
 /// profiles back to back, `offsets[b]..offsets[b + 1]` delimits block `b`,
@@ -129,73 +51,7 @@ impl CompactBlocks {
         num_keys: usize,
         profile_keys: &ProfileKeys,
     ) -> Self {
-        // Pass 1: bucket sizes (total and source-0 prefix).
-        let mut counts = vec![0u32; num_keys];
-        let mut counts0 = vec![0u32; num_keys];
-        let n = profile_keys.len();
-        for p in 0..n {
-            let in_source0 = (p as u32) < separator;
-            for &k in profile_keys.keys_of(p) {
-                counts[k as usize] += 1;
-                counts0[k as usize] += u32::from(in_source0);
-            }
-        }
-        let mut all_offsets = Vec::with_capacity(num_keys + 1);
-        all_offsets.push(0u32);
-        for &c in &counts {
-            all_offsets.push(all_offsets.last().unwrap() + c);
-        }
-
-        // Pass 2: scatter profile ids; ascending p keeps buckets sorted.
-        let total = *all_offsets.last().unwrap() as usize;
-        let mut all_members = vec![ProfileId(0); total];
-        let mut cursor: Vec<u32> = all_offsets[..num_keys].to_vec();
-        for p in 0..n {
-            let pid = ProfileId(p as u32);
-            for &k in profile_keys.keys_of(p) {
-                all_members[cursor[k as usize] as usize] = pid;
-                cursor[k as usize] += 1;
-            }
-        }
-
-        // Compact: keep only blocks that induce a comparison, in key order.
-        let mut keys = Vec::new();
-        let mut offsets = vec![0u32];
-        let mut splits = Vec::new();
-        let mut members = Vec::new();
-        let mut num_profiles = 0usize;
-        for k in 0..num_keys {
-            let (lo, hi) = (all_offsets[k] as usize, all_offsets[k + 1] as usize);
-            let size = hi - lo;
-            let s0 = counts0[k] as usize;
-            let useful = match kind {
-                ErKind::Dirty => size >= 2,
-                ErKind::CleanClean => s0 > 0 && s0 < size,
-            };
-            if !useful {
-                continue;
-            }
-            keys.push(TokenId(k as u32));
-            members.extend_from_slice(&all_members[lo..hi]);
-            offsets.push(members.len() as u32);
-            // Dirty blocks keep everything on the source-0 side, mirroring
-            // `Block::dirty`.
-            splits.push(match kind {
-                ErKind::Dirty => size as u32,
-                ErKind::CleanClean => s0 as u32,
-            });
-            if let Some(m) = all_members[lo..hi].iter().map(|p| p.index()).max() {
-                num_profiles = num_profiles.max(m + 1);
-            }
-        }
-        CompactBlocks {
-            kind,
-            keys,
-            offsets,
-            splits,
-            members,
-            num_profiles,
-        }
+        Self::build(kind, separator, num_keys, profile_keys, num_keys, None)
     }
 
     /// [`CompactBlocks::from_profile_keys`] with the counting sort run over
@@ -217,6 +73,36 @@ impl CompactBlocks {
         profile_keys: &ProfileKeys,
         chunk_keys: usize,
     ) -> Self {
+        Self::build(kind, separator, num_keys, profile_keys, chunk_keys, None)
+    }
+
+    /// Budget-driven build: one key range when `budget` is unlimited,
+    /// budget-sized ranges otherwise. The per-key scatter temporaries cost
+    /// roughly 12 bytes plus the range's share of the member scatter; 32
+    /// bytes per key is a conservative sizing estimate. Each range's
+    /// temporaries are reserved against the budget while they live, so the
+    /// stage's buffered-bytes high-water mark shows them.
+    pub fn from_profile_keys_budgeted(
+        kind: ErKind,
+        separator: u32,
+        num_keys: usize,
+        profile_keys: &ProfileKeys,
+        budget: &MemBudget,
+    ) -> Self {
+        let chunk = budget.chunk_len(num_keys, 32);
+        Self::build(kind, separator, num_keys, profile_keys, chunk, Some(budget))
+    }
+
+    /// The one counting-sort build, over ascending key ranges of
+    /// `chunk_keys` keys (see [`CompactBlocks::from_profile_keys_chunked`]).
+    fn build(
+        kind: ErKind,
+        separator: u32,
+        num_keys: usize,
+        profile_keys: &ProfileKeys,
+        chunk_keys: usize,
+        budget: Option<&MemBudget>,
+    ) -> Self {
         let chunk_keys = chunk_keys.max(1);
         let n = profile_keys.len();
         let mut keys = Vec::new();
@@ -228,7 +114,8 @@ impl CompactBlocks {
         while k0 < num_keys {
             let k1 = (k0 + chunk_keys).min(num_keys);
             let width = k1 - k0;
-            // Pass 1 over this key range: bucket sizes.
+            // Pass 1 over this key range: bucket sizes (total and source-0
+            // prefix).
             let mut counts = vec![0u32; width];
             let mut counts0 = vec![0u32; width];
             for p in 0..n {
@@ -246,8 +133,11 @@ impl CompactBlocks {
             for &c in &counts {
                 range_offsets.push(range_offsets.last().unwrap() + c);
             }
-            // Pass 2: scatter this range's profile ids.
+            // Pass 2: scatter this range's profile ids; ascending p keeps
+            // buckets sorted.
             let total = *range_offsets.last().unwrap() as usize;
+            let scratch_bytes = (16 * width + 4 * total) as u64;
+            let reserved = budget.filter(|b| b.try_reserve(scratch_bytes));
             let mut range_members = vec![ProfileId(0); total];
             let mut cursor: Vec<u32> = range_offsets[..width].to_vec();
             for p in 0..n {
@@ -260,7 +150,8 @@ impl CompactBlocks {
                     }
                 }
             }
-            // Compact this range, appending in ascending key order.
+            // Compact: keep only blocks that induce a comparison, appending
+            // in ascending key order.
             for k in 0..width {
                 let (lo, hi) = (range_offsets[k] as usize, range_offsets[k + 1] as usize);
                 let size = hi - lo;
@@ -275,6 +166,8 @@ impl CompactBlocks {
                 keys.push(TokenId((k0 + k) as u32));
                 members.extend_from_slice(&range_members[lo..hi]);
                 offsets.push(members.len() as u32);
+                // Dirty blocks keep everything on the source-0 side,
+                // mirroring `Block::dirty`.
                 splits.push(match kind {
                     ErKind::Dirty => size as u32,
                     ErKind::CleanClean => s0 as u32,
@@ -282,6 +175,9 @@ impl CompactBlocks {
                 if let Some(m) = range_members[lo..hi].iter().map(|p| p.index()).max() {
                     num_profiles = num_profiles.max(m + 1);
                 }
+            }
+            if let Some(b) = reserved {
+                b.release(scratch_bytes);
             }
             k0 = k1;
         }
@@ -293,24 +189,6 @@ impl CompactBlocks {
             members,
             num_profiles,
         }
-    }
-
-    /// Budget-driven build: monolithic when `budget` is unlimited, chunked
-    /// with a budget-derived key-range size otherwise. The per-key scatter
-    /// temporaries cost roughly 12 bytes plus the range's share of the
-    /// member scatter; 32 bytes per key is a conservative sizing estimate.
-    pub fn from_profile_keys_budgeted(
-        kind: ErKind,
-        separator: u32,
-        num_keys: usize,
-        profile_keys: &ProfileKeys,
-        budget: &sparker_dataflow::MemBudget,
-    ) -> Self {
-        if !budget.is_limited() {
-            return Self::from_profile_keys(kind, separator, num_keys, profile_keys);
-        }
-        let chunk = budget.chunk_len(num_keys, 32);
-        Self::from_profile_keys_chunked(kind, separator, num_keys, profile_keys, chunk)
     }
 
     /// Task kind the blocks were built for.
@@ -495,7 +373,6 @@ mod tests {
 
     #[test]
     fn budgeted_build_matches_monolithic() {
-        use sparker_dataflow::MemBudget;
         let pk = sample_keys();
         let mono = CompactBlocks::from_profile_keys(ErKind::Dirty, 3, 4, &pk);
         for budget in [MemBudget::unlimited(), MemBudget::limited(1)] {

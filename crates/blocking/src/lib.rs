@@ -8,7 +8,9 @@
 //!   blocking key (Figure 1(b) of the paper). Runs on the interned fast
 //!   path: tokens are mapped to dense `TokenId`s once and blocks are built
 //!   by counting sort into a CSR-packed [`CompactBlocks`]
-//!   ([`token_blocking_interned`] exposes that form directly;
+//!   ([`token_blocking_pass`] is that path with the tokenization split over
+//!   an engine context's workers, returning the per-profile token ids too;
+//!   [`token_blocking_interned`] builds from an existing dictionary;
 //!   [`token_blocking_string`] is the original map-based reference).
 //! * [`keyed_blocking`] — the generalization used by Blast's loose-schema
 //!   blocking, where the caller derives the keys (token ⧺ attribute-partition
@@ -44,14 +46,15 @@ mod tokenblocking;
 
 pub use block::{Block, BlockId};
 pub use collection::{BlockCollection, ProfileBlocksIndex};
-pub use csr::{CompactBlocks, ProfileKeys};
+pub use csr::CompactBlocks;
 pub use filtering::block_filtering;
 pub use methods::{
     canopy_blocking, ngram_blocking, rarest_token_key, sorted_neighborhood, sorted_neighborhood_by,
 };
 pub use purging::{purge_by_comparison_level, purge_oversized};
+pub use sparker_profiles::ProfileKeys;
 pub use tokenblocking::{
     keyed_blocking, keyed_blocking_string, token_blocking, token_blocking_interned,
-    token_blocking_streaming, token_blocking_string, token_blocking_with_dict,
-    token_blocking_with_dict_budgeted,
+    token_blocking_pass, token_blocking_streaming, token_blocking_string, token_blocking_with_dict,
+    token_blocking_with_dict_budgeted, TokenBlocks,
 };

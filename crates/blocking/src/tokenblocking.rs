@@ -11,10 +11,11 @@
 
 use crate::block::Block;
 use crate::collection::BlockCollection;
-use crate::csr::{CompactBlocks, ProfileKeys};
-use sparker_dataflow::MemBudget;
+use crate::csr::CompactBlocks;
+use sparker_dataflow::{Context, MemBudget};
 use sparker_profiles::{
-    each_token, DictBuilder, ErKind, Profile, ProfileCollection, ProfileId, TokenDict,
+    each_token, intern_profiles, DictBuilder, ErKind, Profile, ProfileCollection, ProfileId,
+    ProfileKeys, TokenDict,
 };
 use std::collections::HashMap;
 
@@ -33,60 +34,60 @@ pub fn token_blocking(collection: &ProfileCollection) -> BlockCollection {
     compact.materialize(&dict)
 }
 
-/// Single-pass interned Token Blocking: tokenizes the collection exactly
-/// once, interning tokens to provisional ids *while* collecting each
-/// profile's key list (one hash probe per occurrence), then remaps the
-/// recorded ids to final lexicographic [`sparker_profiles::TokenId`]s through the
-/// permutation [`DictBuilder::finish`] returns and counting-sorts them
-/// into the CSR [`CompactBlocks`]. No second tokenization pass, no
-/// per-occurrence binary search, no strings hashed twice.
-///
-/// Returns the dictionary alongside the blocks so downstream stages
-/// (meta-blocking, TF-IDF, materialization) share the same id space.
-pub fn token_blocking_with_dict(collection: &ProfileCollection) -> (TokenDict, CompactBlocks) {
-    let mut builder = DictBuilder::new();
-    let mut scratch = String::new();
-    let mut keys = ProfileKeys::collect(collection.profiles(), |p, buf| {
-        for a in &p.attributes {
-            each_token(&a.value, &mut scratch, |t| buf.push(builder.intern(t)));
-        }
-    });
-    let (dict, perm) = builder.finish();
-    keys.remap(&perm);
-    let compact = CompactBlocks::from_profile_keys(
-        collection.kind(),
-        collection.separator(),
-        dict.len(),
-        &keys,
-    );
-    (dict, compact)
+/// What one token pass over a collection leaves behind: the dictionary,
+/// every profile's sorted token ids and the CSR blocks built from them.
+#[derive(Debug, Clone)]
+pub struct TokenBlocks {
+    /// The collection's tokens, interned in lexicographic order.
+    pub dict: TokenDict,
+    /// Each profile's sorted, deduplicated token ids — the matcher builds
+    /// its prepared views from these instead of re-tokenizing.
+    pub keys: ProfileKeys,
+    /// The token blocks, keyed by id.
+    pub blocks: CompactBlocks,
 }
 
-/// [`token_blocking_with_dict`] under a memory budget: the same
-/// single-pass interning, but the CSR counting sort runs over bounded
-/// [`sparker_profiles::TokenId`] chunks
-/// ([`CompactBlocks::from_profile_keys_budgeted`]). Bit-identical output.
-pub fn token_blocking_with_dict_budgeted(
+/// Interned Token Blocking in one tokenization pass: every profile is
+/// tokenized and interned exactly once ([`intern_profiles`] — one
+/// contiguous profile range per worker when a context is given, on the
+/// calling thread otherwise), then the per-profile id lists are
+/// counting-sorted into the CSR [`CompactBlocks`] under `budget`
+/// ([`CompactBlocks::from_profile_keys_budgeted`]). No shuffle, no
+/// per-occurrence binary search, no strings hashed twice, and the output
+/// is identical for any worker count and budget.
+pub fn token_blocking_pass(
+    ctx: Option<&Context>,
     collection: &ProfileCollection,
     budget: &MemBudget,
-) -> (TokenDict, CompactBlocks) {
-    let mut builder = DictBuilder::new();
-    let mut scratch = String::new();
-    let mut keys = ProfileKeys::collect(collection.profiles(), |p, buf| {
-        for a in &p.attributes {
-            each_token(&a.value, &mut scratch, |t| buf.push(builder.intern(t)));
-        }
-    });
-    let (dict, perm) = builder.finish();
-    keys.remap(&perm);
-    let compact = CompactBlocks::from_profile_keys_budgeted(
+) -> TokenBlocks {
+    let (dict, keys) = intern_profiles(ctx, collection.profiles());
+    let blocks = CompactBlocks::from_profile_keys_budgeted(
         collection.kind(),
         collection.separator(),
         dict.len(),
         &keys,
         budget,
     );
-    (dict, compact)
+    TokenBlocks { dict, keys, blocks }
+}
+
+/// Single-pass interned Token Blocking on the calling thread — the
+/// one-range case of [`token_blocking_pass`]. Returns the dictionary
+/// alongside the blocks so downstream stages (meta-blocking, TF-IDF,
+/// materialization) share the same id space.
+pub fn token_blocking_with_dict(collection: &ProfileCollection) -> (TokenDict, CompactBlocks) {
+    token_blocking_with_dict_budgeted(collection, &MemBudget::unlimited())
+}
+
+/// [`token_blocking_with_dict`] under a memory budget: the CSR counting
+/// sort runs over bounded [`sparker_profiles::TokenId`] chunks
+/// ([`CompactBlocks::from_profile_keys_budgeted`]). Bit-identical output.
+pub fn token_blocking_with_dict_budgeted(
+    collection: &ProfileCollection,
+    budget: &MemBudget,
+) -> (TokenDict, CompactBlocks) {
+    let TokenBlocks { dict, blocks, .. } = token_blocking_pass(None, collection, budget);
+    (dict, blocks)
 }
 
 /// Streaming Token Blocking: profiles arrive as owned chunks (in ascending

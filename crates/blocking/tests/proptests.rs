@@ -1,14 +1,16 @@
 //! Property-based tests of blocking invariants: purging and filtering only
 //! remove comparisons, candidate pairs are always comparable, dataflow
-//! equals sequential, interned blocking equals the string-keyed reference.
+//! equals sequential, interned blocking equals the string-keyed reference,
+//! and the parallel token pass does not depend on the worker count.
 
 use proptest::prelude::*;
 use sparker_blocking::{
     block_filtering, purge_by_comparison_level, purge_oversized, token_blocking,
-    token_blocking_string,
+    token_blocking_pass, token_blocking_string, token_blocking_with_dict,
 };
-use sparker_dataflow::Context;
-use sparker_profiles::{Profile, ProfileCollection, SourceId};
+use sparker_dataflow::{Context, MemBudget};
+use sparker_profiles::{Profile, ProfileCollection, SourceId, TokenDict};
+use std::sync::OnceLock;
 
 /// Random small collections: values drawn from a small token vocabulary so
 /// blocks actually form.
@@ -79,6 +81,48 @@ fn noisy_collection_strategy(dirty: bool) -> impl Strategy<Value = ProfileCollec
             )
         }
     })
+}
+
+/// Collections for the token pass: noisy words, empty profiles, and as few
+/// as zero profiles, so the pass sees more workers than profiles.
+fn token_pass_strategy() -> impl Strategy<Value = ProfileCollection> {
+    const VOCAB: [&str; 10] = [
+        "tok0", "Tok1", "café", "Modène", "42", "x9y", "été", "tok0tok0", "ß1", "zeta",
+    ];
+    let profile = prop::collection::vec(0usize..VOCAB.len(), 0..5).prop_map(|words| {
+        words
+            .iter()
+            .map(|&w| VOCAB[w])
+            .collect::<Vec<_>>()
+            .join(" ")
+    });
+    (prop::collection::vec(profile, 0..12), any::<bool>()).prop_map(|(values, dirty)| {
+        let build = |src: u8, vals: &[String], off: usize| {
+            vals.iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    Profile::builder(SourceId(src), format!("r{}", off + i))
+                        .attr("text", v.clone())
+                        .build()
+                })
+                .collect::<Vec<_>>()
+        };
+        let mid = values.len() / 2;
+        if dirty {
+            ProfileCollection::dirty(build(0, &values, 0))
+        } else {
+            ProfileCollection::clean_clean(
+                build(0, &values[..mid], 0),
+                build(1, &values[mid..], mid),
+            )
+        }
+    })
+}
+
+/// Engine contexts at the worker counts the token pass is pinned at.
+fn contexts() -> &'static [Context] {
+    static CONTEXTS: OnceLock<Vec<Context>> = OnceLock::new();
+    CONTEXTS.get_or_init(|| [1, 2, 3, 8].into_iter().map(Context::new).collect())
 }
 
 proptest! {
@@ -187,5 +231,50 @@ proptest! {
             prop_assert_eq!(b.pairs(kind).len() as u64, b.comparisons(kind));
         }
         prop_assert!(blocks.candidate_pairs().len() as u64 <= blocks.total_comparisons());
+    }
+
+    #[test]
+    fn token_pass_is_worker_count_invariant(coll in token_pass_strategy()) {
+        // The one-range pass is the reference: the dictionary and CSR blocks
+        // of every worker count must equal it, the blocks must materialize
+        // to the string-keyed oracle's, and each profile's ids must be its
+        // token set, sorted.
+        let (dict, compact) = token_blocking_with_dict(&coll);
+        prop_assert_eq!(&dict, &TokenDict::build(&coll));
+        let oracle = token_blocking_string(&coll);
+        for ctx in contexts() {
+            for budget in [MemBudget::unlimited(), MemBudget::limited(1)] {
+                let pass = token_blocking_pass(Some(ctx), &coll, &budget);
+                prop_assert_eq!(&pass.dict, &dict, "{} workers", ctx.workers());
+                prop_assert_eq!(&pass.blocks, &compact, "{} workers", ctx.workers());
+                let materialized = pass.blocks.materialize(&pass.dict);
+                prop_assert_eq!(materialized.blocks(), oracle.blocks());
+                prop_assert_eq!(pass.keys.len(), coll.len());
+                for p in coll.profiles() {
+                    let ids = pass.keys.keys_of(p.id.index());
+                    prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+                    let tokens: Vec<&str> = ids
+                        .iter()
+                        .map(|&t| pass.dict.resolve(sparker_profiles::TokenId(t)))
+                        .collect();
+                    let expected: Vec<String> = p.token_set().into_iter().collect();
+                    prop_assert_eq!(tokens, expected.iter().map(String::as_str).collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn token_pass_with_more_workers_than_profiles() {
+    let empty = ProfileCollection::dirty(vec![]);
+    let one = ProfileCollection::dirty(vec![Profile::builder(SourceId(0), "a")
+        .attr("n", "alpha beta")
+        .build()]);
+    for coll in [empty, one] {
+        let (dict, compact) = token_blocking_with_dict(&coll);
+        let pass = token_blocking_pass(Some(&contexts()[3]), &coll, &MemBudget::unlimited());
+        assert_eq!((pass.dict, pass.blocks), (dict, compact));
+        assert_eq!(pass.keys.len(), coll.len());
     }
 }

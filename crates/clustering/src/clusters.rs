@@ -44,16 +44,45 @@ impl EntityClusters {
         self.labels[a.index()] == self.labels[b.index()]
     }
 
+    /// Every profile in one array, grouped by cluster: clusters in
+    /// ascending id order, members ascending within each — the order of
+    /// [`EntityClusters::clusters`] without a vector per cluster, built by
+    /// one counting pass. Cluster `c` is `members[offsets[c]..offsets[c +
+    /// 1]]`, and its id is its first member (ids are minimum members).
+    pub fn grouped(&self) -> (Vec<u32>, Vec<ProfileId>) {
+        let mut sizes = vec![0u32; self.labels.len()];
+        for &l in &self.labels {
+            sizes[l as usize] += 1;
+        }
+        let mut offsets = vec![0u32];
+        let mut start = vec![0u32; self.labels.len()];
+        let mut at = 0u32;
+        for (l, &size) in sizes.iter().enumerate() {
+            if size > 0 {
+                start[l] = at;
+                at += size;
+                offsets.push(at);
+            }
+        }
+        let mut members = vec![ProfileId(0); self.labels.len()];
+        for (i, &l) in self.labels.iter().enumerate() {
+            members[start[l as usize] as usize] = ProfileId(i as u32);
+            start[l as usize] += 1;
+        }
+        (offsets, members)
+    }
+
     /// Materialize the clusters: cluster id → sorted member list, sorted by
     /// cluster id. Includes singletons.
     pub fn clusters(&self) -> Vec<(u32, Vec<ProfileId>)> {
-        let mut map: HashMap<u32, Vec<ProfileId>> = HashMap::new();
-        for (i, &l) in self.labels.iter().enumerate() {
-            map.entry(l).or_default().push(ProfileId(i as u32));
-        }
-        let mut out: Vec<(u32, Vec<ProfileId>)> = map.into_iter().collect();
-        out.sort_by_key(|(l, _)| *l);
-        out
+        let (offsets, members) = self.grouped();
+        offsets
+            .windows(2)
+            .map(|w| {
+                let group = &members[w[0] as usize..w[1] as usize];
+                (group[0].0, group.to_vec())
+            })
+            .collect()
     }
 
     /// Clusters with ≥ 2 members (the discovered duplicates).
@@ -64,13 +93,14 @@ impl EntityClusters {
             .collect()
     }
 
-    /// Number of clusters (including singletons).
+    /// Number of clusters (including singletons): the profiles that are
+    /// their own cluster's id.
     pub fn num_clusters(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        self.labels.iter().for_each(|l| {
-            seen.insert(*l);
-        });
-        seen.len()
+        self.labels
+            .iter()
+            .enumerate()
+            .filter(|&(i, &l)| l as usize == i)
+            .count()
     }
 
     /// All intra-cluster pairs — the matches this clustering *asserts*.
@@ -112,6 +142,29 @@ mod tests {
         assert_eq!(clusters.len(), 3);
         assert_eq!(clusters[0].1, vec![ProfileId(0), ProfileId(1)]);
         assert_eq!(c.non_trivial_clusters().len(), 1);
+    }
+
+    #[test]
+    fn grouped_lists_clusters_in_id_order() {
+        let c = EntityClusters::from_labels(vec![4, 9, 4, 9, 7]);
+        let (offsets, members) = c.grouped();
+        assert_eq!(offsets, vec![0, 2, 4, 5]);
+        let ids: Vec<u32> = members.iter().map(|p| p.0).collect();
+        assert_eq!(ids, vec![0, 2, 1, 3, 4]);
+        let expected: Vec<(u32, Vec<ProfileId>)> = offsets
+            .windows(2)
+            .map(|w| {
+                (
+                    ids[w[0] as usize],
+                    members[w[0] as usize..w[1] as usize].to_vec(),
+                )
+            })
+            .collect();
+        assert_eq!(c.clusters(), expected);
+        assert_eq!(c.num_clusters(), 3);
+        let empty = EntityClusters::from_labels(vec![]);
+        assert_eq!(empty.grouped(), (vec![0], vec![]));
+        assert_eq!(empty.num_clusters(), 0);
     }
 
     #[test]

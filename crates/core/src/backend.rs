@@ -13,7 +13,7 @@
 //! points, not writing a fourth driver.
 
 use sparker_blocking::{
-    block_filtering, keyed_blocking, token_blocking_with_dict_budgeted, BlockCollection,
+    block_filtering, keyed_blocking, token_blocking_pass, BlockCollection, TokenBlocks,
 };
 use sparker_clustering::{
     cluster_edges, ClusteringAlgorithm, CollectionShape, ComponentsMode, EntityClusters,
@@ -24,7 +24,7 @@ use sparker_matching::{CandidateGraph, FilterStats, SimilarityGraph, ThresholdMa
 use sparker_metablocking::{
     meta_blocking_graph, parallel, BlockEntropies, BlockGraph, MetaBlockingConfig,
 };
-use sparker_profiles::{Pair, ProfileCollection};
+use sparker_profiles::{Pair, ProfileCollection, ProfileKeys};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -47,12 +47,14 @@ pub enum ExecutionBackend {
     /// fused: meta-blocking emits pruned pairs through a bounded morsel
     /// channel and the matcher scores them concurrently on the same pool,
     /// so the candidates and matching critical paths overlap and no
-    /// `CandidateGraph` is materialized. The fusion lives in
+    /// `CandidateGraph` is materialized. Token blocking is one parallel
+    /// token pass into the interned CSR build, and its per-profile token
+    /// ids become the matcher's prepared views. The fusion lives in
     /// [`crate::Pipeline::run_on`]'s driver; the stage entry points called
     /// individually (and a run without meta-blocking, which has nothing to
-    /// fuse) are the staged pool stages: dataflow blocker stages, CSR
-    /// candidate streaming with degree-cost morsels in the matcher,
-    /// per-worker union–find forests in the clusterer.
+    /// fuse) are the staged pool stages: the token pass, dataflow block
+    /// filtering, CSR candidate streaming with degree-cost morsels in the
+    /// matcher, per-worker union–find forests in the clusterer.
     FusedPool(Context),
 }
 
@@ -131,21 +133,43 @@ impl ExecutionBackend {
         partitioning: Option<&AttributePartitioning>,
         budget: &MemBudget,
     ) -> BlockCollection {
+        self.build_blocks_keyed(collection, partitioning, budget).0
+    }
+
+    /// [`ExecutionBackend::build_blocks`] plus, when the blocks came from
+    /// the token pass (schema-agnostic blocking on the sequential and fused
+    /// backends), every profile's sorted token ids — what the fused driver
+    /// builds the matcher's prepared views from.
+    ///
+    /// Token blocking on those two backends is one token pass into the
+    /// interned CSR build: on one thread for the sequential oracle, one
+    /// contiguous profile range per worker on the fused pool. The dataflow
+    /// backend keeps the paper's `flat_map` → `group_by_key` shuffle.
+    pub(crate) fn build_blocks_keyed(
+        &self,
+        collection: &ProfileCollection,
+        partitioning: Option<&AttributePartitioning>,
+        budget: &MemBudget,
+    ) -> (BlockCollection, Option<ProfileKeys>) {
         match (self, partitioning) {
-            (ExecutionBackend::Sequential, Some(parts)) => {
-                keyed_blocking(collection, |p| loose_schema_keys(p, parts))
-            }
-            (ExecutionBackend::Sequential, None) => {
-                let (dict, compact) = token_blocking_with_dict_budgeted(collection, budget);
-                compact.materialize(&dict)
-            }
-            (ExecutionBackend::Dataflow(ctx) | ExecutionBackend::FusedPool(ctx), Some(parts)) => {
+            (ExecutionBackend::Sequential, Some(parts)) => (
+                keyed_blocking(collection, |p| loose_schema_keys(p, parts)),
+                None,
+            ),
+            (ExecutionBackend::Dataflow(ctx) | ExecutionBackend::FusedPool(ctx), Some(parts)) => (
                 sparker_blocking::dataflow::keyed_blocking(ctx, collection, |p| {
                     loose_schema_keys(p, parts)
-                })
-            }
-            (ExecutionBackend::Dataflow(ctx) | ExecutionBackend::FusedPool(ctx), None) => {
-                sparker_blocking::dataflow::token_blocking(ctx, collection)
+                }),
+                None,
+            ),
+            (ExecutionBackend::Dataflow(ctx), None) => (
+                sparker_blocking::dataflow::token_blocking(ctx, collection),
+                None,
+            ),
+            (ExecutionBackend::Sequential | ExecutionBackend::FusedPool(_), None) => {
+                let TokenBlocks { dict, keys, blocks } =
+                    token_blocking_pass(self.context(), collection, budget);
+                (blocks.materialize(&dict), Some(keys))
             }
         }
     }

@@ -14,11 +14,11 @@ use sparker_blocking::{purge_by_comparison_level, purge_oversized, BlockCollecti
 use sparker_clustering::EntityClusters;
 use sparker_dataflow::{fused_channel_capacity, Context, FusedStageStats, MemBudget, WorkerLocal};
 use sparker_looseschema::{partition_attributes, AttributePartitioning};
-use sparker_matching::{FilterStats, SimilarityGraph, ThresholdMatcher};
+use sparker_matching::{FilterStats, PreparedProfile, SimilarityGraph, ThresholdMatcher};
 use sparker_metablocking::{
     block_entropies, BlockEntropies, BlockGraph, MetaBlockingConfig, StreamingMetaBlocking,
 };
-use sparker_profiles::{GroundTruth, Pair, ProfileCollection};
+use sparker_profiles::{GroundTruth, Pair, ProfileCollection, ProfileKeys};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -146,6 +146,7 @@ impl Pipeline {
             initial_blocks,
             initial_comparisons,
             mut stages,
+            ..
         } = self.run_block_stages(backend, collection, budget);
         let cleaned_blocks = blocks.len();
         let cleaned_comparisons = blocks.total_comparisons();
@@ -199,7 +200,8 @@ impl Pipeline {
             .loose_schema
             .as_ref()
             .map(|lsh| partition_attributes(collection, lsh));
-        let blocks = backend.build_blocks(collection, partitioning.as_ref(), budget);
+        let (blocks, token_ids) =
+            backend.build_blocks_keyed(collection, partitioning.as_ref(), budget);
         let initial_blocks = blocks.len();
         let initial_comparisons = blocks.total_comparisons();
         stages.push(scope.finish(collection.len() as u64, initial_blocks as u64));
@@ -225,6 +227,7 @@ impl Pipeline {
         BlockStages {
             partitioning,
             blocks,
+            token_ids,
             initial_blocks,
             initial_comparisons,
             stages,
@@ -326,6 +329,7 @@ impl Pipeline {
         let BlockStages {
             partitioning,
             blocks,
+            token_ids,
             initial_blocks,
             initial_comparisons,
             mut stages,
@@ -356,11 +360,17 @@ impl Pipeline {
         let scope = StageScope::begin(PipelineStage::ScorePairs, Some(ctx), budget);
         let matcher =
             ThresholdMatcher::new(self.config.matching.measure, self.config.matching.threshold);
+        // The matcher's views come from the token pass's ids when blocking
+        // ran one (schema-agnostic blocking), else from a pass of their own.
+        let prepared = match token_ids {
+            Some(keys) => PreparedProfile::prepare_from_keys(collection, &keys, matcher.measure),
+            None => PreparedProfile::prepare_all(collection),
+        };
         let morsels = stream.cost_morsels(ctx.workers() * 32);
         let payload_bytes = (stream.total_edges() * 16 / morsels.len().max(1) as u64).max(1);
         let capacity = fused_channel_capacity(budget, ctx.workers(), payload_bytes);
         let prune_locals = Arc::new(WorkerLocal::new(ctx.workers(), || stream.make_scratch()));
-        let outcome = matcher.score_stream(ctx, collection, &morsels, capacity, {
+        let outcome = matcher.score_stream(ctx, &prepared, &morsels, capacity, {
             let stream = &stream;
             let prune_locals = Arc::clone(&prune_locals);
             move |worker, range: &std::ops::Range<u32>| {
@@ -428,6 +438,8 @@ impl ScoringStats {
 struct BlockStages {
     partitioning: Option<AttributePartitioning>,
     blocks: BlockCollection,
+    /// Every profile's sorted token ids, when blocking ran the token pass.
+    token_ids: Option<ProfileKeys>,
     initial_blocks: usize,
     initial_comparisons: u64,
     stages: Vec<StageReport>,

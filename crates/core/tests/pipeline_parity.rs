@@ -494,7 +494,7 @@ fn fused_plan_into_score_stream_is_capacity_invariant() {
     // the sequential run.
     use sparker_core::PurgeConfig;
     use sparker_dataflow::{Context, WorkerLocal};
-    use sparker_matching::ThresholdMatcher;
+    use sparker_matching::{PreparedProfile, ThresholdMatcher};
     use sparker_metablocking::{BlockGraph, StreamingMetaBlocking};
     use std::sync::Arc;
     let mut config = PipelineConfig::default();
@@ -513,10 +513,11 @@ fn fused_plan_into_score_stream_is_capacity_invariant() {
             let plan = StreamingMetaBlocking::prepare(&ctx, &graph, &mb);
             let morsels = plan.cost_morsels(workers * 32);
             let scratches = WorkerLocal::new(workers, || plan.make_scratch());
+            let prepared = PreparedProfile::prepare_all(&ds.collection);
             for capacity in [1, 2, 1 << 20] {
                 let out = matcher.score_stream(
                     &ctx,
-                    &ds.collection,
+                    &prepared,
                     &morsels,
                     capacity,
                     |worker, range: &std::ops::Range<u32>| {
@@ -571,7 +572,10 @@ fn budgeted_pipeline_full_10k_preset_on_fused() {
     // One full-scale cell of the scaling tier in the test suite: the real
     // dirty_10k preset under the scaling-tier configuration (the same pair
     // the CLI's --preset runs), fused backend, 1 MiB budget — byte-identical
-    // to the unbudgeted sequential run, with spilling actually exercised.
+    // to the unbudgeted sequential run. Fused token blocking has no shuffle
+    // left to spill: it is the token pass plus the CSR build, which holds
+    // its scatter temporaries against the budget one key range at a time.
+    use sparker_core::PipelineStage;
     use sparker_dataflow::{Context, MemBudget};
     let ds = sparker_datasets::Preset::by_name("dirty_10k")
         .unwrap()
@@ -582,6 +586,30 @@ fn budgeted_pipeline_full_10k_preset_on_fused() {
         ExecutionBackend::FusedPool(Context::new(4).with_budget(MemBudget::limited(1 << 20)));
     let run = pipeline.run_on(&backend, &ds.collection);
     assert_equivalent(&reference, &run, &ds, "budgeted 10k fused");
-    assert!(run.report.spill_batches > 0, "expected spilling at 1 MiB");
+    let build = run.report.stage(PipelineStage::BuildBlocks).unwrap();
+    assert!(
+        build.buffered_bytes > 0 && build.buffered_bytes <= 1 << 20,
+        "the budgeted CSR build accounts its key ranges within the budget: {} bytes",
+        build.buffered_bytes
+    );
+    assert_eq!(run.report.spill_batches, 0, "nothing left to spill");
     assert!(run.report.peak_rss_bytes > 0, "VmHWM should be readable");
+}
+
+#[test]
+fn budgeted_pipeline_full_10k_preset_on_dataflow_spills() {
+    // The same cell on the dataflow backend, whose blocking and filtering
+    // still shuffle: at 1 MiB the shuffles must spill, and the result must
+    // not move.
+    use sparker_dataflow::{Context, MemBudget};
+    let ds = sparker_datasets::Preset::by_name("dirty_10k")
+        .unwrap()
+        .generate();
+    let pipeline = Pipeline::new(PipelineConfig::scaling());
+    let reference = pipeline.run_on(&ExecutionBackend::Sequential, &ds.collection);
+    let backend =
+        ExecutionBackend::Dataflow(Context::new(4).with_budget(MemBudget::limited(1 << 20)));
+    let run = pipeline.run_on(&backend, &ds.collection);
+    assert_equivalent(&reference, &run, &ds, "budgeted 10k dataflow");
+    assert!(run.report.spill_batches > 0, "expected spilling at 1 MiB");
 }

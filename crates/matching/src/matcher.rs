@@ -15,7 +15,9 @@ use crate::graph::SimilarityGraph;
 use crate::similarity::{self, MatchScratch};
 use crate::tfidf::TfIdfIndex;
 use sparker_dataflow::{Context, WorkerLocal};
-use sparker_profiles::{DictBuilder, Pair, Profile, ProfileCollection};
+use sparker_profiles::{
+    intern_profiles, DictBuilder, Pair, Profile, ProfileCollection, ProfileKeys,
+};
 use std::sync::Arc;
 
 /// A whole-profile similarity measure selectable by name — the paper's
@@ -50,6 +52,17 @@ impl SimilarityMeasure {
         SimilarityMeasure::JaroWinkler,
         SimilarityMeasure::MongeElkan,
     ];
+
+    /// `true` for the string measures, which score the concatenated values
+    /// instead of the token sets.
+    pub(crate) fn reads_text(&self) -> bool {
+        matches!(
+            self,
+            SimilarityMeasure::Levenshtein
+                | SimilarityMeasure::JaroWinkler
+                | SimilarityMeasure::MongeElkan
+        )
+    }
 
     /// Human-readable name (stable; used in experiment output).
     pub fn name(&self) -> &'static str {
@@ -385,13 +398,14 @@ impl ScoringMode {
 /// measures) and the cached char count of the concatenation (length
 /// filters).
 ///
-/// Token ids are **provisional** ids from a caller-supplied
-/// [`DictBuilder`]: two views are only comparable when prepared against the
-/// same builder. Set-measure scores depend only on intersection counts and
-/// set sizes, which any injective token → id mapping preserves, so the
-/// builder's insertion-order ids need no lexicographic remap — and
-/// [`PreparedProfile::prepare_all`] is free to renumber the collection's
-/// most frequent tokens into the hot prefix the cascade counts by bitset.
+/// Two views are only comparable when their ids come from the same
+/// interning space: one caller-supplied [`DictBuilder`] (provisional
+/// insertion-order ids) or one token pass over the collection
+/// ([`PreparedProfile::prepare_from_keys`], lexicographic ids). Set-measure
+/// scores depend only on intersection counts and set sizes, which any
+/// injective token → id mapping preserves — so either id space serves, and
+/// the collection-wide constructors are free to renumber the most frequent
+/// tokens into the hot prefix the cascade counts by bitset.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedProfile {
     /// Sorted, deduplicated interned token ids of the schema-agnostic
@@ -402,7 +416,7 @@ pub struct PreparedProfile {
     /// Char count of `concatenated` (cached for length filters).
     pub chars: usize,
     /// The hot prefix of `token_ids` (its ids `< HOT_TOKENS`), if any.
-    /// Only [`PreparedProfile::prepare_all`] renumbers tokens that way, and
+    /// Only the collection-wide constructors renumber tokens that way, and
     /// only views holding hot tokens get one, so no other view pays for it.
     hot: Option<Box<HotPrefix>>,
 }
@@ -467,38 +481,68 @@ impl PreparedProfile {
         )
     }
 
-    /// Prepare every profile of a collection against one shared interner
-    /// (index = profile id), with the collection's 512 most frequent
-    /// tokens renumbered into a bitset-mirrored hot prefix.
+    /// Prepare every profile of a collection (index = profile id) from one
+    /// token pass ([`intern_profiles`]), with the collection's 512 most
+    /// frequent tokens renumbered into a bitset-mirrored hot prefix — see
+    /// [`PreparedProfile::prepare_from_keys`]. Builds the text views too,
+    /// so the result serves every measure.
+    pub fn prepare_all(collection: &ProfileCollection) -> Vec<PreparedProfile> {
+        let (_, keys) = intern_profiles(None, collection.profiles());
+        Self::from_keys(collection, &keys, true)
+    }
+
+    /// The prepared views of a collection built from the per-profile token
+    /// ids a token pass already produced (blocking's, on the fused
+    /// backend), so the matcher tokenizes nothing again. The concatenated
+    /// text and its char count are built only when `measure` reads them.
     ///
-    /// Document frequencies are counted in the preparing pass itself; the
-    /// hot tokens take ids `0..512` ranked by df descending, then
-    /// provisional id, and every other token moves past them. The
-    /// renumbering is injective, so every score is
-    /// unchanged; what it buys is that the cascade counts the shared hot
+    /// Document frequencies are counted from the lists; the hot tokens take
+    /// ids `0..512` ranked by df descending, then token id, and every other
+    /// token moves past them. The renumbering is injective, so every score
+    /// is unchanged; what it buys is that the cascade counts the shared hot
     /// tokens — the long, mostly-shared head of skewed token sets — with
     /// AND + popcount and merge-joins only the tails.
-    pub fn prepare_all(collection: &ProfileCollection) -> Vec<PreparedProfile> {
-        let mut dict = DictBuilder::new();
-        let mut scratch = String::new();
+    pub fn prepare_from_keys(
+        collection: &ProfileCollection,
+        keys: &ProfileKeys,
+        measure: SimilarityMeasure,
+    ) -> Vec<PreparedProfile> {
+        Self::from_keys(collection, keys, measure.reads_text())
+    }
+
+    fn from_keys(
+        collection: &ProfileCollection,
+        keys: &ProfileKeys,
+        with_text: bool,
+    ) -> Vec<PreparedProfile> {
+        debug_assert_eq!(keys.len(), collection.len(), "one id list per profile");
         let mut df: Vec<u32> = Vec::new();
-        let mut prepared: Vec<PreparedProfile> = collection
+        for p in 0..keys.len() {
+            for &t in keys.keys_of(p) {
+                if t as usize >= df.len() {
+                    df.resize(t as usize + 1, 0);
+                }
+                df[t as usize] += 1;
+            }
+        }
+        let remap = hot_remap(&df);
+        collection
             .profiles()
             .iter()
-            .map(|p| {
-                let view = PreparedProfile::from_profile(p, &mut dict, &mut scratch);
-                df.resize(dict.len(), 0);
-                for &t in &view.token_ids {
-                    df[t as usize] += 1;
+            .enumerate()
+            .map(|(p, profile)| {
+                let mut view = PreparedProfile {
+                    token_ids: keys.keys_of(p).to_vec(),
+                    ..PreparedProfile::default()
+                };
+                if with_text {
+                    view.concatenated = profile.concatenated_values();
+                    view.chars = view.concatenated.chars().count();
                 }
+                view.adopt_hot_ids(&remap);
                 view
             })
-            .collect();
-        let remap = hot_remap(&df);
-        for view in &mut prepared {
-            view.adopt_hot_ids(&remap);
-        }
-        prepared
+            .collect()
     }
 
     /// Renumber this view's ids through `remap` (see [`hot_remap`]): the
@@ -568,11 +612,10 @@ impl PreparedProfile {
     }
 }
 
-/// The renumbering [`PreparedProfile::prepare_all`] applies, from each
-/// provisional token id's document frequency: `remap[t]` is `t`'s rank
-/// among the [`HOT_TOKENS`] most frequent tokens (df descending, ties by
-/// provisional id — a deterministic set), or `t + HOT_TOKENS` for every
-/// other token.
+/// The renumbering [`PreparedProfile::prepare_from_keys`] applies, from
+/// each token id's document frequency: `remap[t]` is `t`'s rank among the
+/// [`HOT_TOKENS`] most frequent tokens (df descending, ties by token id —
+/// a deterministic set), or `t + HOT_TOKENS` for every other token.
 fn hot_remap(df: &[u32]) -> Vec<u32> {
     let rank = |t: &u32| (std::cmp::Reverse(df[*t as usize]), *t);
     let mut hot: Vec<u32> = (0..df.len() as u32).collect();
@@ -1179,13 +1222,16 @@ mod tests {
     }
 
     /// Ten profiles of 60 tokens each, every token in exactly one profile
-    /// (df ties throughout), plus `common` in all of them when asked.
+    /// (df ties throughout), plus `common` in all of them when asked. Token
+    /// names count down (`t599` … `t000`), so the lexicographic order of the
+    /// tokens runs against the order they are first met in.
     fn tied_collection(common: bool) -> ProfileCollection {
         ProfileCollection::dirty(
             (0..10)
                 .map(|p| {
-                    let mut text: Vec<String> =
-                        (0..60).map(|t| format!("t{}", p * 60 + t)).collect();
+                    let mut text: Vec<String> = (0..60)
+                        .map(|t| format!("t{:03}", 599 - (p * 60 + t)))
+                        .collect();
                     if common {
                         text.push("common".to_string());
                     }
@@ -1199,24 +1245,25 @@ mod tests {
 
     #[test]
     fn df_ties_select_a_deterministic_hot_set() {
-        // All 600 tokens tie at df 1: the hot set is the 512 first interned
-        // (lowest provisional ids) — profiles 0–7 entirely, 32 tokens of
-        // profile 8, none of profile 9 — in provisional order.
+        // All 600 tokens tie at df 1: the hot set is the 512 lexicographically
+        // smallest (lowest token ids), not the first met — profiles 9–2
+        // entirely, 32 tokens of profile 1, none of profile 0 — in token-id
+        // order.
         let prepared = PreparedProfile::prepare_all(&tied_collection(false));
         let hot: Vec<usize> = prepared.iter().map(PreparedProfile::hot_len).collect();
-        assert_eq!(hot, [60, 60, 60, 60, 60, 60, 60, 60, 32, 0]);
-        assert!(prepared[9].hot.is_none(), "no hot tokens, no prefix");
-        assert_eq!(prepared[0].token_ids, (0..60).collect::<Vec<u32>>());
+        assert_eq!(hot, [0, 32, 60, 60, 60, 60, 60, 60, 60, 60]);
+        assert!(prepared[0].hot.is_none(), "no hot tokens, no prefix");
+        assert_eq!(prepared[9].token_ids, (0..60).collect::<Vec<u32>>());
         assert_eq!(
-            prepared[8].token_ids[..32],
+            prepared[1].token_ids[..32],
             (480..512).collect::<Vec<u32>>()
         );
-        assert!(prepared[9].token_ids.iter().all(|&t| t >= 512));
+        assert!(prepared[0].token_ids.iter().all(|&t| t >= 512));
         // A token in every profile outranks the ties and takes hot id 0,
         // pushing the last tied token out of the hot set.
         let prepared = PreparedProfile::prepare_all(&tied_collection(true));
         let hot: Vec<usize> = prepared.iter().map(PreparedProfile::hot_len).collect();
-        assert_eq!(hot, [61, 61, 61, 61, 61, 61, 61, 61, 32, 1]);
+        assert_eq!(hot, [1, 32, 61, 61, 61, 61, 61, 61, 61, 61]);
         assert!(prepared.iter().all(|p| p.token_ids[0] == 0));
         // The same collection always prepares to the same bits.
         let again = PreparedProfile::prepare_all(&tied_collection(true));

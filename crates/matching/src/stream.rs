@@ -23,7 +23,7 @@ use crate::graph::SimilarityGraph;
 use crate::matcher::{FilterStats, PreparedProfile, ThresholdMatcher};
 use crate::similarity::MatchScratch;
 use sparker_dataflow::{pipelined_stage, Context, FusedStageStats, WorkerLocal};
-use sparker_profiles::{Pair, ProfileCollection};
+use sparker_profiles::Pair;
 use std::sync::Arc;
 
 /// Everything one fused prune→score run produces.
@@ -45,7 +45,11 @@ pub struct FusedMatchOutcome {
 
 impl ThresholdMatcher {
     /// Score pruned candidates as they stream out of `produce`, overlapped
-    /// on the context's worker pool (see the module docs). `capacity`
+    /// on the context's worker pool (see the module docs). `prepared` holds
+    /// one view per profile (index = profile id) —
+    /// [`PreparedProfile::prepare_all`], or
+    /// [`PreparedProfile::prepare_from_keys`] over the ids the blocking
+    /// stage's token pass already produced. `capacity`
     /// bounds the channel of unscored batches;
     /// [`sparker_dataflow::fused_channel_capacity`] gives a
     /// `MemBudget`-aware default. Results are independent of both the
@@ -53,7 +57,7 @@ impl ThresholdMatcher {
     pub fn score_stream<M, F>(
         &self,
         ctx: &Context,
-        collection: &ProfileCollection,
+        prepared: &[PreparedProfile],
         morsels: &[M],
         capacity: usize,
         produce: F,
@@ -62,7 +66,6 @@ impl ThresholdMatcher {
         M: Sync,
         F: Fn(usize, &M) -> Vec<(Pair, f64)> + Send + Sync,
     {
-        let prepared = ctx.broadcast(PreparedProfile::prepare_all(collection));
         let matcher = self.clone();
         let locals = Arc::new(WorkerLocal::new(ctx.workers(), || {
             (MatchScratch::default(), FilterStats::default())
@@ -116,7 +119,7 @@ impl ThresholdMatcher {
 mod tests {
     use super::*;
     use crate::matcher::{Matcher, SimilarityMeasure};
-    use sparker_profiles::{Profile, ProfileId, SourceId};
+    use sparker_profiles::{Profile, ProfileCollection, ProfileId, SourceId};
 
     fn collection(n: usize) -> ProfileCollection {
         ProfileCollection::dirty(
@@ -145,10 +148,12 @@ mod tests {
         let matcher = ThresholdMatcher::new(SimilarityMeasure::Jaccard, 0.5);
         let morsels = pair_morsels(40, 9);
         let staged = matcher.match_pairs(&coll, morsels.iter().flatten().map(|&(p, _)| p));
+        let prepared = PreparedProfile::prepare_all(&coll);
         for workers in [1, 2, 4] {
             for capacity in [1, 2, 1 << 20] {
                 let ctx = Context::new(workers);
-                let out = matcher.score_stream(&ctx, &coll, &morsels, capacity, |_, m| m.clone());
+                let out =
+                    matcher.score_stream(&ctx, &prepared, &morsels, capacity, |_, m| m.clone());
                 assert_eq!(
                     out.similarity.edges(),
                     staged.edges(),
@@ -167,7 +172,8 @@ mod tests {
         let matcher = ThresholdMatcher::new(SimilarityMeasure::Jaccard, 0.5);
         let morsels: Vec<Vec<(Pair, f64)>> = Vec::new();
         let ctx = Context::new(2);
-        let out = matcher.score_stream(&ctx, &coll, &morsels, 4, |_, m: &Vec<_>| m.clone());
+        let prepared = PreparedProfile::prepare_all(&coll);
+        let out = matcher.score_stream(&ctx, &prepared, &morsels, 4, |_, m: &Vec<_>| m.clone());
         assert!(out.similarity.edges().is_empty());
         assert!(out.retained.is_empty());
     }

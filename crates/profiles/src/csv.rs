@@ -103,23 +103,30 @@ pub fn parse_csv(text: &str, separator: char) -> Result<Vec<Vec<String>>> {
 pub fn write_csv(rows: &[Vec<String>], separator: char) -> String {
     let mut out = String::new();
     for row in rows {
-        for (i, f) in row.iter().enumerate() {
-            if i > 0 {
-                out.push(separator);
-            }
-            let needs_quotes =
-                f.contains(separator) || f.contains('"') || f.contains('\n') || f.contains('\r');
-            if needs_quotes {
-                out.push('"');
-                out.push_str(&f.replace('"', "\"\""));
-                out.push('"');
-            } else {
-                out.push_str(f);
-            }
-        }
-        out.push('\n');
+        push_csv_row(&mut out, row, separator);
     }
     out
+}
+
+/// Append one row to `out` exactly as [`write_csv`] writes it — for
+/// writers that stream rows instead of collecting them first.
+pub fn push_csv_row<S: AsRef<str>>(out: &mut String, row: &[S], separator: char) {
+    for (i, f) in row.iter().enumerate() {
+        let f = f.as_ref();
+        if i > 0 {
+            out.push(separator);
+        }
+        let needs_quotes =
+            f.contains(separator) || f.contains('"') || f.contains('\n') || f.contains('\r');
+        if needs_quotes {
+            out.push('"');
+            out.push_str(&f.replace('"', "\"\""));
+            out.push('"');
+        } else {
+            out.push_str(f);
+        }
+    }
+    out.push('\n');
 }
 
 /// Load profiles from CSV text: each row becomes one profile, each non-id

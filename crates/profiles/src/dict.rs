@@ -20,6 +20,7 @@ use sparker_dataflow::Context;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Mutex;
 
 /// FNV-1a, the interner's hasher. Tokens are short (a handful of bytes), so
 /// the per-byte multiply beats SipHash's fixed per-key setup cost by a wide
@@ -76,8 +77,8 @@ impl fmt::Display for TokenId {
 /// [`TokenId`]s in lexicographic order.
 ///
 /// Built in one pass over the collection ([`TokenDict::build`], or
-/// [`TokenDict::build_parallel`] on the dataflow pool); lookups are
-/// allocation-free binary searches, resolution is a vector index.
+/// [`intern_profiles`] together with every profile's token ids); lookups
+/// are allocation-free binary searches, resolution is a vector index.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TokenDict {
     /// Sorted distinct tokens; the index of a token is its id.
@@ -100,44 +101,6 @@ impl TokenDict {
         }
         let mut tokens: Vec<Token> = set.into_iter().collect();
         tokens.sort_unstable();
-        TokenDict { tokens }
-    }
-
-    /// Intern every distinct token in one parallel pass on the dataflow
-    /// pool: each partition scans a contiguous profile range into a local
-    /// distinct set, the driver merges the (small) per-partition sets.
-    /// Identical to [`TokenDict::build`] for any worker count.
-    pub fn build_parallel(ctx: &Context, collection: &ProfileCollection) -> Self {
-        let n = collection.len();
-        if n == 0 {
-            return TokenDict::default();
-        }
-        // Contiguous index ranges, one record per eventual task.
-        let parts = ctx.default_partitions().min(n);
-        let ranges: Vec<(usize, usize)> = (0..parts)
-            .map(|i| (i * n / parts, (i + 1) * n / parts))
-            .collect();
-        let mut tokens: Vec<Token> = ctx
-            .parallelize(ranges, parts)
-            .map_partitions(|_, ranges| {
-                let mut set: HashSet<Token, FnvBuild> = HashSet::default();
-                let mut scratch = String::new();
-                for &(lo, hi) in ranges {
-                    for p in &collection.profiles()[lo..hi] {
-                        for a in &p.attributes {
-                            each_token(&a.value, &mut scratch, |t| {
-                                if !set.contains(t) {
-                                    set.insert(t.to_owned());
-                                }
-                            });
-                        }
-                    }
-                }
-                set.into_iter().collect()
-            })
-            .collect();
-        tokens.sort_unstable();
-        tokens.dedup();
         TokenDict { tokens }
     }
 
@@ -267,6 +230,182 @@ impl DictBuilder {
     }
 }
 
+/// Per-profile token-id lists in CSR form: the ids of profile `p` are
+/// `ids[offsets[p]..offsets[p + 1]]`, each list sorted and deduplicated.
+/// What the token pass ([`intern_profiles`]) hands to both the block
+/// builder and the matcher's prepared views.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProfileKeys {
+    ids: Vec<u32>,
+    offsets: Vec<u32>,
+}
+
+impl ProfileKeys {
+    /// Collect per-profile key lists. `fill` appends the (unsorted,
+    /// possibly duplicated) key ids of one profile into the buffer; the
+    /// builder sorts and deduplicates each list.
+    pub fn collect<P>(profiles: &[P], mut fill: impl FnMut(&P, &mut Vec<u32>)) -> Self {
+        let mut keys = ProfileKeys::new();
+        let mut buf: Vec<u32> = Vec::new();
+        for p in profiles {
+            fill(p, &mut buf);
+            keys.push_keys(&mut buf);
+        }
+        keys
+    }
+
+    /// An empty key table to grow incrementally with
+    /// [`ProfileKeys::push_keys`] — the streaming entry point used when
+    /// profiles arrive in chunks instead of as one slice.
+    pub fn new() -> Self {
+        ProfileKeys {
+            ids: Vec::new(),
+            offsets: vec![0],
+        }
+    }
+
+    /// Append the next profile's key list. `buf` holds its (unsorted,
+    /// possibly duplicated) key ids; the list is sorted, deduplicated and
+    /// adopted, and `buf` is left cleared for reuse.
+    pub fn push_keys(&mut self, buf: &mut Vec<u32>) {
+        buf.sort_unstable();
+        buf.dedup();
+        self.ids.extend_from_slice(buf);
+        self.offsets.push(self.ids.len() as u32);
+        buf.clear();
+    }
+
+    /// Number of profiles.
+    pub fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// `true` when no profiles were collected.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Key ids of profile `p`, sorted and deduplicated.
+    pub fn keys_of(&self, p: usize) -> &[u32] {
+        &self.ids[self.offsets[p] as usize..self.offsets[p + 1] as usize]
+    }
+
+    /// Remap every key id through `perm` (`id ← perm[id]`) and re-sort each
+    /// list — how the provisional insertion-order ids a [`DictBuilder`]
+    /// hands out during the single tokenization pass become final
+    /// lexicographic [`TokenId`]s. `perm` must be injective over the ids
+    /// present, so per-list dedup is preserved.
+    pub fn remap(&mut self, perm: &[u32]) {
+        for id in &mut self.ids {
+            *id = perm[*id as usize];
+        }
+        for p in 0..self.len() {
+            let (lo, hi) = (self.offsets[p] as usize, self.offsets[p + 1] as usize);
+            self.ids[lo..hi].sort_unstable();
+        }
+    }
+
+    /// Append `other`'s lists after this table's (profile ranges
+    /// concatenated in order).
+    fn append(&mut self, other: &ProfileKeys) {
+        let base = self.ids.len() as u32;
+        self.ids.extend_from_slice(&other.ids);
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&o| base + o));
+    }
+}
+
+impl Default for ProfileKeys {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The token pass: tokenize and intern every profile exactly once, and
+/// return the collection's lexicographic [`TokenDict`] with each profile's
+/// sorted, deduplicated token ids.
+///
+/// Without a context the pass runs on the calling thread. With one, each
+/// worker interns a contiguous profile range into its own [`DictBuilder`]
+/// and key table; the sorted per-range vocabularies are merged into the
+/// one lexicographic dictionary and every range is remapped into it.
+/// Because ids are lexicographic, the result is identical for any worker
+/// count — the ids are the same ones [`TokenDict::build`] assigns.
+pub fn intern_profiles(ctx: Option<&Context>, profiles: &[Profile]) -> (TokenDict, ProfileKeys) {
+    let n = profiles.len();
+    let parts = ctx.map_or(1, |c| c.workers().min(n));
+    let ctx = match ctx {
+        Some(ctx) if parts > 1 => ctx,
+        _ => {
+            let (tokens, keys) = intern_range(profiles);
+            return (TokenDict { tokens }, keys);
+        }
+    };
+    let slots: Vec<Mutex<Option<RangePass>>> = (0..parts).map(|_| Mutex::new(None)).collect();
+    ctx.parallelize((0..parts).collect(), parts).for_each(|&i| {
+        let range = intern_range(&profiles[i * n / parts..(i + 1) * n / parts]);
+        *slots[i].lock().expect("no range panics holding its slot") = Some(range);
+    });
+    let (mut vocab, range_keys): (Vec<Vec<Token>>, Vec<ProfileKeys>) = slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("no range panics holding its slot")
+                .expect("every range ran")
+        })
+        .unzip();
+
+    // k-way merge of the sorted range vocabularies: `maps[r][i]` is the
+    // global id of range r's i-th token.
+    let mut maps: Vec<Vec<u32>> = vocab.iter().map(|v| vec![0; v.len()]).collect();
+    let mut heads = vec![0usize; vocab.len()];
+    let mut tokens: Vec<Token> = Vec::new();
+    loop {
+        let mut min: Option<usize> = None;
+        for r in 0..vocab.len() {
+            if heads[r] < vocab[r].len()
+                && min.is_none_or(|m| vocab[r][heads[r]] < vocab[m][heads[m]])
+            {
+                min = Some(r);
+            }
+        }
+        let Some(m) = min else { break };
+        let id = tokens.len() as u32;
+        let token = std::mem::take(&mut vocab[m][heads[m]]);
+        for r in 0..vocab.len() {
+            if heads[r] < vocab[r].len() && (r == m || vocab[r][heads[r]] == token) {
+                maps[r][heads[r]] = id;
+                heads[r] += 1;
+            }
+        }
+        tokens.push(token);
+    }
+    let mut keys = ProfileKeys::new();
+    for (mut local, map) in range_keys.into_iter().zip(&maps) {
+        local.remap(map);
+        keys.append(&local);
+    }
+    (TokenDict { tokens }, keys)
+}
+
+/// One range of the token pass: its sorted vocabulary, and its profiles'
+/// token ids in that vocabulary.
+type RangePass = (Vec<Token>, ProfileKeys);
+
+/// Intern one contiguous profile range on its own (see [`RangePass`]).
+fn intern_range(profiles: &[Profile]) -> RangePass {
+    let mut builder = DictBuilder::new();
+    let mut scratch = String::new();
+    let mut keys = ProfileKeys::collect(profiles, |p, buf| {
+        for a in &p.attributes {
+            builder.intern_tokens(&a.value, &mut scratch, buf);
+        }
+    });
+    let (dict, perm) = builder.finish();
+    keys.remap(&perm);
+    (dict.tokens, keys)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,21 +471,44 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_equals_sequential() {
+    fn token_pass_equals_build_at_any_worker_count() {
         let coll = collection();
-        let seq = TokenDict::build(&coll);
-        for workers in [1, 2, 4] {
-            let ctx = Context::new(workers);
-            assert_eq!(TokenDict::build_parallel(&ctx, &coll), seq);
+        let dict = TokenDict::build(&coll);
+        for ctx in [None, Some(Context::new(1)), Some(Context::new(2))] {
+            let (pass, keys) = intern_profiles(ctx.as_ref(), coll.profiles());
+            assert_eq!(pass, dict);
+            assert_eq!(keys.len(), coll.len());
+            for p in coll.profiles() {
+                let ids: Vec<TokenId> = keys
+                    .keys_of(p.id.index())
+                    .iter()
+                    .map(|&t| TokenId(t))
+                    .collect();
+                assert_eq!(ids, dict.token_ids(p));
+            }
         }
+        // More workers than profiles, and no profiles at all.
+        let (pass, keys) = intern_profiles(Some(&Context::new(4)), coll.profiles());
+        assert_eq!((pass, keys.len()), (dict, 2));
+        let empty = ProfileCollection::dirty(vec![]);
+        let (pass, keys) = intern_profiles(Some(&Context::new(2)), empty.profiles());
+        assert!(pass.is_empty() && keys.is_empty());
     }
 
     #[test]
     fn empty_collection_empty_dict() {
         let empty = ProfileCollection::dirty(vec![]);
         assert!(TokenDict::build(&empty).is_empty());
-        let ctx = Context::new(2);
-        assert!(TokenDict::build_parallel(&ctx, &empty).is_empty());
+    }
+
+    #[test]
+    fn remap_keeps_lists_sorted() {
+        let mut keys = ProfileKeys::collect(&[vec![0u32, 1, 2], vec![2, 0]], |p, buf| {
+            buf.extend_from_slice(p)
+        });
+        keys.remap(&[5, 3, 4]);
+        assert_eq!(keys.keys_of(0), &[3, 4, 5]);
+        assert_eq!(keys.keys_of(1), &[4, 5]);
     }
 
     #[test]

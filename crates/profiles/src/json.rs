@@ -3,13 +3,22 @@
 //! SparkER's loaders accept JSON datasets (one object per line). To keep the
 //! workspace on the allowed dependency set, this is a small hand-rolled
 //! recursive-descent parser covering the full JSON grammar (objects, arrays,
-//! strings with escapes, numbers, booleans, null). It is not speed-optimized
-//! — dataset loading is a negligible fraction of pipeline time.
+//! strings with escapes, numbers, booleans, null).
+//!
+//! Loading is on the critical path of a batch run, so the scan touches
+//! every byte a bounded number of times: strings are copied run by run
+//! between escapes, and
+//! [`profiles_from_json_lines`] walks each line's object straight into a
+//! [`Profile`] instead of building a [`JsonValue`] tree first.
+//! [`profiles_from_json_lines_on`] splits the text at newline boundaries
+//! and parses the chunks on the engine's worker pool.
 
 use crate::error::{Error, Result};
 use crate::profile::{Profile, SourceId};
+use sparker_dataflow::Context;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Mutex;
 
 /// A parsed JSON value. Object keys are kept sorted (`BTreeMap`) so
 /// serialization and iteration are deterministic.
@@ -114,27 +123,34 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     write!(f, "\"")
 }
 
+/// Nesting depth at which the parser gives up with an error instead of
+/// recursing further, so hostile input cannot overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document.
 pub fn parse_json(text: &str) -> Result<JsonValue> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(text);
     p.skip_ws();
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
+    p.finish()?;
     Ok(v)
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, message: &str) -> Error {
         Error::Json {
             message: message.to_string(),
@@ -152,12 +168,65 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Only whitespace may follow the value just parsed.
+    fn finish(&mut self) -> Result<()> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
     fn expect(&mut self, b: u8) -> Result<()> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
             Err(self.err(&format!("expected '{}'", b as char)))
+        }
+    }
+
+    /// Consume the opening bracket `b` of an object or array, one level
+    /// deeper; [`Parser::leave`] undoes the level.
+    fn enter(&mut self, b: u8) -> Result<()> {
+        self.expect(b)?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// After a member or element: `true` on `,` (another one follows),
+    /// `false` on the closing bracket `close`, an error otherwise.
+    fn next_member(&mut self, close: u8, message: &str) -> Result<bool> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(self.err(message)),
+        }
+    }
+
+    /// `true` (and the bracket consumed) when the container just opened is
+    /// empty.
+    fn closes_empty(&mut self, close: u8) -> bool {
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            true
+        } else {
+            false
         }
     }
 
@@ -185,112 +254,127 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<JsonValue> {
-        self.expect(b'{')?;
         let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
+        self.members(|p, key| {
+            let value = p.value()?;
             map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(map));
+            Ok(())
+        })?;
+        Ok(JsonValue::Object(map))
+    }
+
+    /// Walk one object, handing each key to `member`, which must consume
+    /// the member's value. The one object grammar both [`parse_json`] and
+    /// the profile loader run.
+    fn members(&mut self, mut member: impl FnMut(&mut Self, String) -> Result<()>) -> Result<()> {
+        self.enter(b'{')?;
+        if !self.closes_empty(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                member(self, key)?;
+                if !self.next_member(b'}', "expected ',' or '}' in object")? {
+                    break;
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
+        self.leave();
+        Ok(())
     }
 
     fn array(&mut self) -> Result<JsonValue> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
+        self.elements(|p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(JsonValue::Array(items))
     }
 
+    /// Walk one array, calling `element` to consume each element.
+    fn elements(&mut self, mut element: impl FnMut(&mut Self) -> Result<()>) -> Result<()> {
+        self.enter(b'[')?;
+        if !self.closes_empty(b']') {
+            loop {
+                self.skip_ws();
+                element(self)?;
+                if !self.next_member(b']', "expected ',' or ']' in array")? {
+                    break;
+                }
+            }
+        }
+        self.leave();
+        Ok(())
+    }
+
+    /// A string literal, unescaped. Runs free of `"` and `\` are copied
+    /// as whole slices: both are ASCII, so a run always ends on a char
+    /// boundary and the scan stays linear in the input.
     fn string(&mut self) -> Result<String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            let text = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|_| self.err("invalid utf-8"))?;
+            out.push_str(text);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            // Surrogate pair handling for non-BMP chars.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined).ok_or_else(|| self.err("bad codepoint"))?
-                            } else {
-                                char::from_u32(code).ok_or_else(|| self.err("bad codepoint"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 already advanced pos
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.escape(&mut out)?,
             }
         }
+    }
+
+    /// One backslash escape, appended to `out`.
+    fn escape(&mut self, out: &mut String) -> Result<()> {
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let code = self.hex4()?;
+                // Surrogate pair handling for non-BMP chars.
+                let c = if (0xD800..0xDC00).contains(&code) {
+                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    char::from_u32(combined).ok_or_else(|| self.err("bad codepoint"))?
+                } else {
+                    char::from_u32(code).ok_or_else(|| self.err("bad codepoint"))?
+                };
+                out.push(c);
+                return Ok(()); // hex4 already advanced pos
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32> {
@@ -332,51 +416,191 @@ impl<'a> Parser<'a> {
             .map(JsonValue::Number)
             .map_err(|_| self.err("invalid number"))
     }
+
+    /// A value as attribute text — [`JsonValue::to_text`] without building
+    /// a tree for the common string case.
+    fn text(&mut self) -> Result<String> {
+        if self.peek() == Some(b'"') {
+            self.string()
+        } else {
+            Ok(self.value()?.to_text())
+        }
+    }
+
+    /// One object member's value as the loader needs it: an array becomes
+    /// the text of each element, anything else one text.
+    fn field(&mut self) -> Result<Field> {
+        if self.peek() != Some(b'[') {
+            return Ok(Field::Text(self.text()?));
+        }
+        let mut items = Vec::new();
+        self.elements(|p| {
+            items.push(p.text()?);
+            Ok(())
+        })?;
+        Ok(Field::Items(items))
+    }
+}
+
+/// An object member's value, reduced to attribute text.
+enum Field {
+    Text(String),
+    Items(Vec<String>),
+}
+
+impl Field {
+    /// The member as one text — [`JsonValue::to_text`] of the value.
+    fn into_text(self) -> String {
+        match self {
+            Field::Text(text) => text,
+            Field::Items(items) => items
+                .into_iter()
+                .filter(|s| !s.is_empty())
+                .collect::<Vec<_>>()
+                .join(" "),
+        }
+    }
 }
 
 /// Load profiles from JSON-lines text: one object per non-empty line; every
 /// key becomes an attribute (arrays become one attribute per element), with
 /// `id_key` (when present) used as the original id.
+///
+/// Attributes come out in key order, and a repeated key keeps its last
+/// value; a nested value becomes its [`JsonValue::to_text`], `null` an
+/// empty (dropped) value. A line without `id_key` takes its 0-based line
+/// number, blank lines counted. Each line is scanned once, straight into
+/// the profile — no [`JsonValue`] tree is built for it.
 pub fn profiles_from_json_lines(
     text: &str,
     source: SourceId,
     id_key: &str,
 ) -> Result<Vec<Profile>> {
+    json_lines_from(text, 0, source, id_key)
+}
+
+/// [`profiles_from_json_lines`] on the context's worker pool: the text is
+/// cut at newline boundaries into one chunk per worker, the chunks are
+/// parsed concurrently and concatenated in order. Identical output (and
+/// the same first error) at any worker count.
+pub fn profiles_from_json_lines_on(
+    ctx: &Context,
+    text: &str,
+    source: SourceId,
+    id_key: &str,
+) -> Result<Vec<Profile>> {
+    let chunks = line_chunks(text, ctx.workers());
+    if chunks.len() < 2 {
+        return profiles_from_json_lines(text, source, id_key);
+    }
+    let slots: Vec<Mutex<Option<Result<Vec<Profile>>>>> =
+        chunks.iter().map(|_| Mutex::new(None)).collect();
+    ctx.parallelize((0..chunks.len()).collect(), chunks.len())
+        .for_each(|&i| {
+            let (chunk, first_line) = chunks[i];
+            let parsed = json_lines_from(chunk, first_line, source, id_key);
+            *slots[i].lock().expect("no chunk panics holding its slot") = Some(parsed);
+        });
     let mut profiles = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
+    for slot in slots {
+        let parsed = slot
+            .into_inner()
+            .expect("no chunk panics holding its slot")
+            .expect("every chunk ran");
+        profiles.extend(parsed?);
+    }
+    Ok(profiles)
+}
+
+/// Cut `text` into at most `parts` chunks, each ending just after a
+/// newline (the last at the end of the text), paired with the 0-based
+/// line number the chunk starts at.
+fn line_chunks(text: &str, parts: usize) -> Vec<(&str, usize)> {
+    let bytes = text.as_bytes();
+    let mut chunks = Vec::with_capacity(parts);
+    let (mut start, mut line) = (0usize, 0usize);
+    for k in 1..=parts {
+        let target = (bytes.len() * k / parts).max(start);
+        let end = if k == parts {
+            bytes.len()
+        } else {
+            match bytes[target..].iter().position(|&b| b == b'\n') {
+                Some(i) => target + i + 1,
+                None => bytes.len(),
+            }
+        };
+        if end > start {
+            chunks.push((&text[start..end], line));
+            line += bytes[start..end].iter().filter(|&&b| b == b'\n').count();
+            start = end;
+        }
+    }
+    chunks
+}
+
+/// The loader over one chunk of lines, the first numbered `first_line`.
+fn json_lines_from(
+    text: &str,
+    first_line: usize,
+    source: SourceId,
+    id_key: &str,
+) -> Result<Vec<Profile>> {
+    let mut profiles = Vec::new();
+    for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let value = parse_json(line)?;
-        let JsonValue::Object(map) = value else {
-            return Err(Error::Json {
-                message: format!("line {} is not a JSON object", lineno + 1),
-                offset: 0,
-            });
-        };
-        let original_id = map
-            .get(id_key)
-            .map(JsonValue::to_text)
-            .unwrap_or_else(|| lineno.to_string());
-        let mut b = Profile::builder(source, original_id);
-        for (k, v) in &map {
-            if k == id_key {
-                continue;
-            }
-            match v {
-                JsonValue::Array(items) => {
-                    for item in items {
-                        b = b.attr(k.clone(), item.to_text());
-                    }
-                }
-                other => {
-                    b = b.attr(k.clone(), other.to_text());
+        profiles.push(profile_from_line(line, first_line + i, source, id_key)?);
+    }
+    Ok(profiles)
+}
+
+/// One JSON-lines object as a profile (see [`profiles_from_json_lines`]).
+fn profile_from_line(line: &str, lineno: usize, source: SourceId, id_key: &str) -> Result<Profile> {
+    let mut p = Parser::new(line);
+    p.skip_ws();
+    if p.peek() != Some(b'{') {
+        // Malformed JSON reports its own error; valid JSON is no object.
+        parse_json(line)?;
+        return Err(Error::Json {
+            message: format!("line {} is not a JSON object", lineno + 1),
+            offset: 0,
+        });
+    }
+    let mut fields: Vec<(String, Field)> = Vec::new();
+    p.members(|p, key| {
+        fields.push((key, p.field()?));
+        Ok(())
+    })?;
+    p.finish()?;
+
+    // Key order, the last of a repeated key winning: a stable sort keeps
+    // equal keys in input order, and only the last of each run is kept.
+    fields.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut last = Vec::with_capacity(fields.len());
+    let mut it = fields.into_iter().peekable();
+    while let Some(field) = it.next() {
+        if it.peek().is_none_or(|next| next.0 != field.0) {
+            last.push(field);
+        }
+    }
+    let id = last.iter().position(|(k, _)| k == id_key);
+    let original_id = match id {
+        Some(i) => last.remove(i).1.into_text(),
+        None => lineno.to_string(),
+    };
+    let mut b = Profile::builder(source, original_id);
+    for (k, field) in last {
+        match field {
+            Field::Text(text) => b = b.attr(k, text),
+            Field::Items(items) => {
+                for item in items {
+                    b = b.attr(k.clone(), item);
                 }
             }
         }
-        profiles.push(b.build());
     }
-    Ok(profiles)
+    Ok(b.build())
 }
 
 #[cfg(test)]

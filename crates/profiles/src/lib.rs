@@ -34,9 +34,10 @@
 //!
 //! Tokens are the currency of the whole blocker — blocking keys, graph
 //! edges, TF-IDF terms. This crate therefore provides [`TokenDict`]: the
-//! distinct normalized tokens of a collection interned once (sequentially,
-//! or in one parallel pass via [`TokenDict::build_parallel`]) to dense
-//! `u32` [`TokenId`]s. Ids are assigned in **lexicographic token order**,
+//! distinct normalized tokens of a collection interned once to dense `u32`
+//! [`TokenId`]s — by [`TokenDict::build`], or by the token pass
+//! [`intern_profiles`], which also returns every profile's sorted token
+//! ids and runs one profile range per worker on an engine context. Ids are assigned in **lexicographic token order**,
 //! so sorting by id is sorting by key string, and structures built over ids
 //! come out in exactly the order their string-keyed equivalents would.
 //! Downstream crates key every hot path on `TokenId` (flat counting-sort
@@ -75,11 +76,11 @@ mod tokenize;
 
 pub use attribute::Attribute;
 pub use collection::{ErKind, ProfileCollection};
-pub use csv::{parse_csv, profiles_from_csv, write_csv, CsvOptions};
-pub use dict::{DictBuilder, TokenDict, TokenId};
+pub use csv::{parse_csv, profiles_from_csv, push_csv_row, write_csv, CsvOptions};
+pub use dict::{intern_profiles, DictBuilder, ProfileKeys, TokenDict, TokenId};
 pub use error::{Error, Result};
 pub use groundtruth::GroundTruth;
-pub use json::{parse_json, profiles_from_json_lines, JsonValue};
+pub use json::{parse_json, profiles_from_json_lines, profiles_from_json_lines_on, JsonValue};
 pub use pair::Pair;
 pub use profile::{Profile, ProfileBuilder, ProfileId, SourceId};
 pub use tokenize::{each_token, ngrams, tokenize, tokenize_filtered, Token};

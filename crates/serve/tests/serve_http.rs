@@ -265,3 +265,42 @@ fn http_shutdown_endpoint_stops_the_server() {
         assert!(out.is_empty(), "no handler should answer after shutdown");
     }
 }
+
+#[test]
+fn large_multibyte_body_is_stored_verbatim() {
+    // A 500-profile body (~80 KB) with raw multi-byte text, escaped quotes,
+    // backslashes and newlines, `\u` escapes and a surrogate pair: every
+    // value must come back exactly as sent.
+    let handle = boot(2);
+    let addr = handle.addr();
+    let expected_name = |i: usize| format!("café 中文 😀 \"q{i}\" back\\slash\nline é😀 {i}");
+    let body: Vec<String> = (0..500)
+        .map(|i| {
+            let name = JsonValue::String(expected_name(i)).to_string();
+            // The tail of `name` again, written with `\u` escapes.
+            let name = name.replacen(" é😀 ", " \\u00e9\\ud83d\\ude00 ", 1);
+            format!(r#"{{"id":"p{i}-ß","attributes":{{"name":{name},"tags":["Ж{i}","naïve"]}}}}"#)
+        })
+        .collect();
+    let body = format!("[{}]", body.join(",\n"));
+    assert!(body.len() > 60_000, "a warm-load-sized body");
+    assert!(body.contains("\\ud83d\\ude00"), "surrogate pairs are sent");
+    let (status, reply) = request(addr, "POST", "/profiles", &body);
+    assert_eq!(status, 200, "{reply}");
+    let reply = parse_json(&reply).expect("well-formed JSON");
+    assert_eq!(field_u64(&reply, "inserted"), 500);
+
+    let stored = handle.with_resolver(|r| r.materialize_collection());
+    assert_eq!(stored.len(), 500);
+    for i in 0..500 {
+        let id = format!("p{i}-ß");
+        let p = stored
+            .profiles()
+            .iter()
+            .find(|p| p.original_id == id)
+            .unwrap_or_else(|| panic!("{id} stored"));
+        assert_eq!(p.value_of("name"), Some(expected_name(i).as_str()));
+        let tags: Vec<&str> = p.values_of("tags").collect();
+        assert_eq!(tags, [format!("Ж{i}").as_str(), "naïve"]);
+    }
+}

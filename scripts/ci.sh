@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: formatting, release build, the default-member test suites
-# (the facade plus the blocking, dataflow, metablocking, matching and core
-# crates, whose tests pin the purging/filtering semantics, the spill codec
-# and cross-backend equivalence; `cargo test --workspace` runs the rest),
+# (the facade plus the profiles, blocking, dataflow, metablocking, matching
+# and core crates, whose tests pin the JSON-lines loader, the
+# purging/filtering semantics, the spill codec and cross-backend
+# equivalence; `cargo test --workspace` runs the rest),
 # the benchmark package's own smoke self-test, clippy and rustdoc with
 # warnings denied, end-to-end pipeline smoke, a CLI backend-matrix smoke,
-# the supervised-scorer train/run/export smoke, the out-of-core smoke and
-# the online-serve smoke. Run from the repo root: scripts/ci.sh
+# the supervised-scorer train/run/export smoke, the out-of-core smoke, the
+# online-serve smoke and the JSON-lines backend matrix. Run from the repo
+# root: scripts/ci.sh
 #
 # Performance is measured by one harness only: `bash benchmark/run.sh`
 # (see benchmark/README.md).
@@ -102,27 +104,30 @@ done
 printf '%s\n' "${fused_out}" | grep '^fused:' | sed 's/^/    /'
 
 # Out-of-core smoke: the dirty_100k scaling preset under a hard 8 MiB
-# budget must actually spill and still report result counts identical to
-# the unbudgeted in-RAM run.
+# budget must report result counts identical to the unbudgeted in-RAM run,
+# on the fused backend (whose token blocking is a shuffle-free CSR build
+# that counts blocks out in budget-sized key ranges) and on the dataflow
+# backend, whose blocking and filtering shuffles must actually spill.
 echo "==> sparker --preset dirty_100k: in-RAM vs --mem-budget-mb 8"
 inram="$(cargo run -q --release --bin sparker -- --preset dirty_100k --backend fused --workers 2)"
-budgeted="$(cargo run -q --release --bin sparker -- --preset dirty_100k --backend fused --workers 2 --mem-budget-mb 8)"
 inram_counts="$(printf '%s\n' "${inram}" | grep '^result counts:')"
-budget_counts="$(printf '%s\n' "${budgeted}" | grep '^result counts:')"
-memory_line="$(printf '%s\n' "${budgeted}" | grep '^memory:')"
-echo "    in-RAM:   ${inram_counts#result counts: }"
-echo "    budgeted: ${budget_counts#result counts: }"
-echo "    ${memory_line}"
-if [ "${inram_counts}" != "${budget_counts}" ]; then
-  echo "budgeted run diverged from in-RAM: '${budget_counts}' != '${inram_counts}'" >&2
-  exit 1
-fi
-case "${memory_line}" in
-  *"spill_batches=0"*)
-    echo "budgeted 100k run never spilled: ${memory_line}" >&2
+echo "    in-RAM:            ${inram_counts#result counts: }"
+for backend in fused dataflow; do
+  budgeted="$(cargo run -q --release --bin sparker -- --preset dirty_100k --backend "${backend}" \
+    --workers 2 --mem-budget-mb 8)"
+  budget_counts="$(printf '%s\n' "${budgeted}" | grep '^result counts:')"
+  memory_line="$(printf '%s\n' "${budgeted}" | grep '^memory:')"
+  echo "    budgeted ${backend}: ${budget_counts#result counts: }"
+  echo "    ${memory_line}"
+  if [ "${inram_counts}" != "${budget_counts}" ]; then
+    echo "budgeted ${backend} run diverged from in-RAM: '${budget_counts}' != '${inram_counts}'" >&2
     exit 1
-    ;;
-esac
+  fi
+  if [ "${backend}" = dataflow ] && [[ "${memory_line}" == *"spill_batches=0"* ]]; then
+    echo "budgeted 100k dataflow run never spilled: ${memory_line}" >&2
+    exit 1
+  fi
+done
 
 # Online-serve smoke: boot the incremental resolver behind its HTTP API,
 # insert a 1k slice of dirty_10k over the wire from concurrent clients,
@@ -141,5 +146,31 @@ if [ "${serve_counts}" != "${batch_counts}" ]; then
   echo "online service diverged from batch CLI: '${serve_counts}' != '${batch_counts}'" >&2
   exit 1
 fi
+
+# JSON-lines backend matrix: the same JSONL file through the CLI on every
+# backend (parallel loader and token pass on fused, the paper's shuffles on
+# dataflow, one thread on sequential) must give identical result counts,
+# matcher cascade counters and entity CSV bytes.
+echo "==> sparker --source-a <jsonl> --output: sequential vs dataflow vs fused"
+ref_csv=""
+for backend in sequential dataflow fused; do
+  csv="$(mktemp --suffix .csv)"
+  out="$(cargo run -q --release --bin sparker -- --source-a "${serve_jsonl}" \
+    --backend "${backend}" --workers 2 --output "${csv}")"
+  lines="$(printf '%s\n' "${out}" | grep -E '^(result counts|matcher):' | sed 's/ ([^)]*)//')"
+  echo "    ${backend}: $(printf '%s\n' "${lines}" | head -1) ($(wc -l < "${csv}") CSV lines)"
+  if [ -z "${ref_csv}" ]; then
+    ref_csv="${csv}"
+    ref_lines="${lines}"
+  else
+    if [ "${lines}" != "${ref_lines}" ]; then
+      echo "backend ${backend} disagrees: '${lines}' != '${ref_lines}'" >&2
+      exit 1
+    fi
+    cmp "${ref_csv}" "${csv}"
+    rm -f "${csv}"
+  fi
+done
+rm -f "${ref_csv}"
 
 echo "CI OK"

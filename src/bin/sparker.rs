@@ -20,14 +20,16 @@ use sparker::metablocking::{
     train_supervised, BlockGraph, EdgeScorer, LinearModel, TrainOptions, WeightScheme,
 };
 use sparker::profiles::{
-    parse_csv, profiles_from_csv, profiles_from_json_lines, write_csv, CsvOptions, GroundTruth,
-    Profile, ProfileCollection, SourceId,
+    parse_csv, profiles_from_csv, profiles_from_json_lines, profiles_from_json_lines_on,
+    push_csv_row, CsvOptions, GroundTruth, Profile, ProfileCollection, ProfileId, SourceId,
 };
 use sparker::serve::ResolverState;
 use sparker::{
     export_edges_tsv, ExecutionBackend, LostPairsReport, Pipeline, PipelineConfig, PurgeConfig,
     WeightFilter,
 };
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 #[derive(Default)]
@@ -69,10 +71,12 @@ OPTIONS:
     --id-column <name>     CSV column holding record ids (default: id).
     --backend <name>       Execution backend: sequential, dataflow or fused
                            (default: fused). All backends produce identical
-                           results. fused runs the worker-pool engine with
-                           the prune->score stages overlapped: meta-blocking
-                           streams pruned pairs through a bounded channel into
-                           the matcher, so no candidate graph is built.
+                           results. fused runs the worker-pool engine: JSON
+                           lines load and token blocking run in parallel with
+                           no shuffle, and the prune->score stages overlap:
+                           meta-blocking streams pruned pairs through a
+                           bounded channel into the matcher, so no candidate
+                           graph is built.
                            sequential is the single-threaded reference,
                            dataflow the paper's shuffle/broadcast formulation.
     --workers <n>          Worker count for the dataflow/fused backends
@@ -198,10 +202,21 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn load_source(path: &str, source: SourceId, id_column: &str) -> Result<Vec<Profile>, String> {
+/// Load one source file; JSON lines are parsed on the backend's worker
+/// pool when it has one.
+fn load_source(
+    path: &str,
+    source: SourceId,
+    id_column: &str,
+    backend: &ExecutionBackend,
+) -> Result<Vec<Profile>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     if path.ends_with(".jsonl") || path.ends_with(".json") {
-        profiles_from_json_lines(&text, source, id_column).map_err(|e| format!("{path}: {e}"))
+        match backend.context() {
+            Some(ctx) => profiles_from_json_lines_on(ctx, &text, source, id_column),
+            None => profiles_from_json_lines(&text, source, id_column),
+        }
+        .map_err(|e| format!("{path}: {e}"))
     } else {
         let options = CsvOptions {
             id_column: Some(id_column.to_string()),
@@ -276,10 +291,11 @@ fn run() -> Result<(), String> {
             args.source_a.as_ref().unwrap(),
             SourceId(0),
             &args.id_column,
+            &backend,
         )?;
         let collection = match &args.source_b {
             Some(b) => {
-                let b = load_source(b, SourceId(1), &args.id_column)?;
+                let b = load_source(b, SourceId(1), &args.id_column, &backend)?;
                 ProfileCollection::clean_clean(a, b)
             }
             None => ProfileCollection::dirty(a),
@@ -366,17 +382,24 @@ fn run() -> Result<(), String> {
         m.verified,
         m.kept,
     );
+    // Members grouped by cluster once: the counts below and the entity
+    // rows written at the end both read it.
+    let (cluster_offsets, cluster_members) = result.clusters.grouped();
+    let entities = cluster_offsets.len() - 1;
     println!(
         "clusterer: {} entities, {} with >1 profile ({:.1?})",
-        result.clusters.num_clusters(),
-        result.clusters.non_trivial_clusters().len(),
+        entities,
+        cluster_offsets
+            .windows(2)
+            .filter(|w| w[1] - w[0] > 1)
+            .count(),
         result.timings.clustering,
     );
     println!(
         "result counts: candidates={} matches={} entities={}",
         result.blocker.candidates.len(),
         result.similarity.len(),
-        result.clusters.num_clusters(),
+        entities,
     );
     println!(
         "memory: budget_mb={} peak_rss_mb={} spilled_mb={} spill_batches={}",
@@ -434,25 +457,43 @@ fn run() -> Result<(), String> {
 
     // Output.
     if let Some(path) = &args.output {
-        let mut rows = vec![vec![
-            "entity_id".to_string(),
-            "source".to_string(),
-            "original_id".to_string(),
-        ]];
-        for (entity, members) in result.clusters.clusters() {
-            for m in members {
-                let p = collection.get(m);
-                rows.push(vec![
-                    entity.to_string(),
-                    p.source.0.to_string(),
-                    p.original_id.clone(),
-                ]);
-            }
-        }
-        std::fs::write(path, write_csv(&rows, ',')).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("\nwrote {} entity rows to {path}", rows.len() - 1);
+        let rows = write_entities(path, &collection, &cluster_offsets, &cluster_members)
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        println!("\nwrote {rows} entity rows to {path}");
     }
     Ok(())
+}
+
+/// Stream the resolved entities to `path` as CSV
+/// (`entity_id,source,original_id`, one row per profile, clusters in id
+/// order) — byte for byte what `write_csv` makes of the same rows. Returns
+/// the number of entity rows.
+fn write_entities(
+    path: &str,
+    collection: &ProfileCollection,
+    offsets: &[u32],
+    members: &[ProfileId],
+) -> std::io::Result<usize> {
+    let mut out = BufWriter::new(File::create(path)?);
+    let mut row = String::new();
+    push_csv_row(&mut row, &["entity_id", "source", "original_id"], ',');
+    out.write_all(row.as_bytes())?;
+    for w in offsets.windows(2) {
+        let group = &members[w[0] as usize..w[1] as usize];
+        let entity = group[0].0.to_string();
+        for &m in group {
+            let p = collection.get(m);
+            row.clear();
+            push_csv_row(
+                &mut row,
+                &[entity.as_str(), &p.source.0.to_string(), &p.original_id],
+                ',',
+            );
+            out.write_all(row.as_bytes())?;
+        }
+    }
+    out.flush()?;
+    Ok(members.len())
 }
 
 /// Parse an `--edge-scorer` value: a classic scheme name or

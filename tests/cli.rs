@@ -251,3 +251,65 @@ fn missing_file_fails_cleanly() {
     assert!(!result.status.success());
     assert!(String::from_utf8_lossy(&result.stderr).contains("reading"));
 }
+
+#[test]
+fn entity_csv_is_byte_identical_to_write_csv() {
+    // Ids with a separator, a quote and a newline need CSV quoting; the
+    // streamed output must quote them exactly as `write_csv` does over the
+    // rows of `EntityClusters::clusters`.
+    use sparker::profiles::{profiles_from_json_lines, write_csv, ProfileCollection, SourceId};
+    use sparker::{Pipeline, PipelineConfig};
+    let dir = tempdir("csv-bytes");
+    let src = write(
+        &dir,
+        "records.jsonl",
+        concat!(
+            "{\"id\":\"a,1\",\"title\":\"sony bravia tv kd40 black\"}\n",
+            "{\"id\":\"say \\\"hi\\\"\",\"title\":\"sony bravia tv kd40 black edition\"}\n",
+            "{\"id\":\"two\\nlines\",\"title\":\"apple iphone x silver\"}\n",
+            "{\"id\":\"plain\",\"title\":\"apple iphone x silver 64gb\"}\n",
+            "{\"id\":\"lone, \\\"odd\\\"\",\"title\":\"garden hose green\"}\n",
+        ),
+    );
+    let out = dir.join("entities.csv");
+    let result = sparker()
+        .args(["--source-a", &src, "--workers", "2", "--output"])
+        .arg(&out)
+        .output()
+        .unwrap();
+    assert!(
+        result.status.success(),
+        "{}",
+        String::from_utf8_lossy(&result.stderr)
+    );
+
+    let text = std::fs::read_to_string(&src).unwrap();
+    let collection =
+        ProfileCollection::dirty(profiles_from_json_lines(&text, SourceId(0), "id").unwrap());
+    let clusters = Pipeline::new(PipelineConfig::default())
+        .run(&collection)
+        .clusters;
+    let mut rows = vec![vec![
+        "entity_id".to_string(),
+        "source".to_string(),
+        "original_id".to_string(),
+    ]];
+    for (entity, members) in clusters.clusters() {
+        for m in members {
+            let p = collection.get(m);
+            rows.push(vec![
+                entity.to_string(),
+                p.source.0.to_string(),
+                p.original_id.clone(),
+            ]);
+        }
+    }
+    assert!(
+        clusters.num_clusters() < collection.len(),
+        "some ids cluster"
+    );
+    let expected = write_csv(&rows, ',');
+    assert!(expected.contains("\"two\nlines\""), "{expected}");
+    assert_eq!(std::fs::read_to_string(&out).unwrap(), expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
