@@ -57,7 +57,10 @@ fn stage_rows(name: &str, ds: &GeneratedDataset, blast: bool, t: &mut Table) {
     let (config, entropies) = if blast {
         (
             MetaBlockingConfig::blast(),
-            Some(block_entropies(&blocks, parts.as_ref().unwrap())),
+            Some(block_entropies(
+                blocks.blocks().iter().map(|b| b.key.as_str()),
+                parts.as_ref().unwrap(),
+            )),
         )
     } else {
         (MetaBlockingConfig::default(), None)
@@ -100,7 +103,7 @@ fn main() {
             sparker_blocking::keyed_blocking(&ds.collection, |pr| loose_schema_keys(pr, &parts));
         let blocks = purge_oversized(blocks, ds.collection.len(), 0.5);
         let blocks = block_filtering(blocks, 0.8);
-        let entropies = block_entropies(&blocks, &parts);
+        let entropies = block_entropies(blocks.blocks().iter().map(|b| b.key.as_str()), &parts);
         for use_entropy in [false, true] {
             let graph = BlockGraph::new(&blocks, use_entropy.then_some(&entropies));
             let config = MetaBlockingConfig {

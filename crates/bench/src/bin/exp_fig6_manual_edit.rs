@@ -26,7 +26,7 @@ fn run_with_partitioning(
     let blocks = keyed_blocking(&ds.collection, |p| loose_schema_keys(p, parts));
     let blocks = purge_oversized(blocks, ds.collection.len(), 0.5);
     let blocks = block_filtering(blocks, 0.8);
-    let entropies = block_entropies(&blocks, parts);
+    let entropies = block_entropies(blocks.blocks().iter().map(|b| b.key.as_str()), parts);
     let graph = BlockGraph::new(&blocks, Some(&entropies));
     let config = sparker_metablocking::MetaBlockingConfig {
         use_entropy: true,

@@ -44,7 +44,7 @@ fn main() {
     let q_before = BlockingQuality::measure(&before, &ds.ground_truth, &ds.collection);
 
     // Meta-blocking with entropy — the Figure 6(e) state.
-    let entropies = block_entropies(&blocks, &parts);
+    let entropies = block_entropies(blocks.blocks().iter().map(|b| b.key.as_str()), &parts);
     let graph = BlockGraph::new(&blocks, Some(&entropies));
     let retained = meta_blocking_graph(
         &graph,

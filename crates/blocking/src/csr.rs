@@ -9,14 +9,49 @@
 //! `sparker-metablocking`'s `BlockGraph` is built from without re-copying
 //! per-block vectors.
 //!
+//! Block cleaning runs on the same structure: [`CompactBlocks::clean`]
+//! purges and filters in one pass over the per-profile key lists the
+//! blocks were built from, so the production path never leaves CSR.
+//!
 //! Block keys stay recoverable: [`CompactBlocks::materialize`] resolves ids
 //! back to strings through the [`TokenDict`] and yields a classic
 //! [`BlockCollection`] for display, debugging and the string-keyed APIs.
 
 use crate::block::Block;
 use crate::collection::BlockCollection;
-use sparker_dataflow::MemBudget;
+use crate::purging::PurgeConfig;
+use sparker_dataflow::{map_ranges, Context, MemBudget};
 use sparker_profiles::{ErKind, ProfileId, ProfileKeys, TokenDict, TokenId};
+use std::ops::Range;
+
+/// Marks a key without a surviving block, and a block that does not
+/// survive.
+const NONE: u32 = u32::MAX;
+
+/// The blocks one profile range keeps after filtering: per profile (in
+/// order) how many, then their block indices back to back.
+#[derive(Debug, Clone, Default)]
+struct Selection {
+    lens: Vec<u32>,
+    blocks: Vec<u32>,
+}
+
+/// Visit `(profile, block)` for every selected membership, profiles
+/// ascending — the order that keeps scattered members sorted.
+fn for_each_selected(ranges: &[Selection], mut f: impl FnMut(u32, usize)) {
+    let mut p = 0u32;
+    for range in ranges {
+        let mut at = 0;
+        for &len in &range.lens {
+            let end = at + len as usize;
+            for &b in &range.blocks[at..end] {
+                f(p, b as usize);
+            }
+            at = end;
+            p += 1;
+        }
+    }
+}
 
 /// A block collection packed in CSR form: `members` holds every block's
 /// profiles back to back, `offsets[b]..offsets[b + 1]` delimits block `b`,
@@ -189,6 +224,181 @@ impl CompactBlocks {
             members,
             num_profiles,
         }
+    }
+
+    /// Pack a [`BlockCollection`] into CSR form keyed by block position
+    /// (block `b` gets key `b`), together with every profile's list of
+    /// blocks — the two inputs [`CompactBlocks::clean`] takes.
+    /// `materialize_with` on a cleaned result maps key `b` back to block
+    /// `b`'s key string.
+    pub fn from_collection(blocks: &BlockCollection) -> (CompactBlocks, ProfileKeys) {
+        let mut compact = CompactBlocks {
+            kind: blocks.kind(),
+            keys: Vec::with_capacity(blocks.len()),
+            offsets: vec![0],
+            splits: Vec::with_capacity(blocks.len()),
+            members: Vec::with_capacity(blocks.total_assignments() as usize),
+            num_profiles: 0,
+        };
+        for (b, block) in blocks.blocks().iter().enumerate() {
+            compact.keys.push(TokenId(b as u32));
+            compact.members.extend(block.all_members());
+            compact.offsets.push(compact.members.len() as u32);
+            compact.splits.push(block.members[0].len() as u32);
+        }
+        let index = blocks.profile_index();
+        compact.num_profiles = index.len();
+        let profiles: Vec<ProfileId> = (0..index.len() as u32).map(ProfileId).collect();
+        let lists = ProfileKeys::collect(&profiles, |&p, buf| {
+            buf.extend(index.blocks_of(p).iter().map(|b| b.0));
+        });
+        (compact, lists)
+    }
+
+    /// Block Purging and Block Filtering in one pass over the CSR: the
+    /// blocks `block_filtering(purge(materialize(..)))` holds — same keys,
+    /// members, source split and order — without resolving a key, building
+    /// a per-block vector or shuffling.
+    ///
+    /// `profile_keys` are the per-profile key lists these blocks were built
+    /// from, and `total_profiles` is the collection size the oversized
+    /// rule is relative to.
+    ///
+    /// * **Purge.** `purge` is resolved once from every block's
+    ///   `(comparisons, size)` ([`PurgeConfig::cap`]).
+    /// * **Filter** (`filter_ratio`). Each profile's surviving blocks come
+    ///   from its key list through a key → block index and are ordered by
+    ///   `(comparisons, block index)`; the first `max(1, ⌈ratio · d⌉)`
+    ///   stay. Block index order is key order and purging keeps it, so the
+    ///   tie-break is exactly `block_filtering`'s. Profile ranges run on
+    ///   `ctx`'s pool when one is given.
+    /// * **Rebuild.** One counting-sort scatter by block, profiles
+    ///   ascending, keeps every block's members sorted with its clean–clean
+    ///   source-0 prefix first; blocks that filtering left inducing no
+    ///   comparison are dropped, as [`BlockCollection::new`] drops them.
+    ///
+    /// The pass's temporaries are reserved against `budget` while they
+    /// live. The result is identical for any worker count and budget.
+    pub fn clean(
+        self,
+        ctx: Option<&Context>,
+        profile_keys: &ProfileKeys,
+        purge: &PurgeConfig,
+        total_profiles: usize,
+        filter_ratio: Option<f64>,
+        budget: &MemBudget,
+    ) -> CompactBlocks {
+        if let Some(ratio) = filter_ratio {
+            assert!(
+                (0.0..=1.0).contains(&ratio) && ratio > 0.0,
+                "filter ratio must be in (0, 1], got {ratio}"
+            );
+        }
+        if matches!(purge, PurgeConfig::Off) && filter_ratio.is_none() {
+            return self;
+        }
+        let num_blocks = self.len();
+        let n = profile_keys.len();
+        let key_space = self.keys.last().map_or(0, |k| k.index() + 1);
+        let scratch_bytes = (4 * key_space + 32 * num_blocks + 4 * (n + self.members.len())) as u64;
+        let reserved = budget.try_reserve(scratch_bytes);
+
+        let comparisons: Vec<u64> = (0..num_blocks).map(|b| self.comparisons(b)).collect();
+        let size = |b: usize| u64::from(self.offsets[b + 1] - self.offsets[b]);
+        let cap = purge.cap(
+            total_profiles,
+            (0..num_blocks).map(|b| (comparisons[b], size(b))),
+        );
+        let mut block_of = vec![NONE; key_space];
+        for b in 0..num_blocks {
+            if cap.keeps(comparisons[b], size(b)) {
+                block_of[self.keys[b].index()] = b as u32;
+            }
+        }
+
+        let select = |range: Range<usize>| {
+            let mut out = Selection::default();
+            let mut candidates: Vec<(u64, u32)> = Vec::new();
+            for p in range {
+                candidates.clear();
+                for &k in profile_keys.keys_of(p) {
+                    match block_of.get(k as usize) {
+                        Some(&b) if b != NONE => candidates.push((comparisons[b as usize], b)),
+                        _ => {}
+                    }
+                }
+                let keep = match filter_ratio {
+                    Some(ratio) if !candidates.is_empty() => {
+                        let quota = ((candidates.len() as f64 * ratio).ceil() as usize).max(1);
+                        if quota < candidates.len() {
+                            candidates.select_nth_unstable(quota - 1);
+                        }
+                        quota.min(candidates.len())
+                    }
+                    _ => candidates.len(),
+                };
+                out.lens.push(keep as u32);
+                out.blocks
+                    .extend(candidates[..keep].iter().map(|&(_, b)| b));
+            }
+            out
+        };
+        let selected = map_ranges(ctx, n, select);
+
+        // A member of block `b` is on the source-0 side iff it precedes the
+        // block's first source-1 member (dirty blocks have none).
+        let source1_from: Vec<u32> = (0..num_blocks)
+            .map(|b| self.members(b).get(self.split(b)).map_or(u32::MAX, |p| p.0))
+            .collect();
+        let mut counts = vec![0u32; num_blocks];
+        let mut counts0 = vec![0u32; num_blocks];
+        for_each_selected(&selected, |p, b| {
+            counts[b] += 1;
+            counts0[b] += u32::from(p < source1_from[b]);
+        });
+        let mut cleaned = CompactBlocks {
+            kind: self.kind,
+            keys: Vec::new(),
+            offsets: vec![0],
+            splits: Vec::new(),
+            members: Vec::new(),
+            num_profiles: 0,
+        };
+        let mut new_id = vec![NONE; num_blocks];
+        for b in 0..num_blocks {
+            let (size, s0) = (counts[b], counts0[b]);
+            let useful = match self.kind {
+                ErKind::Dirty => size >= 2,
+                ErKind::CleanClean => s0 > 0 && s0 < size,
+            };
+            if !useful {
+                continue;
+            }
+            new_id[b] = cleaned.keys.len() as u32;
+            cleaned.keys.push(self.keys[b]);
+            cleaned
+                .offsets
+                .push(cleaned.offsets.last().expect("offsets start at 0") + size);
+            cleaned.splits.push(match self.kind {
+                ErKind::Dirty => size,
+                ErKind::CleanClean => s0,
+            });
+        }
+        let total = *cleaned.offsets.last().expect("offsets start at 0") as usize;
+        cleaned.members = vec![ProfileId(0); total];
+        let mut cursor = cleaned.offsets[..cleaned.keys.len()].to_vec();
+        for_each_selected(&selected, |p, b| {
+            let j = new_id[b];
+            if j != NONE {
+                cleaned.members[cursor[j as usize] as usize] = ProfileId(p);
+                cursor[j as usize] += 1;
+                cleaned.num_profiles = p as usize + 1;
+            }
+        });
+        if reserved {
+            budget.release(scratch_bytes);
+        }
+        cleaned
     }
 
     /// Task kind the blocks were built for.

@@ -14,11 +14,15 @@
 //!   [`token_blocking_string`] is the original map-based reference).
 //! * [`keyed_blocking`] — the generalization used by Blast's loose-schema
 //!   blocking, where the caller derives the keys (token ⧺ attribute-partition
-//!   id, Figure 2(b)).
+//!   id, Figure 2(b)); [`keyed_blocking_pass`] is its CSR key pass.
 //! * [`purge_oversized`] — Block Purging: drop blocks containing more than
-//!   half of all profiles (stop-word-like keys).
+//!   half of all profiles (stop-word-like keys); [`purge_by_comparison_level`]
+//!   picks the cap from the block-size distribution ([`PurgeConfig`]).
 //! * [`block_filtering`] — Block Filtering: remove each profile from the
 //!   largest 20 % of the blocks it appears in.
+//! * [`CompactBlocks::clean`] — both cleaning steps in one pass over the CSR
+//!   blocks, identical to the string-keyed functions above (which stay as
+//!   its oracle).
 //! * [`dataflow`] — the same operators expressed on the
 //!   [`sparker_dataflow`] engine, mirroring SparkER's Spark implementation.
 //!
@@ -51,10 +55,10 @@ pub use filtering::block_filtering;
 pub use methods::{
     canopy_blocking, ngram_blocking, rarest_token_key, sorted_neighborhood, sorted_neighborhood_by,
 };
-pub use purging::{purge_by_comparison_level, purge_oversized};
+pub use purging::{purge_by_comparison_level, purge_oversized, PurgeCap, PurgeConfig};
 pub use sparker_profiles::ProfileKeys;
 pub use tokenblocking::{
-    keyed_blocking, keyed_blocking_string, token_blocking, token_blocking_interned,
-    token_blocking_pass, token_blocking_streaming, token_blocking_string, token_blocking_with_dict,
-    token_blocking_with_dict_budgeted, TokenBlocks,
+    keyed_blocking, keyed_blocking_pass, keyed_blocking_string, token_blocking,
+    token_blocking_interned, token_blocking_pass, token_blocking_streaming, token_blocking_string,
+    token_blocking_with_dict, token_blocking_with_dict_budgeted, TokenBlocks,
 };

@@ -1,6 +1,127 @@
 //! Block Purging: remove the largest, least informative blocks.
+//!
+//! Both purge rules decide from each block's `(comparisons, size)` alone.
+//! [`PurgeConfig::cap`] resolves a rule into a [`PurgeCap`] once per block
+//! collection — the one implementation the string-keyed functions below,
+//! the CSR clean ([`crate::CompactBlocks::clean`]) and the incremental
+//! resolver all apply.
 
 use crate::collection::BlockCollection;
+
+/// How oversized blocks are purged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PurgeConfig {
+    /// No purging.
+    Off,
+    /// Drop blocks holding more than `max_fraction` of all profiles (the
+    /// paper's definition; its setting is 0.5).
+    Oversized {
+        /// Retained block size as a fraction of the collection.
+        max_fraction: f64,
+    },
+    /// Automatic comparison-level purging with the given smoothing factor.
+    ComparisonLevel {
+        /// Marginal comparisons-per-assignment tolerance (≥ 1).
+        smoothing: f64,
+    },
+}
+
+/// A purge rule resolved against one block collection: which blocks, by
+/// `(comparisons, size)`, survive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PurgeCap {
+    /// Every block survives.
+    KeepAll,
+    /// Blocks of at most this many profiles survive.
+    MaxSize(u64),
+    /// Blocks inducing at most this many comparisons survive.
+    MaxComparisons(u64),
+}
+
+impl PurgeCap {
+    /// `true` when a block of `size` profiles inducing `comparisons`
+    /// comparisons survives the purge.
+    #[inline]
+    pub fn keeps(self, comparisons: u64, size: u64) -> bool {
+        match self {
+            PurgeCap::KeepAll => true,
+            PurgeCap::MaxSize(cap) => size <= cap,
+            PurgeCap::MaxComparisons(cap) => comparisons <= cap,
+        }
+    }
+}
+
+impl PurgeConfig {
+    /// Resolve the rule against a collection of `total_profiles` profiles
+    /// whose blocks have the given `(comparisons, size)` statistics. Only
+    /// the comparison-level rule reads the statistics: one sort plus prefix
+    /// sums, O(B log B).
+    pub fn cap(
+        &self,
+        total_profiles: usize,
+        blocks: impl IntoIterator<Item = (u64, u64)>,
+    ) -> PurgeCap {
+        match *self {
+            PurgeConfig::Off => PurgeCap::KeepAll,
+            PurgeConfig::Oversized { max_fraction } => {
+                PurgeCap::MaxSize(oversized_cap(total_profiles, max_fraction))
+            }
+            PurgeConfig::ComparisonLevel { smoothing } => {
+                let mut stats: Vec<(u64, u64)> = blocks.into_iter().collect();
+                comparison_level_cap(&mut stats, smoothing)
+                    .map_or(PurgeCap::KeepAll, PurgeCap::MaxComparisons)
+            }
+        }
+    }
+}
+
+/// The size cap of [`purge_oversized`]: `max(2, ⌊total_profiles ·
+/// max_fraction⌋)`.
+fn oversized_cap(total_profiles: usize, max_fraction: f64) -> u64 {
+    assert!(
+        max_fraction > 0.0,
+        "purging fraction must be positive, got {max_fraction}"
+    );
+    // A block of two profiles is never a stop-word block, whatever the
+    // collection size — without this floor, tiny collections (where half
+    // the profiles is < 2) would lose every useful block.
+    ((total_profiles as f64 * max_fraction).floor() as u64).max(2)
+}
+
+/// The comparison cap of [`purge_by_comparison_level`], from every block's
+/// `(comparisons, size)` (sorted in place); `None` when there are no
+/// blocks.
+///
+/// One sort groups the blocks by comparison level, and the running sums at
+/// the end of each group are the cumulative comparisons and assignments of
+/// every block at or below that level — O(B log B), where rescanning the
+/// blocks once per distinct level was O(levels × B).
+fn comparison_level_cap(blocks: &mut [(u64, u64)], smoothing: f64) -> Option<u64> {
+    assert!(
+        smoothing >= 1.0,
+        "smoothing factor must be ≥ 1, got {smoothing}"
+    );
+    blocks.sort_unstable();
+    // (level, cumulative comparisons, cumulative assignments) of the last
+    // admitted level.
+    let mut admitted: Option<(u64, u64, u64)> = None;
+    let (mut comparisons, mut assignments) = (0u64, 0u64);
+    for level in blocks.chunk_by(|a, b| a.0 == b.0) {
+        comparisons += level.iter().map(|&(c, _)| c).sum::<u64>();
+        assignments += level.iter().map(|&(_, s)| s).sum::<u64>();
+        // Stop before the first level whose admitted blocks raise
+        // comparisons-per-assignment beyond smoothing × the running ratio.
+        if let Some((_, c_prev, a_prev)) = admitted {
+            let prev_ratio = c_prev as f64 / a_prev.max(1) as f64;
+            let marginal = (comparisons - c_prev) as f64 / (assignments - a_prev).max(1) as f64;
+            if marginal > smoothing * prev_ratio.max(1.0) {
+                break;
+            }
+        }
+        admitted = Some((level[0].0, comparisons, assignments));
+    }
+    admitted.map(|(level, _, _)| level)
+}
 
 /// Block Purging as described in the paper: "discards all the blocks that
 /// contain more than half of the profiles in the collection, corresponding
@@ -14,15 +135,8 @@ pub fn purge_oversized(
     total_profiles: usize,
     max_fraction: f64,
 ) -> BlockCollection {
-    assert!(
-        max_fraction > 0.0,
-        "purging fraction must be positive, got {max_fraction}"
-    );
-    // A block of two profiles is never a stop-word block, whatever the
-    // collection size — without this floor, tiny collections (where half
-    // the profiles is < 2) would lose every useful block.
-    let cap = ((total_profiles as f64 * max_fraction).floor() as usize).max(2);
-    blocks.retain(|b| b.size() <= cap);
+    let cap = oversized_cap(total_profiles, max_fraction);
+    blocks.retain(|b| b.size() as u64 <= cap);
     blocks
 }
 
@@ -39,56 +153,14 @@ pub fn purge_oversized(
 /// newly admitted blocks stays below `smoothing` × the running average.
 /// Intuitively, oversized blocks add many comparisons but few new
 /// profile–block assignments, so their marginal ratio explodes.
-pub fn purge_by_comparison_level(blocks: BlockCollection, smoothing: f64) -> BlockCollection {
-    assert!(
-        smoothing >= 1.0,
-        "smoothing factor must be ≥ 1, got {smoothing}"
-    );
+pub fn purge_by_comparison_level(mut blocks: BlockCollection, smoothing: f64) -> BlockCollection {
     let kind = blocks.kind();
-    if blocks.is_empty() {
-        return blocks;
-    }
-
-    // Distinct per-block comparison counts, ascending.
-    let mut levels: Vec<u64> = blocks
-        .blocks()
-        .iter()
-        .map(|b| b.comparisons(kind))
-        .collect();
-    levels.sort_unstable();
-    levels.dedup();
-
-    // For each level, the cumulative comparisons and assignments of blocks
-    // at or below it.
-    let mut cum: Vec<(u64, u64, u64)> = Vec::with_capacity(levels.len()); // (level, comparisons, assignments)
-    for &level in &levels {
-        let mut comparisons = 0u64;
-        let mut assignments = 0u64;
-        for b in blocks.blocks() {
-            if b.comparisons(kind) <= level {
-                comparisons += b.comparisons(kind);
-                assignments += b.size() as u64;
-            }
-        }
-        cum.push((level, comparisons, assignments));
-    }
-
-    // Walk up the levels; stop before the first level whose admitted blocks
-    // raise comparisons-per-assignment beyond smoothing × current ratio.
-    let mut cap = cum[0].0;
-    for w in cum.windows(2) {
-        let (_, c_prev, a_prev) = w[0];
-        let (level, c_next, a_next) = w[1];
-        let prev_ratio = c_prev as f64 / a_prev.max(1) as f64;
-        let marginal = (c_next - c_prev) as f64 / (a_next - a_prev).max(1) as f64;
-        if marginal > smoothing * prev_ratio.max(1.0) {
-            break;
-        }
-        cap = level;
-    }
-
-    let mut blocks = blocks;
-    blocks.retain(|b| b.comparisons(kind) <= cap);
+    let stats = |b: &crate::Block| (b.comparisons(kind), b.size() as u64);
+    let cap = PurgeConfig::ComparisonLevel { smoothing }.cap(0, blocks.blocks().iter().map(stats));
+    blocks.retain(|b| {
+        let (comparisons, size) = stats(b);
+        cap.keeps(comparisons, size)
+    });
     blocks
 }
 
@@ -99,6 +171,45 @@ mod proptests {
     use proptest::prelude::*;
     use sparker_profiles::{ErKind, ProfileId};
 
+    /// The original per-level rule, kept as the oracle of
+    /// [`comparison_level_cap`]: for every distinct level, rescan all
+    /// blocks for the cumulative comparisons and assignments at or below
+    /// it, then walk the levels upward.
+    fn per_level_cap(blocks: &[(u64, u64)], smoothing: f64) -> Option<u64> {
+        let mut levels: Vec<u64> = blocks.iter().map(|&(c, _)| c).collect();
+        levels.sort_unstable();
+        levels.dedup();
+        let cum: Vec<(u64, u64, u64)> = levels
+            .iter()
+            .map(|&level| {
+                let admitted = blocks.iter().filter(|&&(c, _)| c <= level);
+                let comparisons = admitted.clone().map(|&(c, _)| c).sum();
+                let assignments = admitted.map(|&(_, s)| s).sum();
+                (level, comparisons, assignments)
+            })
+            .collect();
+        let mut cap = cum.first()?.0;
+        for w in cum.windows(2) {
+            let (_, c_prev, a_prev) = w[0];
+            let (level, c_next, a_next) = w[1];
+            let prev_ratio = c_prev as f64 / a_prev.max(1) as f64;
+            let marginal = (c_next - c_prev) as f64 / (a_next - a_prev).max(1) as f64;
+            if marginal > smoothing * prev_ratio.max(1.0) {
+                break;
+            }
+            cap = level;
+        }
+        Some(cap)
+    }
+
+    /// Random `(comparisons, size)` statistics of dirty or clean–clean
+    /// blocks: sizes from a heavy-tailed mix so a few blocks explode.
+    fn block_stats_strategy() -> impl Strategy<Value = Vec<(u64, u64)>> {
+        let dirty = (2u64..60).prop_map(|n| (n * (n - 1) / 2, n));
+        let clean = (1u64..30, 1u64..30).prop_map(|(a, b)| (a * b, a + b));
+        let hub = (100u64..2_000).prop_map(|n| (n * (n - 1) / 2, n));
+        prop::collection::vec(prop_oneof![dirty, clean, hub], 0..80)
+    }
     /// Random dirty collections: `n` profiles, up to 12 blocks of 2..=n
     /// distinct members each.
     fn blocks_strategy() -> impl Strategy<Value = (BlockCollection, usize)> {
@@ -171,6 +282,20 @@ mod proptests {
                     "the cheapest blocks always survive"
                 );
             }
+        }
+
+        /// One sort plus prefix sums resolves exactly the cap the
+        /// per-level rescan does, whatever the input order.
+        #[test]
+        fn comparison_level_cap_matches_per_level_rescan(
+            stats in block_stats_strategy(),
+            smoothing in 1.0f64..3.0,
+        ) {
+            let expected = per_level_cap(&stats, smoothing);
+            let mut sorted = stats.clone();
+            prop_assert_eq!(comparison_level_cap(&mut sorted, smoothing), expected);
+            let cap = PurgeConfig::ComparisonLevel { smoothing }.cap(0, stats);
+            prop_assert_eq!(cap, expected.map_or(PurgeCap::KeepAll, PurgeCap::MaxComparisons));
         }
     }
 }

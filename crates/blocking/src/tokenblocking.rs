@@ -1,8 +1,9 @@
 //! Schema-agnostic Token Blocking and its keyed generalization.
 //!
 //! Both now run on the interned fast path: keys are mapped to dense ids
-//! (tokens through the collection-wide [`TokenDict`], ad-hoc keys through a
-//! sorted key table), blocks are built by counting sort into a CSR
+//! (tokens by the token pass, ad-hoc keys by the same pass over the
+//! caller's keys — each into a lexicographic [`TokenDict`]), blocks are
+//! built by counting sort into a CSR
 //! [`CompactBlocks`], and strings only reappear when the result is
 //! materialized. The original `HashMap<String, …>` implementation is kept
 //! as [`token_blocking_string`] — it is the reference the property tests
@@ -14,8 +15,8 @@ use crate::collection::BlockCollection;
 use crate::csr::CompactBlocks;
 use sparker_dataflow::{Context, MemBudget};
 use sparker_profiles::{
-    each_token, intern_profiles, DictBuilder, ErKind, Profile, ProfileCollection, ProfileId,
-    ProfileKeys, TokenDict,
+    each_token, intern_profile_keys, intern_profiles, DictBuilder, ErKind, Profile,
+    ProfileCollection, ProfileId, ProfileKeys, TokenDict,
 };
 use std::collections::HashMap;
 
@@ -34,14 +35,17 @@ pub fn token_blocking(collection: &ProfileCollection) -> BlockCollection {
     compact.materialize(&dict)
 }
 
-/// What one token pass over a collection leaves behind: the dictionary,
-/// every profile's sorted token ids and the CSR blocks built from them.
+/// What one token (or key) pass over a collection leaves behind: the
+/// dictionary, every profile's sorted key ids and the CSR blocks built from
+/// them.
 #[derive(Debug, Clone)]
 pub struct TokenBlocks {
-    /// The collection's tokens, interned in lexicographic order.
+    /// The collection's blocking keys — its tokens, or the caller's keys
+    /// for [`keyed_blocking_pass`] — interned in lexicographic order.
     pub dict: TokenDict,
-    /// Each profile's sorted, deduplicated token ids — the matcher builds
-    /// its prepared views from these instead of re-tokenizing.
+    /// Each profile's sorted, deduplicated key ids. For tokens the matcher
+    /// builds its prepared views from these instead of re-tokenizing; the
+    /// CSR clean ([`CompactBlocks::clean`]) reads them for both.
     pub keys: ProfileKeys,
     /// The token blocks, keyed by id.
     pub blocks: CompactBlocks,
@@ -176,49 +180,40 @@ pub fn token_blocking_string(collection: &ProfileCollection) -> BlockCollection 
 /// of blocking keys. This is the hook used by Blast's loose-schema blocking,
 /// where keys are `token ⧺ "_" ⧺ attribute-partition id` (Figure 2(b)).
 ///
-/// Duplicate keys emitted for one profile are collapsed. The produced keys
-/// are interned into an ad-hoc sorted key table and blocks are built by the
-/// same counting-sort CSR construction as [`token_blocking_interned`];
-/// output is identical to the string-keyed reference.
+/// Duplicate keys emitted for one profile are collapsed. The one-range case
+/// of [`keyed_blocking_pass`], materialized; output is identical to the
+/// string-keyed reference.
 pub fn keyed_blocking(
     collection: &ProfileCollection,
-    key_fn: impl Fn(&Profile) -> Vec<String>,
+    key_fn: impl Fn(&Profile) -> Vec<String> + Sync,
 ) -> BlockCollection {
-    // Materialize each profile's key set once, then intern the distinct
-    // keys into a sorted table: index == dense id, ascending id == sorted
-    // key order.
-    let per_profile: Vec<Vec<String>> = collection
-        .profiles()
-        .iter()
-        .map(|p| {
-            let mut keys = key_fn(p);
-            keys.sort_unstable();
-            keys.dedup();
-            keys
-        })
-        .collect();
-    let mut table: Vec<&str> = per_profile
-        .iter()
-        .flat_map(|keys| keys.iter().map(String::as_str))
-        .collect();
-    table.sort_unstable();
-    table.dedup();
+    let TokenBlocks { dict, blocks, .. } =
+        keyed_blocking_pass(None, collection, key_fn, &MemBudget::unlimited());
+    blocks.materialize(&dict)
+}
 
-    let keys = ProfileKeys::collect(&per_profile, |profile_keys, buf| {
-        for k in profile_keys {
-            let id = table
-                .binary_search(&k.as_str())
-                .expect("key came from the table");
-            buf.push(id as u32);
-        }
-    });
-    let compact = CompactBlocks::from_profile_keys(
+/// The key pass of keyed blocking — [`token_blocking_pass`] with the
+/// caller's keys in place of tokens: every profile's keys are interned
+/// once ([`intern_profile_keys`], one contiguous profile range per worker
+/// when a context is given) into a lexicographic key dictionary, and the
+/// per-profile id lists are counting-sorted into the CSR blocks under
+/// `budget`. No shuffle, and the output is identical for any worker count
+/// and budget.
+pub fn keyed_blocking_pass(
+    ctx: Option<&Context>,
+    collection: &ProfileCollection,
+    key_fn: impl Fn(&Profile) -> Vec<String> + Sync,
+    budget: &MemBudget,
+) -> TokenBlocks {
+    let (dict, keys) = intern_profile_keys(ctx, collection.profiles(), key_fn);
+    let blocks = CompactBlocks::from_profile_keys_budgeted(
         collection.kind(),
         collection.separator(),
-        table.len(),
+        dict.len(),
         &keys,
+        budget,
     );
-    compact.materialize_with(|id| table[id.index()].to_string())
+    TokenBlocks { dict, keys, blocks }
 }
 
 /// The original map-based keyed blocking, kept as the reference

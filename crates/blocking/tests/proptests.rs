@@ -1,12 +1,14 @@
 //! Property-based tests of blocking invariants: purging and filtering only
 //! remove comparisons, candidate pairs are always comparable, dataflow
 //! equals sequential, interned blocking equals the string-keyed reference,
-//! and the parallel token pass does not depend on the worker count.
+//! the parallel token pass does not depend on the worker count, and the CSR
+//! clean equals purging and filtering the materialized blocks.
 
 use proptest::prelude::*;
 use sparker_blocking::{
     block_filtering, purge_by_comparison_level, purge_oversized, token_blocking,
-    token_blocking_pass, token_blocking_string, token_blocking_with_dict,
+    token_blocking_pass, token_blocking_string, token_blocking_with_dict, BlockCollection,
+    CompactBlocks, PurgeConfig, TokenBlocks,
 };
 use sparker_dataflow::{Context, MemBudget};
 use sparker_profiles::{Profile, ProfileCollection, SourceId, TokenDict};
@@ -123,6 +125,80 @@ fn token_pass_strategy() -> impl Strategy<Value = ProfileCollection> {
 fn contexts() -> &'static [Context] {
     static CONTEXTS: OnceLock<Vec<Context>> = OnceLock::new();
     CONTEXTS.get_or_init(|| [1, 2, 3, 8].into_iter().map(Context::new).collect())
+}
+
+fn purge_strategy() -> impl Strategy<Value = PurgeConfig> {
+    prop_oneof![
+        Just(PurgeConfig::Off),
+        (0.05f64..1.0).prop_map(|max_fraction| PurgeConfig::Oversized { max_fraction }),
+        (1.0f64..2.0).prop_map(|smoothing| PurgeConfig::ComparisonLevel { smoothing }),
+    ]
+}
+
+/// The string-keyed oracle of the CSR clean: purge, then filter, on a
+/// materialized block collection.
+fn purge_then_filter(
+    blocks: BlockCollection,
+    purge: &PurgeConfig,
+    total_profiles: usize,
+    ratio: Option<f64>,
+) -> BlockCollection {
+    let purged = match *purge {
+        PurgeConfig::Off => blocks,
+        PurgeConfig::Oversized { max_fraction } => {
+            purge_oversized(blocks, total_profiles, max_fraction)
+        }
+        PurgeConfig::ComparisonLevel { smoothing } => purge_by_comparison_level(blocks, smoothing),
+    };
+    match ratio {
+        Some(ratio) => block_filtering(purged, ratio),
+        None => purged,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Purging and filtering on the CSR equal purging and filtering the
+    /// materialized collection — same keys, members, split and order — on
+    /// both task kinds, for every purge rule and ratio, at every worker
+    /// count and budget, including empty collections and profiles left in
+    /// no block. The staged route (a collection packed back into CSR)
+    /// filters identically.
+    #[test]
+    fn csr_clean_equals_purge_then_block_filtering(
+        coll in prop_oneof![
+            collection_strategy(true),
+            collection_strategy(false),
+            token_pass_strategy(),
+        ],
+        purge in purge_strategy(),
+        ratio in prop::option::of(0.05f64..=1.0),
+    ) {
+        let TokenBlocks { dict, keys, blocks } =
+            token_blocking_pass(None, &coll, &MemBudget::unlimited());
+        let purged = purge_then_filter(blocks.materialize(&dict), &purge, coll.len(), None);
+        let oracle = purge_then_filter(purged.clone(), &PurgeConfig::Off, coll.len(), ratio);
+        let serial =
+            blocks.clone().clean(None, &keys, &purge, coll.len(), ratio, &MemBudget::unlimited());
+        let materialized = serial.materialize(&dict);
+        prop_assert_eq!(materialized.blocks(), oracle.blocks());
+        prop_assert_eq!(serial.num_profiles(), oracle.profile_index().len());
+        prop_assert_eq!(serial.total_comparisons(), oracle.total_comparisons());
+        let (packed, lists) = CompactBlocks::from_collection(&purged);
+        for ctx in contexts() {
+            for budget in [MemBudget::unlimited(), MemBudget::limited(1)] {
+                let cleaned =
+                    blocks.clone().clean(Some(ctx), &keys, &purge, coll.len(), ratio, &budget);
+                prop_assert_eq!(&cleaned, &serial, "{} workers", ctx.workers());
+                let staged = packed
+                    .clone()
+                    .clean(Some(ctx), &lists, &PurgeConfig::Off, 0, ratio, &budget)
+                    .materialize_with(|k| purged.blocks()[k.index()].key.clone());
+                prop_assert_eq!(staged.blocks(), oracle.blocks(), "{} workers", ctx.workers());
+            }
+        }
+    }
 }
 
 proptest! {

@@ -13,7 +13,8 @@
 //! points, not writing a fourth driver.
 
 use sparker_blocking::{
-    block_filtering, keyed_blocking, token_blocking_pass, BlockCollection, TokenBlocks,
+    block_filtering, keyed_blocking_pass, token_blocking_pass, BlockCollection, CompactBlocks,
+    PurgeConfig, TokenBlocks,
 };
 use sparker_clustering::{
     cluster_edges, ClusteringAlgorithm, CollectionShape, ComponentsMode, EntityClusters,
@@ -24,7 +25,7 @@ use sparker_matching::{CandidateGraph, FilterStats, SimilarityGraph, ThresholdMa
 use sparker_metablocking::{
     meta_blocking_graph, parallel, BlockEntropies, BlockGraph, MetaBlockingConfig,
 };
-use sparker_profiles::{Pair, ProfileCollection, ProfileKeys};
+use sparker_profiles::{Pair, ProfileCollection};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -47,14 +48,16 @@ pub enum ExecutionBackend {
     /// fused: meta-blocking emits pruned pairs through a bounded morsel
     /// channel and the matcher scores them concurrently on the same pool,
     /// so the candidates and matching critical paths overlap and no
-    /// `CandidateGraph` is materialized. Token blocking is one parallel
-    /// token pass into the interned CSR build, and its per-profile token
-    /// ids become the matcher's prepared views. The fusion lives in
+    /// `CandidateGraph` is materialized. Blocking is one parallel token
+    /// (or loose-schema key) pass into the interned CSR build, purging and
+    /// filtering run on that CSR ([`CompactBlocks::clean`]), and the
+    /// token pass's per-profile ids become the matcher's prepared views —
+    /// no shuffle anywhere. The fusion lives in
     /// [`crate::Pipeline::run_on`]'s driver; the stage entry points called
     /// individually (and a run without meta-blocking, which has nothing to
-    /// fuse) are the staged pool stages: the token pass, dataflow block
-    /// filtering, CSR candidate streaming with degree-cost morsels in the
-    /// matcher, per-worker union–find forests in the clusterer.
+    /// fuse) are the staged pool stages: the token pass, the CSR filter,
+    /// CSR candidate streaming with degree-cost morsels in the matcher,
+    /// per-worker union–find forests in the clusterer.
     FusedPool(Context),
 }
 
@@ -133,58 +136,70 @@ impl ExecutionBackend {
         partitioning: Option<&AttributePartitioning>,
         budget: &MemBudget,
     ) -> BlockCollection {
-        self.build_blocks_keyed(collection, partitioning, budget).0
+        self.build_blocks_keyed(collection, partitioning, budget)
+            .into_collection()
     }
 
-    /// [`ExecutionBackend::build_blocks`] plus, when the blocks came from
-    /// the token pass (schema-agnostic blocking on the sequential and fused
-    /// backends), every profile's sorted token ids — what the fused driver
-    /// builds the matcher's prepared views from.
-    ///
-    /// Token blocking on those two backends is one token pass into the
-    /// interned CSR build: on one thread for the sequential oracle, one
-    /// contiguous profile range per worker on the fused pool. The dataflow
-    /// backend keeps the paper's `flat_map` → `group_by_key` shuffle.
+    /// [`ExecutionBackend::build_blocks`] before materializing: on the
+    /// sequential and fused backends, the CSR blocks of one token pass
+    /// (schema-agnostic blocking) or key pass (loose-schema keys) together
+    /// with the pass's dictionary and every profile's sorted key ids — on
+    /// one thread for the sequential oracle, one contiguous profile range
+    /// per worker on the fused pool. The dataflow backend keeps the
+    /// paper's `flat_map` → `group_by_key` shuffle.
     pub(crate) fn build_blocks_keyed(
         &self,
         collection: &ProfileCollection,
         partitioning: Option<&AttributePartitioning>,
         budget: &MemBudget,
-    ) -> (BlockCollection, Option<ProfileKeys>) {
+    ) -> StagedBlocks {
         match (self, partitioning) {
-            (ExecutionBackend::Sequential, Some(parts)) => (
-                keyed_blocking(collection, |p| loose_schema_keys(p, parts)),
-                None,
-            ),
-            (ExecutionBackend::Dataflow(ctx) | ExecutionBackend::FusedPool(ctx), Some(parts)) => (
+            (ExecutionBackend::Dataflow(ctx), Some(parts)) => StagedBlocks::Collection(
                 sparker_blocking::dataflow::keyed_blocking(ctx, collection, |p| {
                     loose_schema_keys(p, parts)
                 }),
-                None,
             ),
-            (ExecutionBackend::Dataflow(ctx), None) => (
+            (ExecutionBackend::Dataflow(ctx), None) => StagedBlocks::Collection(
                 sparker_blocking::dataflow::token_blocking(ctx, collection),
-                None,
             ),
-            (ExecutionBackend::Sequential | ExecutionBackend::FusedPool(_), None) => {
-                let TokenBlocks { dict, keys, blocks } =
-                    token_blocking_pass(self.context(), collection, budget);
-                (blocks.materialize(&dict), Some(keys))
+            (_, Some(parts)) => StagedBlocks::Compact(keyed_blocking_pass(
+                self.context(),
+                collection,
+                |p| loose_schema_keys(p, parts),
+                budget,
+            )),
+            (_, None) => {
+                StagedBlocks::Compact(token_blocking_pass(self.context(), collection, budget))
             }
         }
     }
 
     /// Stage 2 (second half) — block filtering at `ratio`.
     ///
-    /// Block *purging* is a metadata-level filter over block statistics —
-    /// cheap on the driver on every backend (SparkER's purging likewise
-    /// reduces tiny per-block stats) — so the driver applies it directly;
-    /// only filtering is a backend entry point.
+    /// Block *purging* is a metadata-level filter over block statistics
+    /// (SparkER's purging likewise reduces tiny per-block stats), so the
+    /// driver applies it; only filtering is a backend entry point. The
+    /// fused driver itself cleans its blocks on CSR before they are ever
+    /// materialized; this entry point packs a collection it is handed into
+    /// CSR and runs the same filter on the pool.
     pub fn filter_blocks(&self, blocks: BlockCollection, ratio: f64) -> BlockCollection {
         match self {
             ExecutionBackend::Sequential => block_filtering(blocks, ratio),
-            ExecutionBackend::Dataflow(ctx) | ExecutionBackend::FusedPool(ctx) => {
+            ExecutionBackend::Dataflow(ctx) => {
                 sparker_blocking::dataflow::block_filtering(ctx, blocks, ratio)
+            }
+            ExecutionBackend::FusedPool(ctx) => {
+                let (packed, lists) = CompactBlocks::from_collection(&blocks);
+                packed
+                    .clean(
+                        Some(ctx),
+                        &lists,
+                        &PurgeConfig::Off,
+                        0,
+                        Some(ratio),
+                        ctx.budget(),
+                    )
+                    .materialize_with(|b| blocks.blocks()[b.index()].key.clone())
             }
         }
     }
@@ -278,6 +293,44 @@ impl ExecutionBackend {
                 separator: collection.separator(),
             },
         )
+    }
+}
+
+/// Blocks on their way through stages 1–2.
+pub(crate) enum StagedBlocks {
+    /// The CSR blocks of a token or key pass, with the pass's key
+    /// dictionary and every profile's key ids (sequential and fused
+    /// backends).
+    Compact(TokenBlocks),
+    /// A block collection (the dataflow backend's shuffle output, or any
+    /// backend's blocks once materialized).
+    Collection(BlockCollection),
+}
+
+impl StagedBlocks {
+    /// Number of blocks.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            StagedBlocks::Compact(pass) => pass.blocks.len(),
+            StagedBlocks::Collection(blocks) => blocks.len(),
+        }
+    }
+
+    /// Comparisons over all blocks.
+    pub(crate) fn total_comparisons(&self) -> u64 {
+        match self {
+            StagedBlocks::Compact(pass) => pass.blocks.total_comparisons(),
+            StagedBlocks::Collection(blocks) => blocks.total_comparisons(),
+        }
+    }
+
+    /// The blocks as a [`BlockCollection`], resolving CSR keys through the
+    /// pass's dictionary.
+    pub(crate) fn into_collection(self) -> BlockCollection {
+        match self {
+            StagedBlocks::Compact(pass) => pass.blocks.materialize(&pass.dict),
+            StagedBlocks::Collection(blocks) => blocks,
+        }
     }
 }
 

@@ -14,23 +14,9 @@ use sparker_metablocking::{
 };
 use std::fmt;
 
-/// How oversized blocks are purged.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PurgeConfig {
-    /// No purging.
-    Off,
-    /// Drop blocks holding more than `max_fraction` of all profiles (the
-    /// paper's definition; its setting is 0.5).
-    Oversized {
-        /// Retained block size as a fraction of the collection.
-        max_fraction: f64,
-    },
-    /// Automatic comparison-level purging with the given smoothing factor.
-    ComparisonLevel {
-        /// Marginal comparisons-per-assignment tolerance (≥ 1).
-        smoothing: f64,
-    },
-}
+/// How oversized blocks are purged — defined beside the purge rules in
+/// `sparker-blocking`, which every backend's cleaning step applies.
+pub use sparker_blocking::PurgeConfig;
 
 /// Blocker configuration (Figure 4's sub-modules).
 #[derive(Debug, Clone)]

@@ -16,8 +16,10 @@
 //! ```text
 //!                        │ Sequential │ Dataflow          │ FusedPool
 //!  ──────────────────────┼────────────┼───────────────────┼──────────────────
-//!  build_blocks          │ driver loop│ shuffle op        │ shuffle op
-//!  filter_blocks         │ driver loop│ shuffle op        │ shuffle op
+//!  build_blocks          │ token pass │ shuffle op        │ token pass, one
+//!                        │ + CSR build│                   │ range per worker
+//!  filter_blocks         │ driver loop│ shuffle op        │ purge + filter on
+//!                        │            │                   │ the CSR, on the pool
 //!  prune_candidates      │ node scan  │ broadcast join    │ ┐ one batch: pruned
 //!  score_pairs           │ pair loop  │ broadcast map     │ ┘ ranges → matcher
 //!  cluster_edges (CC)    │ union–find │ label propagation │ forest merge

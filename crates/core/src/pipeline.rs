@@ -5,12 +5,12 @@
 //! timing and result assembly; [`Pipeline::run`] is `run_on` with the
 //! sequential backend.
 
-use crate::backend::ExecutionBackend;
+use crate::backend::{ExecutionBackend, StagedBlocks};
 use crate::candidates::CandidateSet;
 use crate::config::{PipelineConfig, PurgeConfig};
 use crate::evaluate::{BlockingQuality, PairQuality, PipelineEvaluation};
 use crate::report::{PipelineReport, PipelineStage, StageReport, StageScope};
-use sparker_blocking::{purge_by_comparison_level, purge_oversized, BlockCollection};
+use sparker_blocking::{purge_by_comparison_level, purge_oversized, TokenBlocks};
 use sparker_clustering::EntityClusters;
 use sparker_dataflow::{fused_channel_capacity, Context, FusedStageStats, MemBudget, WorkerLocal};
 use sparker_looseschema::{partition_attributes, AttributePartitioning};
@@ -18,7 +18,7 @@ use sparker_matching::{FilterStats, PreparedProfile, SimilarityGraph, ThresholdM
 use sparker_metablocking::{
     block_entropies, BlockEntropies, BlockGraph, MetaBlockingConfig, StreamingMetaBlocking,
 };
-use sparker_profiles::{GroundTruth, Pair, ProfileCollection, ProfileKeys};
+use sparker_profiles::{GroundTruth, Pair, ProfileCollection};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -146,8 +146,8 @@ impl Pipeline {
             initial_blocks,
             initial_comparisons,
             mut stages,
-            ..
         } = self.run_block_stages(backend, collection, budget);
+        let blocks = blocks.into_collection();
         let cleaned_blocks = blocks.len();
         let cleaned_comparisons = blocks.total_comparisons();
 
@@ -158,7 +158,8 @@ impl Pipeline {
         let candidates = match &bc.meta_blocking {
             None => blocks.candidate_pairs().into_iter().collect(),
             Some(mb) => {
-                let entropies = entropies_for(mb, partitioning.as_ref(), &blocks, collection);
+                let keys = blocks.blocks().iter().map(|b| b.key.as_str());
+                let entropies = entropies_for(mb, partitioning.as_ref(), keys, collection);
                 let started = Instant::now();
                 let retained = backend.prune_candidates(&blocks, entropies.as_ref(), mb, budget);
                 scoring = ScoringStats {
@@ -184,6 +185,12 @@ impl Pipeline {
     /// Stages 1–2 — blocking and purging/filtering — shared by the staged
     /// and fused drivers. Returns the cleaned blocks plus the two stage
     /// rows.
+    ///
+    /// The fused backend purges and filters its CSR blocks in place
+    /// ([`CompactBlocks::clean`](sparker_blocking::CompactBlocks::clean));
+    /// the sequential oracle materializes them first and applies the
+    /// string-keyed purge and `block_filtering`, and the dataflow backend
+    /// purges on the driver and filters with the paper's shuffles.
     fn run_block_stages(
         &self,
         backend: &ExecutionBackend,
@@ -200,34 +207,48 @@ impl Pipeline {
             .loose_schema
             .as_ref()
             .map(|lsh| partition_attributes(collection, lsh));
-        let (blocks, token_ids) =
-            backend.build_blocks_keyed(collection, partitioning.as_ref(), budget);
+        let blocks = backend.build_blocks_keyed(collection, partitioning.as_ref(), budget);
         let initial_blocks = blocks.len();
         let initial_comparisons = blocks.total_comparisons();
         stages.push(scope.finish(collection.len() as u64, initial_blocks as u64));
 
-        // Stage 2: block purging (a driver-side metadata filter on every
-        // backend) + block filtering (a backend stage).
+        // Stage 2: block purging + block filtering.
         let scope = StageScope::begin(PipelineStage::FilterBlocks, ctx, budget);
-        let blocks = match bc.purge {
-            PurgeConfig::Off => blocks,
-            PurgeConfig::Oversized { max_fraction } => {
-                purge_oversized(blocks, collection.len(), max_fraction)
+        let blocks = match (backend, blocks) {
+            (ExecutionBackend::FusedPool(ctx), StagedBlocks::Compact(pass)) => {
+                let TokenBlocks { dict, keys, blocks } = pass;
+                let blocks = blocks.clean(
+                    Some(ctx),
+                    &keys,
+                    &bc.purge,
+                    collection.len(),
+                    bc.filter_ratio,
+                    budget,
+                );
+                StagedBlocks::Compact(TokenBlocks { dict, keys, blocks })
             }
-            PurgeConfig::ComparisonLevel { smoothing } => {
-                purge_by_comparison_level(blocks, smoothing)
+            (_, blocks) => {
+                let blocks = blocks.into_collection();
+                let blocks = match bc.purge {
+                    PurgeConfig::Off => blocks,
+                    PurgeConfig::Oversized { max_fraction } => {
+                        purge_oversized(blocks, collection.len(), max_fraction)
+                    }
+                    PurgeConfig::ComparisonLevel { smoothing } => {
+                        purge_by_comparison_level(blocks, smoothing)
+                    }
+                };
+                StagedBlocks::Collection(match bc.filter_ratio {
+                    Some(ratio) => backend.filter_blocks(blocks, ratio),
+                    None => blocks,
+                })
             }
-        };
-        let blocks = match bc.filter_ratio {
-            Some(ratio) => backend.filter_blocks(blocks, ratio),
-            None => blocks,
         };
         stages.push(scope.finish(initial_blocks as u64, blocks.len() as u64));
 
         BlockStages {
             partitioning,
             blocks,
-            token_ids,
             initial_blocks,
             initial_comparisons,
             stages,
@@ -302,7 +323,10 @@ impl Pipeline {
         )
     }
 
-    /// The fused driver: stages 1–2 as usual, then prune→score as one
+    /// The fused driver: stages 1–2 on CSR (the token or key pass, then
+    /// purging and filtering in place — no block is ever materialized, no
+    /// key resolved to a `String`, nothing shuffled), the block graph
+    /// adopted straight from the cleaned CSR, then prune→score as one
     /// overlapped pool batch — meta-blocking's pass B emits pruned pairs
     /// range by range through a bounded channel
     /// ([`StreamingMetaBlocking::prune_range`]) and the matcher's cascade
@@ -329,11 +353,13 @@ impl Pipeline {
         let BlockStages {
             partitioning,
             blocks,
-            token_ids,
             initial_blocks,
             initial_comparisons,
             mut stages,
         } = self.run_block_stages(backend, collection, budget);
+        let StagedBlocks::Compact(TokenBlocks { dict, keys, blocks }) = blocks else {
+            unreachable!("the fused backend builds and cleans its blocks on CSR")
+        };
         let cleaned_blocks = blocks.len();
         let cleaned_comparisons = blocks.total_comparisons();
 
@@ -341,12 +367,14 @@ impl Pipeline {
         // resolution). The pruned-pair count isn't known until the fused
         // batch drains, so the row's output is patched below.
         let scope = StageScope::begin(PipelineStage::PruneCandidates, Some(ctx), budget);
-        let entropies = entropies_for(mb, partitioning.as_ref(), &blocks, collection);
-        let graph = Arc::new(BlockGraph::new_budgeted(
+        let block_keys = blocks.keys().iter().map(|&k| dict.resolve(k));
+        let entropies = entropies_for(mb, partitioning.as_ref(), block_keys, collection);
+        let graph = Arc::new(BlockGraph::from_compact_budgeted(
             &blocks,
             entropies.as_ref(),
             budget,
         ));
+        drop((dict, blocks));
         let scoring_started = Instant::now();
         let stream = StreamingMetaBlocking::prepare(ctx, &graph, mb);
         let scoring = ScoringStats {
@@ -361,11 +389,14 @@ impl Pipeline {
         let matcher =
             ThresholdMatcher::new(self.config.matching.measure, self.config.matching.threshold);
         // The matcher's views come from the token pass's ids when blocking
-        // ran one (schema-agnostic blocking), else from a pass of their own.
-        let prepared = match token_ids {
-            Some(keys) => PreparedProfile::prepare_from_keys(collection, &keys, matcher.measure),
-            None => PreparedProfile::prepare_all(collection),
+        // ran one (schema-agnostic blocking); loose-schema key ids are not
+        // token ids, so that blocking leaves the views a pass of their own.
+        let prepared = if partitioning.is_none() {
+            PreparedProfile::prepare_from_keys(Some(ctx), collection, &keys, matcher.measure)
+        } else {
+            PreparedProfile::prepare_all(collection)
         };
+        drop(keys);
         let morsels = stream.cost_morsels(ctx.workers() * 32);
         let payload_bytes = (stream.total_edges() * 16 / morsels.len().max(1) as u64).max(1);
         let capacity = fused_channel_capacity(budget, ctx.workers(), payload_bytes);
@@ -437,32 +468,32 @@ impl ScoringStats {
 /// plus everything the later stages and the blocker output need.
 struct BlockStages {
     partitioning: Option<AttributePartitioning>,
-    blocks: BlockCollection,
-    /// Every profile's sorted token ids, when blocking ran the token pass.
-    token_ids: Option<ProfileKeys>,
+    /// The cleaned blocks: CSR with the pass's dictionary and key ids on
+    /// the fused backend, a block collection elsewhere.
+    blocks: StagedBlocks,
     initial_blocks: usize,
     initial_comparisons: u64,
     stages: Vec<StageReport>,
 }
 
-/// Per-block entropies for entropy re-weighting, when enabled. Without a
-/// loose-schema partitioning every key falls in a blob partition whose
-/// entropy is constant, so entropy weighting degenerates gracefully to the
-/// unweighted scheme.
-fn entropies_for(
+/// Per-block entropies for entropy re-weighting, when enabled, from the
+/// blocks' keys in block order. Without a loose-schema partitioning every
+/// key falls in a blob partition whose entropy is constant, so entropy
+/// weighting degenerates gracefully to the unweighted scheme.
+fn entropies_for<'k>(
     mb: &MetaBlockingConfig,
     partitioning: Option<&AttributePartitioning>,
-    blocks: &BlockCollection,
+    keys: impl IntoIterator<Item = &'k str>,
     collection: &ProfileCollection,
 ) -> Option<BlockEntropies> {
     if !mb.use_entropy {
         return None;
     }
     match partitioning {
-        Some(parts) => Some(block_entropies(blocks, parts)),
+        Some(parts) => Some(block_entropies(keys, parts)),
         None => {
             let fallback = AttributePartitioning::manual(collection, vec![]);
-            Some(block_entropies(blocks, &fallback))
+            Some(block_entropies(keys, &fallback))
         }
     }
 }

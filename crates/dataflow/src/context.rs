@@ -3,6 +3,7 @@
 use crate::{
     Accumulator, Broadcast, Dataset, ExecutionMetrics, MemBudget, MetricsSnapshot, WorkerPool,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Entry point of the dataflow engine.
@@ -191,9 +192,44 @@ impl Context {
     }
 }
 
+/// Split `0..n` into one contiguous range per worker of `ctx` — range `i`
+/// of `k` is `i·n/k .. (i+1)·n/k` — run `f` on every range as one narrow
+/// stage on the context's pool, and return the results in range order.
+/// Without a context, with one worker or with `n ≤ 1` there is one range,
+/// run on the calling thread. Range-parallel passes whose per-range
+/// outputs are merged in order (the token pass, the CSR block clean, the
+/// matcher's view build) use this; their results do not depend on the
+/// range count.
+pub fn map_ranges<R, F>(ctx: Option<&Context>, n: usize, f: F) -> Vec<R>
+where
+    R: Send + Sync + Clone,
+    F: Fn(Range<usize>) -> R + Send + Sync,
+{
+    let parts = ctx.map_or(1, |c| c.workers().min(n)).max(1);
+    match ctx {
+        Some(ctx) if parts > 1 => ctx
+            .parallelize((0..parts).collect(), parts)
+            .map(|&i| f(i * n / parts..(i + 1) * n / parts))
+            .into_partitions()
+            .into_iter()
+            .flatten()
+            .collect(),
+        _ => vec![f(0..n)],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn map_ranges_cuts_contiguous_ranges_in_order() {
+        let ctx = Context::new(3);
+        assert_eq!(map_ranges(Some(&ctx), 7, |r| r), vec![0..2, 2..4, 4..7]);
+        assert_eq!(map_ranges(Some(&ctx), 2, |r| r), vec![0..1, 1..2]);
+        assert_eq!(map_ranges(Some(&ctx), 0, |r| r), vec![0..0]);
+        assert_eq!(map_ranges(None, 7, |r| r.len()), vec![7]);
+    }
 
     #[test]
     fn parallelize_preserves_order_and_balances() {

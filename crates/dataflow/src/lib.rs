@@ -119,7 +119,7 @@ mod worker_local;
 pub use accumulator::Accumulator;
 pub use broadcast::Broadcast;
 pub use budget::{MemBudget, SpillDir, MEM_BUDGET_ENV};
-pub use context::Context;
+pub use context::{map_ranges, Context};
 pub use dataset::{Dataset, KeyedDataset};
 pub use fused::{fused_channel_capacity, pipelined_stage, FusedStageStats, MorselQueue};
 pub use metrics::{ExecutionMetrics, MetricsSnapshot, StageMetrics};

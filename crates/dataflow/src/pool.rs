@@ -19,6 +19,7 @@
 //! [`WorkerPool::run`] does not return until every task has completed, so
 //! the borrow can never be outlived.
 
+use crate::worker_local::CachePadded;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -131,8 +132,9 @@ struct Batch {
     published_at: Instant,
     busy_ns: AtomicU64,
     queue_wait_ns: AtomicU64,
-    /// Busy time of this batch broken down by worker slot.
-    worker_busy_ns: Vec<AtomicU64>,
+    /// Busy time of this batch broken down by worker slot, one cache-line
+    /// pair per slot (each worker bumps its own counter per task).
+    worker_busy_ns: Vec<CachePadded<AtomicU64>>,
 }
 
 impl Batch {
@@ -161,8 +163,12 @@ impl Batch {
                 }));
                 let dt = thread_cpu_ns().saturating_sub(t0);
                 self.busy_ns.fetch_add(dt, Ordering::Relaxed);
-                self.worker_busy_ns[worker_slot].fetch_add(dt, Ordering::Relaxed);
-                shared.busy_ns[worker_slot].fetch_add(dt, Ordering::Relaxed);
+                self.worker_busy_ns[worker_slot]
+                    .0
+                    .fetch_add(dt, Ordering::Relaxed);
+                shared.busy_ns[worker_slot]
+                    .0
+                    .fetch_add(dt, Ordering::Relaxed);
                 if let Err(payload) = result {
                     self.abort.store(true, Ordering::Relaxed);
                     let mut slot = self
@@ -203,8 +209,9 @@ struct Shared {
     work_cv: Condvar,
     done_cv: Condvar,
     /// Cumulative per-worker busy time (nanoseconds); slot 0 is the
-    /// submitting thread, slots 1.. are pool threads.
-    busy_ns: Vec<AtomicU64>,
+    /// submitting thread, slots 1.. are pool threads. Padded like
+    /// `Batch::worker_busy_ns`.
+    busy_ns: Vec<CachePadded<AtomicU64>>,
 }
 
 thread_local! {
@@ -263,7 +270,7 @@ impl WorkerPool {
                 }),
                 work_cv: Condvar::new(),
                 done_cv: Condvar::new(),
-                busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+                busy_ns: (0..workers).map(|_| CachePadded::default()).collect(),
             }),
             stage_lock: Mutex::new(()),
             threads: Mutex::new(Vec::new()),
@@ -281,7 +288,7 @@ impl WorkerPool {
         self.shared
             .busy_ns
             .iter()
-            .map(|ns| Duration::from_nanos(ns.load(Ordering::Relaxed)))
+            .map(|ns| Duration::from_nanos(ns.0.load(Ordering::Relaxed)))
             .collect()
     }
 
@@ -415,7 +422,9 @@ impl WorkerPool {
             }));
             IN_STAGE.with(|f| f.set(was));
             let busy = Duration::from_nanos(thread_cpu_ns().saturating_sub(t0));
-            self.shared.busy_ns[0].fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+            self.shared.busy_ns[0]
+                .0
+                .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
             if let Err(payload) = result {
                 resume_unwind(payload);
             }
@@ -452,7 +461,7 @@ impl WorkerPool {
             published_at: Instant::now(),
             busy_ns: AtomicU64::new(0),
             queue_wait_ns: AtomicU64::new(0),
-            worker_busy_ns: (0..self.workers).map(|_| AtomicU64::new(0)).collect(),
+            worker_busy_ns: (0..self.workers).map(|_| CachePadded::default()).collect(),
         });
 
         {
@@ -503,7 +512,7 @@ impl WorkerPool {
             per_worker_busy: batch
                 .worker_busy_ns
                 .iter()
-                .map(|ns| Duration::from_nanos(ns.load(Ordering::Relaxed)))
+                .map(|ns| Duration::from_nanos(ns.0.load(Ordering::Relaxed)))
                 .collect(),
         }
     }

@@ -17,8 +17,28 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// flag still guards against the one way that invariant can be subverted —
 /// a nested stage re-entering the same slot's value — turning potential UB
 /// into a panic.
+///
+/// Each slot sits on cache lines of its own (aligned to 128 bytes): workers
+/// write their slot's fields in hot loops (buffer lengths pushed per
+/// neighbour, filter counters bumped per candidate), and two slots sharing
+/// a line would make every such write contend with the neighbouring worker.
 pub struct WorkerLocal<T> {
-    slots: Vec<(AtomicBool, UnsafeCell<T>)>,
+    slots: Vec<CachePadded<Slot<T>>>,
+}
+
+/// `T` aligned — and therefore sized — to 128 bytes: two 64-byte cache
+/// lines, because x86 cores prefetch lines in adjacent pairs. Per-worker
+/// values in an array of these never share a line with a neighbour's.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+pub(crate) struct CachePadded<T>(pub(crate) T);
+
+/// One worker slot: the value first, so it starts on the slot's
+/// 128-byte boundary, then the borrow flag.
+#[repr(C)]
+struct Slot<T> {
+    value: UnsafeCell<T>,
+    borrowed: AtomicBool,
 }
 
 // SAFETY: access is serialized per slot by the pool's one-thread-per-slot
@@ -31,7 +51,12 @@ impl<T> WorkerLocal<T> {
     pub fn new(workers: usize, mut init: impl FnMut() -> T) -> Self {
         WorkerLocal {
             slots: (0..workers.max(1))
-                .map(|_| (AtomicBool::new(false), UnsafeCell::new(init())))
+                .map(|_| {
+                    CachePadded(Slot {
+                        value: UnsafeCell::new(init()),
+                        borrowed: AtomicBool::new(false),
+                    })
+                })
                 .collect(),
         }
     }
@@ -51,7 +76,10 @@ impl<T> WorkerLocal<T> {
     /// Panics if the slot is already borrowed (nested stages on one thread)
     /// or `worker` is out of range.
     pub fn with<R>(&self, worker: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        let (flag, cell) = &self.slots[worker];
+        let Slot {
+            value: cell,
+            borrowed: flag,
+        } = &self.slots[worker].0;
         assert!(
             !flag.swap(true, Ordering::Acquire),
             "WorkerLocal slot {worker} borrowed re-entrantly"
@@ -67,7 +95,7 @@ impl<T> WorkerLocal<T> {
     pub fn into_inner(self) -> Vec<T> {
         self.slots
             .into_iter()
-            .map(|(_, c)| c.into_inner())
+            .map(|slot| slot.0.value.into_inner())
             .collect()
     }
 }
@@ -109,6 +137,16 @@ mod tests {
     fn reentrant_borrow_panics() {
         let local = WorkerLocal::new(1, || 0u8);
         local.with(0, |_| local.with(0, |_| {}));
+    }
+
+    #[test]
+    fn slots_sit_on_cache_lines_of_their_own() {
+        let local = WorkerLocal::new(4, || 0u64);
+        let addrs: Vec<usize> = (0..4)
+            .map(|w| local.with(w, |v| v as *mut u64 as usize))
+            .collect();
+        assert!(addrs.iter().all(|a| a % 128 == 0), "{addrs:x?}");
+        assert!(addrs.windows(2).all(|w| w[1] - w[0] >= 128), "{addrs:x?}");
     }
 
     #[test]

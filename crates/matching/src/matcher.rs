@@ -14,7 +14,7 @@ use crate::candidates::{filter_candidates_pool, CandidateGraph};
 use crate::graph::SimilarityGraph;
 use crate::similarity::{self, MatchScratch};
 use crate::tfidf::TfIdfIndex;
-use sparker_dataflow::{Context, WorkerLocal};
+use sparker_dataflow::{map_ranges, Context, WorkerLocal};
 use sparker_profiles::{
     intern_profiles, DictBuilder, Pair, Profile, ProfileCollection, ProfileKeys,
 };
@@ -406,7 +406,7 @@ impl ScoringMode {
 /// injective token → id mapping preserves — so either id space serves, and
 /// the collection-wide constructors are free to renumber the most frequent
 /// tokens into the hot prefix the cascade counts by bitset.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PreparedProfile {
     /// Sorted, deduplicated interned token ids of the schema-agnostic
     /// token set.
@@ -488,7 +488,7 @@ impl PreparedProfile {
     /// so the result serves every measure.
     pub fn prepare_all(collection: &ProfileCollection) -> Vec<PreparedProfile> {
         let (_, keys) = intern_profiles(None, collection.profiles());
-        Self::from_keys(collection, &keys, true)
+        Self::from_keys(None, collection, &keys, true)
     }
 
     /// The prepared views of a collection built from the per-profile token
@@ -502,47 +502,70 @@ impl PreparedProfile {
     /// is unchanged; what it buys is that the cascade counts the shared hot
     /// tokens — the long, mostly-shared head of skewed token sets — with
     /// AND + popcount and merge-joins only the tails.
+    ///
+    /// With a context, both passes — counting df and building the views —
+    /// run over one contiguous profile range per worker on its pool; the
+    /// views are identical for any worker count.
     pub fn prepare_from_keys(
+        ctx: Option<&Context>,
         collection: &ProfileCollection,
         keys: &ProfileKeys,
         measure: SimilarityMeasure,
     ) -> Vec<PreparedProfile> {
-        Self::from_keys(collection, keys, measure.reads_text())
+        Self::from_keys(ctx, collection, keys, measure.reads_text())
     }
 
     fn from_keys(
+        ctx: Option<&Context>,
         collection: &ProfileCollection,
         keys: &ProfileKeys,
         with_text: bool,
     ) -> Vec<PreparedProfile> {
         debug_assert_eq!(keys.len(), collection.len(), "one id list per profile");
-        let mut df: Vec<u32> = Vec::new();
-        for p in 0..keys.len() {
-            for &t in keys.keys_of(p) {
-                if t as usize >= df.len() {
-                    df.resize(t as usize + 1, 0);
+        let n = keys.len();
+        let range_dfs = map_ranges(ctx, n, |range| {
+            let mut df: Vec<u32> = Vec::new();
+            for p in range {
+                for &t in keys.keys_of(p) {
+                    if t as usize >= df.len() {
+                        df.resize(t as usize + 1, 0);
+                    }
+                    df[t as usize] += 1;
                 }
-                df[t as usize] += 1;
+            }
+            df
+        });
+        let mut df = vec![0u32; range_dfs.iter().map(Vec::len).max().unwrap_or(0)];
+        for range_df in &range_dfs {
+            for (total, &count) in df.iter_mut().zip(range_df) {
+                *total += count;
             }
         }
+        drop(range_dfs);
         let remap = hot_remap(&df);
-        collection
-            .profiles()
-            .iter()
-            .enumerate()
-            .map(|(p, profile)| {
-                let mut view = PreparedProfile {
-                    token_ids: keys.keys_of(p).to_vec(),
-                    ..PreparedProfile::default()
-                };
-                if with_text {
-                    view.concatenated = profile.concatenated_values();
-                    view.chars = view.concatenated.chars().count();
-                }
-                view.adopt_hot_ids(&remap);
-                view
-            })
-            .collect()
+        let profiles = collection.profiles();
+        let views = map_ranges(ctx, n, |range| {
+            range
+                .map(|p| {
+                    let mut view = PreparedProfile {
+                        token_ids: keys.keys_of(p).to_vec(),
+                        ..PreparedProfile::default()
+                    };
+                    if with_text {
+                        view.concatenated = profiles[p].concatenated_values();
+                        view.chars = view.concatenated.chars().count();
+                    }
+                    view.adopt_hot_ids(&remap);
+                    view
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut views = views.into_iter();
+        let mut all = views.next().unwrap_or_default();
+        for range in views {
+            all.extend(range);
+        }
+        all
     }
 
     /// Renumber this view's ids through `remap` (see [`hot_remap`]): the
@@ -1293,6 +1316,24 @@ mod tests {
             tied_collection(false).get(ProfileId(1)),
         );
         assert!(a.hot.is_none());
+    }
+
+    #[test]
+    fn views_built_on_the_pool_equal_the_one_range_build() {
+        // Over 512 tokens with df ties, so the hot set depends on the merged
+        // df; both the set measure (no text) and a string measure.
+        for coll in [tied_collection(true), collection()] {
+            let (_, keys) = intern_profiles(None, coll.profiles());
+            for measure in [SimilarityMeasure::Jaccard, SimilarityMeasure::Levenshtein] {
+                let serial = PreparedProfile::prepare_from_keys(None, &coll, &keys, measure);
+                for workers in [1, 2, 3, 8] {
+                    let ctx = Context::new(workers);
+                    let pooled =
+                        PreparedProfile::prepare_from_keys(Some(&ctx), &coll, &keys, measure);
+                    assert_eq!(pooled, serial, "{workers} workers, {}", measure.name());
+                }
+            }
+        }
     }
 
     #[test]

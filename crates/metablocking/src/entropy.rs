@@ -1,6 +1,5 @@
 //! Per-block entropies for Blast's entropy re-weighting.
 
-use sparker_blocking::BlockCollection;
 use sparker_looseschema::{AttributePartitioning, PartitionId};
 
 /// Entropy of the attribute partition that generated each block, aligned
@@ -45,23 +44,23 @@ impl BlockEntropies {
     }
 }
 
-/// Derive per-block entropies from loose-schema blocking keys.
+/// Derive per-block entropies from the blocks' keys, in block order.
 ///
 /// Loose-schema keys have the shape `token_<partition id>`
 /// ([`sparker_looseschema::loose_schema_keys`]); the block inherits the
-/// Shannon entropy of that partition. Blocks whose key has no recognizable
-/// suffix (i.e. plain schema-agnostic keys) get the blob partition's
-/// entropy.
-pub fn block_entropies(
-    blocks: &BlockCollection,
+/// Shannon entropy of that partition. Keys with no recognizable suffix get
+/// the blob partition's entropy — every plain token key among them, since
+/// tokens are alphanumeric runs and never carry the `_` separator. Callers
+/// pass the key strings of a [`sparker_blocking::BlockCollection`] or, on
+/// the CSR path, the dictionary entries of a `CompactBlocks`' key ids.
+pub fn block_entropies<'k>(
+    keys: impl IntoIterator<Item = &'k str>,
     partitioning: &AttributePartitioning,
 ) -> BlockEntropies {
-    let values = blocks
-        .blocks()
-        .iter()
-        .map(|b| {
-            let pid = b
-                .key
+    let values = keys
+        .into_iter()
+        .map(|key| {
+            let pid = key
                 .rsplit_once('_')
                 .and_then(|(_, suffix)| suffix.parse::<u32>().ok())
                 .map(PartitionId)
@@ -76,9 +75,13 @@ pub fn block_entropies(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparker_blocking::keyed_blocking;
+    use sparker_blocking::{keyed_blocking, BlockCollection};
     use sparker_looseschema::loose_schema_keys;
     use sparker_profiles::{Profile, ProfileCollection, SourceId};
+
+    fn keys(blocks: &BlockCollection) -> impl Iterator<Item = &str> {
+        blocks.blocks().iter().map(|b| b.key.as_str())
+    }
 
     fn collection() -> ProfileCollection {
         ProfileCollection::dirty(
@@ -104,7 +107,7 @@ mod tests {
             ],
         );
         let blocks = keyed_blocking(&coll, |p| loose_schema_keys(p, &parts));
-        let entropies = block_entropies(&blocks, &parts);
+        let entropies = block_entropies(keys(&blocks), &parts);
         assert_eq!(entropies.len(), blocks.len());
         let name_entropy = parts.entropy_of(parts.partition_of(SourceId(0), "name"));
         let price_entropy = parts.entropy_of(parts.partition_of(SourceId(0), "price"));
@@ -124,7 +127,7 @@ mod tests {
         let parts = AttributePartitioning::manual(&coll, vec![]);
         // Plain token blocking: keys carry no _<pid> suffix.
         let blocks = sparker_blocking::token_blocking(&coll);
-        let entropies = block_entropies(&blocks, &parts);
+        let entropies = block_entropies(keys(&blocks), &parts);
         let blob_entropy = parts.entropy_of(parts.blob_id());
         assert!(entropies.as_slice().iter().all(|&e| e == blob_entropy));
     }
@@ -145,7 +148,7 @@ mod tests {
                 .map(|t| format!("{t}_99"))
                 .collect()
         });
-        let entropies = block_entropies(&blocks, &parts);
+        let entropies = block_entropies(keys(&blocks), &parts);
         let blob = parts.entropy_of(parts.blob_id());
         assert!(entropies.as_slice().iter().all(|&e| e == blob));
     }

@@ -16,11 +16,10 @@
 use crate::collection::ProfileCollection;
 use crate::profile::Profile;
 use crate::tokenize::{each_token, Token};
-use sparker_dataflow::Context;
+use sparker_dataflow::{map_ranges, Context};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Mutex;
 
 /// FNV-1a, the interner's hasher. Tokens are short (a handful of bytes), so
 /// the per-byte multiply beats SipHash's fixed per-key setup cost by a wide
@@ -332,28 +331,41 @@ impl Default for ProfileKeys {
 /// Because ids are lexicographic, the result is identical for any worker
 /// count — the ids are the same ones [`TokenDict::build`] assigns.
 pub fn intern_profiles(ctx: Option<&Context>, profiles: &[Profile]) -> (TokenDict, ProfileKeys) {
-    let n = profiles.len();
-    let parts = ctx.map_or(1, |c| c.workers().min(n));
-    let ctx = match ctx {
-        Some(ctx) if parts > 1 => ctx,
-        _ => {
-            let (tokens, keys) = intern_range(profiles);
-            return (TokenDict { tokens }, keys);
+    intern_with(ctx, profiles, |p, builder, scratch, buf| {
+        for a in &p.attributes {
+            builder.intern_tokens(&a.value, scratch, buf);
         }
-    };
-    let slots: Vec<Mutex<Option<RangePass>>> = (0..parts).map(|_| Mutex::new(None)).collect();
-    ctx.parallelize((0..parts).collect(), parts).for_each(|&i| {
-        let range = intern_range(&profiles[i * n / parts..(i + 1) * n / parts]);
-        *slots[i].lock().expect("no range panics holding its slot") = Some(range);
-    });
-    let (mut vocab, range_keys): (Vec<Vec<Token>>, Vec<ProfileKeys>) = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no range panics holding its slot")
-                .expect("every range ran")
-        })
-        .unzip();
+    })
+}
+
+/// [`intern_profiles`] over caller-derived keys instead of tokens:
+/// `key_fn` lists a profile's keys (duplicates allowed), and the distinct
+/// keys of the collection are interned into one lexicographic dictionary
+/// exactly as tokens are — so ascending id is sorted key order at any
+/// worker count. This is the key pass of loose-schema keyed blocking.
+pub fn intern_profile_keys(
+    ctx: Option<&Context>,
+    profiles: &[Profile],
+    key_fn: impl Fn(&Profile) -> Vec<String> + Sync,
+) -> (TokenDict, ProfileKeys) {
+    intern_with(ctx, profiles, |p, builder, _, buf| {
+        buf.extend(key_fn(p).iter().map(|k| builder.intern(k)));
+    })
+}
+
+/// The pass behind [`intern_profiles`] and [`intern_profile_keys`]:
+/// `fill(profile, builder, scratch, buf)` interns one profile's keys into
+/// the range's builder, appending their provisional ids to `buf`.
+fn intern_with<F>(ctx: Option<&Context>, profiles: &[Profile], fill: F) -> (TokenDict, ProfileKeys)
+where
+    F: Fn(&Profile, &mut DictBuilder, &mut String, &mut Vec<u32>) + Sync,
+{
+    let mut ranges = map_ranges(ctx, profiles.len(), |r| intern_range(&profiles[r], &fill));
+    if ranges.len() == 1 {
+        let (tokens, keys) = ranges.pop().expect("one range");
+        return (TokenDict { tokens }, keys);
+    }
+    let (mut vocab, range_keys): (Vec<Vec<Token>>, Vec<ProfileKeys>) = ranges.into_iter().unzip();
 
     // k-way merge of the sorted range vocabularies: `maps[r][i]` is the
     // global id of range r's i-th token.
@@ -393,14 +405,14 @@ pub fn intern_profiles(ctx: Option<&Context>, profiles: &[Profile]) -> (TokenDic
 type RangePass = (Vec<Token>, ProfileKeys);
 
 /// Intern one contiguous profile range on its own (see [`RangePass`]).
-fn intern_range(profiles: &[Profile]) -> RangePass {
+fn intern_range<F>(profiles: &[Profile], fill: &F) -> RangePass
+where
+    F: Fn(&Profile, &mut DictBuilder, &mut String, &mut Vec<u32>),
+{
     let mut builder = DictBuilder::new();
     let mut scratch = String::new();
-    let mut keys = ProfileKeys::collect(profiles, |p, buf| {
-        for a in &p.attributes {
-            builder.intern_tokens(&a.value, &mut scratch, buf);
-        }
-    });
+    let mut keys =
+        ProfileKeys::collect(profiles, |p, buf| fill(p, &mut builder, &mut scratch, buf));
     let (dict, perm) = builder.finish();
     keys.remap(&perm);
     (dict.tokens, keys)

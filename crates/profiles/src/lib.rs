@@ -77,7 +77,9 @@ mod tokenize;
 pub use attribute::Attribute;
 pub use collection::{ErKind, ProfileCollection};
 pub use csv::{parse_csv, profiles_from_csv, push_csv_row, write_csv, CsvOptions};
-pub use dict::{intern_profiles, DictBuilder, ProfileKeys, TokenDict, TokenId};
+pub use dict::{
+    intern_profile_keys, intern_profiles, DictBuilder, ProfileKeys, TokenDict, TokenId,
+};
 pub use error::{Error, Result};
 pub use groundtruth::GroundTruth;
 pub use json::{parse_json, profiles_from_json_lines, profiles_from_json_lines_on, JsonValue};

@@ -230,64 +230,16 @@ impl FastPath {
         total_profiles: usize,
         purge: &PurgeConfig,
     ) -> Vec<u32> {
-        let desired: Vec<bool> = match purge {
-            PurgeConfig::Off => self.blocks.iter().map(|b| b.emitted(kind)).collect(),
-            PurgeConfig::Oversized { max_fraction } => {
-                let cap = ((total_profiles as f64 * max_fraction).floor() as usize).max(2);
-                self.blocks
-                    .iter()
-                    .map(|b| b.emitted(kind) && b.size() <= cap)
-                    .collect()
-            }
-            PurgeConfig::ComparisonLevel { smoothing } => {
-                // Mirror of `purge_by_comparison_level`: cumulative
-                // comparisons/assignments per distinct comparison level,
-                // walked upward until the marginal comparisons-per-
-                // assignment exceeds smoothing × the running ratio.
-                let mut emitted: Vec<(u64, u64)> = self
-                    .blocks
-                    .iter()
-                    .filter(|b| b.emitted(kind))
-                    .map(|b| (b.comparisons(kind), b.size() as u64))
-                    .collect();
-                if emitted.is_empty() {
-                    vec![false; self.blocks.len()]
-                } else {
-                    emitted.sort_unstable();
-                    let mut cum: Vec<(u64, u64, u64)> = Vec::new(); // (level, comps, assigns)
-                    let mut comps = 0u64;
-                    let mut assigns = 0u64;
-                    for (c, s) in emitted {
-                        comps += c;
-                        assigns += s;
-                        match cum.last_mut() {
-                            Some(last) if last.0 == c => {
-                                last.1 = comps;
-                                last.2 = assigns;
-                            }
-                            _ => cum.push((c, comps, assigns)),
-                        }
-                    }
-                    let mut cap = cum[0].0;
-                    for w in cum.windows(2) {
-                        let (_, c_prev, a_prev) = w[0];
-                        let (level, c_next, a_next) = w[1];
-                        let prev_ratio = c_prev as f64 / a_prev.max(1) as f64;
-                        let marginal = (c_next - c_prev) as f64 / (a_next - a_prev).max(1) as f64;
-                        if marginal > smoothing * prev_ratio.max(1.0) {
-                            break;
-                        }
-                        cap = level;
-                    }
-                    self.blocks
-                        .iter()
-                        .map(|b| b.emitted(kind) && b.comparisons(kind) <= cap)
-                        .collect()
-                }
-            }
-        };
+        // The batch purge rule, over the blocks the batch blocker emits.
+        let stats = |b: &BlockState| (b.comparisons(kind), b.size() as u64);
+        let cap = purge.cap(
+            total_profiles,
+            self.blocks.iter().filter(|b| b.emitted(kind)).map(stats),
+        );
         let mut flips = Vec::new();
-        for (b, want) in desired.into_iter().enumerate() {
+        for (b, block) in self.blocks.iter().enumerate() {
+            let (comparisons, size) = stats(block);
+            let want = block.emitted(kind) && cap.keeps(comparisons, size);
             if self.active[b] != want {
                 self.active[b] = want;
                 flips.push(b as u32);

@@ -147,30 +147,50 @@ if [ "${serve_counts}" != "${batch_counts}" ]; then
   exit 1
 fi
 
-# JSON-lines backend matrix: the same JSONL file through the CLI on every
-# backend (parallel loader and token pass on fused, the paper's shuffles on
-# dataflow, one thread on sequential) must give identical result counts,
-# matcher cascade counters and entity CSV bytes.
-echo "==> sparker --source-a <jsonl> --output: sequential vs dataflow vs fused"
-ref_csv=""
-for backend in sequential dataflow fused; do
-  csv="$(mktemp --suffix .csv)"
-  out="$(cargo run -q --release --bin sparker -- --source-a "${serve_jsonl}" \
-    --backend "${backend}" --workers 2 --output "${csv}")"
-  lines="$(printf '%s\n' "${out}" | grep -E '^(result counts|matcher):' | sed 's/ ([^)]*)//')"
-  echo "    ${backend}: $(printf '%s\n' "${lines}" | head -1) ($(wc -l < "${csv}") CSV lines)"
-  if [ -z "${ref_csv}" ]; then
-    ref_csv="${csv}"
-    ref_lines="${lines}"
-  else
-    if [ "${lines}" != "${ref_lines}" ]; then
-      echo "backend ${backend} disagrees: '${lines}' != '${ref_lines}'" >&2
+# JSON-lines backend matrix: the same JSONL input (the CLI arguments given)
+# on every backend (parallel loader and token pass on fused, the paper's
+# shuffles on dataflow, one thread on sequential) must give identical
+# result counts, matcher cascade counters and entity CSV bytes — and the
+# fused run, which blocks, purges and filters on CSR, must shuffle nothing.
+jsonl_matrix() {
+  local ref_csv="" ref_lines="" backend csv out lines
+  for backend in sequential dataflow fused; do
+    csv="$(mktemp --suffix .csv)"
+    out="$(cargo run -q --release --bin sparker -- "$@" \
+      --backend "${backend}" --workers 2 --output "${csv}")"
+    lines="$(printf '%s\n' "${out}" | grep -E '^(result counts|matcher):' | sed 's/ ([^)]*)//')"
+    echo "    ${backend}: $(printf '%s\n' "${lines}" | head -1) ($(wc -l < "${csv}") CSV lines)"
+    if [ "${backend}" = fused ] && ! printf '%s\n' "${out}" | grep -q ' 0 shuffled records$'; then
+      echo "fused run shuffled: $(printf '%s\n' "${out}" | grep 'shuffled records')" >&2
       exit 1
     fi
-    cmp "${ref_csv}" "${csv}"
-    rm -f "${csv}"
-  fi
-done
-rm -f "${ref_csv}"
+    if [ -z "${ref_csv}" ]; then
+      ref_csv="${csv}"
+      ref_lines="${lines}"
+    else
+      if [ "${lines}" != "${ref_lines}" ]; then
+        echo "backend ${backend} disagrees: '${lines}' != '${ref_lines}'" >&2
+        exit 1
+      fi
+      cmp "${ref_csv}" "${csv}"
+      rm -f "${csv}"
+    fi
+  done
+  rm -f "${ref_csv}"
+}
+
+echo "==> sparker --source-a <jsonl> --output: sequential vs dataflow vs fused"
+jsonl_matrix --source-a "${serve_jsonl}"
+
+# The same profiles split into two sources: a clean-clean task, whose
+# blocks carry a source-0 prefix through the fused backend's CSR clean.
+echo "==> sparker --source-a <half> --source-b <half> (clean-clean): sequential vs dataflow vs fused"
+half_a="$(mktemp --suffix .jsonl)"
+half_b="$(mktemp --suffix .jsonl)"
+trap 'rm -f "${serve_jsonl}" "${half_a}" "${half_b}"' EXIT
+total_lines="$(wc -l < "${serve_jsonl}")"
+head -n "$((total_lines / 2))" "${serve_jsonl}" > "${half_a}"
+tail -n "+$((total_lines / 2 + 1))" "${serve_jsonl}" > "${half_b}"
+jsonl_matrix --source-a "${half_a}" --source-b "${half_b}"
 
 echo "CI OK"
