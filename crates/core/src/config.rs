@@ -219,6 +219,9 @@ impl PipelineConfig {
         // `mb.model` line (order-independent) has been seen.
         let mut mb_model: Option<LinearModel> = None;
         let mut supervised_at: Option<usize> = None;
+        // Line of the last `lsh.num_hashes` / `lsh.bands` entry: the two
+        // are checked together once both are known.
+        let mut lsh_shape_at = 0;
 
         let err = |line: usize, msg: &str| ConfigParseError {
             line,
@@ -233,14 +236,28 @@ impl PipelineConfig {
                 .split_once('=')
                 .ok_or_else(|| err(i + 1, "expected key = value"))?;
             let (key, value) = (key.trim(), value.trim());
-            let parse_f64 = |v: &str| v.parse::<f64>().map_err(|_| err(i + 1, "invalid number"));
+            let parse_f64 = |v: &str| match v.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(x),
+                Ok(_) => Err(err(i + 1, "number must be finite")),
+                Err(_) => Err(err(i + 1, "invalid number")),
+            };
+            // The stages assert these ranges; reject here, with the line.
+            let in_range = |x: f64, ok: bool, what: &str| {
+                if ok {
+                    Ok(x)
+                } else {
+                    Err(err(i + 1, &format!("{what}, got {x}")))
+                }
+            };
             match key {
                 "loose_schema" => lsh_on = value == "on",
                 "lsh.num_hashes" => {
-                    lsh.num_hashes = value.parse().map_err(|_| err(i + 1, "invalid integer"))?
+                    lsh.num_hashes = value.parse().map_err(|_| err(i + 1, "invalid integer"))?;
+                    lsh_shape_at = i + 1;
                 }
                 "lsh.bands" => {
-                    lsh.bands = value.parse().map_err(|_| err(i + 1, "invalid integer"))?
+                    lsh.bands = value.parse().map_err(|_| err(i + 1, "invalid integer"))?;
+                    lsh_shape_at = i + 1;
                 }
                 "lsh.threshold" => lsh.threshold = parse_f64(value)?,
                 "lsh.seed" => {
@@ -250,12 +267,14 @@ impl PipelineConfig {
                     config.blocking.purge = if value == "off" {
                         PurgeConfig::Off
                     } else if let Some(rest) = value.strip_prefix("oversized ") {
+                        let f = parse_f64(rest.trim())?;
                         PurgeConfig::Oversized {
-                            max_fraction: parse_f64(rest.trim())?,
+                            max_fraction: in_range(f, f > 0.0, "purge fraction must be positive")?,
                         }
                     } else if let Some(rest) = value.strip_prefix("comparison ") {
+                        let f = parse_f64(rest.trim())?;
                         PurgeConfig::ComparisonLevel {
-                            smoothing: parse_f64(rest.trim())?,
+                            smoothing: in_range(f, f >= 1.0, "purge smoothing must be ≥ 1")?,
                         }
                     } else {
                         return Err(err(i + 1, "invalid purge setting"));
@@ -265,7 +284,9 @@ impl PipelineConfig {
                     config.blocking.filter_ratio = if value == "off" {
                         None
                     } else {
-                        Some(parse_f64(value)?)
+                        let r = parse_f64(value)?;
+                        let ok = r > 0.0 && r <= 1.0;
+                        Some(in_range(r, ok, "filter ratio must be in (0, 1]")?)
                     }
                 }
                 "meta_blocking" => mb_on = value == "on",
@@ -297,9 +318,13 @@ impl PipelineConfig {
                         None => (arg.trim(), false),
                     };
                     let auto = arg == "auto";
+                    let factor = |arg: &str| {
+                        let f = parse_f64(arg)?;
+                        in_range(f, f > 0.0, "pruning factor must be positive")
+                    };
                     mb.pruning = match name {
                         "WEP" => PruningStrategy::Wep {
-                            factor: parse_f64(arg)?,
+                            factor: factor(arg)?,
                         },
                         "CEP" => PruningStrategy::Cep {
                             retain: if auto {
@@ -309,7 +334,7 @@ impl PipelineConfig {
                             },
                         },
                         "WNP" => PruningStrategy::Wnp {
-                            factor: parse_f64(arg)?,
+                            factor: factor(arg)?,
                             reciprocal,
                         },
                         "CNP" => PruningStrategy::Cnp {
@@ -320,9 +345,13 @@ impl PipelineConfig {
                             },
                             reciprocal,
                         },
-                        "BLAST" => PruningStrategy::Blast {
-                            ratio: parse_f64(arg)?,
-                        },
+                        "BLAST" => {
+                            let r = parse_f64(arg)?;
+                            let ok = r > 0.0 && r <= 1.0;
+                            PruningStrategy::Blast {
+                                ratio: in_range(r, ok, "Blast ratio must be in (0, 1]")?,
+                            }
+                        }
                         _ => return Err(err(i + 1, "unknown pruning strategy")),
                     };
                 }
@@ -332,7 +361,11 @@ impl PipelineConfig {
                         .find(|m| m.name() == value)
                         .ok_or_else(|| err(i + 1, "unknown similarity measure"))?
                 }
-                "matcher.threshold" => config.matching.threshold = parse_f64(value)?,
+                "matcher.threshold" => {
+                    let t = parse_f64(value)?;
+                    let ok = (0.0..=1.0).contains(&t);
+                    config.matching.threshold = in_range(t, ok, "threshold must be in [0, 1]")?;
+                }
                 "clustering" => {
                     config.clustering = ClusteringAlgorithm::ALL
                         .into_iter()
@@ -346,6 +379,14 @@ impl PipelineConfig {
             let model = mb_model
                 .ok_or_else(|| err(line, "mb.scheme = SUPERVISED requires an mb.model line"))?;
             mb.scorer = EdgeScorer::Supervised(model);
+        }
+        if lsh_on
+            && (lsh.num_hashes == 0 || lsh.bands == 0 || !lsh.num_hashes.is_multiple_of(lsh.bands))
+        {
+            return Err(err(
+                lsh_shape_at,
+                "lsh.num_hashes must be a positive multiple of lsh.bands",
+            ));
         }
         config.blocking.loose_schema = lsh_on.then_some(lsh);
         config.blocking.meta_blocking = mb_on.then_some(mb);
@@ -502,6 +543,52 @@ mod tests {
         assert!(err.message.contains("key = value"));
         let err = PipelineConfig::from_config_string("matcher.measure = nope\n").unwrap_err();
         assert!(err.message.contains("similarity"));
+    }
+
+    #[test]
+    fn out_of_range_values_are_rejected_with_their_line() {
+        // Every value a stage would assert on fails here instead, naming
+        // the line it is on (line 2: line 1 is a valid entry).
+        for (entry, needle) in [
+            ("mb.pruning = WEP 0", "factor must be positive"),
+            ("mb.pruning = WEP -1", "factor must be positive"),
+            ("mb.pruning = WEP NaN", "finite"),
+            ("mb.pruning = WEP inf", "finite"),
+            ("mb.pruning = WNP 0 reciprocal", "factor must be positive"),
+            ("mb.pruning = BLAST 2", "Blast ratio must be in (0, 1]"),
+            ("mb.pruning = BLAST 0", "Blast ratio must be in (0, 1]"),
+            ("mb.pruning = BLAST NaN", "finite"),
+            ("filter = 1.5", "filter ratio must be in (0, 1]"),
+            ("filter = 0", "filter ratio must be in (0, 1]"),
+            ("filter = NaN", "finite"),
+            ("matcher.threshold = NaN", "finite"),
+            ("matcher.threshold = 1.01", "threshold must be in [0, 1]"),
+            ("matcher.threshold = -0.1", "threshold must be in [0, 1]"),
+            ("purge = oversized 0", "purge fraction must be positive"),
+            ("purge = comparison 0.5", "purge smoothing must be ≥ 1"),
+            ("lsh.threshold = NaN", "finite"),
+        ] {
+            let err = PipelineConfig::from_config_string(&format!(
+                "clustering = connected-components\n{entry}\n"
+            ))
+            .expect_err(entry);
+            assert_eq!(err.line, 2, "{entry}: {err}");
+            assert!(err.message.contains(needle), "{entry}: {err}");
+        }
+        // The LSH shape is checked once both numbers are known, at the
+        // line of the later one, and only when LSH runs.
+        let shape = "lsh.num_hashes = 128\nlsh.bands = 3\n";
+        let err =
+            PipelineConfig::from_config_string(&format!("loose_schema = on\n{shape}")).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("multiple of lsh.bands"), "{err}");
+        assert!(
+            PipelineConfig::from_config_string(&format!("loose_schema = off\n{shape}")).is_ok()
+        );
+        // The ends of every closed range are accepted.
+        let edges = "mb.pruning = BLAST 1\nfilter = 1\nmatcher.threshold = 0\n\
+                     matcher.threshold = 1\npurge = comparison 1\n";
+        assert!(PipelineConfig::from_config_string(edges).is_ok());
     }
 
     #[test]

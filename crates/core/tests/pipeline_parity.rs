@@ -159,6 +159,64 @@ fn backend_matrix_supervised_scorer() {
 }
 
 #[test]
+fn backend_matrix_zipf_dense_count_kernels() {
+    // A Zipf-skewed dirty collection (600 entities, ~1 200 profiles) whose
+    // hot prefix makes a dense block graph: nearly every walk is dense
+    // enough to sweep, a few dozen go through the bitmap. Under the
+    // scorers that take each node-pass path: CBS (count-only walk; integer
+    // pass A under WEP), JS (count-only walk, weighed pass A) and ARCS (the
+    // walk with sums) — each with a global and a node-centric rule.
+    // Candidates must match with their weights, bit for bit.
+    use sparker_metablocking::{EdgeScorer, MetaBlockingConfig, PruningStrategy, WeightScheme};
+    let ds = generate_dirty(
+        &DatasetConfig {
+            entities: 600,
+            seed: 29,
+            skew: Some(ZipfSkew {
+                hot_tokens: 200,
+                exponent: 0.4,
+                hot_entity_fraction: 0.1,
+                appends: 40,
+            }),
+            ..DatasetConfig::default()
+        },
+        2,
+    );
+    let weighted = |r: &PipelineResult| -> Vec<(Pair, u64)> {
+        r.blocker
+            .candidates
+            .weighted()
+            .map(|&(p, w)| (p, w.to_bits()))
+            .collect()
+    };
+    for scheme in [WeightScheme::Cbs, WeightScheme::Js, WeightScheme::Arcs] {
+        for pruning in [
+            PruningStrategy::Wep { factor: 1.0 },
+            PruningStrategy::Cnp {
+                k: None,
+                reciprocal: true,
+            },
+        ] {
+            let mut config = PipelineConfig::default();
+            config.blocking.meta_blocking = Some(MetaBlockingConfig {
+                scorer: EdgeScorer::Classic(scheme),
+                pruning,
+                use_entropy: false,
+            });
+            let pipeline = Pipeline::new(config);
+            let reference = pipeline.run_on(&ExecutionBackend::Sequential, &ds.collection);
+            assert!(!reference.blocker.candidates.is_empty());
+            for backend in engine_backends(2) {
+                let run = pipeline.run_on(&backend, &ds.collection);
+                let tag = format!("{}+{} on {}", scheme.name(), pruning.name(), backend.name());
+                assert_eq!(weighted(&reference), weighted(&run), "{tag}");
+                assert_equivalent(&reference, &run, &ds, &tag);
+            }
+        }
+    }
+}
+
+#[test]
 fn backend_matrix_all_clustering_algorithms() {
     // Clean–clean covers all five algorithms; dirty skips unique-mapping
     // (clean–clean only). One worker count per cell — worker invariance is

@@ -10,6 +10,7 @@
 use crate::entropy::BlockEntropies;
 use sparker_blocking::{BlockCollection, CompactBlocks};
 use sparker_profiles::{ErKind, ProfileId};
+use std::ops::Range;
 
 /// Per-edge co-occurrence statistics accumulated while scanning shared
 /// blocks; the input of every [`crate::WeightScheme`].
@@ -42,12 +43,93 @@ pub struct NeighborhoodScratch {
     out: Vec<(ProfileId, EdgeAccumulator)>,
 }
 
-impl NeighborhoodScratch {
-    /// Forward degree of `node` (neighbors with a larger id) read off the
-    /// most recent [`BlockGraph::neighborhood_buffered`] output, which
-    /// must have materialized `node` — without re-walking its blocks.
-    pub(crate) fn last_forward_degree(&self, node: ProfileId) -> usize {
-        self.out.len() - self.out.partition_point(|&(j, _)| j <= node)
+/// Density crossover of [`BlockGraph::walk`]: a node whose co-member
+/// occurrences times this factor reach the length of its neighbour id
+/// range is swept, every other node goes through the first-touch bitmap.
+/// A sweep therefore reads at most this many slots per occurrence.
+const SWEEP_FACTOR: usize = 16;
+
+/// Reusable buffers of the production node pass, [`BlockGraph::walk`].
+///
+/// Shared-block counts live in a dense `u32` per profile slot; the ARCS
+/// and entropy sums get a slot array only in a scratch made for a scorer
+/// that reads them (`sums` set in [`BlockGraph::node_scratch`]), so a
+/// count-only pass writes 4 bytes per co-occurrence instead of 24. Every
+/// slot is back to zero between calls.
+#[derive(Debug, Clone)]
+pub struct NodePassScratch {
+    counts: Vec<u32>,
+    /// `[Σ 1/‖b‖, Σ entropy(b)]` per slot; empty in a count-only scratch.
+    sums: Vec<[f64; 2]>,
+    /// Bitmap and word list of the first-touch emission (sparse nodes).
+    touched_bits: Vec<u64>,
+    touched_words: Vec<u32>,
+    /// `(start, end, block)` of every non-empty co-member span of the
+    /// node being walked, in ascending block order.
+    spans: Vec<(u32, u32, u32)>,
+    /// Output buffers, grow-only: the valid prefix is returned per call.
+    out: Vec<(ProfileId, u32)>,
+    out_sums: Vec<[f64; 2]>,
+    /// Nodes emitted by the bitmap and by the sweep, since creation.
+    bitmap_nodes: u64,
+    sweep_nodes: u64,
+}
+
+impl NodePassScratch {
+    /// Does this scratch accumulate the ARCS and entropy sums?
+    pub fn has_sums(&self) -> bool {
+        !self.sums.is_empty()
+    }
+
+    /// How many walks emitted through the first-touch bitmap and how many
+    /// through the branch-free sweep, since the scratch was made.
+    pub fn emission_modes(&self) -> (u64, u64) {
+        (self.bitmap_nodes, self.sweep_nodes)
+    }
+}
+
+/// One neighbourhood materialized by [`BlockGraph::walk`]: neighbour ids
+/// ascending with their shared-block counts, plus the ARCS and entropy
+/// sums when the scratch accumulates them.
+#[derive(Debug, Clone, Copy)]
+pub struct Neighbors<'s> {
+    counts: &'s [(ProfileId, u32)],
+    /// Index-aligned with `counts`; empty in a count-only walk.
+    sums: &'s [[f64; 2]],
+}
+
+impl<'s> Neighbors<'s> {
+    /// Number of neighbours.
+    pub fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// `true` when the node has no neighbour.
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    /// Neighbour ids ascending with their shared-block counts.
+    pub fn counts(&self) -> &'s [(ProfileId, u32)] {
+        self.counts
+    }
+
+    /// Neighbours with their accumulators; `arcs` and `entropy_sum` read
+    /// 0 in a count-only walk.
+    pub fn iter(&self) -> impl Iterator<Item = (ProfileId, EdgeAccumulator)> + 's {
+        let sums = self.sums;
+        self.counts
+            .iter()
+            .enumerate()
+            .map(move |(k, &(j, shared_blocks))| {
+                let [arcs, entropy_sum] = sums.get(k).copied().unwrap_or_default();
+                let acc = EdgeAccumulator {
+                    shared_blocks,
+                    arcs,
+                    entropy_sum,
+                };
+                (j, acc)
+            })
     }
 }
 
@@ -304,11 +386,6 @@ impl BlockGraph {
         self.block_offsets.len() - 1
     }
 
-    /// Members of block `b`: source-0 prefix then source-1, each sorted.
-    fn members_of(&self, b: usize) -> &[ProfileId] {
-        &self.block_members[self.block_offsets[b] as usize..self.block_offsets[b + 1] as usize]
-    }
-
     /// Task kind of the underlying blocks.
     pub fn kind(&self) -> ErKind {
         self.kind
@@ -334,6 +411,17 @@ impl BlockGraph {
             [self.profile_offsets[i.index()] as usize..self.profile_offsets[i.index() + 1] as usize]
     }
 
+    /// Number of blocks containing profile `i` (0 for an unknown id):
+    /// `blocks_of(i).len()` without a path that can panic, so a weight
+    /// function that does not read it costs nothing.
+    pub(crate) fn block_count(&self, i: ProfileId) -> usize {
+        let offsets = &self.profile_offsets;
+        match (offsets.get(i.index()), offsets.get(i.index() + 1)) {
+            (Some(&start), Some(&end)) => end.wrapping_sub(start) as usize,
+            _ => 0,
+        }
+    }
+
     /// Allocate a reusable scratch buffer for
     /// [`BlockGraph::neighborhood_with`]. One allocation serves any number
     /// of neighborhood materializations — the hot loop of meta-blocking.
@@ -346,22 +434,31 @@ impl BlockGraph {
         }
     }
 
-    /// The comparable co-members of `node` within block `b` (for
-    /// clean–clean, the other source's side; the node's side is located
-    /// from the block's own sorted membership).
-    fn candidates_of(&self, node: ProfileId, b: usize) -> &[ProfileId] {
-        let members = self.members_of(b);
+    /// Where, in the flat member array, the comparable co-members of
+    /// `node` within block `b` sit (for clean–clean, the other source's
+    /// side; the node's side is located from the block's own sorted
+    /// membership).
+    fn candidate_span(&self, node: ProfileId, b: usize) -> Range<usize> {
+        let (start, end) = (
+            self.block_offsets[b] as usize,
+            self.block_offsets[b + 1] as usize,
+        );
         match self.kind {
-            ErKind::Dirty => members,
+            ErKind::Dirty => start..end,
             ErKind::CleanClean => {
-                let split = self.block_split[b] as usize;
-                if members[..split].binary_search(&node).is_ok() {
-                    &members[split..]
+                let mid = start + self.block_split[b] as usize;
+                if self.block_members[start..mid].binary_search(&node).is_ok() {
+                    mid..end
                 } else {
-                    &members[..split]
+                    start..mid
                 }
             }
         }
+    }
+
+    /// The comparable co-members of `node` within block `b`.
+    fn candidates_of(&self, node: ProfileId, b: usize) -> &[ProfileId] {
+        &self.block_members[self.candidate_span(node, b)]
     }
 
     /// Materialize the neighborhood of `node`: every comparable profile
@@ -394,53 +491,24 @@ impl BlockGraph {
     /// [`BlockGraph::neighborhood_with`] without the output allocation: the
     /// neighborhood is materialized into the scratch's reusable output
     /// buffer and returned as a borrow. After the first few nodes warm the
-    /// buffers, a full pass over the graph performs **zero** heap
-    /// allocations — the variant the meta-blocking hot loops use.
+    /// buffers, a pass over the graph performs **zero** heap allocations.
+    ///
+    /// This is the reference walk the oracles (`meta_blocking_graph`,
+    /// training, progressive scheduling) use: full `f64` accumulators and
+    /// the first-touch bitmap for every node. The production node pass is
+    /// [`BlockGraph::walk`], pinned against it and against a `BTreeMap`
+    /// by proptest.
     pub fn neighborhood_buffered<'s>(
         &self,
         node: ProfileId,
         scratch: &'s mut NeighborhoodScratch,
-    ) -> &'s [(ProfileId, EdgeAccumulator)] {
-        self.materialize(node, scratch, false)
-    }
-
-    /// The forward half of [`BlockGraph::neighborhood_buffered`]: only the
-    /// neighbors with an id greater than `node`, i.e. each edge from its
-    /// lower endpoint — all a pass that counts every edge once needs.
-    ///
-    /// Block members are sorted (per side), so the forward co-members of a
-    /// block are the suffix past `node`, found by `partition_point`; the
-    /// backward half is never touched. Every forward neighbor receives its
-    /// contributions from the same blocks in the same ascending block
-    /// order as in the full walk, so the output is bit-identical to the
-    /// `j > node` suffix of `neighborhood_buffered` (pinned by proptest).
-    pub fn forward_neighborhood<'s>(
-        &self,
-        node: ProfileId,
-        scratch: &'s mut NeighborhoodScratch,
-    ) -> &'s [(ProfileId, EdgeAccumulator)] {
-        self.materialize(node, scratch, true)
-    }
-
-    /// Shared body of the two neighborhood walks: accumulate the
-    /// co-members of `node` (only those with a larger id when `forward`),
-    /// then emit them ascending via the bitmap sweep.
-    fn materialize<'s>(
-        &self,
-        node: ProfileId,
-        scratch: &'s mut NeighborhoodScratch,
-        forward: bool,
     ) -> &'s [(ProfileId, EdgeAccumulator)] {
         debug_assert_eq!(scratch.acc.len(), self.num_profiles, "foreign scratch");
         for &b in self.blocks_of(node) {
             let bi = b as usize;
             let comparisons = self.block_comparisons[bi].max(1) as f64;
             let entropy = self.entropies.as_ref().map_or(1.0, |e| e[bi]);
-            let mut others = self.candidates_of(node, bi);
-            if forward {
-                others = &others[others.partition_point(|&p| p <= node)..];
-            }
-            for &other in others {
+            for &other in self.candidates_of(node, bi) {
                 if other == node {
                     continue;
                 }
@@ -472,6 +540,201 @@ impl BlockGraph {
         }
         scratch.touched_words.clear();
         &scratch.out
+    }
+
+    /// Allocate the reusable buffers of [`BlockGraph::walk`]: 4 bytes of
+    /// counts per profile, plus 16 bytes of ARCS / entropy sums when
+    /// `sums` is set — only scorers that read them need it (see
+    /// `ScoringContext::reads_sums`).
+    pub fn node_scratch(&self, sums: bool) -> NodePassScratch {
+        NodePassScratch {
+            counts: vec![0; self.num_profiles],
+            sums: if sums {
+                vec![[0.0; 2]; self.num_profiles]
+            } else {
+                Vec::new()
+            },
+            touched_bits: vec![0; self.num_profiles.div_ceil(64)],
+            touched_words: Vec::new(),
+            spans: Vec::new(),
+            out: Vec::new(),
+            out_sums: Vec::new(),
+            bitmap_nodes: 0,
+            sweep_nodes: 0,
+        }
+    }
+
+    /// `start..end` of `node`'s comparable co-members within block `b` in
+    /// the flat member array — only those with a larger id when `forward`.
+    /// Members are sorted per side, so the forward ones are the suffix
+    /// past `node`, found by `partition_point`.
+    fn co_member_span(&self, node: ProfileId, b: usize, forward: bool) -> (usize, usize) {
+        let Range { start, end } = self.candidate_span(node, b);
+        if forward {
+            let skip = self.block_members[start..end].partition_point(|&p| p <= node);
+            (start + skip, end)
+        } else {
+            (start, end)
+        }
+    }
+
+    /// The production neighbourhood walk: every comparable co-member of
+    /// `node` (only those with a larger id when `forward`, i.e. each edge
+    /// from its lower endpoint) with its shared-block count — and its ARCS
+    /// and entropy sums in a scratch that has them — ascending by id.
+    ///
+    /// The walk first lists the node's co-member spans, which gives their
+    /// total length (the node's comparisons `c`) and the id range `r` they
+    /// cover. Then it picks how to emit:
+    ///
+    /// * `c × SWEEP_FACTOR ≥ r` — dense: accumulate with no branch per
+    ///   co-occurrence and sweep the range, compacting the non-zero slots
+    ///   branch-free. The sweep reads at most `SWEEP_FACTOR` slots per
+    ///   co-occurrence, so no node pays more than a constant factor.
+    /// * otherwise — sparse: the first co-occurrence of a neighbour sets
+    ///   its bit in a bitmap, and the emit visits only the touched words.
+    ///
+    /// Both modes add a neighbour's contributions in ascending block
+    /// order, so counts and sums are bit-identical to
+    /// [`BlockGraph::neighborhood_buffered`] (pinned by proptest), and
+    /// both emit ascending ids.
+    pub fn walk<'s>(
+        &self,
+        node: ProfileId,
+        scratch: &'s mut NodePassScratch,
+        forward: bool,
+    ) -> Neighbors<'s> {
+        debug_assert_eq!(scratch.counts.len(), self.num_profiles, "foreign scratch");
+        let s = scratch;
+        s.spans.clear();
+        let (mut comparisons, mut lo, mut hi) = (0usize, usize::MAX, 0usize);
+        for &b in self.blocks_of(node) {
+            let (start, end) = self.co_member_span(node, b as usize, forward);
+            if start < end {
+                comparisons += end - start;
+                lo = lo.min(self.block_members[start].index());
+                hi = hi.max(self.block_members[end - 1].index());
+                s.spans.push((start as u32, end as u32, b));
+            }
+        }
+        if comparisons == 0 {
+            return Neighbors {
+                counts: &[],
+                sums: &[],
+            };
+        }
+        let range = hi - lo + 1;
+        let sweep = comparisons.saturating_mul(SWEEP_FACTOR) >= range;
+        let has_sums = s.has_sums();
+
+        // Accumulate, in ascending block order. A sweep needs no record of
+        // which slots were touched, so its loops carry no branch.
+        for &(start, end, b) in &s.spans {
+            let members = &self.block_members[start as usize..end as usize];
+            let add = has_sums.then(|| {
+                let bi = b as usize;
+                let comparisons = self.block_comparisons[bi].max(1) as f64;
+                [
+                    1.0 / comparisons,
+                    self.entropies.as_ref().map_or(1.0, |e| e[bi]),
+                ]
+            });
+            match (sweep, add) {
+                (true, None) => {
+                    for &other in members {
+                        s.counts[other.index()] += 1;
+                    }
+                }
+                (true, Some([arcs, entropy])) => {
+                    for &other in members {
+                        let t = other.index();
+                        s.counts[t] += 1;
+                        s.sums[t][0] += arcs;
+                        s.sums[t][1] += entropy;
+                    }
+                }
+                (false, add) => {
+                    for &other in members {
+                        let t = other.index();
+                        if s.counts[t] == 0 {
+                            let word = &mut s.touched_bits[t / 64];
+                            if *word == 0 {
+                                s.touched_words.push((t / 64) as u32);
+                            }
+                            *word |= 1 << (t % 64);
+                        }
+                        s.counts[t] += 1;
+                        if let Some([arcs, entropy]) = add {
+                            s.sums[t][0] += arcs;
+                            s.sums[t][1] += entropy;
+                        }
+                    }
+                }
+            }
+        }
+        // A dirty node is a member of its own blocks: the full walk counted
+        // it too; drop it before emitting.
+        if !forward && self.kind == ErKind::Dirty {
+            let t = node.index();
+            s.counts[t] = 0;
+            if has_sums {
+                s.sums[t] = [0.0; 2];
+            }
+            s.touched_bits[t / 64] &= !(1u64 << (t % 64));
+        }
+
+        // Emit into one slot more than there can be neighbours: the sweep
+        // stores every slot it reads at the next free index before
+        // deciding whether to keep it, so it writes one past the last.
+        let cap = comparisons.min(range) + 1;
+        if s.out.len() < cap {
+            s.out.resize(cap, (ProfileId(0), 0));
+        }
+        if has_sums && s.out_sums.len() < cap {
+            s.out_sums.resize(cap, [0.0; 2]);
+        }
+        let mut n = 0;
+        if sweep {
+            s.sweep_nodes += 1;
+            let (counts, out) = (&mut s.counts[lo..=hi], &mut s.out[..cap]);
+            if has_sums {
+                let sums = &mut s.sums[lo..=hi];
+                for (k, (c, sum)) in counts.iter_mut().zip(sums).enumerate() {
+                    let c = std::mem::take(c);
+                    out[n] = (ProfileId((lo + k) as u32), c);
+                    s.out_sums[n] = std::mem::take(sum);
+                    n += usize::from(c != 0);
+                }
+            } else {
+                for (k, c) in counts.iter_mut().enumerate() {
+                    let c = std::mem::take(c);
+                    out[n] = (ProfileId((lo + k) as u32), c);
+                    n += usize::from(c != 0);
+                }
+            }
+        } else {
+            s.bitmap_nodes += 1;
+            // Ascending words, ascending bits within a word: neighbours
+            // come out sorted having ordered only the touched words.
+            s.touched_words.sort_unstable();
+            for &w in &s.touched_words {
+                let mut bits = std::mem::take(&mut s.touched_bits[w as usize]);
+                while bits != 0 {
+                    let t = w as usize * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    s.out[n] = (ProfileId(t as u32), std::mem::take(&mut s.counts[t]));
+                    if has_sums {
+                        s.out_sums[n] = std::mem::take(&mut s.sums[t]);
+                    }
+                    n += 1;
+                }
+            }
+            s.touched_words.clear();
+        }
+        Neighbors {
+            counts: &s.out[..n],
+            sums: if has_sums { &s.out_sums[..n] } else { &[] },
+        }
     }
 
     /// Node degrees (distinct comparable neighbors per profile) and the
@@ -515,6 +778,28 @@ impl BlockGraph {
             }
         }
         count
+    }
+
+    /// Forward degree and forward comparisons of `node`: the distinct
+    /// comparable neighbours with a larger id, and its co-occurrences with
+    /// them (the total length of its forward co-member spans). Under CBS
+    /// without entropy every forward edge weighs its shared-block count,
+    /// so these are WEP's per-node `(|E|, Σw)` without weighing anything.
+    /// `seen` is used as in [`BlockGraph::degree_of`]; the count is
+    /// branch-free.
+    pub fn forward_degree(&self, node: ProfileId, seen: &mut [u32]) -> (u32, u64) {
+        debug_assert_eq!(seen.len(), self.num_profiles, "foreign seen array");
+        let (mut degree, mut comparisons) = (0u32, 0u64);
+        for &b in self.blocks_of(node) {
+            let (start, end) = self.co_member_span(node, b as usize, true);
+            comparisons += (end - start) as u64;
+            for &other in &self.block_members[start..end] {
+                let slot = &mut seen[other.index()];
+                degree += u32::from(*slot != node.0);
+                *slot = node.0;
+            }
+        }
+        (degree, comparisons)
     }
 }
 
@@ -713,12 +998,20 @@ mod tests {
         assert_scratch_clean(&scratch);
     }
 
+    fn assert_node_scratch_clean(scratch: &NodePassScratch) {
+        assert!(scratch.touched_bits.iter().all(|&w| w == 0), "bitmap dirty");
+        assert!(scratch.touched_words.is_empty(), "word list dirty");
+        assert!(scratch.counts.iter().all(|&c| c == 0), "counts dirty");
+        assert!(scratch.sums.iter().all(|s| *s == [0.0; 2]), "sums dirty");
+    }
+
     #[test]
     fn forward_neighbors_cross_word_boundaries_and_leave_scratch_clean() {
         use sparker_blocking::Block;
-        // Probes sit on either side of the bitmap's word boundaries; each
-        // must see exactly its larger-id co-members, in id order, with the
-        // full walk's accumulators, and leave the scratch as it found it.
+        // Probes sit on either side of the bitmap's word boundaries; the
+        // production walk must see exactly the reference walk's neighbours
+        // (only the larger-id ones when forward), in id order, with its
+        // accumulators, and leave the scratch as it found it.
         let dirty = BlockCollection::new(
             ErKind::Dirty,
             vec![
@@ -736,16 +1029,36 @@ mod tests {
         );
         for blocks in [dirty, clean] {
             let g = BlockGraph::new(&blocks, None);
-            let mut scratch = g.scratch();
-            for node in [0, 63, 64, 65, 127, 128, 129, 130, 200] {
-                let node = ProfileId(node);
-                let full = g.neighborhood_buffered(node, &mut scratch).to_vec();
-                assert_scratch_clean(&scratch);
-                let forward = g.forward_neighborhood(node, &mut scratch).to_vec();
-                assert_scratch_clean(&scratch);
-                let suffix: Vec<_> = full.into_iter().filter(|&(j, _)| j > node).collect();
-                assert_eq!(forward, suffix, "{:?} node {node}", blocks.kind());
-                assert_eq!(scratch.last_forward_degree(node), forward.len());
+            let mut reference = g.scratch();
+            for sums in [false, true] {
+                // Epoch-marked by node id: one array per pass over the nodes.
+                let mut seen = vec![u32::MAX; g.num_profiles()];
+                let mut scratch = g.node_scratch(sums);
+                for node in [0, 63, 64, 65, 127, 128, 129, 130, 200] {
+                    let node = ProfileId(node);
+                    let full = g.neighborhood_buffered(node, &mut reference).to_vec();
+                    let suffix: Vec<_> = full.iter().copied().filter(|&(j, _)| j > node).collect();
+                    let counts = |v: &[(ProfileId, EdgeAccumulator)]| -> Vec<(ProfileId, u32)> {
+                        v.iter().map(|(j, a)| (*j, a.shared_blocks)).collect()
+                    };
+                    for (forward, expect) in [(false, &full), (true, &suffix)] {
+                        let got = g.walk(node, &mut scratch, forward);
+                        assert_eq!(
+                            got.counts(),
+                            counts(expect),
+                            "{:?} node {node}",
+                            blocks.kind()
+                        );
+                        if sums {
+                            assert_eq!(got.iter().collect::<Vec<_>>(), *expect);
+                        }
+                        assert_node_scratch_clean(&scratch);
+                    }
+                    let (degree, comparisons) = g.forward_degree(node, &mut seen);
+                    assert_eq!(degree as usize, suffix.len());
+                    let shared: u32 = suffix.iter().map(|(_, a)| a.shared_blocks).sum();
+                    assert_eq!(comparisons, u64::from(shared));
+                }
             }
         }
         // Node 63 of the dirty blocks: forward co-members in three words.
@@ -759,14 +1072,15 @@ mod tests {
             ),
             None,
         );
-        let mut scratch = g.scratch();
+        let mut scratch = g.node_scratch(false);
         let got: Vec<u32> = g
-            .forward_neighborhood(ProfileId(63), &mut scratch)
+            .walk(ProfileId(63), &mut scratch, true)
+            .counts()
             .iter()
             .map(|(p, _)| p.0)
             .collect();
         assert_eq!(got, [64, 127, 128]);
-        assert_scratch_clean(&scratch);
+        assert_node_scratch_clean(&scratch);
     }
 
     #[test]
@@ -844,6 +1158,7 @@ mod tests {
         let (_, blocks) = figure1();
         let g = BlockGraph::new(&blocks, None);
         assert!(g.blocks_of(ProfileId(999)).is_empty());
+        assert_eq!(g.block_count(ProfileId(999)), 0);
         assert!(g.neighborhood(ProfileId(999)).is_empty());
     }
 
@@ -870,6 +1185,7 @@ mod tests {
         for i in 0..4u32 {
             let node = ProfileId(i);
             assert_eq!(a.blocks_of(node), b.blocks_of(node));
+            assert_eq!(a.block_count(node), a.blocks_of(node).len());
             assert_eq!(a.neighborhood(node), b.neighborhood(node));
         }
     }

@@ -1,7 +1,7 @@
 //! Pruning strategies and the sequential meta-blocking driver.
 
 use crate::entropy::BlockEntropies;
-use crate::graph::{BlockGraph, EdgeAccumulator, NeighborhoodScratch};
+use crate::graph::{BlockGraph, EdgeAccumulator};
 use crate::scorer::{EdgeScorer, ScoringContext};
 use sparker_blocking::BlockCollection;
 use sparker_profiles::{Pair, ProfileId};
@@ -180,6 +180,17 @@ impl ForwardWeights {
         }
     }
 
+    /// Record one node's `(Σw, |E|)` directly, for a pass that knows them
+    /// without weighing: must be a WEP record, and `sum` must be the value
+    /// [`ForwardWeights::record_node`] would fold — exact when the weights
+    /// are integers summing below 2⁵³, whatever their order.
+    pub(crate) fn record_sum(&mut self, sum: f64, count: u64) {
+        let ForwardWeights::NodeSums(sums) = self else {
+            unreachable!("only WEP records per-node sums")
+        };
+        sums.push(WeightSum { sum, count });
+    }
+
     /// Append the record of the node range that follows this one's.
     pub(crate) fn append(&mut self, next: ForwardWeights) {
         match (self, next) {
@@ -191,52 +202,43 @@ impl ForwardWeights {
     }
 }
 
-/// Index of the first forward (`node < j`) neighbor: neighborhoods are
-/// sorted by id, so the forward edges are a suffix.
-pub(crate) fn first_forward(
-    node: ProfileId,
-    neighborhood: &[(ProfileId, EdgeAccumulator)],
-) -> usize {
-    neighborhood.partition_point(|&(j, _)| j < node)
-}
-
-/// Per-node half of the first pass: materialize one node's neighborhood,
-/// weight its edges, and summarize. This is the unit of work SparkER
-/// distributes, so it is the hot loop of meta-blocking — after warm-up it
-/// performs **zero heap allocation per node**: the neighborhood lives in
-/// `scratch`, the edge weights in the caller's reusable `weights` buffer,
-/// and the node's forward edge weights are folded into `forward` so each
-/// edge is counted once globally. The CNP k-th weight uses an O(n)
-/// order-statistic selection instead of a full sort, and mean/max are
-/// folded in the same pass that computes the weights.
-pub(crate) fn node_pass_single(
+/// Per-node half of the first pass: weight one node's neighborhood (given
+/// ascending by id, as both walks emit it) and summarize. This is the unit
+/// of work SparkER distributes, so it is the hot loop of meta-blocking —
+/// after warm-up it performs **zero heap allocation per node**: the edge
+/// weights go to the caller's reusable `weights` buffer, and the node's
+/// forward edge weights are folded into `forward` so each edge is counted
+/// once globally. The CNP k-th weight uses an O(n) order-statistic
+/// selection instead of a full sort, and mean/max are folded in the same
+/// pass that computes the weights.
+pub(crate) fn node_stats_of(
     graph: &BlockGraph,
     node: ProfileId,
     scoring: &ScoringContext,
     cnp_k: usize,
     forward: &mut ForwardWeights,
-    scratch: &mut NeighborhoodScratch,
+    neighborhood: impl Iterator<Item = (ProfileId, EdgeAccumulator)>,
     weights: &mut Vec<f64>,
 ) -> NodeStats {
-    let neighborhood = graph.neighborhood_buffered(node, scratch);
-    if neighborhood.is_empty() {
-        forward.record_node(&[]);
+    weights.clear();
+    let blocks_node = graph.block_count(node);
+    let mut backward = 0;
+    let mut sum = 0.0f64;
+    let mut max = 0.0f64;
+    for (j, acc) in neighborhood {
+        let w = scoring.weigh(node, j, &acc, blocks_node, graph.block_count(j));
+        weights.push(w);
+        backward += usize::from(j < node);
+        sum += w;
+        max = max.max(w);
+    }
+    forward.record_node(&weights[backward..]);
+    if weights.is_empty() {
         return NodeStats {
             kth: f64::INFINITY,
             ..NodeStats::default()
         };
     }
-    weights.clear();
-    let blocks_node = graph.blocks_of(node).len();
-    let mut sum = 0.0f64;
-    let mut max = 0.0f64;
-    for &(j, ref acc) in neighborhood {
-        let w = scoring.weigh(node, j, acc, blocks_node, graph.blocks_of(j).len());
-        weights.push(w);
-        sum += w;
-        max = max.max(w);
-    }
-    forward.record_node(&weights[first_forward(node, neighborhood)..]);
     let mean = sum / weights.len() as f64;
     // k-th largest = element at rank k-1 of the descending order; selection
     // yields exactly the value a full descending sort would put there.
@@ -263,13 +265,15 @@ pub(crate) fn node_stats_pass(
     let mut scratch = graph.scratch();
     let mut weights = Vec::new();
     for (i, slot) in node_stats.iter_mut().enumerate() {
-        *slot = node_pass_single(
+        let node = ProfileId(i as u32);
+        let neighborhood = graph.neighborhood_buffered(node, &mut scratch);
+        *slot = node_stats_of(
             graph,
-            ProfileId(i as u32),
+            node,
             scoring,
             cnp_k,
             &mut forward,
-            &mut scratch,
+            neighborhood.iter().copied(),
             &mut weights,
         );
     }

@@ -287,6 +287,19 @@ impl Default for EdgeScorer {
     }
 }
 
+/// A consumer of a weight function resolved by [`ScoringContext::resolve`]:
+/// `visit` is instantiated once per scorer, with `weigh(a, b, acc,
+/// blocks_a, blocks_b)` as [`ScoringContext::weigh`] takes them.
+pub(crate) trait WeighVisitor {
+    /// What the visit returns.
+    type Output;
+
+    /// Run with the resolved weight function.
+    fn visit<W>(self, weigh: W) -> Self::Output
+    where
+        W: Fn(ProfileId, ProfileId, &EdgeAccumulator, usize, usize) -> f64;
+}
+
 /// Everything global an edge weight depends on, checked and computed once
 /// per graph: the scorer, the entropy flag, block count and (when the
 /// scorer reads them) node degrees.
@@ -377,6 +390,56 @@ impl ScoringContext {
     /// Is entropy re-weighting active?
     pub fn use_entropy(&self) -> bool {
         self.use_entropy
+    }
+
+    /// Does weighing read the ARCS or entropy sums of an edge, beyond its
+    /// shared-block count? True for ARCS, for every scheme with entropy
+    /// re-weighting and for supervised models (their feature vector holds
+    /// both) — the node pass accumulates the sums only then (see
+    /// [`BlockGraph::node_scratch`]).
+    pub(crate) fn reads_sums(&self) -> bool {
+        self.use_entropy
+            || matches!(
+                self.scorer,
+                EdgeScorer::Classic(WeightScheme::Arcs) | EdgeScorer::Supervised(_)
+            )
+    }
+
+    /// Is every weight the edge's shared-block count (CBS without
+    /// entropy)? Then weights are integers, and WEP's `(Σw, |E|)` per node
+    /// are its forward comparisons and forward degree.
+    pub(crate) fn weighs_shared_counts(&self) -> bool {
+        self.scorer == EdgeScorer::Classic(WeightScheme::Cbs) && !self.use_entropy
+    }
+
+    /// Hand `visitor` this context's weight function with the scorer
+    /// matched once, here, instead of per edge: each arm passes a closure
+    /// over one fixed scheme, so a loop the visitor runs over it is
+    /// compiled for that scheme alone. The closure computes exactly
+    /// [`ScoringContext::weigh`] (it calls the same code), so weights are
+    /// bit-identical.
+    pub(crate) fn resolve<V: WeighVisitor>(&self, visitor: V) -> V::Output {
+        let (stats, use_entropy) = (&self.stats, self.use_entropy);
+        macro_rules! classic {
+            ($scheme:expr) => {
+                visitor.visit(|a, b, acc: &EdgeAccumulator, blocks_a, blocks_b| {
+                    $scheme.weight(a, b, acc, blocks_a, blocks_b, stats, use_entropy)
+                })
+            };
+        }
+        match &self.scorer {
+            EdgeScorer::Classic(WeightScheme::Cbs) => classic!(WeightScheme::Cbs),
+            EdgeScorer::Classic(WeightScheme::Ecbs) => classic!(WeightScheme::Ecbs),
+            EdgeScorer::Classic(WeightScheme::Js) => classic!(WeightScheme::Js),
+            EdgeScorer::Classic(WeightScheme::Ejs) => classic!(WeightScheme::Ejs),
+            EdgeScorer::Classic(WeightScheme::Arcs) => classic!(WeightScheme::Arcs),
+            EdgeScorer::Classic(WeightScheme::ChiSquare) => classic!(WeightScheme::ChiSquare),
+            EdgeScorer::Supervised(model) => {
+                visitor.visit(|a, b, acc: &EdgeAccumulator, blocks_a, blocks_b| {
+                    model.score(&self.features(a, b, acc, blocks_a, blocks_b))
+                })
+            }
+        }
     }
 
     /// Weight the edge `(a, b)` from its accumulator and both endpoints'

@@ -14,32 +14,34 @@
 //! ## Parity with the sequential oracle
 //!
 //! `prepare` reuses the building blocks of [`crate::meta_blocking_graph`] —
-//! `node_pass_single` for the node-centric rules, the same per-node
-//! forward weight record (same order, same f64 summation sequence) for
-//! the global rules, the same `resolve_rule` — so concatenating
-//! `prune_range` over a disjoint ascending cover of `0..num_profiles` is
-//! byte-identical to its output (pinned by tests here and in the core
-//! parity matrix).
+//! `node_stats_of` for the node-centric rules, the same per-node forward
+//! weight record (same order, same f64 summation sequence) for the global
+//! rules, the same `resolve_rule` — so concatenating `prune_range` over a
+//! disjoint ascending cover of `0..num_profiles` is byte-identical to its
+//! output (pinned by tests here and in the core parity matrix).
 //!
-//! Only the oracle and the node-centric pass A walk full neighborhoods.
-//! The global rules' pass A and every pass B walk
-//! [`BlockGraph::forward_neighborhood`] — each edge from its lower
-//! endpoint only, half the accumulations — whose accumulators are
-//! bit-identical to the `node < j` suffix of the full walk, so weights,
-//! the WEP/CEP threshold and the retained pairs do not move. Each
+//! The oracle walks with [`BlockGraph::neighborhood_buffered`] (full `f64`
+//! accumulators, first-touch bitmap); this plan walks with
+//! [`BlockGraph::walk`] — `u32` shared-block counts, the ARCS / entropy
+//! sums only for scorers that read them, and a dense sweep or the bitmap
+//! per node by density — whose counts and sums are bit-identical to the
+//! reference walk's. Only the node-centric pass A walks full
+//! neighborhoods; the global rules' pass A and every pass B walk forward
+//! (each edge from its lower endpoint only), so weights, the WEP/CEP
+//! threshold and the retained pairs do not move. Each
 //! range's emissions are already sorted by pair: nodes ascend and forward
 //! neighbors come out in ascending id order, so the emissions of
 //! consecutive nodes concatenate sorted — which is what lets the fused
 //! matcher feed its shards straight into
 //! `SimilarityGraph::from_sorted_shards` without a global re-sort.
 
-use crate::graph::{BlockGraph, NeighborhoodScratch};
+use crate::graph::{BlockGraph, EdgeAccumulator, Neighbors, NodePassScratch};
 use crate::parallel::{degrees_parallel, morsel_grain};
 use crate::pruning::{
-    cnp_budget, node_pass_single, resolve_rule, ForwardWeights, MetaBlockingConfig, NodeStats,
+    cnp_budget, node_stats_of, resolve_rule, ForwardWeights, MetaBlockingConfig, NodeStats,
     RetentionRule,
 };
-use crate::scorer::ScoringContext;
+use crate::scorer::{ScoringContext, WeighVisitor};
 use sparker_dataflow::{Broadcast, Context, WorkerLocal};
 use sparker_profiles::{Pair, ProfileId};
 use std::ops::Range;
@@ -61,16 +63,36 @@ pub struct StreamingMetaBlocking {
     degrees: Vec<u32>,
 }
 
+/// What one pool worker holds during pass A.
+enum PassAScratch {
+    /// WEP under CBS without entropy: only the epoch-marked `seen` array of
+    /// the degree-only forward walk.
+    Degrees(Vec<u32>),
+    /// Every other configuration: the node-pass scratch and a reusable
+    /// weight buffer.
+    Weigh(NodePassScratch, Vec<f64>),
+}
+
 impl StreamingMetaBlocking {
     /// Run pass A (per-node statistics and/or the forward weight record)
     /// on the context's worker pool and resolve the retention rule.
     ///
-    /// The global rules (WEP/CEP) never read `NodeStats`, so their pass
-    /// A is specialized: it walks only the forward neighborhood and
-    /// weighs only the forward (`node < j`) edges — recorded per node like
-    /// the sequential pass records them, preserving f64 summation order —
-    /// and skips the mean/max/k-th folding entirely, halving pass-A
-    /// accumulations and weight computes.
+    /// Pass A comes in three shapes, fixed per run:
+    ///
+    /// * **WEP under CBS without entropy weighs nothing.** A node's forward
+    ///   edges weigh their shared-block counts, so its `(Σw, |E|)` is its
+    ///   forward comparisons and forward degree, which the degree-only
+    ///   [`BlockGraph::forward_degree`] gives. Integer weights below 2⁵³
+    ///   sum exactly in f64 in any order, so the threshold is bit-identical
+    ///   to weighing every edge.
+    /// * **The other global rules** (WEP, CEP) walk only the forward
+    ///   neighborhood and weigh its edges — recorded per node like the
+    ///   sequential pass records them, preserving f64 summation order.
+    /// * **The node-centric rules** walk the full neighborhood and fold
+    ///   mean/max/k-th per node, as the sequential pass does.
+    ///
+    /// The walks count shared blocks in `u32` and accumulate the ARCS and
+    /// entropy sums only when the scorer reads them.
     pub fn prepare(ctx: &Context, graph: &Arc<BlockGraph>, config: &MetaBlockingConfig) -> Self {
         let num_nodes = graph.num_profiles();
         let cnp_k = cnp_budget(config.pruning, graph);
@@ -104,10 +126,19 @@ impl StreamingMetaBlocking {
             };
         }
 
+        let count_only_wep = matches!(
+            ForwardWeights::for_pruning(pruning),
+            ForwardWeights::NodeSums(_)
+        ) && scoring.weighs_shared_counts();
+        let sums = scoring.reads_sums();
         let b_graph: Broadcast<BlockGraph> = ctx.broadcast(Arc::clone(graph));
         let b_scoring = ctx.broadcast(scoring.clone());
         let scratches = Arc::new(WorkerLocal::new(ctx.workers(), || {
-            (graph.scratch(), Vec::<f64>::new())
+            if count_only_wep {
+                PassAScratch::Degrees(vec![u32::MAX; num_nodes])
+            } else {
+                PassAScratch::Weigh(graph.node_scratch(sums), Vec::new())
+            }
         }));
         let grain = morsel_grain(num_nodes, ctx);
         let ids: Vec<u32> = (0..num_nodes as u32).collect();
@@ -120,34 +151,46 @@ impl StreamingMetaBlocking {
             let scratches = Arc::clone(&scratches);
             ctx.parallelize_default(ids)
                 .map_morsels_named("prune_pass_a", grain, move |worker, nodes| {
-                    scratches.with(worker, |(scratch, weights)| {
+                    scratches.with(worker, |local| {
                         let mut stats_out = Vec::new();
                         let mut forward = ForwardWeights::for_pruning(pruning);
                         let mut degs = Vec::with_capacity(nodes.len());
                         for &i in nodes {
                             let node = ProfileId(i);
-                            if needs_global {
-                                // Global rule: forward weights only.
-                                let blocks_node = b_graph.blocks_of(node).len();
-                                let neighborhood = b_graph.forward_neighborhood(node, scratch);
-                                degs.push(neighborhood.len() as u32);
-                                weights.clear();
-                                weights.extend(neighborhood.iter().map(|(j, acc)| {
-                                    let blocks_j = b_graph.blocks_of(*j).len();
-                                    b_scoring.weigh(node, *j, acc, blocks_node, blocks_j)
-                                }));
-                                forward.record_node(weights);
-                            } else {
-                                stats_out.push(node_pass_single(
-                                    &b_graph,
-                                    node,
-                                    &b_scoring,
-                                    cnp_k,
-                                    &mut forward,
-                                    scratch,
-                                    weights,
-                                ));
-                                degs.push(scratch.last_forward_degree(node) as u32);
+                            match local {
+                                PassAScratch::Degrees(seen) => {
+                                    let (degree, comparisons) = b_graph.forward_degree(node, seen);
+                                    forward.record_sum(comparisons as f64, u64::from(degree));
+                                    degs.push(degree);
+                                }
+                                PassAScratch::Weigh(scratch, weights) if needs_global => {
+                                    let blocks_node = b_graph.block_count(node);
+                                    let neighborhood = b_graph.walk(node, scratch, true);
+                                    degs.push(neighborhood.len() as u32);
+                                    weights.clear();
+                                    weights.extend(neighborhood.iter().map(|(j, acc)| {
+                                        let blocks_j = b_graph.block_count(j);
+                                        b_scoring.weigh(node, j, &acc, blocks_node, blocks_j)
+                                    }));
+                                    forward.record_node(weights);
+                                }
+                                PassAScratch::Weigh(scratch, weights) => {
+                                    let neighborhood = b_graph.walk(node, scratch, false);
+                                    let ids = neighborhood.counts();
+                                    degs.push(
+                                        (ids.len() - ids.partition_point(|&(j, _)| j < node))
+                                            as u32,
+                                    );
+                                    stats_out.push(node_stats_of(
+                                        &b_graph,
+                                        node,
+                                        &b_scoring,
+                                        cnp_k,
+                                        &mut forward,
+                                        neighborhood.iter(),
+                                        weights,
+                                    ));
+                                }
                             }
                         }
                         vec![(stats_out, forward, degs)]
@@ -187,9 +230,11 @@ impl StreamingMetaBlocking {
         self.degrees.iter().map(|&d| u64::from(d)).sum()
     }
 
-    /// A reusable neighborhood buffer for [`StreamingMetaBlocking::prune_range`].
-    pub fn make_scratch(&self) -> NeighborhoodScratch {
-        self.graph.scratch()
+    /// A reusable node-pass scratch for
+    /// [`StreamingMetaBlocking::prune_range`], with the ARCS / entropy sums
+    /// only when the scorer reads them.
+    pub fn make_scratch(&self) -> NodePassScratch {
+        self.graph.node_scratch(self.scoring.reads_sums())
     }
 
     /// Cut `0..num_nodes` into contiguous ranges of roughly equal pass-B
@@ -222,8 +267,8 @@ impl StreamingMetaBlocking {
         cuts
     }
 
-    /// Emit the retained pairs of a contiguous node range: materialize
-    /// each node's forward (`node < j`) neighborhood, weight its edges and
+    /// Emit the retained pairs of a contiguous node range: walk each
+    /// node's forward (`node < j`) neighborhood, weight its edges and
     /// apply the resolved retention rule — pass B, scoped to `range`. Node
     /// statistics were resolved in pass A, so no rule needs the backward
     /// half. Output is sorted by pair (see the module docs); disjoint
@@ -231,25 +276,24 @@ impl StreamingMetaBlocking {
     pub fn prune_range(
         &self,
         range: Range<u32>,
-        scratch: &mut NeighborhoodScratch,
+        scratch: &mut NodePassScratch,
     ) -> Vec<(Pair, f64)> {
-        let default_stats = NodeStats::default();
+        assert!(
+            scratch.has_sums() || !self.scoring.reads_sums(),
+            "a count-only scratch cannot weigh with {}",
+            self.scoring.scorer().name()
+        );
         let mut out = Vec::new();
         for i in range {
             let node = ProfileId(i);
-            let blocks_node = self.graph.blocks_of(node).len();
-            for &(j, ref acc) in self.graph.forward_neighborhood(node, scratch) {
-                let w =
-                    self.scoring
-                        .weigh(node, j, acc, blocks_node, self.graph.blocks_of(j).len());
-                let (sa, sb) = if self.node_stats.is_empty() {
-                    (&default_stats, &default_stats)
-                } else {
-                    (&self.node_stats[i as usize], &self.node_stats[j.index()])
-                };
-                if self.rule.keeps(w, sa, sb) {
-                    out.push((Pair::new(node, j), w));
-                }
+            let edges = self.graph.walk(node, scratch, true);
+            if !edges.is_empty() {
+                self.scoring.resolve(KeepEdges {
+                    plan: self,
+                    node,
+                    edges,
+                    out: &mut out,
+                });
             }
         }
         out
@@ -259,6 +303,93 @@ impl StreamingMetaBlocking {
     pub fn prune_all(&self) -> Vec<(Pair, f64)> {
         let mut scratch = self.make_scratch();
         self.prune_range(0..self.num_nodes() as u32, &mut scratch)
+    }
+}
+
+/// Pass B for one node: its forward edges, decided with the scorer (the
+/// visit) and the retention rule (matched once in `visit`) resolved for
+/// the whole node. Each arm computes exactly [`RetentionRule::keeps`].
+struct KeepEdges<'a, 's> {
+    plan: &'a StreamingMetaBlocking,
+    node: ProfileId,
+    edges: Neighbors<'s>,
+    out: &'a mut Vec<(Pair, f64)>,
+}
+
+impl KeepEdges<'_, '_> {
+    /// Push every edge whose weight passes `keeps(w, j)`. Branch-free:
+    /// every edge is written at the next free slot and the slot is kept
+    /// iff the edge is, so an unpredictable keep costs no mispredict.
+    fn emit<W, K>(self, weigh: W, keeps: K)
+    where
+        W: Fn(ProfileId, ProfileId, &EdgeAccumulator, usize, usize) -> f64,
+        K: Fn(f64, ProfileId) -> bool,
+    {
+        let graph = &self.plan.graph;
+        let (node, blocks_node) = (self.node, graph.block_count(self.node));
+        let base = self.out.len();
+        let placeholder = (
+            Pair {
+                first: node,
+                second: node,
+            },
+            0.0,
+        );
+        self.out.resize(base + self.edges.len(), placeholder);
+        let slots = &mut self.out[base..];
+        let mut kept = 0;
+        for (j, acc) in self.edges.iter() {
+            let w = weigh(node, j, &acc, blocks_node, graph.block_count(j));
+            // Forward edges: `node < j`, already the normalized order.
+            slots[kept] = (
+                Pair {
+                    first: node,
+                    second: j,
+                },
+                w,
+            );
+            kept += usize::from(keeps(w, j));
+        }
+        self.out.truncate(base + kept);
+    }
+}
+
+impl WeighVisitor for KeepEdges<'_, '_> {
+    type Output = ();
+
+    fn visit<W>(self, weigh: W)
+    where
+        W: Fn(ProfileId, ProfileId, &EdgeAccumulator, usize, usize) -> f64,
+    {
+        let stats = &self.plan.node_stats;
+        let either = |reciprocal: bool, ka: bool, kb: bool| {
+            if reciprocal {
+                ka & kb
+            } else {
+                ka | kb
+            }
+        };
+        match self.plan.rule {
+            RetentionRule::GlobalThreshold(t) => self.emit(weigh, |w, _| w >= t),
+            RetentionRule::NodeMean { factor, reciprocal } => {
+                let ta = factor * stats[self.node.index()].mean;
+                self.emit(weigh, |w, j| {
+                    either(reciprocal, w >= ta, w >= factor * stats[j.index()].mean)
+                })
+            }
+            RetentionRule::NodeKth { reciprocal } => {
+                let ta = stats[self.node.index()].kth;
+                self.emit(weigh, |w, j| {
+                    either(reciprocal, w >= ta, w >= stats[j.index()].kth)
+                })
+            }
+            RetentionRule::BlastMaxima { ratio } => {
+                let max_a = stats[self.node.index()].max;
+                self.emit(weigh, |w, j| {
+                    w >= ratio * (max_a + stats[j.index()].max) / 2.0
+                })
+            }
+        }
     }
 }
 
@@ -424,6 +555,68 @@ mod tests {
     }
 
     #[test]
+    fn integer_wep_pass_a_equals_the_weighed_pass_a() {
+        // WEP under CBS without entropy takes (Σw, |E|) per node from the
+        // degree-only walk; the oracle weighs every edge. The threshold
+        // bits must agree — on an empty graph, on a graph whose every edge
+        // weighs 1, on hub-skewed dirty graphs and on clean–clean.
+        use crate::pruning::node_stats_pass;
+        use sparker_blocking::{Block, BlockCollection};
+        use sparker_profiles::ErKind;
+        let ids = |v: &[u32]| v.iter().map(|&i| ProfileId(i)).collect::<Vec<_>>();
+        let unit_weights = BlockCollection::new(
+            ErKind::Dirty,
+            vec![
+                Block::dirty("a", ids(&[0, 1])),
+                Block::dirty("b", ids(&[2, 3, 4])),
+                Block::dirty("c", ids(&[5, 7])),
+            ],
+        );
+        let clean = token_blocking(&ProfileCollection::clean_clean(
+            skewed_collection(30).profiles().to_vec(),
+            skewed_collection(25).profiles().to_vec(),
+        ));
+        let graphs = [
+            BlockCollection::new(ErKind::Dirty, Vec::new()),
+            unit_weights,
+            token_blocking(&skewed_collection(120)),
+            clean,
+        ];
+        let ctx = Context::new(2);
+        for blocks in graphs {
+            let graph = Arc::new(BlockGraph::new(&blocks, None));
+            for factor in [1.0, 0.5, 1.7] {
+                let config = MetaBlockingConfig {
+                    pruning: PruningStrategy::Wep { factor },
+                    ..MetaBlockingConfig::default()
+                };
+                let (_, weighed) = node_stats_pass(
+                    &graph,
+                    &config.scoring_context(&graph),
+                    1,
+                    ForwardWeights::for_pruning(config.pruning),
+                );
+                let RetentionRule::GlobalThreshold(expected) =
+                    resolve_rule(config.pruning, &graph, weighed)
+                else {
+                    panic!("WEP resolves to a global threshold");
+                };
+                let stream = StreamingMetaBlocking::prepare(&ctx, &graph, &config);
+                let RetentionRule::GlobalThreshold(got) = stream.rule else {
+                    panic!("WEP resolves to a global threshold");
+                };
+                assert_eq!(
+                    got.to_bits(),
+                    expected.to_bits(),
+                    "{:?} ×{factor}",
+                    blocks.kind()
+                );
+                assert_eq!(stream.prune_all(), meta_blocking_graph(&graph, &config));
+            }
+        }
+    }
+
+    #[test]
     fn streamed_matches_staged_with_entropy() {
         let coll = skewed_collection(60);
         let blocks = token_blocking(&coll);
@@ -508,7 +701,11 @@ mod tests {
         let (_, edges) = graph.degrees();
         let mut scratch = graph.scratch();
         let forward: Vec<u32> = (0..graph.num_profiles() as u32)
-            .map(|i| graph.forward_neighborhood(ProfileId(i), &mut scratch).len() as u32)
+            .map(|i| {
+                let node = ProfileId(i);
+                let n = graph.neighborhood_buffered(node, &mut scratch);
+                n.iter().filter(|&&(j, _)| j > node).count() as u32
+            })
             .collect();
         let ctx = Context::new(2);
         for pruning in ALL_PRUNINGS {

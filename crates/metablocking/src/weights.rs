@@ -76,7 +76,10 @@ impl WeightScheme {
     /// the exact weighting of the paper's Figure 2(c) toy example — ARCS
     /// weights each reciprocal by the entropy, and the remaining schemes
     /// multiply their weight by the mean entropy of the shared blocks.
+    // Always inlined: called with a constant scheme (`ScoringContext::
+    // resolve`), the match below folds to that scheme's arm.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     pub(crate) fn weight(
         &self,
         a: ProfileId,

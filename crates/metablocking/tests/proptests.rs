@@ -95,6 +95,46 @@ fn raw_blocks_strategy() -> impl Strategy<Value = (BlockCollection, BlockEntropi
     })
 }
 
+/// Graphs on both sides of the node walk's density crossover: a hub block
+/// over most profiles (every fourth at least, so its members' walks are
+/// dense enough to sweep), a block of four profiles spread over the id
+/// space and in no other block (node 0's walk is too sparse for the
+/// sweep) and a few random small blocks; dirty or clean–clean (sides
+/// split at `n / 2`).
+fn crossover_blocks_strategy() -> impl Strategy<Value = BlockCollection> {
+    (80u32..300, proptest::bool::ANY).prop_flat_map(|(n, clean_clean)| {
+        let in_hub = prop::collection::vec(0u8..10, n as usize);
+        let small = prop::collection::vec(prop::collection::vec(0..n, 2..5), 0..12);
+        (in_hub, small).prop_map(move |(in_hub, small)| {
+            let separator = n / 2;
+            let spread = [0, 1, separator, n - 1];
+            let hub =
+                (0..n).filter(|i| (in_hub[*i as usize] < 8 || i % 4 == 0) && !spread.contains(i));
+            let small = small
+                .into_iter()
+                .map(|b| b.into_iter().filter(|i| !spread.contains(i)).collect());
+            let raw = std::iter::once(hub.collect::<Vec<_>>())
+                .chain(std::iter::once(spread.to_vec()))
+                .chain(small);
+            let blocks = raw.enumerate().map(|(i, members)| {
+                let members = members.into_iter().map(ProfileId);
+                if clean_clean {
+                    let (s0, s1) = members.partition(|p| p.0 < separator);
+                    Block::clean_clean(format!("b{i}"), s0, s1)
+                } else {
+                    Block::dirty(format!("b{i}"), members.collect())
+                }
+            });
+            let kind = if clean_clean {
+                ErKind::CleanClean
+            } else {
+                ErKind::Dirty
+            };
+            BlockCollection::new(kind, blocks.collect())
+        })
+    })
+}
+
 fn config_strategy() -> impl Strategy<Value = MetaBlockingConfig> {
     let scheme = prop::sample::select(WeightScheme::ALL.to_vec());
     let pruning = prop_oneof![
@@ -210,6 +250,7 @@ proptest! {
         let kind = blocks.kind();
         let graph = BlockGraph::new(&blocks, Some(&entropies));
         let mut scratch = graph.scratch();
+        let mut sums = graph.node_scratch(true);
         for i in 0..graph.num_profiles() as u32 {
             let node = ProfileId(i);
             let mut reference = BTreeMap::new();
@@ -231,11 +272,48 @@ proptest! {
             }
             let expected: Vec<_> = reference.into_iter().collect();
             prop_assert_eq!(graph.neighborhood_buffered(node, &mut scratch), &expected[..]);
-            // The forward walk is the `j > node` suffix of the same
-            // reference, accumulators bit for bit, from the same scratch.
+            // The production walk with sums gives the same accumulators bit
+            // for bit — the forward walk the `j > node` suffix of them.
             let from = expected.partition_point(|(j, _)| *j <= node);
-            prop_assert_eq!(graph.forward_neighborhood(node, &mut scratch), &expected[from..]);
+            let full: Vec<_> = graph.walk(node, &mut sums, false).iter().collect();
+            prop_assert_eq!(&full[..], &expected[..]);
+            let forward: Vec<_> = graph.walk(node, &mut sums, true).iter().collect();
+            prop_assert_eq!(&forward[..], &expected[from..]);
         }
+    }
+
+    #[test]
+    fn count_walk_equals_btreemap_reference_across_the_crossover(
+        blocks in crossover_blocks_strategy(),
+    ) {
+        // The count-only walk, forward and full, must give exactly the
+        // reference's neighbours and shared-block counts, whichever way it
+        // emits a node — and on these graphs it must have used both ways.
+        let kind = blocks.kind();
+        let graph = BlockGraph::new(&blocks, None);
+        let mut scratch = graph.node_scratch(false);
+        prop_assert!(!scratch.has_sums());
+        for i in 0..graph.num_profiles() as u32 {
+            let node = ProfileId(i);
+            let mut reference = BTreeMap::new();
+            for block in blocks.blocks() {
+                let side = block.members.iter().position(|m| m.binary_search(&node).is_ok());
+                let Some(side) = side else { continue };
+                let others = match kind {
+                    ErKind::Dirty => &block.members[0],
+                    ErKind::CleanClean => &block.members[1 - side],
+                };
+                for &other in others.iter().filter(|&&o| o != node) {
+                    *reference.entry(other).or_insert(0u32) += 1;
+                }
+            }
+            let expected: Vec<(ProfileId, u32)> = reference.into_iter().collect();
+            prop_assert_eq!(graph.walk(node, &mut scratch, false).counts(), &expected[..]);
+            let from = expected.partition_point(|(j, _)| *j <= node);
+            prop_assert_eq!(graph.walk(node, &mut scratch, true).counts(), &expected[from..]);
+        }
+        let (bitmap, sweep) = scratch.emission_modes();
+        prop_assert!(bitmap > 0 && sweep > 0, "bitmap {} / sweep {} nodes", bitmap, sweep);
     }
 
     #[test]

@@ -21,19 +21,39 @@
 //! * `POST /shutdown` — begin graceful shutdown (in-flight requests
 //!   drain; the accept loop exits).
 //!
-//! Malformed requests/bodies get 400, unknown routes/ids 404 — always with
-//! a JSON `{"error": "..."}` body.
+//! Malformed requests/bodies get 400, unknown routes/ids 404, a body
+//! over [`MAX_BODY_BYTES`] 413 (refused before anything is allocated for
+//! it), a request or header line over [`MAX_LINE_BYTES`] — or more than
+//! [`MAX_HEADERS`] header lines — 431; always with a JSON
+//! `{"error": "..."}` body.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use sparker_profiles::{parse_json, JsonValue, Profile, SourceId};
 
 use crate::resolver::{OpKind, ResolverState};
+
+/// Largest request body accepted (64 MiB) — far above any batch of
+/// profiles a client posts, far below what would exhaust memory.
+pub const MAX_BODY_BYTES: usize = 64 << 20;
+
+/// Longest request line or header line accepted, terminator included.
+pub const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines accepted in one request.
+pub const MAX_HEADERS: usize = 100;
+
+/// How much of a refused request is read and discarded before closing,
+/// and for how long at most, so the client sees the reply instead of a
+/// connection reset.
+const DRAIN_BYTES: usize = 1 << 20;
+const DRAIN_TIME: Duration = Duration::from_secs(1);
 
 struct Shared {
     resolver: Mutex<ResolverState>,
@@ -188,16 +208,43 @@ enum Reply {
     NotFound(String),
 }
 
+/// Why a request was refused before routing.
+enum RequestError {
+    /// Unreadable or malformed: 400.
+    Malformed(String),
+    /// Declared body over [`MAX_BODY_BYTES`]: 413.
+    BodyTooLarge(usize),
+    /// Request or header line over [`MAX_LINE_BYTES`], or too many header
+    /// lines: 431.
+    HeadersTooLarge(&'static str),
+}
+
+impl From<io::Error> for RequestError {
+    fn from(e: io::Error) -> Self {
+        RequestError::Malformed(e.to_string())
+    }
+}
+
 fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let request = match read_request(&mut reader) {
         Ok(r) => r,
-        Err(e) => {
+        Err(RequestError::Malformed(e)) => {
             return write_reply(
                 &stream,
                 400,
                 &error_json(&format!("malformed request: {e}")),
             );
+        }
+        Err(RequestError::BodyTooLarge(len)) => {
+            let msg = format!("body of {len} bytes exceeds the {MAX_BODY_BYTES}-byte limit");
+            return refuse(&stream, reader, 413, &msg);
+        }
+        Err(RequestError::HeadersTooLarge(what)) => {
+            let msg = format!(
+                "{what} exceeds the limit ({MAX_LINE_BYTES} bytes per line, {MAX_HEADERS} headers)"
+            );
+            return refuse(&stream, reader, 431, &msg);
         }
     };
     let reply = route(&request, shared);
@@ -208,38 +255,87 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     }
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Request> {
+/// Reply to a request refused part-way through reading it, then read and
+/// discard what the client is still sending — at most [`DRAIN_BYTES`],
+/// for at most [`DRAIN_TIME`]: closing with unread input would reset the
+/// connection under the reply.
+fn refuse(
+    stream: &TcpStream,
+    mut reader: BufReader<TcpStream>,
+    status: u16,
+    msg: &str,
+) -> io::Result<()> {
+    write_reply(stream, status, &error_json(msg))?;
+    stream.shutdown(Shutdown::Write)?;
+    stream.set_read_timeout(Some(DRAIN_TIME))?;
+    let deadline = Instant::now() + DRAIN_TIME;
+    let mut buf = [0u8; 8192];
+    let mut drained = 0;
+    while drained < DRAIN_BYTES && Instant::now() < deadline {
+        match reader.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
+    Ok(())
+}
+
+/// Read one line of at most [`MAX_LINE_BYTES`] into `line`.
+fn read_bounded_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+    what: &'static str,
+) -> Result<(), RequestError> {
+    line.clear();
+    (&mut *reader)
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_line(line)?;
+    if line.len() > MAX_LINE_BYTES {
+        return Err(RequestError::HeadersTooLarge(what));
+    }
+    Ok(())
+}
+
+fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestError> {
+    let malformed = |msg: &str| RequestError::Malformed(msg.to_string());
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_bounded_line(reader, &mut line, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty request line"))?
+        .ok_or_else(|| malformed("empty request line"))?
         .to_string();
     let path = parts
         .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing request path"))?
+        .ok_or_else(|| malformed("missing request path"))?
         .to_string();
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
-        let header = header.trim_end();
+        read_bounded_line(reader, &mut line, "header line")?;
+        let header = line.trim_end();
         if header.is_empty() {
             break;
         }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(RequestError::HeadersTooLarge("header count"));
+        }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                })?;
+                content_length = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| malformed("bad content-length"))?;
             }
         }
     }
+    if content_length > MAX_BODY_BYTES {
+        return Err(RequestError::BodyTooLarge(content_length));
+    }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8"))?;
+    let body = String::from_utf8(body).map_err(|_| malformed("body is not UTF-8"))?;
     Ok(Request { method, path, body })
 }
 
@@ -408,6 +504,8 @@ fn write_reply(mut stream: &TcpStream, status: u16, body: &str) -> io::Result<()
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     let response = format!(

@@ -1,5 +1,5 @@
 //! Integration tests for the HTTP front-end: ephemeral-port boot,
-//! concurrent clients, JSON well-formedness, 400/404 behavior, and
+//! concurrent clients, JSON well-formedness, 400/404/413/431 behavior, and
 //! graceful shutdown with no dropped in-flight requests.
 
 use std::io::{Read, Write};
@@ -303,4 +303,101 @@ fn large_multibyte_body_is_stored_verbatim() {
         let tags: Vec<&str> = p.values_of("tags").collect();
         assert_eq!(tags, [format!("Ж{i}").as_str(), "naïve"]);
     }
+}
+
+/// Send raw request bytes, read the reply to EOF, return (status, body).
+fn raw_request(addr: SocketAddr, bytes: &[u8]) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(bytes).expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    let status = response
+        .split_whitespace()
+        .nth(1)
+        .expect("status line")
+        .parse()
+        .expect("numeric status");
+    let body = response
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
+    (status, body)
+}
+
+/// Boot a server holding two profiles, with its lazy refresh already
+/// done, and return it with its settled `/stats`.
+fn boot_settled() -> (ServerHandle, JsonValue) {
+    let handle = boot(2);
+    let addr = handle.addr();
+    let (status, _) = request(
+        addr,
+        "POST",
+        "/profiles",
+        r#"[{"id":"a","attributes":{"name":"sony tv"}},{"id":"b","attributes":{"name":"sony tv 40"}}]"#,
+    );
+    assert_eq!(status, 200);
+    get_json(addr, "/stats");
+    let (status, stats) = get_json(addr, "/stats");
+    assert_eq!(status, 200);
+    (handle, stats)
+}
+
+fn assert_refused(addr: SocketAddr, bytes: &[u8], status: u16, needle: &str) {
+    let (got, body) = raw_request(addr, bytes);
+    assert_eq!(got, status, "body: {body}");
+    let JsonValue::Object(map) = parse_json(&body).expect("error body is JSON") else {
+        panic!("error body must be an object: {body}")
+    };
+    let Some(JsonValue::String(msg)) = map.get("error") else {
+        panic!("error body lacks an error message: {body}")
+    };
+    assert!(msg.contains(needle), "{msg}");
+}
+
+#[test]
+fn oversized_body_gets_413_and_the_server_keeps_answering() {
+    let (mut handle, before) = boot_settled();
+    let addr = handle.addr();
+    // A declared body of 100 TB: refused from the header alone.
+    assert_refused(
+        addr,
+        b"POST /profiles HTTP/1.1\r\nHost: localhost\r\nContent-Length: 100000000000000\r\n\r\n",
+        413,
+        "exceeds",
+    );
+    // The same server answers the next connection, unchanged.
+    let (status, after) = get_json(addr, "/stats");
+    assert_eq!(status, 200);
+    assert_eq!(after, before);
+    handle.shutdown();
+}
+
+#[test]
+fn overlong_request_and_header_lines_get_431() {
+    let (mut handle, before) = boot_settled();
+    let addr = handle.addr();
+    let long = "x".repeat(20_000);
+    assert_refused(
+        addr,
+        format!("GET /clusters/{long} HTTP/1.1\r\nHost: localhost\r\n\r\n").as_bytes(),
+        431,
+        "request line",
+    );
+    assert_refused(
+        addr,
+        format!("GET /stats HTTP/1.1\r\nX-Padding: {long}\r\n\r\n").as_bytes(),
+        431,
+        "header line",
+    );
+    let many: String = (0..200).map(|i| format!("X-H{i}: v\r\n")).collect();
+    assert_refused(
+        addr,
+        format!("GET /stats HTTP/1.1\r\n{many}\r\n").as_bytes(),
+        431,
+        "header count",
+    );
+    let (status, after) = get_json(addr, "/stats");
+    assert_eq!(status, 200);
+    assert_eq!(after, before);
+    handle.shutdown();
 }

@@ -182,6 +182,14 @@ jsonl_matrix() {
 echo "==> sparker --source-a <jsonl> --output: sequential vs dataflow vs fused"
 jsonl_matrix --source-a "${serve_jsonl}"
 
+# The same matrix on the node pass's other kernels: the default CBS above
+# takes the count-only walk and the degree-only WEP pass A; JS weighs its
+# pass A on the count-only walk; ARCS accumulates the f64 sums.
+for scorer in js arcs; do
+  echo "==> sparker --source-a <jsonl> --edge-scorer ${scorer}: sequential vs dataflow vs fused"
+  jsonl_matrix --source-a "${serve_jsonl}" --edge-scorer "${scorer}"
+done
+
 # The same profiles split into two sources: a clean-clean task, whose
 # blocks carry a source-0 prefix through the fused backend's CSR clean.
 echo "==> sparker --source-a <half> --source-b <half> (clean-clean): sequential vs dataflow vs fused"

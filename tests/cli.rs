@@ -121,6 +121,44 @@ fn config_file_is_honoured() {
 }
 
 #[test]
+fn out_of_range_config_value_fails_cleanly_naming_its_line() {
+    // Values the pipeline stages would assert on (exit 101, a panic
+    // message) must be refused while the config is read: non-zero exit,
+    // no panic, and the message names the offending line.
+    let dir = tempdir("badconfig");
+    let a = write(
+        &dir,
+        "a.csv",
+        "id,name\na1,alpha beta gamma\na2,alpha beta\n",
+    );
+    for (i, entry) in [
+        "mb.pruning = WEP 0",
+        "mb.pruning = BLAST 2",
+        "filter = 1.5",
+        "matcher.threshold = NaN",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let config = write(
+            &dir,
+            &format!("bad{i}.conf"),
+            &format!("purge = off\n{entry}\n"),
+        );
+        let result = sparker()
+            .args(["--source-a", &a, "--config", &config])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert!(!result.status.success(), "{entry}: accepted");
+        assert_ne!(result.status.code(), Some(101), "{entry}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{entry}: {stderr}");
+        assert!(stderr.contains("line 2"), "{entry}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn backends_agree_on_result_counts() {
     let dir = tempdir("workers");
     let a = write(
