@@ -6,6 +6,7 @@
 //! binary searches and no second, hashed or concatenated copy of millions
 //! of pairs is ever built.
 
+use sparker_matching::AscendingBatches;
 use sparker_profiles::Pair;
 
 /// A set of candidate pairs, each with its meta-blocking weight, stored
@@ -35,13 +36,30 @@ impl CandidateSet {
     /// list per morsel — without copying them. Empty lists are dropped.
     /// Panics on an equal or descending pair inside a list or across a
     /// list boundary.
-    pub fn from_sorted_chunks(mut chunks: Vec<Vec<(Pair, f64)>>) -> Self {
+    pub fn from_sorted_chunks(chunks: Vec<Vec<(Pair, f64)>>) -> Self {
+        assert!(
+            chunks.iter().all(|c| c.windows(2).all(|w| w[0].0 < w[1].0)),
+            "candidate edges must be strictly ascending by pair"
+        );
+        Self::adopt_ascending(chunks)
+    }
+
+    /// Adopt the fused stage's retained batches: the consumer that scored
+    /// each batch already checked it strictly ascending, so only the
+    /// boundaries between batches are compared here. Empty batches are
+    /// dropped. Panics on an equal or descending pair across a boundary.
+    pub fn from_ascending_batches(batches: AscendingBatches) -> Self {
+        Self::adopt_ascending(batches.into_batches())
+    }
+
+    /// Adopt chunks each known to be strictly ascending, checking the
+    /// chunk boundaries.
+    fn adopt_ascending(mut chunks: Vec<Vec<(Pair, f64)>>) -> Self {
         chunks.retain(|c| !c.is_empty());
         assert!(
-            chunks.iter().all(|c| c.windows(2).all(|w| w[0].0 < w[1].0))
-                && chunks
-                    .windows(2)
-                    .all(|w| w[0][w[0].len() - 1].0 < w[1][0].0),
+            chunks
+                .windows(2)
+                .all(|w| w[0][w[0].len() - 1].0 < w[1][0].0),
             "candidate edges must be strictly ascending by pair"
         );
         let len = chunks.iter().map(Vec::len).sum();
@@ -168,6 +186,59 @@ mod tests {
             vec![(pair(1, 2), 1.0)],
             vec![(pair(0, 5), 1.0), (pair(0, 6), 1.0)],
         ]);
+    }
+
+    /// The retained batches `score_stream` hands back for `morsels`,
+    /// emitted as they are on two workers.
+    fn streamed(morsels: &[Vec<(Pair, f64)>]) -> AscendingBatches {
+        use sparker_dataflow::Context;
+        use sparker_matching::{PreparedProfile, SimilarityMeasure, ThresholdMatcher};
+        use sparker_profiles::{Profile, ProfileCollection, SourceId};
+        let collection = ProfileCollection::dirty(
+            (0..8)
+                .map(|i| {
+                    Profile::builder(SourceId(0), i.to_string())
+                        .attr("name", format!("tok{} shared", i % 2))
+                        .build()
+                })
+                .collect(),
+        );
+        let prepared = PreparedProfile::prepare_all(&collection);
+        let matcher = ThresholdMatcher::new(SimilarityMeasure::Jaccard, 0.5);
+        matcher
+            .score_stream(&Context::new(2), &prepared, morsels, 2, |_, m| m.clone())
+            .retained
+    }
+
+    #[test]
+    fn streamed_batches_are_adopted_with_their_boundaries_checked() {
+        let morsels = vec![
+            vec![(pair(0, 1), 1.0), (pair(0, 2), 2.0)],
+            vec![],
+            vec![(pair(1, 2), 1.0), (pair(3, 4), 1.0)],
+        ];
+        let set = CandidateSet::from_ascending_batches(streamed(&morsels));
+        assert_eq!(set, CandidateSet::from_sorted_chunks(morsels.clone()));
+        assert!(set.weighted().eq(morsels.iter().flatten()));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn streamed_inversion_across_batches_rejected() {
+        CandidateSet::from_ascending_batches(streamed(&[
+            vec![(pair(0, 1), 1.0), (pair(2, 3), 1.0)],
+            vec![],
+            vec![(pair(1, 2), 1.0)],
+        ]));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn streamed_duplicate_across_batches_rejected() {
+        CandidateSet::from_ascending_batches(streamed(&[
+            vec![(pair(0, 1), 1.0)],
+            vec![(pair(0, 1), 1.0), (pair(0, 2), 1.0)],
+        ]));
     }
 
     proptest! {

@@ -408,7 +408,7 @@ impl Pipeline {
                 prune_locals.with(worker, |scratch| stream.prune_range(range.clone(), scratch))
             }
         });
-        let candidates = CandidateSet::from_sorted_chunks(outcome.retained);
+        let candidates = CandidateSet::from_ascending_batches(outcome.retained);
         let similarity = outcome.similarity;
         stages[prune_row].output = candidates.len() as u64;
         stages.push(scope.finish(candidates.len() as u64, similarity.len() as u64));

@@ -624,6 +624,7 @@ fn fused_plan_into_score_stream_is_capacity_invariant() {
                 let tag = format!("workers={workers} capacity={capacity}");
                 assert!(
                     out.retained
+                        .batches()
                         .iter()
                         .flatten()
                         .eq(reference.blocker.candidates.weighted()),

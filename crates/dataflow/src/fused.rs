@@ -25,7 +25,7 @@ use crate::pool::thread_cpu_ns;
 use crate::{Context, MemBudget, StageMetrics};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -220,6 +220,7 @@ where
     let consume_busy_ns = AtomicU64::new(0);
     let stall_ns = AtomicU64::new(0);
     let backpressure = AtomicU64::new(0);
+    let failed = AtomicBool::new(false);
     let produced_slots = Slots::<P>::new(n);
     let consumed_slots = Slots::<C>::new(n);
 
@@ -241,7 +242,14 @@ where
     };
 
     let worker_loop = |worker: usize| {
+        // A panicking `produce` or `consume` unwinds its worker's loop; the
+        // flag then stops the others, which would otherwise wait forever
+        // for the morsel it never finished. The pool re-throws the panic.
+        let _fail_on_unwind = FailOnUnwind(&failed);
         loop {
+            if failed.load(Ordering::Relaxed) {
+                break;
+            }
             // Backpressure protocol: with the channel at capacity (or
             // production exhausted), drain before producing more.
             let full = queue.is_full();
@@ -307,6 +315,17 @@ where
     ctx.record_stage(metrics);
 
     (produced_slots.into_vec(), consumed_slots.into_vec(), stats)
+}
+
+/// Sets its flag when dropped by an unwinding panic.
+struct FailOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Channel capacity for a fused stage under a [`MemBudget`]: unlimited
@@ -393,6 +412,39 @@ mod tests {
             stats.backpressure_yields > 0,
             "expected backpressure events, got {stats:?}"
         );
+    }
+
+    #[test]
+    fn a_panicking_stage_propagates_instead_of_hanging() {
+        // Whichever worker hits the bad morsel, its peers stop waiting for
+        // it and the submitter re-throws the payload.
+        for workers in [1, 2, 4] {
+            for panic_in_consume in [false, true] {
+                let ctx = Context::new(workers);
+                let morsels: Vec<u64> = (0..64).collect();
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    pipelined_stage(
+                        &ctx,
+                        "fused_panic",
+                        &morsels,
+                        2,
+                        |_, &m| {
+                            assert!(panic_in_consume || m != 37, "bad morsel");
+                            m
+                        },
+                        |_, &p| {
+                            assert!(!panic_in_consume || p != 37, "bad morsel");
+                            p
+                        },
+                    )
+                }));
+                let payload = caught.expect_err("the panic must propagate");
+                let msg = payload.downcast_ref::<&str>().copied();
+                assert_eq!(msg, Some("bad morsel"), "workers={workers}");
+                // The pool still runs the next stage.
+                assert_eq!(run_sum(workers, 2, 8).1.len(), 8);
+            }
+        }
     }
 
     #[test]

@@ -230,6 +230,31 @@ impl SimilarityMeasure {
         }
     }
 
+    /// [`SimilarityMeasure::score_bound`] through the scratch's
+    /// size-indexed table: a set measure's bound depends only on
+    /// `(measure, threshold, |A|, |B|)`, so each worker slot computes it
+    /// once per size pair and looks it up after that. Every entry is
+    /// `score_bound`'s own result, so the two agree bit for bit; the string
+    /// measures and sizes past the table's cap compute it directly.
+    pub fn score_bound_with(
+        &self,
+        a: &PreparedProfile,
+        b: &PreparedProfile,
+        threshold: f64,
+        scratch: &mut MatchScratch,
+    ) -> ScoreBound {
+        if self.reads_text() {
+            return self.score_bound(a, b, threshold);
+        }
+        scratch.bounds.get(
+            *self,
+            threshold,
+            a.token_ids.len(),
+            b.token_ids.len(),
+            || self.score_bound(a, b, threshold),
+        )
+    }
+
     /// Run the full cascade on one pair: bound, then budgeted or plain
     /// verification. Returns `Some(score)` **iff** the naive scorer would
     /// retain the pair at `threshold`, with the exact same score bits.
@@ -242,7 +267,7 @@ impl SimilarityMeasure {
         stats: &mut FilterStats,
     ) -> Option<f64> {
         stats.pairs += 1;
-        match self.score_bound(a, b, threshold) {
+        match self.score_bound_with(a, b, threshold, scratch) {
             ScoreBound::Reject => {
                 stats.bound_rejected += 1;
                 None
@@ -335,6 +360,69 @@ pub enum ScoreBound {
     MaxDistance(usize),
     /// No useful bound — verify with the full kernel.
     Verify,
+}
+
+/// Sizes below this index [`BoundTable`]; a pair with a larger token set
+/// computes its bound directly. `254² ≈ 63 KiB` of `u8` entries per
+/// worker slot, and every `MinOverlap` need (at most the smaller size)
+/// fits below the two sentinels.
+const BOUND_SIZES: usize = 254;
+/// [`BoundTable`] entry: not computed yet.
+const BOUND_UNKNOWN: u8 = 255;
+/// [`BoundTable`] entry: [`ScoreBound::Reject`].
+const BOUND_REJECT: u8 = 254;
+
+/// A set measure's [`ScoreBound`] per size pair `(|A|, |B|)`, filled lazily
+/// by [`SimilarityMeasure::score_bound`] — the cascade's bound search paid
+/// once per size pair instead of once per candidate. The table belongs to
+/// one `(measure, threshold)` and is cleared when a call brings another,
+/// so a scratch reused across matchers stays exact.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BoundTable {
+    tag: Option<(SimilarityMeasure, u64)>,
+    /// `BOUND_SIZES²` entries once a set measure has used the table: a
+    /// `MinOverlap` need, [`BOUND_REJECT`] or [`BOUND_UNKNOWN`].
+    entries: Vec<u8>,
+}
+
+impl BoundTable {
+    /// The bound of a pair of set sizes `(la, lb)` under `(measure,
+    /// threshold)`, from the table or from `compute` (which must return
+    /// `measure`'s `score_bound` for these sizes).
+    #[inline]
+    fn get(
+        &mut self,
+        measure: SimilarityMeasure,
+        threshold: f64,
+        la: usize,
+        lb: usize,
+        compute: impl FnOnce() -> ScoreBound,
+    ) -> ScoreBound {
+        if la >= BOUND_SIZES || lb >= BOUND_SIZES {
+            return compute();
+        }
+        let tag = Some((measure, threshold.to_bits()));
+        if self.tag != tag {
+            self.tag = tag;
+            self.entries.clear();
+            self.entries
+                .resize(BOUND_SIZES * BOUND_SIZES, BOUND_UNKNOWN);
+        }
+        let entry = &mut self.entries[la * BOUND_SIZES + lb];
+        match *entry {
+            BOUND_UNKNOWN => {
+                let bound = compute();
+                *entry = match bound {
+                    ScoreBound::Reject => BOUND_REJECT,
+                    ScoreBound::MinOverlap(need) => need as u8,
+                    _ => unreachable!("set measures bound by overlap"),
+                };
+                bound
+            }
+            BOUND_REJECT => ScoreBound::Reject,
+            need => ScoreBound::MinOverlap(need as usize),
+        }
+    }
 }
 
 /// Counters of the cascade's filtering effectiveness, merged across worker
@@ -613,12 +701,7 @@ impl PreparedProfile {
     /// full.
     fn intersect_at_least(&self, other: &PreparedProfile, need: usize) -> Option<usize> {
         let hot = match (&self.hot, &other.hot) {
-            (Some(a), Some(b)) => a
-                .bits
-                .iter()
-                .zip(&b.bits)
-                .map(|(x, y)| (x & y).count_ones() as usize)
-                .sum(),
+            (Some(a), Some(b)) => shared_hot(&a.bits, &b.bits),
             _ => 0,
         };
         let a = &self.token_ids[self.hot_len()..];
@@ -633,6 +716,33 @@ impl PreparedProfile {
     fn hot_len(&self) -> usize {
         self.hot.as_ref().map_or(0, |h| h.len as usize)
     }
+}
+
+/// Hot ids two bitsets share: AND + popcount, with the CPU's `popcnt`
+/// instruction where it has one (the portable `count_ones` is a dozen
+/// instructions per word, and the cascade runs this once per candidate).
+#[inline]
+fn shared_hot(a: &[u64; HOT_WORDS], b: &[u64; HOT_WORDS]) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("popcnt") {
+        // SAFETY: the CPU supports `popcnt`, checked just above.
+        return unsafe { shared_hot_popcnt(a, b) };
+    }
+    and_count(a, b)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+fn shared_hot_popcnt(a: &[u64; HOT_WORDS], b: &[u64; HOT_WORDS]) -> usize {
+    and_count(a, b)
+}
+
+#[inline(always)]
+fn and_count(a: &[u64; HOT_WORDS], b: &[u64; HOT_WORDS]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x & y).count_ones() as usize)
+        .sum()
 }
 
 /// The renumbering [`PreparedProfile::prepare_from_keys`] applies, from

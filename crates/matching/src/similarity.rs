@@ -23,6 +23,7 @@
 //!
 //! [`PreparedProfile`]: crate::PreparedProfile
 
+use crate::matcher::BoundTable;
 use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
@@ -342,15 +343,18 @@ struct JaroScratch {
 }
 
 /// Reusable buffers for the string-measure kernels: edit-distance rows,
-/// Jaro match bookkeeping and the Monge–Elkan lowercase token arenas. One
-/// `MatchScratch` per worker slot makes batch scoring allocation-free after
-/// warm-up; the free functions ([`jaro`], [`monge_elkan`], …) are thin
-/// wrappers over the `_with` variants with a fresh scratch, so both paths
-/// produce bit-identical scores.
+/// Jaro match bookkeeping and the Monge–Elkan lowercase token arenas — plus
+/// the set measures' size-indexed bound table (see
+/// [`crate::SimilarityMeasure::score_bound_with`]). One `MatchScratch` per
+/// worker slot makes batch scoring allocation-free after warm-up; the free
+/// functions ([`jaro`], [`monge_elkan`], …) are thin wrappers over the
+/// `_with` variants with a fresh scratch, so both paths produce
+/// bit-identical scores.
 #[derive(Debug, Clone, Default)]
 pub struct MatchScratch {
     /// Levenshtein buffers (shared with [`levenshtein_with`] and friends).
     pub edit: EditScratch,
+    pub(crate) bounds: BoundTable,
     jaro: JaroScratch,
     arena_a: String,
     spans_a: Vec<(u32, u32)>,

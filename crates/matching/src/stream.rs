@@ -18,6 +18,11 @@
 //! ascending node range emitting forward edges in ascending pair order),
 //! so assembly is [`SimilarityGraph::from_sorted_shards`] — the same
 //! strictly-ascending merge the staged pool matcher uses, no re-sort.
+//!
+//! The retained edges must ascend too. The consumer asserts it while it
+//! walks each batch — in parallel, with the batch in cache — and hands the
+//! batches back as [`AscendingBatches`], which nothing else constructs, so
+//! whoever adopts them has only the batch boundaries left to compare.
 
 use crate::graph::SimilarityGraph;
 use crate::matcher::{FilterStats, PreparedProfile, ThresholdMatcher};
@@ -31,16 +36,36 @@ pub struct FusedMatchOutcome {
     /// The scored matches, identical to the staged matcher's output.
     pub similarity: SimilarityGraph,
     /// The pruned candidate pairs with their meta-blocking weights: the
-    /// producer batches themselves, in morsel order. Each batch is sorted
-    /// and the batches ascend, so their concatenation is the staged
-    /// pruning output; they are handed over as they are — never copied
-    /// into one list, so the retained edges are resident exactly once.
-    pub retained: Vec<Vec<(Pair, f64)>>,
+    /// producer batches themselves, in morsel order, each checked strictly
+    /// ascending. When the batches ascend across their boundaries too,
+    /// their concatenation is the staged pruning output; they are handed
+    /// over as they are — never copied into one list, so the retained
+    /// edges are resident exactly once.
+    pub retained: AscendingBatches,
     /// Merged cascade statistics across all workers.
     pub stats: FilterStats,
     /// Overlap accounting for the fused stage (produce vs consume busy,
     /// queue wait, backpressure).
     pub report: FusedStageStats,
+}
+
+/// Retained-edge batches, each strictly ascending by pair — checked by the
+/// [`ThresholdMatcher::score_stream`] consumer that scored it, the only
+/// place one is constructed. Whether the batches also ascend across their
+/// boundaries is left to whoever adopts them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AscendingBatches(Vec<Vec<(Pair, f64)>>);
+
+impl AscendingBatches {
+    /// The batches, in morsel order.
+    pub fn batches(&self) -> &[Vec<(Pair, f64)>] {
+        &self.0
+    }
+
+    /// Take the batches.
+    pub fn into_batches(self) -> Vec<Vec<(Pair, f64)>> {
+        self.0
+    }
 }
 
 impl ThresholdMatcher {
@@ -54,6 +79,8 @@ impl ThresholdMatcher {
     /// [`sparker_dataflow::fused_channel_capacity`] gives a
     /// `MemBudget`-aware default. Results are independent of both the
     /// worker count and `capacity`.
+    ///
+    /// Panics if a produced batch is not strictly ascending by pair.
     pub fn score_stream<M, F>(
         &self,
         ctx: &Context,
@@ -79,9 +106,15 @@ impl ThresholdMatcher {
             produce,
             move |worker, batch: &Vec<(Pair, f64)>| {
                 consume_locals.with(worker, |(scratch, stats)| {
+                    let mut last = None;
                     batch
                         .iter()
                         .filter_map(|&(pair, _)| {
+                            assert!(
+                                last < Some(pair),
+                                "candidate edges must be strictly ascending by pair"
+                            );
+                            last = Some(pair);
                             matcher
                                 .decide(
                                     &prepared[pair.first.index()],
@@ -108,7 +141,7 @@ impl ThresholdMatcher {
         };
         FusedMatchOutcome {
             similarity,
-            retained: produced,
+            retained: AscendingBatches(produced),
             stats,
             report,
         }
@@ -159,7 +192,7 @@ mod tests {
                     staged.edges(),
                     "workers={workers} capacity={capacity}"
                 );
-                assert_eq!(out.retained, morsels);
+                assert_eq!(out.retained.batches(), morsels);
                 assert!(out.stats.pairs > 0);
                 assert_eq!(out.report.morsels, morsels.len());
             }
@@ -175,6 +208,43 @@ mod tests {
         let prepared = PreparedProfile::prepare_all(&coll);
         let out = matcher.score_stream(&ctx, &prepared, &morsels, 4, |_, m: &Vec<_>| m.clone());
         assert!(out.similarity.edges().is_empty());
-        assert!(out.retained.is_empty());
+        assert!(out.retained.batches().is_empty());
+    }
+
+    /// Run `score_stream` on two workers over `morsels` as they are.
+    fn stream_as_is(morsels: &[Vec<(Pair, f64)>]) -> FusedMatchOutcome {
+        let prepared = PreparedProfile::prepare_all(&collection(8));
+        let matcher = ThresholdMatcher::new(SimilarityMeasure::Jaccard, 0.5);
+        matcher.score_stream(&Context::new(2), &prepared, morsels, 2, |_, m| m.clone())
+    }
+
+    fn pair(a: u32, b: u32) -> Pair {
+        Pair::new(ProfileId(a), ProfileId(b))
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn descending_pair_in_a_batch_panics() {
+        stream_as_is(&[
+            vec![(pair(0, 1), 1.0)],
+            vec![(pair(1, 2), 1.0), (pair(1, 5), 1.0), (pair(1, 3), 1.0)],
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn duplicate_pair_in_a_batch_panics() {
+        stream_as_is(&[
+            vec![(pair(0, 1), 1.0), (pair(0, 2), 1.0)],
+            vec![(pair(2, 3), 1.0), (pair(2, 3), 1.0)],
+        ]);
+    }
+
+    #[test]
+    fn batch_boundaries_are_left_to_the_adopter() {
+        // Each batch ascends, the run does not: the stream hands them back
+        // unchanged, and `sparker_core::CandidateSet` rejects the boundary.
+        let morsels = [vec![(pair(3, 4), 1.0)], vec![(pair(0, 1), 1.0)]];
+        assert_eq!(stream_as_is(&morsels).retained.batches(), morsels);
     }
 }

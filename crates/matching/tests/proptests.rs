@@ -9,6 +9,7 @@ use sparker_matching::{
     FilterStats, PreparedProfile, ScoringMode, SimilarityMeasure, ThresholdMatcher,
 };
 use sparker_profiles::{DictBuilder, Profile, ProfileCollection, ProfileId, SourceId};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 fn profile(values: &[String]) -> Profile {
@@ -30,6 +31,12 @@ fn prepared_pair(a: &[String], b: &[String]) -> (PreparedProfile, PreparedProfil
         PreparedProfile::from_profile(&profile(a), &mut dict, &mut scratch),
         PreparedProfile::from_profile(&profile(b), &mut dict, &mut scratch),
     )
+}
+
+thread_local! {
+    /// The scratch `cascade_verify_equals_naive_threshold` reuses across
+    /// all of its cases.
+    static REUSED_SCRATCH: RefCell<MatchScratch> = RefCell::new(MatchScratch::default());
 }
 
 fn values_strategy() -> impl Strategy<Value = Vec<String>> {
@@ -243,22 +250,40 @@ proptest! {
                                              threshold in 0.0f64..=1.0) {
         // The cascade's whole contract: verify_prepared returns Some(score)
         // iff the naive score passes the threshold, with identical bits —
-        // on randomized profiles, for every measure, at any threshold.
+        // on randomized profiles, for every measure, at any threshold. The
+        // same decisions and counters come from a fresh scratch and from
+        // one reused across every case, whose bound table sees measure
+        // and threshold change under it and is read back on a second call.
         let (pa, pb) = prepared_pair(&a, &b);
-        let mut scratch = MatchScratch::default();
         let mut stats = sparker_matching::FilterStats::default();
+        let mut reused_stats = sparker_matching::FilterStats::default();
         for measure in SimilarityMeasure::ALL {
             let naive = measure.score_prepared(&pa, &pb);
             let expected = (naive >= threshold).then_some(naive.to_bits());
             let got = measure
-                .verify_prepared(&pa, &pb, threshold, &mut scratch, &mut stats)
+                .verify_prepared(&pa, &pb, threshold, &mut MatchScratch::default(), &mut stats)
                 .map(f64::to_bits);
             prop_assert_eq!(got, expected, "{} @ {}", measure.name(), threshold);
+            for _ in 0..2 {
+                let reused = REUSED_SCRATCH.with(|scratch| {
+                    measure.verify_prepared(
+                        &pa,
+                        &pb,
+                        threshold,
+                        &mut scratch.borrow_mut(),
+                        &mut reused_stats,
+                    )
+                });
+                prop_assert_eq!(reused.map(f64::to_bits), expected, "{} @ {}", measure.name(), threshold);
+            }
         }
         prop_assert_eq!(
             stats.pairs,
             stats.bound_rejected + stats.abandoned + stats.verified
         );
+        let mut twice = stats;
+        twice.merge(&stats);
+        prop_assert_eq!(reused_stats, twice);
     }
 
     #[test]
@@ -312,5 +337,46 @@ proptest! {
         }
         prop_assert_eq!(monge_elkan("", ""), 1.0);
         prop_assert_eq!(jaro_winkler("", ""), 1.0);
+    }
+}
+
+#[test]
+fn bound_table_equals_score_bound() {
+    // The cascade's size-indexed bound table (`score_bound_with`) against
+    // `score_bound` itself, for every set measure, on sizes 0..=300 on
+    // both sides — across the table's cap — at thresholds 0 and 1 and at,
+    // just below and just above size ratios, where the bound search flips.
+    let views: Vec<PreparedProfile> = (0..=300u32)
+        .map(|n| {
+            let mut view = PreparedProfile::default();
+            view.token_ids = (0..n).collect();
+            view
+        })
+        .collect();
+    let mut thresholds = vec![0.0, 1.0];
+    for (num, den) in [(1u32, 3u32), (1, 2), (5, 7), (3, 4), (250, 253), (299, 300)] {
+        let ratio = f64::from(num) / f64::from(den);
+        thresholds.extend([ratio, ratio.next_down(), ratio.next_up()]);
+    }
+    let mut scratch = MatchScratch::default();
+    for measure in &SimilarityMeasure::ALL[..4] {
+        for &t in &thresholds {
+            for a in &views {
+                for b in &views {
+                    let expected = measure.score_bound(a, b, t);
+                    // The first call fills the entry, the second reads it.
+                    for _ in 0..2 {
+                        assert_eq!(
+                            measure.score_bound_with(a, b, t, &mut scratch),
+                            expected,
+                            "{} @ {t}: |A|={} |B|={}",
+                            measure.name(),
+                            a.token_ids.len(),
+                            b.token_ids.len()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -25,7 +25,8 @@
 //! over [`MAX_BODY_BYTES`] 413 (refused before anything is allocated for
 //! it), a request or header line over [`MAX_LINE_BYTES`] — or more than
 //! [`MAX_HEADERS`] header lines — 431; always with a JSON
-//! `{"error": "..."}` body.
+//! `{"error": "..."}` body. A client that sends or reads nothing for
+//! [`IDLE_TIMEOUT`] is disconnected.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -54,6 +55,12 @@ pub const MAX_HEADERS: usize = 100;
 /// connection reset.
 const DRAIN_BYTES: usize = 1 << 20;
 const DRAIN_TIME: Duration = Duration::from_secs(1);
+
+/// Longest a connection may go without a byte arriving while its request
+/// is read, or leaving while its reply is written, before it is closed and
+/// its handler slot freed — so idle or stalled clients cannot hold every
+/// slot.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(2);
 
 struct Shared {
     resolver: Mutex<ResolverState>,
@@ -217,18 +224,26 @@ enum RequestError {
     /// Request or header line over [`MAX_LINE_BYTES`], or too many header
     /// lines: 431.
     HeadersTooLarge(&'static str),
+    /// Nothing arrived for [`IDLE_TIMEOUT`]: closed without a reply.
+    Idle,
 }
 
 impl From<io::Error> for RequestError {
     fn from(e: io::Error) -> Self {
-        RequestError::Malformed(e.to_string())
+        match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => RequestError::Idle,
+            _ => RequestError::Malformed(e.to_string()),
+        }
     }
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
+    stream.set_read_timeout(Some(IDLE_TIMEOUT))?;
+    stream.set_write_timeout(Some(IDLE_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let request = match read_request(&mut reader) {
         Ok(r) => r,
+        Err(RequestError::Idle) => return Ok(()),
         Err(RequestError::Malformed(e)) => {
             return write_reply(
                 &stream,

@@ -1,6 +1,7 @@
 //! Integration tests for the HTTP front-end: ephemeral-port boot,
-//! concurrent clients, JSON well-formedness, 400/404/413/431 behavior, and
-//! graceful shutdown with no dropped in-flight requests.
+//! concurrent clients, JSON well-formedness, 400/404/413/431 behavior,
+//! idle-connection timeouts, and graceful shutdown with no dropped
+//! in-flight requests.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -9,6 +10,7 @@ use std::sync::Arc;
 
 use sparker_core::PipelineConfig;
 use sparker_profiles::{parse_json, ErKind, JsonValue};
+use sparker_serve::http::IDLE_TIMEOUT;
 use sparker_serve::{serve, ResolverState, ServerHandle};
 
 fn boot(workers: usize) -> ServerHandle {
@@ -399,5 +401,47 @@ fn overlong_request_and_header_lines_get_431() {
     let (status, after) = get_json(addr, "/stats");
     assert_eq!(status, 200);
     assert_eq!(after, before);
+    handle.shutdown();
+}
+
+#[test]
+fn idle_connections_time_out_and_free_their_slots() {
+    let (mut handle, before) = boot_settled();
+    let addr = handle.addr();
+    // As many stalled clients as the server has handler slots (2), each
+    // halfway through its request line and then silent.
+    let idle: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .write_all(b"GET /sta")
+                .expect("send half a request line");
+            stream
+        })
+        .collect();
+    // A fresh request is answered once the idle ones time out; reading
+    // its reply gives up (and fails the test) well after that.
+    let patience = IDLE_TIMEOUT + std::time::Duration::from_secs(3);
+    let started = std::time::Instant::now();
+    let mut fresh = TcpStream::connect(addr).expect("connect");
+    fresh.set_read_timeout(Some(patience)).expect("set timeout");
+    fresh
+        .write_all(b"GET /stats HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        .expect("send request");
+    let mut response = String::new();
+    fresh
+        .read_to_string(&mut response)
+        .expect("a fresh request must be answered while idle clients hold every slot");
+    let waited = started.elapsed();
+    assert!(waited < patience, "a fresh request waited {waited:?}");
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    let (_, body) = response.split_once("\r\n\r\n").expect("a body");
+    assert_eq!(parse_json(body).expect("JSON body"), before);
+    // The idle clients were closed without a reply.
+    for mut stream in idle {
+        let mut rest = Vec::new();
+        let _ = stream.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "idle client got {rest:?}");
+    }
     handle.shutdown();
 }

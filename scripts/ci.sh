@@ -7,8 +7,8 @@
 # the benchmark package's own smoke self-test, clippy and rustdoc with
 # warnings denied, end-to-end pipeline smoke, a CLI backend-matrix smoke,
 # the supervised-scorer train/run/export smoke, the out-of-core smoke, the
-# online-serve smoke and the JSON-lines backend matrix. Run from the repo
-# root: scripts/ci.sh
+# online-serve smoke and the JSON-lines backend matrix (under every
+# set-similarity measure). Run from the repo root: scripts/ci.sh
 #
 # Performance is measured by one harness only: `bash benchmark/run.sh`
 # (see benchmark/README.md).
@@ -195,10 +195,20 @@ done
 echo "==> sparker --source-a <half> --source-b <half> (clean-clean): sequential vs dataflow vs fused"
 half_a="$(mktemp --suffix .jsonl)"
 half_b="$(mktemp --suffix .jsonl)"
-trap 'rm -f "${serve_jsonl}" "${half_a}" "${half_b}"' EXIT
+measure_conf="$(mktemp --suffix .conf)"
+trap 'rm -f "${serve_jsonl}" "${half_a}" "${half_b}" "${measure_conf}"' EXIT
 total_lines="$(wc -l < "${serve_jsonl}")"
 head -n "$((total_lines / 2))" "${serve_jsonl}" > "${half_a}"
 tail -n "+$((total_lines / 2 + 1))" "${serve_jsonl}" > "${half_b}"
 jsonl_matrix --source-a "${half_a}" --source-b "${half_b}"
+
+# The same matrix under the other set measures: the matcher cascade reads
+# its bounds from a size-indexed table kept per (measure, threshold).
+# Jaccard, the default, ran above.
+for measure in dice overlap cosine; do
+  printf 'matcher.measure = %s\n' "${measure}" > "${measure_conf}"
+  echo "==> sparker --source-a <jsonl> --config <matcher.measure = ${measure}>: sequential vs dataflow vs fused"
+  jsonl_matrix --source-a "${serve_jsonl}" --config "${measure_conf}"
+done
 
 echo "CI OK"
