@@ -1,16 +1,22 @@
 //! The blocker's candidate pairs as a sorted set.
 //!
-//! Every pruning driver already emits its retained edges sorted by pair —
-//! the fused driver as a run of sorted per-morsel batches that ascend — so
-//! the set is those lists themselves, adopted as chunks: membership is two
-//! binary searches and no second, hashed or concatenated copy of millions
-//! of pairs is ever built.
+//! Every pruning driver emits its retained edges sorted by pair. The
+//! staged drivers hand over one list, adopted as the set's chunk:
+//! membership is two binary searches and no second, hashed or concatenated
+//! copy of millions of pairs is ever built. The fused driver hands over
+//! less — per-batch digests taken while its matcher scored the batches
+//! (see [`sparker_matching::BatchDigest`]) — and a way to re-derive them:
+//! the set knows its length from the digests, and only a read of the pairs
+//! themselves runs pass B again, once, checked against them.
 
-use sparker_matching::AscendingBatches;
+use sparker_matching::{BatchDigest, RetainedDigest};
 use sparker_profiles::Pair;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A set of candidate pairs, each with its meta-blocking weight, stored
-/// strictly ascending by pair in one or more sorted chunks.
+/// strictly ascending by pair in one or more sorted chunks — held from the
+/// start, or re-derived on the first read ([`CandidateSet::deferred`]).
 ///
 /// Set semantics are over the pairs alone: two sets are equal when they
 /// hold the same pairs, however they are chunked. Sets built from bare
@@ -18,9 +24,59 @@ use sparker_profiles::Pair;
 /// every pair weight 1.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateSet {
-    /// Non-empty chunks; strictly ascending within and across chunks.
-    chunks: Vec<Vec<(Pair, f64)>>,
+    store: Store,
     len: usize,
+}
+
+#[derive(Debug, Clone)]
+enum Store {
+    /// Non-empty chunks; strictly ascending within and across chunks.
+    Chunks(Vec<Vec<(Pair, f64)>>),
+    /// Counted while streamed, materialized on the first read; clones
+    /// share the materialization.
+    Deferred(Arc<Deferred>),
+}
+
+impl Default for Store {
+    fn default() -> Self {
+        Store::Chunks(Vec::new())
+    }
+}
+
+/// The retained batches again, in the order they were streamed.
+type Rederive = dyn Fn() -> Vec<Vec<(Pair, f64)>> + Send + Sync;
+
+/// A retained-edge run known by its digest until something reads it.
+struct Deferred {
+    digest: RetainedDigest,
+    rederive: Box<Rederive>,
+    chunks: OnceLock<Vec<Vec<(Pair, f64)>>>,
+}
+
+impl fmt::Debug for Deferred {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Deferred")
+            .field("digest", &self.digest)
+            .field("materialized", &self.chunks.get().is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Deferred {
+    /// Run the re-derivation and check it reproduces the streamed run:
+    /// every batch strictly ascending, every boundary ascending, and the
+    /// same length and fingerprint. Empty batches are dropped.
+    fn materialize(&self) -> Vec<Vec<(Pair, f64)>> {
+        let mut batches = (self.rederive)();
+        let digests: Vec<BatchDigest> = batches.iter().map(|b| BatchDigest::of(b)).collect();
+        assert!(
+            RetainedDigest::fold(&digests) == self.digest,
+            "re-derived candidate edges differ from the streamed ones \
+             (pass B must be a pure function of its morsels)"
+        );
+        batches.retain(|b| !b.is_empty());
+        batches
+    }
 }
 
 impl CandidateSet {
@@ -32,29 +88,14 @@ impl CandidateSet {
     }
 
     /// Adopt a run of retained-edge lists whose concatenation is strictly
-    /// ascending by pair — what the fused driver's producers emit, one
-    /// list per morsel — without copying them. Empty lists are dropped.
+    /// ascending by pair without copying them. Empty lists are dropped.
     /// Panics on an equal or descending pair inside a list or across a
     /// list boundary.
-    pub fn from_sorted_chunks(chunks: Vec<Vec<(Pair, f64)>>) -> Self {
+    pub fn from_sorted_chunks(mut chunks: Vec<Vec<(Pair, f64)>>) -> Self {
         assert!(
             chunks.iter().all(|c| c.windows(2).all(|w| w[0].0 < w[1].0)),
             "candidate edges must be strictly ascending by pair"
         );
-        Self::adopt_ascending(chunks)
-    }
-
-    /// Adopt the fused stage's retained batches: the consumer that scored
-    /// each batch already checked it strictly ascending, so only the
-    /// boundaries between batches are compared here. Empty batches are
-    /// dropped. Panics on an equal or descending pair across a boundary.
-    pub fn from_ascending_batches(batches: AscendingBatches) -> Self {
-        Self::adopt_ascending(batches.into_batches())
-    }
-
-    /// Adopt chunks each known to be strictly ascending, checking the
-    /// chunk boundaries.
-    fn adopt_ascending(mut chunks: Vec<Vec<(Pair, f64)>>) -> Self {
         chunks.retain(|c| !c.is_empty());
         assert!(
             chunks
@@ -63,7 +104,43 @@ impl CandidateSet {
             "candidate edges must be strictly ascending by pair"
         );
         let len = chunks.iter().map(Vec::len).sum();
-        CandidateSet { chunks, len }
+        CandidateSet {
+            store: Store::Chunks(chunks),
+            len,
+        }
+    }
+
+    /// The fused driver's set: `streamed` are the digests its consumers
+    /// took of each retained batch, in morsel order, and `rederive`
+    /// produces those batches again (the same pass B over the same
+    /// morsels). The batch boundaries are checked here and the digests
+    /// folded; [`CandidateSet::len`] and [`CandidateSet::is_empty`] read
+    /// the fold. The first read of the pairs — `contains`, `iter`,
+    /// `weighted`, `==` — calls `rederive` once and keeps its batches,
+    /// panicking unless they are strictly ascending and match the streamed
+    /// length and fingerprint. Panics on an equal or descending pair across
+    /// a batch boundary.
+    pub fn deferred(
+        streamed: &[BatchDigest],
+        rederive: impl Fn() -> Vec<Vec<(Pair, f64)>> + Send + Sync + 'static,
+    ) -> Self {
+        let digest = RetainedDigest::fold(streamed);
+        CandidateSet {
+            len: digest.len(),
+            store: Store::Deferred(Arc::new(Deferred {
+                digest,
+                rederive: Box::new(rederive),
+                chunks: OnceLock::new(),
+            })),
+        }
+    }
+
+    /// The sorted chunks, materializing a deferred set.
+    fn chunks(&self) -> &[Vec<(Pair, f64)>] {
+        match &self.store {
+            Store::Chunks(chunks) => chunks,
+            Store::Deferred(deferred) => deferred.chunks.get_or_init(|| deferred.materialize()),
+        }
     }
 
     /// Number of candidate pairs.
@@ -79,8 +156,9 @@ impl CandidateSet {
     /// Membership test: binary search for the one chunk that could hold
     /// `pair` (the first whose last pair is not below it), then within it.
     pub fn contains(&self, pair: &Pair) -> bool {
-        let k = self.chunks.partition_point(|c| c[c.len() - 1].0 < *pair);
-        self.chunks
+        let chunks = self.chunks();
+        let k = chunks.partition_point(|c| c[c.len() - 1].0 < *pair);
+        chunks
             .get(k)
             .is_some_and(|c| c.binary_search_by(|(p, _)| p.cmp(pair)).is_ok())
     }
@@ -92,7 +170,7 @@ impl CandidateSet {
 
     /// The candidates with their meta-blocking weights, ascending by pair.
     pub fn weighted(&self) -> impl Iterator<Item = &(Pair, f64)> + '_ {
-        self.chunks.iter().flatten()
+        self.chunks().iter().flatten()
     }
 }
 
@@ -122,7 +200,7 @@ impl<'a> IntoIterator for &'a CandidateSet {
     >;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.chunks.iter().flatten().map(|(p, _)| p)
+        self.chunks().iter().flatten().map(|(p, _)| p)
     }
 }
 
@@ -132,6 +210,7 @@ mod tests {
     use proptest::prelude::*;
     use sparker_profiles::ProfileId;
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn pair(a: u32, b: u32) -> Pair {
         Pair::new(ProfileId(a), ProfileId(b))
@@ -188,9 +267,9 @@ mod tests {
         ]);
     }
 
-    /// The retained batches `score_stream` hands back for `morsels`,
-    /// emitted as they are on two workers.
-    fn streamed(morsels: &[Vec<(Pair, f64)>]) -> AscendingBatches {
+    /// The digests `score_stream` takes of `morsels`, emitted as they are
+    /// on two workers.
+    fn streamed(morsels: &[Vec<(Pair, f64)>]) -> Vec<BatchDigest> {
         use sparker_dataflow::Context;
         use sparker_matching::{PreparedProfile, SimilarityMeasure, ThresholdMatcher};
         use sparker_profiles::{Profile, ProfileCollection, SourceId};
@@ -206,39 +285,144 @@ mod tests {
         let prepared = PreparedProfile::prepare_all(&collection);
         let matcher = ThresholdMatcher::new(SimilarityMeasure::Jaccard, 0.5);
         matcher
-            .score_stream(&Context::new(2), &prepared, morsels, 2, |_, m| m.clone())
+            .score_stream(&Context::new(2), &prepared, morsels, 2, |_, m, out| {
+                out.clear();
+                out.extend_from_slice(m);
+            })
             .retained
+    }
+
+    /// A deferred set over `streamed(morsels)` whose re-derivation returns
+    /// `rederived`, and a count of its re-derivations.
+    fn deferred(
+        morsels: &[Vec<(Pair, f64)>],
+        rederived: Vec<Vec<(Pair, f64)>>,
+    ) -> (CandidateSet, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let set = CandidateSet::deferred(&streamed(morsels), {
+            let calls = Arc::clone(&calls);
+            move || {
+                calls.fetch_add(1, Ordering::Relaxed);
+                rederived.clone()
+            }
+        });
+        (set, calls)
+    }
+
+    fn morsels() -> Vec<Vec<(Pair, f64)>> {
+        vec![
+            vec![(pair(0, 1), 1.0), (pair(0, 2), 2.0)],
+            vec![],
+            vec![(pair(1, 2), 1.0), (pair(3, 4), 0.25)],
+        ]
     }
 
     #[test]
     fn streamed_batches_are_adopted_with_their_boundaries_checked() {
-        let morsels = vec![
-            vec![(pair(0, 1), 1.0), (pair(0, 2), 2.0)],
-            vec![],
-            vec![(pair(1, 2), 1.0), (pair(3, 4), 1.0)],
-        ];
-        let set = CandidateSet::from_ascending_batches(streamed(&morsels));
-        assert_eq!(set, CandidateSet::from_sorted_chunks(morsels.clone()));
+        let morsels = morsels();
+        let chunked = CandidateSet::from_sorted_chunks(morsels.clone());
+        let (set, calls) = deferred(&morsels, morsels.clone());
+        let copy = set.clone();
+        assert_eq!(set.len(), 4);
+        assert!(!set.is_empty());
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "len must not re-derive");
+        for (a, b) in [(0, 1), (0, 2), (1, 2), (3, 4), (0, 3), (2, 3), (4, 5)] {
+            assert_eq!(set.contains(&pair(a, b)), chunked.contains(&pair(a, b)));
+        }
+        assert!(set.iter().eq(chunked.iter()));
+        assert!(set.weighted().eq(chunked.weighted()));
         assert!(set.weighted().eq(morsels.iter().flatten()));
+        assert_eq!(set, chunked);
+        assert_eq!(chunked, set);
+        assert_eq!(copy, set);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "clones share one re-derivation"
+        );
+    }
+
+    #[test]
+    fn each_read_materializes_a_deferred_set() {
+        let morsels = morsels();
+        let chunked = CandidateSet::from_sorted_chunks(morsels.clone());
+        let reads: [fn(&CandidateSet, &CandidateSet); 4] = [
+            |s, _| assert!(s.contains(&pair(1, 2))),
+            |s, c| assert!(s.iter().eq(c.iter())),
+            |s, c| assert!(s.weighted().eq(c.weighted())),
+            |s, c| assert_eq!(s, c),
+        ];
+        for read in reads {
+            let (set, calls) = deferred(&morsels, morsels.clone());
+            assert_eq!(set.len(), chunked.len());
+            assert_eq!(calls.load(Ordering::Relaxed), 0);
+            read(&set, &chunked);
+            assert_eq!(calls.load(Ordering::Relaxed), 1);
+        }
+        // A length mismatch needs no pairs at all.
+        let (empty, calls) = deferred(&[], Vec::new());
+        assert!(empty.is_empty());
+        assert_ne!(empty, chunked);
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        assert_eq!(empty, CandidateSet::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "re-derived candidate edges differ")]
+    fn rederived_weight_change_panics() {
+        let mut changed = morsels();
+        changed[2][1].1 = 0.5;
+        deferred(&morsels(), changed).0.contains(&pair(0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "re-derived candidate edges differ")]
+    fn rederived_pair_change_panics() {
+        let mut changed = morsels();
+        changed[2][1].0 = pair(3, 5);
+        deferred(&morsels(), changed).0.iter().count();
+    }
+
+    #[test]
+    #[should_panic(expected = "re-derived candidate edges differ")]
+    fn rederived_extra_pair_panics() {
+        let mut changed = morsels();
+        changed[1].push((pair(0, 3), 1.0));
+        deferred(&morsels(), changed).0.weighted().count();
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn rederived_inversion_panics() {
+        let mut changed = morsels();
+        changed.swap(0, 2);
+        let (set, _) = deferred(&morsels(), changed);
+        let _ = set == CandidateSet::from_sorted_chunks(morsels());
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn streamed_inversion_across_batches_rejected() {
-        CandidateSet::from_ascending_batches(streamed(&[
-            vec![(pair(0, 1), 1.0), (pair(2, 3), 1.0)],
-            vec![],
-            vec![(pair(1, 2), 1.0)],
-        ]));
+        CandidateSet::deferred(
+            &streamed(&[
+                vec![(pair(0, 1), 1.0), (pair(2, 3), 1.0)],
+                vec![],
+                vec![(pair(1, 2), 1.0)],
+            ]),
+            Vec::new,
+        );
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn streamed_duplicate_across_batches_rejected() {
-        CandidateSet::from_ascending_batches(streamed(&[
-            vec![(pair(0, 1), 1.0)],
-            vec![(pair(0, 1), 1.0), (pair(0, 2), 1.0)],
-        ]));
+        CandidateSet::deferred(
+            &streamed(&[
+                vec![(pair(0, 1), 1.0)],
+                vec![(pair(0, 1), 1.0), (pair(0, 2), 1.0)],
+            ]),
+            Vec::new,
+        );
     }
 
     proptest! {
@@ -305,6 +489,21 @@ mod tests {
                 prop_assert!(chunked.contains(&chunk[0].0));
                 prop_assert!(chunked.contains(&chunk[chunk.len() - 1].0));
             }
+
+            // The same chunks streamed and re-derived on demand.
+            let digests: Vec<BatchDigest> = chunks.iter().map(|c| BatchDigest::of(c)).collect();
+            let rederived = chunks.clone();
+            let lazy = CandidateSet::deferred(&digests, move || rederived.clone());
+            prop_assert_eq!(lazy.len(), oracle.len());
+            prop_assert_eq!(lazy.is_empty(), oracle.is_empty());
+            for &(a, b) in &probes {
+                if a != b {
+                    let p = pair(a, b);
+                    prop_assert_eq!(lazy.contains(&p), oracle.contains(&p));
+                }
+            }
+            prop_assert!(lazy.weighted().eq(sorted.iter()));
+            prop_assert_eq!(&lazy, &chunked);
         }
     }
 }

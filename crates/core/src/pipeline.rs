@@ -329,13 +329,16 @@ impl Pipeline {
     /// adopted straight from the cleaned CSR, then prune→score as one
     /// overlapped pool batch — meta-blocking's pass B emits pruned pairs
     /// range by range through a bounded channel
-    /// ([`StreamingMetaBlocking::prune_range`]) and the matcher's cascade
+    /// ([`StreamingMetaBlocking::prune_range_into`]) and the matcher's cascade
     /// scores them concurrently ([`ThresholdMatcher::score_stream`]). No
-    /// `CandidateGraph` and no hashed pair set is built: the retained
-    /// edges exist once, as per-morsel batches — while the stage runs and
-    /// after it, when the [`CandidateSet`] adopts the batches as its
-    /// chunks. Byte-identical to the staged path at any worker count and
-    /// channel capacity (pinned by the parity matrix).
+    /// `CandidateGraph` and no hashed pair set is built, and the retained
+    /// edges are not kept: only a channel's worth of batch buffers exists,
+    /// recycled from morsel to morsel, and the [`CandidateSet`] is known by
+    /// the consumers' per-batch digests — it re-runs pass B over the same
+    /// morsels only if something reads its pairs
+    /// ([`CandidateSet::deferred`]). Byte-identical to the staged path at
+    /// any worker count and channel capacity (pinned by the parity
+    /// matrix).
     ///
     /// Report shape is unchanged (all five stage rows): `prune_candidates`
     /// covers the graph build + pass A, `score_pairs` covers the fused
@@ -376,7 +379,7 @@ impl Pipeline {
         ));
         drop((dict, blocks));
         let scoring_started = Instant::now();
-        let stream = StreamingMetaBlocking::prepare(ctx, &graph, mb);
+        let stream = Arc::new(StreamingMetaBlocking::prepare(ctx, &graph, mb));
         let scoring = ScoringStats {
             edge_scorer: mb.scorer.name(),
             time: scoring_started.elapsed(),
@@ -404,11 +407,19 @@ impl Pipeline {
         let outcome = matcher.score_stream(ctx, &prepared, &morsels, capacity, {
             let stream = &stream;
             let prune_locals = Arc::clone(&prune_locals);
-            move |worker, range: &std::ops::Range<u32>| {
-                prune_locals.with(worker, |scratch| stream.prune_range(range.clone(), scratch))
+            move |worker, range: &std::ops::Range<u32>, out: &mut Vec<_>| {
+                prune_locals.with(worker, |scratch| {
+                    stream.prune_range_into(range.clone(), scratch, out)
+                })
             }
         });
-        let candidates = CandidateSet::from_ascending_batches(outcome.retained);
+        let candidates = CandidateSet::deferred(&outcome.retained, move || {
+            let mut scratch = stream.make_scratch();
+            morsels
+                .iter()
+                .map(|range| stream.prune_range(range.clone(), &mut scratch))
+                .collect()
+        });
         let similarity = outcome.similarity;
         stages[prune_row].output = candidates.len() as u64;
         stages.push(scope.finish(candidates.len() as u64, similarity.len() as u64));

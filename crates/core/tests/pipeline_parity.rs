@@ -585,15 +585,17 @@ proptest! {
 fn fused_plan_into_score_stream_is_capacity_invariant() {
     // Channel capacity is a scheduling parameter, never a semantic one. The
     // matcher's own test sweeps it over pre-cut uniform batches; this is
-    // the fused driver's actual wiring — the plan's `prune_range` producers
-    // with per-worker scratch and hub-skewed payloads — at a capacity of 1
-    // (fully serialized hand-off), 2 and effectively unbounded, against
-    // the sequential run.
+    // the fused driver's actual wiring — the plan's `prune_range_into`
+    // producers with per-worker scratch, recycled buffers and hub-skewed
+    // payloads — at a capacity of 1 (fully serialized hand-off), 2 and
+    // effectively unbounded, against the sequential run. The producers
+    // record every batch they hand over, so what was produced is compared
+    // element by element, not only through the consumers' digests.
     use sparker_core::PurgeConfig;
     use sparker_dataflow::{Context, WorkerLocal};
-    use sparker_matching::{PreparedProfile, ThresholdMatcher};
+    use sparker_matching::{BatchDigest, PreparedProfile, RetainedDigest, ThresholdMatcher};
     use sparker_metablocking::{BlockGraph, StreamingMetaBlocking};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     let mut config = PipelineConfig::default();
     config.blocking.purge = PurgeConfig::Off;
     config.blocking.filter_ratio = None;
@@ -612,24 +614,39 @@ fn fused_plan_into_score_stream_is_capacity_invariant() {
             let scratches = WorkerLocal::new(workers, || plan.make_scratch());
             let prepared = PreparedProfile::prepare_all(&ds.collection);
             for capacity in [1, 2, 1 << 20] {
+                let produced = Mutex::new(Vec::new());
                 let out = matcher.score_stream(
                     &ctx,
                     &prepared,
                     &morsels,
                     capacity,
-                    |worker, range: &std::ops::Range<u32>| {
-                        scratches.with(worker, |scratch| plan.prune_range(range.clone(), scratch))
+                    |worker, range: &std::ops::Range<u32>, batch: &mut Vec<_>| {
+                        scratches.with(worker, |scratch| {
+                            plan.prune_range_into(range.clone(), scratch, batch)
+                        });
+                        produced.lock().unwrap().push((range.start, batch.clone()));
                     },
                 );
                 let tag = format!("workers={workers} capacity={capacity}");
+                let mut produced = produced.into_inner().unwrap();
+                produced.sort_by_key(|&(start, _)| start);
+                assert_eq!(produced.len(), morsels.len(), "{tag}");
                 assert!(
-                    out.retained
-                        .batches()
+                    produced
                         .iter()
-                        .flatten()
+                        .flat_map(|(_, batch)| batch)
                         .eq(reference.blocker.candidates.weighted()),
                     "{tag}"
                 );
+                let digests: Vec<BatchDigest> =
+                    produced.iter().map(|(_, b)| BatchDigest::of(b)).collect();
+                assert_eq!(out.retained, digests, "{tag}");
+                assert_eq!(
+                    RetainedDigest::fold(&out.retained).len(),
+                    reference.blocker.candidates.len(),
+                    "{tag}"
+                );
+                assert!(out.report.payloads <= capacity + 2 * workers, "{tag}");
                 assert_eq!(out.similarity, reference.similarity, "{tag}");
             }
         }

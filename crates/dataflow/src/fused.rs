@@ -9,17 +9,27 @@
 //! atomic counter) or *consumes* a produced payload popped from the
 //! bounded [`MorselQueue`]. Backpressure is cooperative — a worker that
 //! finds the channel at capacity drains it before producing more — so the
-//! set of in-flight payloads is bounded by `capacity + workers` and the
-//! full producer output is never resident at once on the hot path.
+//! channel holds at most `capacity + workers` payloads.
+//!
+//! ## Payload recycling
+//!
+//! Payloads are buffers, not results: a producer fills one taken off the
+//! stage's free list, and once a consumer has read it the buffer goes back
+//! on the list with its allocation intact. A new payload is allocated only
+//! when the list is empty, so at most `capacity + 2 × workers` exist over
+//! the whole stage — the channel's plus one in each worker's hands —
+//! however many morsels run ([`FusedStageStats::payloads`] counts them).
+//! The stage's memory is the channel's, not the producer output's.
 //!
 //! ## Determinism
 //!
-//! Results are slot-indexed: morsel `k`'s produced payload and consumed
-//! output land in slots `k` of two pre-sized vectors, regardless of which
-//! worker ran them or in what order the channel interleaved them. The
-//! returned vectors are therefore a pure function of `(morsels, produce,
-//! consume)` — worker count and channel capacity are schedule-only knobs
-//! (pinned by tests and the core parity suite).
+//! Results are slot-indexed: morsel `k`'s consumed output lands in slot
+//! `k` of a pre-sized vector, regardless of which worker ran it or in what
+//! order the channel interleaved it. The returned vector is therefore a
+//! pure function of `(morsels, produce, consume)` — worker count and
+//! channel capacity are schedule-only knobs (pinned by tests and the core
+//! parity suite) — provided `produce` overwrites its payload whatever a
+//! previous morsel left in it.
 
 use crate::pool::thread_cpu_ns;
 use crate::{Context, MemBudget, StageMetrics};
@@ -29,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// A bounded multi-producer multi-consumer queue of morsel indices.
+/// A bounded multi-producer multi-consumer queue of produced morsels.
 ///
 /// The bound is cooperative: [`MorselQueue::push`] never blocks (a
 /// producer has already done the work; refusing the result would waste
@@ -38,13 +48,13 @@ use std::time::{Duration, Instant};
 /// backpressure protocol [`pipelined_stage`] implements. Depth can
 /// therefore transiently exceed `capacity` by at most one in-flight
 /// payload per worker.
-pub struct MorselQueue {
+pub struct MorselQueue<T> {
     capacity: usize,
-    inner: Mutex<VecDeque<usize>>,
+    inner: Mutex<VecDeque<T>>,
     max_depth: AtomicUsize,
 }
 
-impl MorselQueue {
+impl<T> MorselQueue<T> {
     /// A queue that signals backpressure at `capacity` queued morsels
     /// (clamped to ≥ 1).
     pub fn new(capacity: usize) -> Self {
@@ -84,18 +94,18 @@ impl MorselQueue {
         self.max_depth.load(Ordering::Relaxed)
     }
 
-    /// Enqueue a produced morsel index. Never blocks (see type docs).
-    pub fn push(&self, k: usize) {
+    /// Enqueue a produced morsel. Never blocks (see type docs).
+    pub fn push(&self, item: T) {
         let mut q = self
             .inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        q.push_back(k);
+        q.push_back(item);
         self.max_depth.fetch_max(q.len(), Ordering::Relaxed);
     }
 
-    /// Dequeue the oldest produced morsel index, if any.
-    pub fn pop(&self) -> Option<usize> {
+    /// Dequeue the oldest produced morsel, if any.
+    pub fn pop(&self) -> Option<T> {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -123,6 +133,9 @@ pub struct FusedStageStats {
     pub backpressure_yields: u64,
     /// Deepest the channel ever got (≤ capacity + workers by protocol).
     pub max_queue_depth: usize,
+    /// Payload buffers allocated over the stage (≤ capacity + 2 × workers,
+    /// independent of the morsel count: consumed payloads are recycled).
+    pub payloads: usize,
     /// Wall-clock time of the whole fused batch.
     pub wall: Duration,
     /// Per-worker-slot CPU time for the batch (max entry = critical path).
@@ -140,14 +153,12 @@ impl FusedStageStats {
 
 /// Write-once result slots shared across the fused batch's workers.
 ///
-/// SAFETY invariant: slot `k` is written exactly once — by the producer
-/// that claimed morsel `k` (produced slots) or the consumer that popped
-/// `k` from the channel (consumed slots) — and only read after that write
-/// is published through the channel mutex (consumers) or the pool's batch
-/// join (the driver).
+/// SAFETY invariant: slot `k` is written exactly once — by the consumer
+/// that popped morsel `k` from the channel — and only read after the
+/// pool's batch join publishes every write to the driver.
 struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
 
-unsafe impl<T: Send + Sync> Sync for Slots<T> {}
+unsafe impl<T: Send> Sync for Slots<T> {}
 
 impl<T> Slots<T> {
     fn new(n: usize) -> Self {
@@ -157,14 +168,6 @@ impl<T> Slots<T> {
     /// Write slot `k`. Caller must be its unique writer.
     unsafe fn write(&self, k: usize, value: T) {
         *self.0[k].get() = Some(value);
-    }
-
-    /// Borrow slot `k`. Caller must have observed the write via the
-    /// channel (or the batch join).
-    unsafe fn get(&self, k: usize) -> &T {
-        (*self.0[k].get())
-            .as_ref()
-            .expect("fused slot read before its write was published")
     }
 
     fn into_vec(self) -> Vec<T> {
@@ -179,15 +182,18 @@ impl<T> Slots<T> {
 }
 
 /// Run a fused two-stage pipeline over `morsels` on the context's worker
-/// pool: `produce(worker, &morsel)` builds morsel `k`'s payload,
-/// `consume(worker, &payload)` transforms it, and both stages execute
-/// concurrently inside **one** pool batch — worker loops interleave
-/// producing and consuming through a bounded [`MorselQueue`] of
-/// `capacity` payloads (see [`fused_channel_capacity`] for a
-/// budget-aware default).
+/// pool: `produce(worker, &morsel, &mut payload)` fills a recycled payload
+/// with morsel `k`'s data, `consume(worker, &payload)` turns it into
+/// morsel `k`'s output, and both stages execute concurrently inside
+/// **one** pool batch — worker loops interleave producing and consuming
+/// through a bounded [`MorselQueue`] of `capacity` payloads (see
+/// [`fused_channel_capacity`] for a budget-aware default). Consumed
+/// payloads return to the stage's free list (see the module docs), so
+/// `produce` receives whatever an earlier morsel left in its payload —
+/// or `P::default()` — and must overwrite it.
 ///
-/// Returns `(produced, consumed, stats)` with both vectors in morsel
-/// order — byte-identical at any worker count and any capacity, provided
+/// Returns `(consumed, stats)` with the outputs in morsel order —
+/// byte-identical at any worker count and any capacity, provided
 /// `produce`/`consume` are pure functions of their morsel (scratch reuse
 /// via [`crate::WorkerLocal`] is fine). A [`StageMetrics`] row named
 /// `name` is recorded with the batch's busy/queue-wait/per-worker times.
@@ -198,22 +204,24 @@ pub fn pipelined_stage<M, P, C, FP, FC>(
     capacity: usize,
     produce: FP,
     consume: FC,
-) -> (Vec<P>, Vec<C>, FusedStageStats)
+) -> (Vec<C>, FusedStageStats)
 where
     M: Sync,
-    P: Send + Sync,
-    C: Send + Sync,
-    FP: Fn(usize, &M) -> P + Send + Sync,
+    P: Default + Send,
+    C: Send,
+    FP: Fn(usize, &M, &mut P) + Send + Sync,
     FC: Fn(usize, &P) -> C + Send + Sync,
 {
     let wall_start = Instant::now();
     let n = morsels.len();
     if n == 0 {
         ctx.record_stage(StageMetrics::named(name));
-        return (Vec::new(), Vec::new(), FusedStageStats::default());
+        return (Vec::new(), FusedStageStats::default());
     }
 
-    let queue = MorselQueue::new(capacity);
+    let queue = MorselQueue::<(usize, P)>::new(capacity);
+    let free = Mutex::new(Vec::<P>::new());
+    let payloads = AtomicUsize::new(0);
     let next = AtomicUsize::new(0);
     let consumed_count = AtomicUsize::new(0);
     let produce_busy_ns = AtomicU64::new(0);
@@ -221,21 +229,25 @@ where
     let stall_ns = AtomicU64::new(0);
     let backpressure = AtomicU64::new(0);
     let failed = AtomicBool::new(false);
-    let produced_slots = Slots::<P>::new(n);
     let consumed_slots = Slots::<C>::new(n);
+    let lock_free = || {
+        free.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    };
 
     let drain_one = |worker: usize, is_backpressure: bool| -> bool {
-        let Some(k) = queue.pop() else { return false };
+        let Some((k, payload)) = queue.pop() else {
+            return false;
+        };
         if is_backpressure {
             backpressure.fetch_add(1, Ordering::Relaxed);
         }
         let t0 = thread_cpu_ns();
-        // SAFETY: `k` was pushed after its produced slot was written (the
-        // channel mutex publishes the write), and pop grants this worker
-        // unique consumption rights for `k`.
-        let c = consume(worker, unsafe { produced_slots.get(k) });
+        let c = consume(worker, &payload);
         consume_busy_ns.fetch_add(thread_cpu_ns().saturating_sub(t0), Ordering::Relaxed);
-        // SAFETY: unique consumer of `k` writes consumed slot `k` once.
+        lock_free().push(payload);
+        // SAFETY: popping `k` made this worker its unique consumer, so it
+        // writes consumed slot `k` exactly once.
         unsafe { consumed_slots.write(k, c) };
         consumed_count.fetch_add(1, Ordering::Release);
         true
@@ -261,14 +273,16 @@ where
             if !exhausted {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i < n {
+                    let recycled = lock_free().pop();
+                    let mut payload = recycled.unwrap_or_else(|| {
+                        payloads.fetch_add(1, Ordering::Relaxed);
+                        P::default()
+                    });
                     let t0 = thread_cpu_ns();
-                    let p = produce(worker, &morsels[i]);
+                    produce(worker, &morsels[i], &mut payload);
                     produce_busy_ns
                         .fetch_add(thread_cpu_ns().saturating_sub(t0), Ordering::Relaxed);
-                    // SAFETY: `i` was claimed exactly once; write precedes
-                    // the push that publishes it.
-                    unsafe { produced_slots.write(i, p) };
-                    queue.push(i);
+                    queue.push((i, payload));
                     continue;
                 }
             }
@@ -300,6 +314,7 @@ where
         queue_wait: pool_stats.queue_wait + Duration::from_nanos(stall_ns.into_inner()),
         backpressure_yields: backpressure.into_inner(),
         max_queue_depth: queue.max_depth(),
+        payloads: payloads.into_inner(),
         wall: wall_start.elapsed(),
         per_worker_busy: pool_stats.per_worker_busy.clone(),
     };
@@ -314,7 +329,7 @@ where
     metrics.per_worker_busy = pool_stats.per_worker_busy;
     ctx.record_stage(metrics);
 
-    (produced_slots.into_vec(), consumed_slots.into_vec(), stats)
+    (consumed_slots.into_vec(), stats)
 }
 
 /// Sets its flag when dropped by an unwinding panic.
@@ -346,7 +361,8 @@ pub fn fused_channel_capacity(budget: &MemBudget, workers: usize, payload_bytes:
 mod tests {
     use super::*;
 
-    fn run_sum(workers: usize, capacity: usize, n: u64) -> (Vec<u64>, Vec<u64>, FusedStageStats) {
+    /// Each morsel's payload and its consumed output.
+    fn run_sum(workers: usize, capacity: usize, n: u64) -> (Vec<(u64, u64)>, FusedStageStats) {
         let ctx = Context::new(workers);
         let morsels: Vec<u64> = (0..n).collect();
         pipelined_stage(
@@ -354,20 +370,18 @@ mod tests {
             "fused_test",
             &morsels,
             capacity,
-            |_, &m| m * 3,
-            |_, &p| p + 1,
+            |_, &m, p: &mut u64| *p = m * 3,
+            |_, &p| (p, p + 1),
         )
     }
 
     #[test]
     fn outputs_are_morsel_ordered_and_schedule_invariant() {
-        let expected_p: Vec<u64> = (0..257).map(|m| m * 3).collect();
-        let expected_c: Vec<u64> = (0..257).map(|m| m * 3 + 1).collect();
+        let expected: Vec<(u64, u64)> = (0..257).map(|m| (m * 3, m * 3 + 1)).collect();
         for workers in [1, 2, 4, 8] {
             for capacity in [1, 2, 7, 1 << 20] {
-                let (p, c, stats) = run_sum(workers, capacity, 257);
-                assert_eq!(p, expected_p, "workers={workers} capacity={capacity}");
-                assert_eq!(c, expected_c, "workers={workers} capacity={capacity}");
+                let (c, stats) = run_sum(workers, capacity, 257);
+                assert_eq!(c, expected, "workers={workers} capacity={capacity}");
                 assert_eq!(stats.morsels, 257);
             }
         }
@@ -376,11 +390,46 @@ mod tests {
     #[test]
     fn queue_depth_respects_cooperative_bound() {
         for (workers, capacity) in [(4, 1), (4, 2), (2, 3)] {
-            let (_, _, stats) = run_sum(workers, capacity, 500);
+            let (_, stats) = run_sum(workers, capacity, 500);
             assert!(
                 stats.max_queue_depth <= capacity + workers,
                 "depth {} exceeds capacity {capacity} + workers {workers}",
                 stats.max_queue_depth
+            );
+        }
+    }
+
+    #[test]
+    fn payloads_are_recycled_within_the_channel_bound() {
+        // Payloads of every length: a recycled buffer must be overwritten,
+        // never appended to, and the stage must allocate no more than the
+        // channel plus one payload in each worker's hands — however many
+        // morsels run.
+        let (workers, capacity) = (2, 2);
+        let bound = capacity + 2 * workers;
+        let ctx = Context::new(workers);
+        for n in [10u64, 1000, 10_000] {
+            let morsels: Vec<u64> = (0..n).collect();
+            let (sums, stats) = pipelined_stage(
+                &ctx,
+                "fused_recycle",
+                &morsels,
+                capacity,
+                |_, &m, out: &mut Vec<u64>| {
+                    out.clear();
+                    out.extend(0..m % 13);
+                },
+                |_, out| (out.len(), out.iter().sum::<u64>()),
+            );
+            let expected: Vec<(usize, u64)> = (0..n)
+                .map(|m| ((m % 13) as usize, (0..m % 13).sum()))
+                .collect();
+            assert_eq!(sums, expected, "n={n}");
+            assert!(stats.payloads >= 1, "n={n}: {stats:?}");
+            assert!(
+                stats.payloads <= bound,
+                "n={n}: {} payloads exceed capacity {capacity} + 2 x workers {workers}",
+                stats.payloads
             );
         }
     }
@@ -391,14 +440,14 @@ mod tests {
         // producers must keep running into a full channel.
         let ctx = Context::new(4);
         let morsels: Vec<u64> = (0..2000).collect();
-        let (_, _, stats) = pipelined_stage(
+        let (_, stats) = pipelined_stage(
             &ctx,
             "fused_bp",
             &morsels,
             1,
-            |_, &m| {
+            |_, &m, p: &mut u64| {
                 // Production outpaces consumption.
-                std::hint::black_box(m)
+                *p = std::hint::black_box(m);
             },
             |_, &p| {
                 let mut h = p;
@@ -428,9 +477,9 @@ mod tests {
                         "fused_panic",
                         &morsels,
                         2,
-                        |_, &m| {
+                        |_, &m, p: &mut u64| {
                             assert!(panic_in_consume || m != 37, "bad morsel");
-                            m
+                            *p = m;
                         },
                         |_, &p| {
                             assert!(!panic_in_consume || p != 37, "bad morsel");
@@ -442,31 +491,40 @@ mod tests {
                 let msg = payload.downcast_ref::<&str>().copied();
                 assert_eq!(msg, Some("bad morsel"), "workers={workers}");
                 // The pool still runs the next stage.
-                assert_eq!(run_sum(workers, 2, 8).1.len(), 8);
+                assert_eq!(run_sum(workers, 2, 8).0.len(), 8);
             }
         }
     }
 
     #[test]
     fn empty_morsel_list() {
-        let (p, c, stats) = run_sum(4, 4, 0);
-        assert!(p.is_empty() && c.is_empty());
+        let (c, stats) = run_sum(4, 4, 0);
+        assert!(c.is_empty());
         assert_eq!(stats.morsels, 0);
+        assert_eq!(stats.payloads, 0);
     }
 
     #[test]
     fn single_worker_runs_inline_and_completes() {
-        let (p, c, _) = run_sum(1, 1, 64);
-        assert_eq!(p.len(), 64);
-        assert_eq!(c[63], 63 * 3 + 1);
+        let (c, stats) = run_sum(1, 1, 64);
+        assert_eq!(c.len(), 64);
+        assert_eq!(c[63], (63 * 3, 63 * 3 + 1));
+        // One worker produces, then drains the full channel.
+        assert!(stats.payloads <= 1 + 2, "{stats:?}");
     }
 
     #[test]
     fn records_stage_metrics_with_queue_wait_accounting() {
         let ctx = Context::new(2);
         let morsels: Vec<u64> = (0..100).collect();
-        let (_, _, stats) =
-            pipelined_stage(&ctx, "fused_metrics", &morsels, 4, |_, &m| m, |_, &p| p);
+        let (_, stats) = pipelined_stage(
+            &ctx,
+            "fused_metrics",
+            &morsels,
+            4,
+            |_, &m, p: &mut u64| *p = m,
+            |_, &p| p,
+        );
         let snap = ctx.metrics();
         let stage = snap
             .stages
@@ -506,6 +564,6 @@ mod tests {
         assert_eq!(q.pop(), Some(9));
         assert_eq!(q.pop(), None);
         assert_eq!(q.max_depth(), 3);
-        assert_eq!(MorselQueue::new(0).capacity(), 1);
+        assert_eq!(MorselQueue::<usize>::new(0).capacity(), 1);
     }
 }

@@ -51,5 +51,5 @@ pub use matcher::{
     TfIdfMatcher, ThresholdMatcher, WeightedRule, WeightedRuleMatcher,
 };
 pub use perceptron::{pair_features, PerceptronMatcher, TrainConfig, FEATURE_NAMES};
-pub use stream::{AscendingBatches, FusedMatchOutcome};
+pub use stream::{BatchDigest, FusedMatchOutcome, RetainedDigest};
 pub use tfidf::TfIdfIndex;

@@ -278,12 +278,27 @@ impl StreamingMetaBlocking {
         range: Range<u32>,
         scratch: &mut NodePassScratch,
     ) -> Vec<(Pair, f64)> {
+        let mut out = Vec::new();
+        self.prune_range_into(range, scratch, &mut out);
+        out
+    }
+
+    /// [`StreamingMetaBlocking::prune_range`] into a caller-owned buffer:
+    /// `out` is cleared, then filled with the range's retained pairs. Its
+    /// allocation is kept, so a fused producer that recycles one buffer
+    /// per in-flight batch stops allocating once the buffers have grown.
+    pub fn prune_range_into(
+        &self,
+        range: Range<u32>,
+        scratch: &mut NodePassScratch,
+        out: &mut Vec<(Pair, f64)>,
+    ) {
         assert!(
             scratch.has_sums() || !self.scoring.reads_sums(),
             "a count-only scratch cannot weigh with {}",
             self.scoring.scorer().name()
         );
-        let mut out = Vec::new();
+        out.clear();
         for i in range {
             let node = ProfileId(i);
             let edges = self.graph.walk(node, scratch, true);
@@ -292,11 +307,10 @@ impl StreamingMetaBlocking {
                     plan: self,
                     node,
                     edges,
-                    out: &mut out,
+                    out: &mut *out,
                 });
             }
         }
-        out
     }
 
     /// Prune every node sequentially, as one range.
@@ -689,6 +703,28 @@ mod tests {
             }
         }
         assert!(last.is_some(), "expected at least one retained pair");
+    }
+
+    #[test]
+    fn prune_range_into_overwrites_a_recycled_buffer() {
+        // One buffer through every range, largest first: whatever a range
+        // left behind, the next fill holds exactly its own pairs.
+        let coll = skewed_collection(70);
+        let graph = Arc::new(BlockGraph::new(&token_blocking(&coll), None));
+        let stream = StreamingMetaBlocking::prepare(
+            &Context::new(2),
+            &graph,
+            &MetaBlockingConfig::default(),
+        );
+        let mut scratch = stream.make_scratch();
+        let mut ranges = stream.cost_morsels(7);
+        ranges
+            .sort_by_key(|r| std::cmp::Reverse(stream.prune_range(r.clone(), &mut scratch).len()));
+        let mut buffer = vec![(Pair::new(ProfileId(0), ProfileId(1)), -1.0); 3];
+        for range in ranges {
+            stream.prune_range_into(range.clone(), &mut scratch, &mut buffer);
+            assert_eq!(buffer, stream.prune_range(range, &mut scratch));
+        }
     }
 
     #[test]

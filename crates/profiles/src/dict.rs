@@ -20,6 +20,7 @@ use sparker_dataflow::{map_ranges, Context};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Mutex, PoisonError};
 
 /// FNV-1a, the interner's hasher. Tokens are short (a handful of bytes), so
 /// the per-byte multiply beats SipHash's fixed per-key setup cost by a wide
@@ -362,10 +363,18 @@ where
 {
     let mut ranges = map_ranges(ctx, profiles.len(), |r| intern_range(&profiles[r], &fill));
     if ranges.len() == 1 {
-        let (tokens, keys) = ranges.pop().expect("one range");
+        let RangePass {
+            tokens,
+            mut keys,
+            perm,
+        } = ranges.pop().expect("one range");
+        keys.remap(&perm);
         return (TokenDict { tokens }, keys);
     }
-    let (mut vocab, range_keys): (Vec<Vec<Token>>, Vec<ProfileKeys>) = ranges.into_iter().unzip();
+    let mut vocab: Vec<Vec<Token>> = ranges
+        .iter_mut()
+        .map(|r| std::mem::take(&mut r.tokens))
+        .collect();
 
     // k-way merge of the sorted range vocabularies: `maps[r][i]` is the
     // global id of range r's i-th token.
@@ -392,17 +401,41 @@ where
         }
         tokens.push(token);
     }
+    // Range r's provisional id i is global id `maps[r][perm_r[i]]`: remap
+    // and sort every range once, in place, on the pool, through that
+    // composition (each range's lock is taken by its one task only).
+    let ranges: Vec<Mutex<(ProfileKeys, Vec<u32>)>> = ranges
+        .into_iter()
+        .zip(&maps)
+        .map(|(r, map)| {
+            let composed = r.perm.iter().map(|&i| map[i as usize]).collect();
+            Mutex::new((r.keys, composed))
+        })
+        .collect();
+    map_ranges(ctx, ranges.len(), |rs| {
+        for r in rs {
+            let mut range = ranges[r].lock().unwrap_or_else(PoisonError::into_inner);
+            let (local, composed) = &mut *range;
+            local.remap(composed);
+        }
+    });
     let mut keys = ProfileKeys::new();
-    for (mut local, map) in range_keys.into_iter().zip(&maps) {
-        local.remap(map);
+    for range in ranges {
+        let (local, _) = range.into_inner().unwrap_or_else(PoisonError::into_inner);
         keys.append(&local);
     }
     (TokenDict { tokens }, keys)
 }
 
 /// One range of the token pass: its sorted vocabulary, and its profiles'
-/// token ids in that vocabulary.
-type RangePass = (Vec<Token>, ProfileKeys);
+/// provisional token ids with the map `perm` from provisional id to
+/// position in that vocabulary.
+#[derive(Clone)]
+struct RangePass {
+    tokens: Vec<Token>,
+    keys: ProfileKeys,
+    perm: Vec<u32>,
+}
 
 /// Intern one contiguous profile range on its own (see [`RangePass`]).
 fn intern_range<F>(profiles: &[Profile], fill: &F) -> RangePass
@@ -411,11 +444,13 @@ where
 {
     let mut builder = DictBuilder::new();
     let mut scratch = String::new();
-    let mut keys =
-        ProfileKeys::collect(profiles, |p, buf| fill(p, &mut builder, &mut scratch, buf));
+    let keys = ProfileKeys::collect(profiles, |p, buf| fill(p, &mut builder, &mut scratch, buf));
     let (dict, perm) = builder.finish();
-    keys.remap(&perm);
-    (dict.tokens, keys)
+    RangePass {
+        tokens: dict.tokens,
+        keys,
+        perm,
+    }
 }
 
 #[cfg(test)]

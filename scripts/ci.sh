@@ -87,10 +87,16 @@ rm -f "${export_tsv}"
 # Fused-execution smoke: on the 10k scaling preset the fused backend
 # (prune->score overlapped through the bounded morsel channel) must report
 # result counts and matcher cascade counters identical to the sequential
-# reference run (the `matcher:` line minus its timing).
+# reference run (the `matcher:` line minus its timing), and export the same
+# weighted edges byte for byte — the fused run keeps no retained edges, so
+# the export re-derives them from the pruning plan.
 echo "==> sparker --preset dirty_10k: sequential vs fused"
-seq_out="$(cargo run -q --release --bin sparker -- --preset dirty_10k --backend sequential)"
-fused_out="$(cargo run -q --release --bin sparker -- --preset dirty_10k --backend fused --workers 4)"
+seq_tsv="$(mktemp --suffix .tsv)"
+fused_tsv="$(mktemp --suffix .tsv)"
+seq_out="$(cargo run -q --release --bin sparker -- --preset dirty_10k --backend sequential \
+  --export-edges "${seq_tsv}")"
+fused_out="$(cargo run -q --release --bin sparker -- --preset dirty_10k --backend fused --workers 4 \
+  --export-edges "${fused_tsv}")"
 for line in '^result counts:' '^matcher:'; do
   seq_line="$(printf '%s\n' "${seq_out}" | grep "${line}" | sed 's/ ([^)]*)//')"
   fused_line="$(printf '%s\n' "${fused_out}" | grep "${line}" | sed 's/ ([^)]*)//')"
@@ -101,6 +107,9 @@ for line in '^result counts:' '^matcher:'; do
     exit 1
   fi
 done
+cmp "${seq_tsv}" "${fused_tsv}"
+echo "    exported edges match ($(wc -l < "${fused_tsv}") lines)"
+rm -f "${seq_tsv}" "${fused_tsv}"
 printf '%s\n' "${fused_out}" | grep '^fused:' | sed 's/^/    /'
 
 # Out-of-core smoke: the dirty_100k scaling preset under a hard 8 MiB

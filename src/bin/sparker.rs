@@ -358,8 +358,14 @@ fn run() -> Result<(), String> {
         let overlap = f.busy_time().as_secs_f64() / f.wall.as_secs_f64().max(1e-9);
         println!(
             "fused: {} morsels, produce busy {:.1?} + consume busy {:.1?} over wall {:.1?} \
-             (overlap {overlap:.2}x), queue wait {:.1?}, backpressure {}",
-            f.morsels, f.produce_busy, f.consume_busy, f.wall, f.queue_wait, f.backpressure_yields,
+             (overlap {overlap:.2}x), queue wait {:.1?}, backpressure {}, payloads {}",
+            f.morsels,
+            f.produce_busy,
+            f.consume_busy,
+            f.wall,
+            f.queue_wait,
+            f.backpressure_yields,
+            f.payloads,
         );
     }
     println!(

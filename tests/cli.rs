@@ -351,3 +351,93 @@ fn entity_csv_is_byte_identical_to_write_csv() {
     assert_eq!(std::fs::read_to_string(&out).unwrap(), expected);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `line` with every ` (…)` timing cut.
+fn cut_timings(line: &str) -> String {
+    let mut out = String::new();
+    let mut rest = line;
+    while let Some(open) = rest.find(" (") {
+        out.push_str(&rest[..open]);
+        match rest[open..].find(')') {
+            Some(close) => rest = &rest[open + close + 1..],
+            None => {
+                rest = &rest[open..];
+                break;
+            }
+        }
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn fused_reads_of_the_candidate_set_match_sequential() {
+    // The fused backend keeps no retained edges after scoring them: its
+    // candidate set re-derives them the first time something reads the
+    // pairs. `--show-lost` (membership) and `--export-edges` (the weighted
+    // edges in order) are such reads; both must print and write exactly
+    // what the sequential run does. The per-stage table, the engine and
+    // `fused:` lines and the `memory:` line are measurements, cut along
+    // with every `(…)` timing.
+    let dir = tempdir("on-demand");
+    let tsv = dir.join("edges.tsv");
+    let run = |backend: &[&str]| {
+        let result = sparker()
+            .args(["--preset", "dirty_1k", "--edge-scorer", "js", "--show-lost"])
+            .args(backend)
+            .arg("--export-edges")
+            .arg(&tsv)
+            .output()
+            .unwrap();
+        assert!(
+            result.status.success(),
+            "{backend:?}: {}",
+            String::from_utf8_lossy(&result.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&result.stdout).into_owned();
+        (stdout, std::fs::read(&tsv).unwrap())
+    };
+    let semantic = |stdout: &str| -> Vec<String> {
+        let mut in_table = false;
+        stdout
+            .lines()
+            .filter(|l| {
+                if l.starts_with("stage ") {
+                    in_table = true;
+                } else if in_table && l.starts_with("total ") {
+                    in_table = false;
+                    return false;
+                }
+                !in_table
+                    && !["fused engine:", "fused:", "memory:"]
+                        .iter()
+                        .any(|p| l.starts_with(p))
+            })
+            .map(cut_timings)
+            .collect()
+    };
+    let (seq_out, seq_tsv) = run(&["--backend", "sequential"]);
+    let (fused_out, fused_tsv) = run(&["--backend", "fused", "--workers", "2"]);
+    assert!(fused_out.contains("fused engine: 2 workers"), "{fused_out}");
+    assert!(
+        fused_out
+            .lines()
+            .any(|l| l.starts_with("fused:") && l.contains(", payloads ")),
+        "{fused_out}"
+    );
+    let seq_lines = semantic(&seq_out);
+    assert!(
+        seq_lines
+            .iter()
+            .any(|l| l.starts_with("lost ground-truth pairs after blocking:")),
+        "{seq_out}"
+    );
+    assert!(
+        seq_lines.iter().any(|l| l.starts_with("exported ")),
+        "{seq_out}"
+    );
+    assert_eq!(semantic(&fused_out), seq_lines);
+    assert!(seq_tsv.len() > 100, "the export holds edges");
+    assert!(seq_tsv == fused_tsv, "the exported TSVs differ");
+    std::fs::remove_dir_all(&dir).ok();
+}
