@@ -75,9 +75,8 @@ pub fn keyed_blocking(
         .collect();
 
     // flatMap: (key id, (source, id)); groupByKey: key id -> members. The
-    // spillable operator accounts the shuffle buffers against the context's
-    // memory budget (and spills them when it's exceeded) — byte-identical
-    // to the plain operator either way.
+    // shuffle accounts its buffers against the context's memory budget (and
+    // spills them when it's exceeded) — byte-identical either way.
     let grouped = indices
         .flat_map(|&i| {
             let (id, source, keys) = &rows[i as usize];
@@ -85,7 +84,7 @@ pub fn keyed_blocking(
                 .map(|k| (lookup[k.as_str()], (*source, *id)))
                 .collect::<Vec<_>>()
         })
-        .group_by_key_spillable();
+        .group_by_key();
 
     let mut keyed_blocks: Vec<(u32, Block)> = grouped
         .map(|(key, members)| {
@@ -151,7 +150,7 @@ pub fn block_filtering(ctx: &Context, blocks: BlockCollection, ratio: f64) -> Bl
                 .map(|&(src, p)| (p, (bid, cmps, src)))
                 .collect::<Vec<_>>()
         })
-        .group_by_key_spillable();
+        .group_by_key();
 
     // Per profile: retain the smallest `quota` blocks, emit (block, (src, profile)).
     let retained = by_profile.flat_map(move |(p, blocks_of_p)| {
@@ -165,7 +164,7 @@ pub fn block_filtering(ctx: &Context, blocks: BlockCollection, ratio: f64) -> Bl
             .collect::<Vec<_>>()
     });
 
-    let regrouped = retained.group_by_key_spillable();
+    let regrouped = retained.group_by_key();
     let mut rebuilt: Vec<(u32, Block)> = regrouped
         .map(move |(bid, members)| {
             let mut s0: Vec<ProfileId> = Vec::new();

@@ -131,4 +131,23 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn spills_under_a_tiny_budget_and_matches_unlimited() {
+        use sparker_dataflow::MemBudget;
+        let edges: Vec<(Pair, f64)> = (0..60).map(|i| edge(i, (i * 7 + 3) % 90)).collect();
+        let run = |budget: &MemBudget| {
+            let ctx = Context::with_partitions(2, 4).with_budget(budget.clone());
+            connected_components_dataflow(&ctx, &edges, 90)
+        };
+        let tiny = MemBudget::limited(64);
+        let unlimited = MemBudget::unlimited();
+        let resident = run(&unlimited);
+        assert_eq!(run(&tiny), resident);
+        assert_eq!(resident, connected_components(&edges, 90));
+        assert_eq!(unlimited.spill_batches(), 0);
+        assert!(tiny.spill_batches() > 0, "join and reduce_by_key spill");
+        assert_eq!(tiny.tracked_bytes(), 0, "all reservations released");
+        assert_eq!(unlimited.tracked_bytes(), 0);
+    }
 }

@@ -251,12 +251,6 @@ impl MemBudget {
     pub fn peak_rss_bytes() -> u64 {
         proc_status_kb("VmHWM") * 1024
     }
-
-    /// Current resident set size of this process in bytes (`VmRSS`), or 0
-    /// where the kernel does not expose it.
-    pub fn current_rss_bytes() -> u64 {
-        proc_status_kb("VmRSS") * 1024
-    }
 }
 
 /// Read a `kB`-denominated field from `/proc/self/status`.
@@ -425,7 +419,6 @@ mod tests {
     #[test]
     fn rss_sampling_reports_nonzero_on_linux() {
         assert!(MemBudget::peak_rss_bytes() > 0);
-        assert!(MemBudget::current_rss_bytes() > 0);
     }
 
     #[test]

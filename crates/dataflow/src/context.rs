@@ -1,8 +1,7 @@
 //! Execution context: worker pool + metrics + dataset construction.
 
-use crate::{
-    Accumulator, Broadcast, Dataset, ExecutionMetrics, MemBudget, MetricsSnapshot, WorkerPool,
-};
+use crate::pool::WorkerPool;
+use crate::{Broadcast, Dataset, ExecutionMetrics, MemBudget, MetricsSnapshot};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -170,11 +169,6 @@ impl Context {
         self.parallelize_by_cost(data, costs, self.default_partitions)
     }
 
-    /// An empty dataset with one (empty) partition.
-    pub fn empty<T: Send + Sync>(&self) -> Dataset<T> {
-        Dataset::from_parts(self.clone(), vec![Arc::new(Vec::new())])
-    }
-
     /// Create a broadcast variable visible to every task.
     ///
     /// Accepts either an owned `T` (wrapped in a fresh `Arc`) or an
@@ -184,11 +178,6 @@ impl Context {
     pub fn broadcast<T>(&self, value: impl Into<Broadcast<T>>) -> Broadcast<T> {
         self.metrics.record_broadcast();
         value.into()
-    }
-
-    /// Create a named accumulator tasks can bump and the driver can read.
-    pub fn accumulator(&self, name: &str) -> Accumulator {
-        Accumulator::new(name)
     }
 }
 
@@ -309,9 +298,12 @@ mod tests {
     #[test]
     fn empty_dataset() {
         let ctx = Context::new(2);
-        let ds: Dataset<u8> = ctx.empty();
+        let ds: Dataset<(u8, u8)> = ctx.parallelize(Vec::new(), 3);
         assert_eq!(ds.count(), 0);
+        assert!(ds.is_empty());
         assert!(ds.collect().is_empty());
+        let grouped = ds.group_by_key();
+        assert!(grouped.is_empty(), "a shuffle of nothing yields nothing");
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::metrics::StageMetrics;
 use crate::partition_for;
 use crate::pool::StageStats;
 use crate::spill::{SpillCodec, SpilledBuckets};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -28,10 +29,6 @@ pub struct Dataset<T> {
     parts: Vec<Arc<Vec<T>>>,
 }
 
-/// A dataset of key–value pairs; all keyed (shuffle) operators live on this
-/// shape. This is a type alias — any `Dataset<(K, V)>` has the keyed API.
-pub type KeyedDataset<K, V> = Dataset<(K, V)>;
-
 impl<T> Clone for Dataset<T> {
     fn clone(&self) -> Self {
         Dataset {
@@ -41,57 +38,34 @@ impl<T> Clone for Dataset<T> {
     }
 }
 
-/// Push one completed stage into the context's metrics sink.
-#[allow(clippy::too_many_arguments)]
-fn record_stage(
-    ctx: &Context,
+/// One completed stage's metrics row; wide operators fill in
+/// `shuffle_records` and `buffered_bytes` (the shuffle buffers' high-water
+/// against the context's memory budget) on top.
+fn stage_row(
     name: &str,
     tasks: usize,
     input_records: u64,
     output_records: u64,
-    shuffle_records: u64,
     t0: Instant,
     stats: StageStats,
-) {
-    record_stage_buffered(
-        ctx,
-        name,
-        tasks,
-        input_records,
-        output_records,
-        shuffle_records,
-        0,
-        t0,
-        stats,
-    );
-}
-
-/// [`record_stage`] for operators that account their shuffle buffers
-/// against the context's memory budget.
-#[allow(clippy::too_many_arguments)]
-fn record_stage_buffered(
-    ctx: &Context,
-    name: &str,
-    tasks: usize,
-    input_records: u64,
-    output_records: u64,
-    shuffle_records: u64,
-    buffered_bytes: u64,
-    t0: Instant,
-    stats: StageStats,
-) {
-    ctx.metrics_sink().record_stage(StageMetrics {
+) -> StageMetrics {
+    StageMetrics {
         name: name.to_string(),
         tasks,
         input_records,
         output_records,
-        shuffle_records,
-        buffered_bytes,
+        shuffle_records: 0,
+        buffered_bytes: 0,
         wall_time: t0.elapsed(),
         busy_time: stats.busy_time,
         queue_wait: stats.queue_wait,
         per_worker_busy: stats.per_worker_busy,
-    });
+    }
+}
+
+/// Total record count of a partition list.
+fn records<T, P: Borrow<Vec<T>>>(parts: &[P]) -> u64 {
+    parts.iter().map(|p| p.borrow().len() as u64).sum()
 }
 
 impl<T: Send + Sync> Dataset<T> {
@@ -125,26 +99,6 @@ impl<T: Send + Sync> Dataset<T> {
         self.count() == 0
     }
 
-    fn record_stage(
-        &self,
-        name: &str,
-        output_records: u64,
-        shuffle_records: u64,
-        t0: Instant,
-        stats: StageStats,
-    ) {
-        record_stage(
-            &self.ctx,
-            name,
-            self.parts.len(),
-            self.count() as u64,
-            output_records,
-            shuffle_records,
-            t0,
-            stats,
-        );
-    }
-
     /// Run one narrow stage: `f(partition_index, partition) -> new partition`.
     fn narrow_stage<U, F>(&self, name: &str, f: F) -> Dataset<U>
     where
@@ -156,33 +110,10 @@ impl<T: Send + Sync> Dataset<T> {
             .ctx
             .pool()
             .run_with_stats(self.parts.len(), |i| f(i, self.parts[i].as_slice()));
-        let produced: u64 = out.iter().map(|p| p.len() as u64).sum();
-        self.record_stage(name, produced, 0, t0, stats);
+        let (tasks, input) = (self.parts.len(), self.count() as u64);
+        let row = stage_row(name, tasks, input, records(&out), t0, stats);
+        self.ctx.metrics_sink().record_stage(row);
         Dataset::from_parts(self.ctx.clone(), out.into_iter().map(Arc::new).collect())
-    }
-
-    /// Narrow stage that consumes the dataset: each partition is *moved*
-    /// into `f` when this dataset holds the only reference to it (the owned
-    /// fast path), and copied only when the partition is shared.
-    fn narrow_stage_owned<U, F>(self, name: &str, f: F) -> Dataset<U>
-    where
-        T: Clone,
-        U: Send + Sync,
-        F: Fn(Vec<T>) -> Vec<U> + Send + Sync,
-    {
-        let t0 = Instant::now();
-        let Dataset { ctx, parts } = self;
-        let tasks = parts.len();
-        let input: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let (out, stats) = ctx.pool().run_owned(parts, |_, part| {
-            f(match Arc::try_unwrap(part) {
-                Ok(owned) => owned,
-                Err(shared) => shared.to_vec(),
-            })
-        });
-        let produced: u64 = out.iter().map(|p| p.len() as u64).sum();
-        record_stage(&ctx, name, tasks, input, produced, 0, t0, stats);
-        Dataset::from_parts(ctx, out.into_iter().map(Arc::new).collect())
     }
 
     /// Apply `f` to every record.
@@ -213,9 +144,10 @@ impl<T: Send + Sync> Dataset<T> {
         self.narrow_stage("map_partitions", f)
     }
 
-    /// Morsel-granular narrow stage: split every partition into contiguous
-    /// runs of at most `grain` records and make each run its own pool task,
-    /// claimed dynamically off the stage's atomic counter.
+    /// Morsel-granular narrow stage, recorded under the stage `name`: split
+    /// every partition into contiguous runs of at most `grain` records and
+    /// make each run its own pool task, claimed dynamically off the stage's
+    /// atomic counter.
     ///
     /// With one task per partition (`map_partitions`), a stage's wall-clock
     /// is the *heaviest partition*; with morsels it tracks *total work*,
@@ -229,18 +161,6 @@ impl<T: Send + Sync> Dataset<T> {
     /// re-concatenated per input partition in record order, so the result
     /// equals `map_partitions` applied to the same per-record function —
     /// only the schedule changes, never the order.
-    pub fn map_morsels<U, F>(&self, grain: usize, f: F) -> Dataset<U>
-    where
-        U: Send + Sync,
-        F: Fn(usize, &[T]) -> Vec<U> + Send + Sync,
-    {
-        self.map_morsels_named("map_morsels", grain, f)
-    }
-
-    /// [`Dataset::map_morsels`] recorded under an explicit stage name, so
-    /// pipeline-level operators (entity matching, clustering) appear as
-    /// their own stages in [`crate::MetricsSnapshot`] instead of an
-    /// anonymous `map_morsels` entry.
     pub fn map_morsels_named<U, F>(&self, name: &str, grain: usize, f: F) -> Dataset<U>
     where
         U: Send + Sync,
@@ -268,7 +188,7 @@ impl<T: Send + Sync> Dataset<T> {
             let (p, start, end) = morsels[t];
             f(worker, &self.parts[p][start..end])
         });
-        let produced: u64 = out.iter().map(|m| m.len() as u64).sum();
+        let produced = records(&out);
         let mut parts: Vec<Vec<U>> = Vec::with_capacity(self.parts.len());
         let mut it = out.into_iter();
         for count in morsels_per_part {
@@ -282,16 +202,9 @@ impl<T: Send + Sync> Dataset<T> {
             }
             parts.push(merged);
         }
-        record_stage(
-            &self.ctx,
-            name,
-            morsels.len(),
-            self.count() as u64,
-            produced,
-            0,
-            t0,
-            stats,
-        );
+        let input = self.count() as u64;
+        let row = stage_row(name, morsels.len(), input, produced, t0, stats);
+        self.ctx.metrics_sink().record_stage(row);
         Dataset::from_parts(self.ctx.clone(), parts.into_iter().map(Arc::new).collect())
     }
 
@@ -304,54 +217,9 @@ impl<T: Send + Sync> Dataset<T> {
         let (_, stats) = self.ctx.pool().run_with_stats(self.parts.len(), |i| {
             self.parts[i].iter().for_each(&f);
         });
-        self.record_stage("for_each", 0, 0, t0, stats);
-    }
-
-    /// Fold all records into one value.
-    ///
-    /// `combine` must be commutative and associative for the result to be
-    /// independent of partitioning; partition-level results are folded in
-    /// partition order, so associativity alone suffices for the engine's
-    /// determinism guarantee.
-    pub fn fold<U, F>(&self, init: U, combine: F) -> U
-    where
-        U: Clone + Send + Sync,
-        T: Clone + Into<U>,
-        F: Fn(U, U) -> U + Send + Sync,
-    {
-        let t0 = Instant::now();
-        let (partials, stats) = self.ctx.pool().run_with_stats(self.parts.len(), |i| {
-            self.parts[i]
-                .iter()
-                .fold(init.clone(), |acc, x| combine(acc, x.clone().into()))
-        });
-        self.record_stage("fold", 1, 0, t0, stats);
-        partials.into_iter().fold(init, combine)
-    }
-
-    /// Combine all records with `f`; `None` when empty.
-    pub fn reduce<F>(&self, f: F) -> Option<T>
-    where
-        T: Clone,
-        F: Fn(T, T) -> T + Send + Sync,
-    {
-        let t0 = Instant::now();
-        let (partials, stats) = self.ctx.pool().run_with_stats(self.parts.len(), |i| {
-            self.parts[i].iter().cloned().reduce(&f)
-        });
-        self.record_stage("reduce", 1, 0, t0, stats);
-        partials.into_iter().flatten().reduce(f)
-    }
-
-    /// Keep only records matching the predicate.
-    pub fn filter<F>(&self, pred: F) -> Dataset<T>
-    where
-        T: Clone,
-        F: Fn(&T) -> bool + Send + Sync,
-    {
-        self.narrow_stage("filter", |_, p| {
-            p.iter().filter(|x| pred(x)).cloned().collect()
-        })
+        let (tasks, input) = (self.parts.len(), self.count() as u64);
+        let row = stage_row("for_each", tasks, input, 0, t0, stats);
+        self.ctx.metrics_sink().record_stage(row);
     }
 
     /// Gather all records to the caller in partition order.
@@ -375,33 +243,7 @@ impl<T: Send + Sync> Dataset<T> {
     where
         T: Clone,
     {
-        self.parts
-            .into_iter()
-            .map(|p| match Arc::try_unwrap(p) {
-                Ok(owned) => owned,
-                Err(shared) => shared.to_vec(),
-            })
-            .collect()
-    }
-
-    /// Pair every record with its global index (partition-order positions).
-    pub fn zip_with_index(&self) -> Dataset<(T, u64)>
-    where
-        T: Clone,
-    {
-        let mut offsets = Vec::with_capacity(self.parts.len());
-        let mut acc = 0u64;
-        for p in &self.parts {
-            offsets.push(acc);
-            acc += p.len() as u64;
-        }
-        self.narrow_stage("zip_with_index", move |i, p| {
-            p.iter()
-                .cloned()
-                .enumerate()
-                .map(|(j, x)| (x, offsets[i] + j as u64))
-                .collect()
-        })
+        self.parts.into_iter().map(Arc::unwrap_or_clone).collect()
     }
 
     /// Concatenate two datasets (no data movement; partitions are shared).
@@ -410,354 +252,110 @@ impl<T: Send + Sync> Dataset<T> {
         parts.extend(other.parts.iter().cloned());
         Dataset::from_parts(self.ctx.clone(), parts)
     }
-
-    /// Redistribute records over `n` partitions, preserving global order
-    /// (contiguous ranges, like [`Context::parallelize`]).
-    pub fn repartition(&self, n: usize) -> Dataset<T>
-    where
-        T: Clone,
-    {
-        let t0 = Instant::now();
-        let all = self.collect();
-        let moved = all.len() as u64;
-        let out = self.ctx.parallelize(all, n.max(1));
-        self.record_stage("repartition", moved, moved, t0, StageStats::default());
-        out
-    }
-
-    /// Key every record with `key_fn`, keeping the record as the value.
-    pub fn key_by<K, F>(&self, key_fn: F) -> Dataset<(K, T)>
-    where
-        K: Send + Sync,
-        T: Clone,
-        F: Fn(&T) -> K + Send + Sync,
-    {
-        self.narrow_stage("key_by", |_, p| {
-            p.iter().map(|x| (key_fn(x), x.clone())).collect()
-        })
-    }
-
-    /// Remove duplicate records (hash shuffle so equal records meet).
-    ///
-    /// Consumes the dataset; when partitions are uniquely owned no record
-    /// is cloned anywhere in the pipeline.
-    pub fn distinct(self) -> Dataset<T>
-    where
-        T: Clone + Hash + Eq,
-    {
-        self.narrow_stage_owned("map", |p| {
-            p.into_iter().map(|x| (x, ())).collect::<Vec<_>>()
-        })
-        .group_by_key()
-        .narrow_stage_owned("distinct", |p| p.into_iter().map(|(k, _)| k).collect())
-    }
-
-    /// Total order sort by a key function (driver-side merge, like a 1-stage
-    /// `sortBy`); output is range-partitioned over the current partition
-    /// count.
-    pub fn sort_by<K, F>(&self, key_fn: F) -> Dataset<T>
-    where
-        T: Clone,
-        K: Ord,
-        F: Fn(&T) -> K + Send + Sync,
-    {
-        let t0 = Instant::now();
-        let mut all = self.collect();
-        all.sort_by_key(|a| key_fn(a));
-        let moved = all.len() as u64;
-        let out = self.ctx.parallelize(all, self.parts.len());
-        self.record_stage("sort_by", moved, moved, t0, StageStats::default());
-        out
-    }
-
-    /// Deterministic Bernoulli sample: keeps each record with probability
-    /// `fraction`, decided by a hash of `(seed, global index)`.
-    pub fn sample(&self, seed: u64, fraction: f64) -> Dataset<T>
-    where
-        T: Clone,
-    {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "sample fraction must be in [0, 1], got {fraction}"
-        );
-        let threshold = (fraction * u64::MAX as f64) as u64;
-        self.zip_with_index().narrow_stage("sample", move |_, p| {
-            p.iter()
-                .filter(|(_, idx)| {
-                    splitmix64(seed ^ idx.wrapping_mul(0x9E3779B97F4A7C15)) <= threshold
-                })
-                .map(|(x, _)| x.clone())
-                .collect()
-        })
-    }
-}
-
-impl<T: Send + Sync> Dataset<T> {
-    /// First `n` records in partition order (an action).
-    pub fn take(&self, n: usize) -> Vec<T>
-    where
-        T: Clone,
-    {
-        let mut out = Vec::with_capacity(n.min(self.count()));
-        for p in &self.parts {
-            for x in p.iter() {
-                if out.len() == n {
-                    return out;
-                }
-                out.push(x.clone());
-            }
-        }
-        out
-    }
-
-    /// The first record, if any.
-    pub fn first(&self) -> Option<T>
-    where
-        T: Clone,
-    {
-        self.take(1).into_iter().next()
-    }
-
-    /// Record with the maximum key (first such record in partition order on
-    /// ties).
-    pub fn max_by_key<K, F>(&self, key_fn: F) -> Option<T>
-    where
-        T: Clone,
-        K: Ord + Send,
-        F: Fn(&T) -> K + Send + Sync,
-    {
-        let partials: Vec<Option<T>> = self.ctx.pool().run(self.parts.len(), |i| {
-            self.parts[i]
-                .iter()
-                .max_by(|a, b| key_fn(a).cmp(&key_fn(b)).then(std::cmp::Ordering::Greater))
-                .cloned()
-        });
-        partials
-            .into_iter()
-            .flatten()
-            .max_by(|a, b| key_fn(a).cmp(&key_fn(b)).then(std::cmp::Ordering::Greater))
-    }
-
-    /// Record with the minimum key (first such record in partition order on
-    /// ties).
-    pub fn min_by_key<K, F>(&self, key_fn: F) -> Option<T>
-    where
-        T: Clone,
-        K: Ord + Send,
-        F: Fn(&T) -> K + Send + Sync,
-    {
-        self.max_by_key(|x| std::cmp::Reverse(key_fn(x)))
-    }
-}
-
-/// SplitMix64: cheap, high-quality 64-bit mixer used for sampling decisions.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------------
 // Keyed (shuffle) operators.
 // ---------------------------------------------------------------------------
 
+/// Hash-shuffle owned partitions into the context's default number of
+/// target buckets, with byte accounting against its [`crate::MemBudget`].
+///
+/// Records are routed by `hash(key) % n`; within each target bucket,
+/// records appear in (input partition, input offset) order, which makes
+/// every downstream grouping deterministic. A partition whose `Arc` is
+/// uniquely held is unwrapped and its records *moved* into the buckets;
+/// shared partitions fall back to per-record cloning.
+///
+/// Each map task reserves its buckets' exact encoded size; when the
+/// reservation would exceed the budget, that input partition's buckets are
+/// spilled to the run-scoped temp dir in the [`SpillCodec`] batch format
+/// and streamed back on the reduce side. The codec round-trip is
+/// bit-exact, so the output is byte-identical whether or not anything
+/// spilled — the resident/spilled decision (which depends on task
+/// completion order) only moves bytes between RAM and disk.
+fn shuffle<K, V>(ctx: &Context, parts: Vec<Arc<Vec<(K, V)>>>) -> (Vec<Vec<(K, V)>>, StageStats)
+where
+    K: Clone + Hash + Send + Sync,
+    V: Clone + Send + Sync,
+    (K, V): SpillCodec,
+{
+    let n = ctx.default_partitions();
+    let budget = ctx.budget().clone();
+    enum MapOutput<T> {
+        Resident { buckets: Vec<Vec<T>>, bytes: u64 },
+        Spilled(SpilledBuckets),
+    }
+    // Map side: bucket each input partition, then keep it in RAM only if
+    // the budget still has room for its bytes.
+    let (bucketed, stats) = ctx.pool().run_owned(parts, |_, part| {
+        let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
+        let mut bytes = 0u64;
+        let mut push = |record: (K, V)| {
+            bytes += record.encoded_len() as u64;
+            buckets[partition_for(&record.0, n)].push(record);
+        };
+        match Arc::try_unwrap(part) {
+            Ok(owned) => owned.into_iter().for_each(&mut push),
+            Err(shared) => shared.iter().cloned().for_each(&mut push),
+        }
+        if budget.try_reserve(bytes) {
+            MapOutput::Resident { buckets, bytes }
+        } else {
+            let spilled = SpilledBuckets::write(&budget, &buckets).expect("spill shuffle buckets");
+            MapOutput::Spilled(spilled)
+        }
+    });
+    // Reduce side: concatenate per-target buckets in input order,
+    // streaming spilled ones back from disk.
+    let mut targets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
+    for input in bucketed {
+        match input {
+            MapOutput::Resident { buckets, bytes } => {
+                for (j, bucket) in buckets.into_iter().enumerate() {
+                    targets[j].extend(bucket);
+                }
+                budget.release(bytes);
+            }
+            MapOutput::Spilled(spilled) => {
+                for (j, target) in targets.iter_mut().enumerate() {
+                    spilled
+                        .read_bucket_into(j, target)
+                        .expect("read spilled shuffle bucket");
+                }
+            }
+        }
+    }
+    (targets, stats)
+}
+
 impl<K, V> Dataset<(K, V)>
 where
     K: Clone + Hash + Eq + Send + Sync,
     V: Clone + Send + Sync,
+    (K, V): SpillCodec,
 {
-    /// Hash-shuffle owned partitions into `n` target buckets.
-    ///
-    /// Records are routed by `hash(key) % n`; within each target bucket,
-    /// records appear in (input partition, input offset) order, which makes
-    /// every downstream grouping deterministic. A partition whose `Arc` is
-    /// uniquely held is unwrapped and its records *moved* into the buckets;
-    /// shared partitions fall back to per-record cloning.
-    fn shuffle_parts(
-        ctx: &Context,
-        parts: Vec<Arc<Vec<(K, V)>>>,
-        n: usize,
-    ) -> (Vec<Vec<(K, V)>>, StageStats) {
-        let n = n.max(1);
-        // Map side: bucket each input partition.
-        let (bucketed, stats) = ctx.pool().run_owned(parts, |_, part| {
-            let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-            match Arc::try_unwrap(part) {
-                Ok(owned) => {
-                    for (k, v) in owned {
-                        let target = partition_for(&k, n);
-                        buckets[target].push((k, v));
-                    }
-                }
-                Err(shared) => {
-                    for (k, v) in shared.iter() {
-                        buckets[partition_for(k, n)].push((k.clone(), v.clone()));
-                    }
-                }
-            }
-            buckets
-        });
-        // Reduce side: concatenate per-target buckets in input order.
-        let mut targets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-        for input in bucketed {
-            for (j, bucket) in input.into_iter().enumerate() {
-                targets[j].extend(bucket);
-            }
-        }
-        (targets, stats)
-    }
-
     /// Group values by key. Keys keep first-seen order inside each output
-    /// partition; values keep input order.
+    /// partition; values keep input order. The shuffle spills to disk over
+    /// the context's memory budget (output byte-identical at any budget);
+    /// the stage row carries the buffered-bytes high-water.
     pub fn group_by_key(self) -> Dataset<(K, Vec<V>)> {
-        let n = self.ctx.default_partitions();
-        self.group_by_key_with(n)
-    }
-
-    /// [`Dataset::group_by_key`] with an explicit output partition count.
-    pub fn group_by_key_with(self, n: usize) -> Dataset<(K, Vec<V>)> {
         let t0 = Instant::now();
         let Dataset { ctx, parts } = self;
-        let tasks = parts.len();
-        let input: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let (shuffled, map_stats) = Self::shuffle_parts(&ctx, parts, n);
-        let moved: u64 = shuffled.iter().map(|p| p.len() as u64).sum();
+        let (tasks, input) = (parts.len(), records(&parts));
+        ctx.budget().begin_op();
+        let (shuffled, map_stats) = shuffle(&ctx, parts);
+        let moved = records(&shuffled);
         let (grouped, reduce_stats) = ctx
             .pool()
             .run_owned(shuffled, |_, bucket| group_preserving_order(bucket));
-        let produced: u64 = grouped.iter().map(|p| p.len() as u64).sum();
-        record_stage(
-            &ctx,
-            "group_by_key",
-            tasks,
-            input,
-            produced,
-            moved,
-            t0,
-            map_stats + reduce_stats,
-        );
-        Dataset::from_parts(ctx, grouped.into_iter().map(Arc::new).collect())
-    }
-
-    /// Hash-shuffle with byte accounting against the context's
-    /// [`crate::MemBudget`]: each map task reserves its buckets' exact
-    /// encoded size; when the reservation would exceed the budget, that
-    /// input partition's buckets are spilled to the run-scoped temp dir in
-    /// the [`SpillCodec`] batch format and streamed back on the reduce
-    /// side. Routing, intra-bucket order and the input-order concatenation
-    /// are identical to [`Dataset::shuffle_parts`], and the codec
-    /// round-trip is bit-exact, so the output is byte-identical whether or
-    /// not anything spilled — the resident/spilled decision (which depends
-    /// on task completion order) only moves bytes between RAM and disk.
-    fn shuffle_parts_spillable(
-        ctx: &Context,
-        parts: Vec<Arc<Vec<(K, V)>>>,
-        n: usize,
-    ) -> (Vec<Vec<(K, V)>>, StageStats)
-    where
-        (K, V): SpillCodec,
-    {
-        let n = n.max(1);
-        let budget = ctx.budget().clone();
-        enum MapOutput<T> {
-            Resident { buckets: Vec<Vec<T>>, bytes: u64 },
-            Spilled(SpilledBuckets),
-        }
-        // Map side: bucket each input partition, then keep it in RAM only
-        // if the budget still has room for its bytes.
-        let (bucketed, stats) = ctx.pool().run_owned(parts, |_, part| {
-            let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-            let mut bytes = 0u64;
-            match Arc::try_unwrap(part) {
-                Ok(owned) => {
-                    for record in owned {
-                        bytes += record.encoded_len() as u64;
-                        let target = partition_for(&record.0, n);
-                        buckets[target].push(record);
-                    }
-                }
-                Err(shared) => {
-                    for (k, v) in shared.iter() {
-                        let record = (k.clone(), v.clone());
-                        bytes += record.encoded_len() as u64;
-                        let target = partition_for(&record.0, n);
-                        buckets[target].push(record);
-                    }
-                }
-            }
-            if budget.try_reserve(bytes) {
-                MapOutput::Resident { buckets, bytes }
-            } else {
-                let spilled =
-                    SpilledBuckets::write(&budget, &buckets).expect("spill shuffle buckets");
-                MapOutput::Spilled(spilled)
-            }
+        let stats = map_stats + reduce_stats;
+        let row = stage_row("group_by_key", tasks, input, records(&grouped), t0, stats);
+        ctx.metrics_sink().record_stage(StageMetrics {
+            shuffle_records: moved,
+            buffered_bytes: ctx.budget().op_high_water(),
+            ..row
         });
-        // Reduce side: concatenate per-target buckets in input order,
-        // streaming spilled ones back from disk.
-        let mut targets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-        for input in bucketed {
-            match input {
-                MapOutput::Resident { buckets, bytes } => {
-                    for (j, bucket) in buckets.into_iter().enumerate() {
-                        targets[j].extend(bucket);
-                    }
-                    budget.release(bytes);
-                }
-                MapOutput::Spilled(spilled) => {
-                    for (j, target) in targets.iter_mut().enumerate() {
-                        spilled
-                            .read_bucket_into(j, target)
-                            .expect("read spilled shuffle bucket");
-                    }
-                }
-            }
-        }
-        (targets, stats)
-    }
-
-    /// [`Dataset::group_by_key`] with spill-to-disk under the context's
-    /// memory budget. Byte-identical to the in-RAM operator at any budget
-    /// (including when spilling triggers); records the stage under the same
-    /// `"group_by_key"` name with its buffered-bytes high-water filled in.
-    pub fn group_by_key_spillable(self) -> Dataset<(K, Vec<V>)>
-    where
-        (K, V): SpillCodec,
-    {
-        let n = self.ctx.default_partitions();
-        self.group_by_key_spillable_with(n)
-    }
-
-    /// [`Dataset::group_by_key_spillable`] with an explicit output
-    /// partition count.
-    pub fn group_by_key_spillable_with(self, n: usize) -> Dataset<(K, Vec<V>)>
-    where
-        (K, V): SpillCodec,
-    {
-        let t0 = Instant::now();
-        let Dataset { ctx, parts } = self;
-        let tasks = parts.len();
-        let input: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let budget = ctx.budget().clone();
-        budget.begin_op();
-        let (shuffled, map_stats) = Self::shuffle_parts_spillable(&ctx, parts, n);
-        let moved: u64 = shuffled.iter().map(|p| p.len() as u64).sum();
-        let (grouped, reduce_stats) = ctx
-            .pool()
-            .run_owned(shuffled, |_, bucket| group_preserving_order(bucket));
-        let produced: u64 = grouped.iter().map(|p| p.len() as u64).sum();
-        record_stage_buffered(
-            &ctx,
-            "group_by_key",
-            tasks,
-            input,
-            produced,
-            moved,
-            budget.op_high_water(),
-            t0,
-            map_stats + reduce_stats,
-        );
         Dataset::from_parts(ctx, grouped.into_iter().map(Arc::new).collect())
     }
 
@@ -769,106 +367,56 @@ where
     where
         F: Fn(V, &V) -> V + Send + Sync,
     {
-        let n = self.ctx.default_partitions();
-        self.reduce_by_key_with(n, combine)
-    }
-
-    /// [`Dataset::reduce_by_key`] with an explicit output partition count.
-    pub fn reduce_by_key_with<F>(self, n: usize, combine: F) -> Dataset<(K, V)>
-    where
-        F: Fn(V, &V) -> V + Send + Sync,
-    {
         let t0 = Instant::now();
         let Dataset { ctx, parts } = self;
-        let tasks = parts.len();
-        let input: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let fold_group = |(k, vs): (K, Vec<V>)| {
-            let mut it = vs.into_iter();
-            let first = it.next().expect("group is never empty");
-            (k, it.fold(first, |acc, v| combine(acc, &v)))
-        };
-        // Map-side combine shrinks the shuffle.
-        let (combined, pre_stats) = ctx.pool().run_owned(parts, |_, part| {
-            let pairs = match Arc::try_unwrap(part) {
-                Ok(owned) => owned,
-                Err(shared) => shared.to_vec(),
-            };
+        let (tasks, input) = (parts.len(), records(&parts));
+        let fold_groups = |pairs: Vec<(K, V)>| {
             group_preserving_order(pairs)
                 .into_iter()
-                .map(&fold_group)
+                .map(|(k, vs)| {
+                    let mut it = vs.into_iter();
+                    let first = it.next().expect("group is never empty");
+                    (k, it.fold(first, |acc, v| combine(acc, &v)))
+                })
                 .collect::<Vec<(K, V)>>()
-        });
+        };
+        // Map-side combine shrinks the shuffle.
+        let (combined, pre_stats) = ctx
+            .pool()
+            .run_owned(parts, |_, part| fold_groups(Arc::unwrap_or_clone(part)));
+        ctx.budget().begin_op();
         // The combined partitions are freshly built, so wrapping them in new
         // `Arc`s keeps the shuffle on the owned (move) path.
-        let (shuffled, map_stats) =
-            Self::shuffle_parts(&ctx, combined.into_iter().map(Arc::new).collect(), n);
-        let moved: u64 = shuffled.iter().map(|p| p.len() as u64).sum();
-        let (reduced, reduce_stats) = ctx.pool().run_owned(shuffled, |_, bucket| {
-            group_preserving_order(bucket)
-                .into_iter()
-                .map(&fold_group)
-                .collect::<Vec<(K, V)>>()
+        let (shuffled, map_stats) = shuffle(&ctx, combined.into_iter().map(Arc::new).collect());
+        let moved = records(&shuffled);
+        let (reduced, reduce_stats) = ctx.pool().run_owned(shuffled, |_, b| fold_groups(b));
+        let stats = pre_stats + map_stats + reduce_stats;
+        let row = stage_row("reduce_by_key", tasks, input, records(&reduced), t0, stats);
+        ctx.metrics_sink().record_stage(StageMetrics {
+            shuffle_records: moved,
+            buffered_bytes: ctx.budget().op_high_water(),
+            ..row
         });
-        let produced: u64 = reduced.iter().map(|p| p.len() as u64).sum();
-        record_stage(
-            &ctx,
-            "reduce_by_key",
-            tasks,
-            input,
-            produced,
-            moved,
-            t0,
-            pre_stats + map_stats + reduce_stats,
-        );
         Dataset::from_parts(ctx, reduced.into_iter().map(Arc::new).collect())
     }
 
-    /// Count records per key.
-    pub fn count_by_key(&self) -> Dataset<(K, u64)> {
-        self.map(|(k, _)| (k.clone(), 1u64))
-            .reduce_by_key(|a, b| a + *b)
-    }
-
-    /// Keys only, in partition order (with duplicates).
-    pub fn keys(&self) -> Dataset<K> {
-        self.map(|(k, _)| k.clone())
-    }
-
-    /// Values only, in partition order.
-    pub fn values(&self) -> Dataset<V> {
-        self.map(|(_, v)| v.clone())
-    }
-
-    /// Transform values, keeping keys (no shuffle).
-    pub fn map_values<W, F>(&self, f: F) -> Dataset<(K, W)>
-    where
-        W: Send + Sync,
-        F: Fn(&V) -> W + Send + Sync,
-    {
-        self.narrow_stage("map_values", |_, p| {
-            p.iter().map(|(k, v)| (k.clone(), f(v))).collect()
-        })
-    }
-
-    /// Group this dataset and `other` by key simultaneously.
-    ///
-    /// Output contains one record per key appearing in either side, in
-    /// first-seen order (all of `self`'s records before `other`'s within
-    /// each target partition).
+    /// Group this dataset and `other` by key simultaneously: one record per
+    /// key appearing on either side, in first-seen order (all of `self`'s
+    /// records before `other`'s within each target partition).
     #[allow(clippy::type_complexity)]
-    pub fn cogroup<W>(self, other: &Dataset<(K, W)>) -> Dataset<(K, (Vec<V>, Vec<W>))>
+    fn cogroup<W>(self, other: &Dataset<(K, W)>) -> Dataset<(K, (Vec<V>, Vec<W>))>
     where
         W: Clone + Send + Sync,
+        (K, W): SpillCodec,
     {
-        let n = self.ctx.default_partitions();
         let t0 = Instant::now();
         let Dataset { ctx, parts } = self;
         let tasks = parts.len().max(other.parts.len());
-        let input: u64 = parts.iter().map(|p| p.len() as u64).sum::<u64>() + other.count() as u64;
-        let (left, left_stats) = Self::shuffle_parts(&ctx, parts, n);
-        let (right, right_stats) = Dataset::<(K, W)>::shuffle_parts(&ctx, other.parts.clone(), n);
-        let moved: u64 = left.iter().map(|p| p.len() as u64).sum::<u64>()
-            + right.iter().map(|p| p.len() as u64).sum::<u64>();
+        let input = records(&parts) + other.count() as u64;
+        ctx.budget().begin_op();
+        let (left, left_stats) = shuffle(&ctx, parts);
+        let (right, right_stats) = shuffle(&ctx, other.parts.clone());
+        let moved = records(&left) + records(&right);
         let zipped: Vec<(Vec<(K, V)>, Vec<(K, W)>)> = left.into_iter().zip(right).collect();
         let (merged, merge_stats) = ctx.pool().run_owned(zipped, |_, (lv, rv)| {
             let mut index: HashMap<K, usize> = HashMap::new();
@@ -889,95 +437,34 @@ where
             }
             out
         });
-        let produced: u64 = merged.iter().map(|p| p.len() as u64).sum();
-        record_stage(
-            &ctx,
-            "cogroup",
-            tasks,
-            input,
-            produced,
-            moved,
-            t0,
-            left_stats + right_stats + merge_stats,
-        );
+        let stats = left_stats + right_stats + merge_stats;
+        let row = stage_row("cogroup", tasks, input, records(&merged), t0, stats);
+        ctx.metrics_sink().record_stage(StageMetrics {
+            shuffle_records: moved,
+            buffered_bytes: ctx.budget().op_high_water(),
+            ..row
+        });
         Dataset::from_parts(ctx, merged.into_iter().map(Arc::new).collect())
     }
 
     /// Inner join on key: one output record per (left value, right value)
-    /// pair of a shared key.
+    /// pair of a shared key. Both sides go through the budgeted shuffle.
     pub fn join<W>(self, other: &Dataset<(K, W)>) -> Dataset<(K, (V, W))>
     where
         W: Clone + Send + Sync,
+        (K, W): SpillCodec,
     {
-        self.cogroup(other).narrow_stage_owned("join", |p| {
+        self.cogroup(other).narrow_stage("join", |_, p| {
             let mut out = Vec::new();
             for (k, (vs, ws)) in p {
                 for v in vs {
-                    for w in &ws {
+                    for w in ws {
                         out.push((k.clone(), (v.clone(), w.clone())));
                     }
                 }
             }
             out
         })
-    }
-
-    /// Left outer join: every left record appears at least once; the right
-    /// side is `None` when the key has no match.
-    pub fn left_outer_join<W>(self, other: &Dataset<(K, W)>) -> Dataset<(K, (V, Option<W>))>
-    where
-        W: Clone + Send + Sync,
-    {
-        self.cogroup(other)
-            .narrow_stage_owned("left_outer_join", |p| {
-                let mut out = Vec::new();
-                for (k, (vs, ws)) in p {
-                    for v in vs {
-                        if ws.is_empty() {
-                            out.push((k.clone(), (v.clone(), None)));
-                        } else {
-                            for w in &ws {
-                                out.push((k.clone(), (v.clone(), Some(w.clone()))));
-                            }
-                        }
-                    }
-                }
-                out
-            })
-    }
-
-    /// Hash-partition by key into `n` partitions (no grouping); used to
-    /// co-partition datasets before node-local algorithms.
-    pub fn partition_by_key(self, n: usize) -> Dataset<(K, V)> {
-        let t0 = Instant::now();
-        let Dataset { ctx, parts } = self;
-        let tasks = parts.len();
-        let input: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let (shuffled, stats) = Self::shuffle_parts(&ctx, parts, n);
-        let moved: u64 = shuffled.iter().map(|p| p.len() as u64).sum();
-        record_stage(
-            &ctx,
-            "partition_by_key",
-            tasks,
-            input,
-            moved,
-            moved,
-            t0,
-            stats,
-        );
-        Dataset::from_parts(ctx, shuffled.into_iter().map(Arc::new).collect())
-    }
-
-    /// Collect into a `HashMap`, keeping the **last** value per key
-    /// (matching Spark's `collectAsMap`).
-    pub fn collect_as_map(&self) -> HashMap<K, V> {
-        let mut out = HashMap::with_capacity(self.count());
-        for p in &self.parts {
-            for (k, v) in p.iter() {
-                out.insert(k.clone(), v.clone());
-            }
-        }
-        out
     }
 }
 
@@ -1015,11 +502,18 @@ fn group_preserving_order<K: Hash + Eq, V>(pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemBudget;
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     fn ctx() -> Context {
         Context::with_partitions(4, 5)
+    }
+
+    /// A 64-byte budget (far below any test's data) and an unlimited one.
+    fn tiny_and_unlimited() -> (MemBudget, MemBudget) {
+        (MemBudget::limited(64), MemBudget::unlimited())
     }
 
     #[test]
@@ -1036,34 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn filter_keeps_order() {
-        let ds = ctx().parallelize((0..20).collect::<Vec<_>>(), 4);
-        assert_eq!(ds.filter(|x| x % 5 == 0).collect(), vec![0, 5, 10, 15]);
-    }
-
-    #[test]
     fn map_partitions_sees_partition_index() {
         let ds = ctx().parallelize(vec![(); 8], 4);
         let out = ds.map_partitions(|i, p| vec![(i, p.len())]).collect();
         assert_eq!(out, vec![(0, 2), (1, 2), (2, 2), (3, 2)]);
-    }
-
-    #[test]
-    fn fold_sums() {
-        let ds = ctx().parallelize((1..=100).collect::<Vec<u64>>(), 7);
-        assert_eq!(ds.fold(0u64, |a, b| a + b), 5050);
-    }
-
-    #[test]
-    fn reduce_empty_is_none() {
-        let ds: Dataset<u64> = ctx().empty();
-        assert_eq!(ds.reduce(|a, b| a + b), None);
-    }
-
-    #[test]
-    fn reduce_max() {
-        let ds = ctx().parallelize(vec![3, 9, 1, 7, 5], 3);
-        assert_eq!(ds.reduce(|a, b| a.max(b)), Some(9));
     }
 
     #[test]
@@ -1088,26 +558,37 @@ mod tests {
 
     #[test]
     fn spillable_group_by_key_matches_plain_when_spilling() {
-        use crate::MemBudget;
-        // A budget far below the data size: every map task must spill.
-        let budget = MemBudget::limited(64);
-        let c = Context::with_partitions(4, 5).with_budget(budget.clone());
+        // A budget far below the data size: every map task must spill; the
+        // output must equal the unlimited (resident) run element-wise.
+        let (tiny, unlimited) = tiny_and_unlimited();
         let pairs: Vec<(String, u64)> = (0..200).map(|i| (format!("key-{}", i % 11), i)).collect();
-        let plain = c.parallelize(pairs.clone(), 6).group_by_key().collect();
-        let spilled = c.parallelize(pairs, 6).group_by_key_spillable().collect();
-        assert_eq!(spilled, plain);
-        assert!(budget.spill_batches() > 0, "tiny budget forces spilling");
-        assert!(budget.spilled_bytes() > 0);
-        assert_eq!(budget.tracked_bytes(), 0, "all reservations released");
+        let run = |budget: &MemBudget| {
+            Context::with_partitions(4, 5)
+                .with_budget(budget.clone())
+                .parallelize(pairs.clone(), 6)
+                .group_by_key()
+                .collect()
+        };
+        let resident = run(&unlimited);
+        let spilled = run(&tiny);
+        assert_eq!(spilled, resident);
+        assert_eq!(unlimited.spill_batches(), 0);
+        assert!(tiny.spill_batches() > 0, "tiny budget forces spilling");
+        assert!(tiny.spilled_bytes() > 0);
+        assert_eq!(tiny.tracked_bytes(), 0, "all reservations released");
+        let mut model: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        for (k, v) in pairs {
+            model.entry(k).or_default().push(v);
+        }
+        assert_eq!(spilled.into_iter().collect::<BTreeMap<_, _>>(), model);
     }
 
     #[test]
     fn spillable_group_by_key_stays_resident_when_unlimited() {
-        use crate::MemBudget;
         let budget = MemBudget::unlimited();
         let c = Context::with_partitions(4, 5).with_budget(budget.clone());
         let pairs: Vec<(u32, u32)> = (0..100).map(|i| (i % 7, i)).collect();
-        let grouped = c.parallelize(pairs, 6).group_by_key_spillable().collect();
+        let grouped = c.parallelize(pairs, 6).group_by_key().collect();
         assert_eq!(grouped.len(), 7);
         assert_eq!(budget.spill_batches(), 0, "unlimited never spills");
         assert!(
@@ -1115,8 +596,7 @@ mod tests {
             "buffered bytes are tracked even without a limit"
         );
         assert_eq!(budget.tracked_bytes(), 0);
-        // The stage row carries the buffered high-water under the plain
-        // operator name.
+        // The stage row carries the buffered high-water.
         let snap = c.metrics();
         let stage = snap
             .stages
@@ -1142,60 +622,87 @@ mod tests {
     }
 
     #[test]
-    fn count_by_key_counts() {
-        let ds = ctx().parallelize(vec![("a", 1), ("b", 2), ("a", 3)], 2);
-        let m = ds.count_by_key().collect_as_map();
-        assert_eq!(m[&"a"], 2);
-        assert_eq!(m[&"b"], 1);
+    fn reduce_by_key_spills_and_matches_unlimited() {
+        let (tiny, unlimited) = tiny_and_unlimited();
+        let pairs: Vec<(u32, u64)> = (0..300u64).map(|i| ((i % 13) as u32, i)).collect();
+        let run = |budget: &MemBudget| {
+            Context::with_partitions(4, 5)
+                .with_budget(budget.clone())
+                .parallelize(pairs.clone(), 6)
+                .reduce_by_key(|a, b| a + b)
+                .collect()
+        };
+        let resident = run(&unlimited);
+        assert_eq!(run(&tiny), resident, "element-wise, in order");
+        assert_eq!(unlimited.spill_batches(), 0);
+        assert!(tiny.spill_batches() > 0, "tiny budget forces spilling");
+        assert_eq!(tiny.tracked_bytes(), 0, "all reservations released");
+        assert_eq!(unlimited.tracked_bytes(), 0);
+        let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+        for (k, v) in &pairs {
+            *model.entry(*k).or_default() += v;
+        }
+        assert_eq!(resident.into_iter().collect::<BTreeMap<_, _>>(), model);
     }
 
     #[test]
     fn join_produces_cross_product_per_key() {
         let c = ctx();
-        let left = c.parallelize(vec![(1, "a"), (1, "b"), (2, "c")], 2);
-        let right = c.parallelize(vec![(1, 10), (2, 20), (2, 30), (3, 99)], 2);
+        let left = c.parallelize(vec![(1u32, b'a'), (1, b'b'), (2, b'c')], 2);
+        let right = c.parallelize(vec![(1u32, 10u32), (2, 20), (2, 30), (3, 99)], 2);
         let mut out = left.join(&right).collect();
         out.sort();
         assert_eq!(
             out,
             vec![
-                (1, ("a", 10)),
-                (1, ("b", 10)),
-                (2, ("c", 20)),
-                (2, ("c", 30))
+                (1, (b'a', 10)),
+                (1, (b'b', 10)),
+                (2, (b'c', 20)),
+                (2, (b'c', 30))
             ]
         );
     }
 
     #[test]
-    fn left_outer_join_keeps_unmatched_left() {
-        let c = ctx();
-        let left = c.parallelize(vec![(1, "a"), (4, "d")], 2);
-        let right = c.parallelize(vec![(1, 10)], 1);
-        let mut out = left.left_outer_join(&right).collect();
-        out.sort();
-        assert_eq!(out, vec![(1, ("a", Some(10))), (4, ("d", None))]);
+    fn join_spills_and_matches_unlimited() {
+        let (tiny, unlimited) = tiny_and_unlimited();
+        let left: Vec<(u32, u32)> = (0..120).map(|i| (i % 17, i)).collect();
+        let right: Vec<(u32, String)> = (0..80).map(|i| (i % 23, format!("r{i}"))).collect();
+        let run = |budget: &MemBudget| {
+            let c = Context::with_partitions(4, 5).with_budget(budget.clone());
+            let r = c.parallelize(right.clone(), 3);
+            c.parallelize(left.clone(), 4).join(&r).collect()
+        };
+        let resident = run(&unlimited);
+        assert_eq!(run(&tiny), resident, "element-wise, in order");
+        assert_eq!(unlimited.spill_batches(), 0);
+        assert!(tiny.spill_batches() > 0, "tiny budget forces spilling");
+        assert_eq!(tiny.tracked_bytes(), 0, "all reservations released");
+        let mut expected: Vec<(u32, (u32, String))> = Vec::new();
+        for (kl, vl) in &left {
+            for (kr, vr) in &right {
+                if kl == kr {
+                    expected.push((*kl, (*vl, vr.clone())));
+                }
+            }
+        }
+        expected.sort();
+        let mut sorted = resident;
+        sorted.sort();
+        assert_eq!(sorted, expected);
     }
 
     #[test]
     fn cogroup_covers_keys_on_either_side() {
         let c = ctx();
-        let left = c.parallelize(vec![(1, 'x')], 1);
-        let right = c.parallelize(vec![(2, 'y')], 1);
+        let left = c.parallelize(vec![(1u32, b'x')], 1);
+        let right = c.parallelize(vec![(2u32, b'y')], 1);
         let mut out = left.cogroup(&right).collect();
         out.sort_by_key(|(k, _)| *k);
         assert_eq!(
             out,
-            vec![(1, (vec!['x'], vec![])), (2, (vec![], vec!['y']))]
+            vec![(1, (vec![b'x'], vec![])), (2, (vec![], vec![b'y']))]
         );
-    }
-
-    #[test]
-    fn distinct_removes_duplicates() {
-        let ds = ctx().parallelize(vec![1, 2, 2, 3, 3, 3, 1], 3);
-        let mut out = ds.distinct().collect();
-        out.sort();
-        assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]
@@ -1205,65 +712,6 @@ mod tests {
         let b = c.parallelize(vec![3], 1);
         assert_eq!(a.union(&b).collect(), vec![1, 2, 3]);
         assert_eq!(a.union(&b).num_partitions(), 2);
-    }
-
-    #[test]
-    fn sort_by_total_order() {
-        let ds = ctx().parallelize(vec![5, 3, 9, 1, 7], 3);
-        assert_eq!(ds.sort_by(|x| *x).collect(), vec![1, 3, 5, 7, 9]);
-        assert_eq!(
-            ds.sort_by(|x| std::cmp::Reverse(*x)).collect(),
-            vec![9, 7, 5, 3, 1]
-        );
-    }
-
-    #[test]
-    fn zip_with_index_is_global() {
-        let ds = ctx().parallelize(vec!["a", "b", "c", "d"], 3);
-        assert_eq!(
-            ds.zip_with_index().collect(),
-            vec![("a", 0), ("b", 1), ("c", 2), ("d", 3)]
-        );
-    }
-
-    #[test]
-    fn repartition_preserves_order() {
-        let ds = ctx().parallelize((0..10).collect::<Vec<_>>(), 2);
-        let rp = ds.repartition(5);
-        assert_eq!(rp.num_partitions(), 5);
-        assert_eq!(rp.collect(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn key_by_pairs_records_with_keys() {
-        let ds = ctx().parallelize(vec!["apple", "banana"], 1);
-        assert_eq!(
-            ds.key_by(|s| s.len()).collect(),
-            vec![(5, "apple"), (6, "banana")]
-        );
-    }
-
-    #[test]
-    fn map_values_keeps_keys() {
-        let ds = ctx().parallelize(vec![(1, 2), (3, 4)], 2);
-        assert_eq!(ds.map_values(|v| v * v).collect(), vec![(1, 4), (3, 16)]);
-    }
-
-    #[test]
-    fn sample_is_deterministic_and_roughly_sized() {
-        let ds = ctx().parallelize((0..10_000).collect::<Vec<_>>(), 8);
-        let s1 = ds.sample(42, 0.1).collect();
-        let s2 = ds.sample(42, 0.1).collect();
-        assert_eq!(s1, s2);
-        assert!(
-            (800..1200).contains(&s1.len()),
-            "expected ~1000 samples, got {}",
-            s1.len()
-        );
-        let s3 = ds.sample(43, 0.1).collect();
-        assert_ne!(s1, s3, "different seeds give different samples");
-        assert!(ds.sample(7, 0.0).collect().is_empty());
-        assert_eq!(ds.sample(7, 1.0).count(), 10_000);
     }
 
     #[test]
@@ -1282,10 +730,13 @@ mod tests {
     fn stage_metrics_include_busy_and_worker_times() {
         let c = Context::with_partitions(2, 3);
         let ds = c.parallelize((0..100_000u64).collect::<Vec<_>>(), 4);
-        let total = ds.fold(0u64, |a, b| a.wrapping_add(b));
-        assert!(total > 0);
+        let total = AtomicU64::new(0);
+        ds.for_each(|x| {
+            total.fetch_add(*x, Ordering::Relaxed);
+        });
+        assert!(total.load(Ordering::Relaxed) > 0);
         let snap = c.metrics();
-        assert_eq!(snap.stages[0].name, "fold");
+        assert_eq!(snap.stages[0].name, "for_each");
         assert!(snap.stages[0].busy_time > Duration::ZERO);
         assert_eq!(
             snap.worker_busy.len(),
@@ -1321,6 +772,24 @@ mod tests {
                 id: self.id,
                 clones: Arc::clone(&self.clones),
             }
+        }
+    }
+
+    /// The shuffle sizes every record with the codec. The zero-copy tests
+    /// run unspilled, so only `encoded_len` is ever called; a decoded
+    /// value would start a fresh clone counter.
+    impl SpillCodec for Tracked {
+        fn encoded_len(&self) -> usize {
+            self.id.encoded_len()
+        }
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.id.encode(out);
+        }
+        fn decode(input: &mut &[u8]) -> Option<Self> {
+            Some(Tracked {
+                id: u32::decode(input)?,
+                clones: Arc::default(),
+            })
         }
     }
 
@@ -1363,26 +832,16 @@ mod tests {
     }
 
     #[test]
-    fn distinct_moves_uniquely_owned_partitions() {
-        let (items, counter) = tracked(30);
-        let out = ctx().parallelize(items, 3).distinct();
-        assert_eq!(out.count(), 30);
-        assert_eq!(
-            counter.load(Ordering::Relaxed),
-            0,
-            "distinct on owned partitions must not clone records"
-        );
-    }
-
-    #[test]
     fn results_identical_across_worker_counts() {
         let build = |workers: usize| {
             let c = Context::with_partitions(workers, 7);
             let ds = c.parallelize((0..500u64).map(|i| (i % 13, i)).collect::<Vec<_>>(), 9);
-            let grouped = ds.group_by_key().map_values(|v| v.iter().sum::<u64>());
-            grouped.sort_by(|(k, _)| *k).collect()
+            ds.group_by_key()
+                .map(|(k, v)| (*k, v.iter().sum::<u64>()))
+                .collect()
         };
         let base = build(1);
+        assert_eq!(base.len(), 13);
         for w in [2, 4, 8] {
             assert_eq!(build(w), base, "workers={w}");
         }
@@ -1392,35 +851,6 @@ mod tests {
     fn group_preserving_order_kernel() {
         let groups = group_preserving_order(vec![("b", 1), ("a", 2), ("b", 3)]);
         assert_eq!(groups, vec![("b", vec![1, 3]), ("a", vec![2])]);
-    }
-
-    #[test]
-    fn take_and_first() {
-        let ds = ctx().parallelize((0..10).collect::<Vec<_>>(), 3);
-        assert_eq!(ds.take(4), vec![0, 1, 2, 3]);
-        assert_eq!(ds.take(0), Vec::<i32>::new());
-        assert_eq!(ds.take(100), (0..10).collect::<Vec<_>>());
-        assert_eq!(ds.first(), Some(0));
-        let empty: Dataset<i32> = ctx().empty();
-        assert_eq!(empty.first(), None);
-    }
-
-    #[test]
-    fn max_min_by_key() {
-        let ds = ctx().parallelize(vec![("a", 3), ("b", 9), ("c", 1)], 2);
-        assert_eq!(ds.max_by_key(|(_, v)| *v), Some(("b", 9)));
-        assert_eq!(ds.min_by_key(|(_, v)| *v), Some(("c", 1)));
-        // Ties: first in partition order wins.
-        let ties = ctx().parallelize(vec![("x", 5), ("y", 5)], 2);
-        assert_eq!(ties.max_by_key(|(_, v)| *v), Some(("x", 5)));
-        let empty: Dataset<(u8, u8)> = ctx().empty();
-        assert_eq!(empty.max_by_key(|(_, v)| *v), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample fraction")]
-    fn sample_rejects_bad_fraction() {
-        ctx().parallelize(vec![1], 1).sample(0, 1.5);
     }
 
     #[test]
@@ -1441,7 +871,8 @@ mod tests {
         let ds = c.parallelize((0..103u64).collect::<Vec<_>>(), 3);
         let by_parts = ds.map_partitions(|_, p| p.iter().map(|x| x * 2).collect::<Vec<_>>());
         for grain in [1, 2, 7, 50, 1000] {
-            let by_morsels = ds.map_morsels(grain, |_, p| p.iter().map(|x| x * 2).collect());
+            let by_morsels =
+                ds.map_morsels_named("m", grain, |_, p| p.iter().map(|x| x * 2).collect());
             assert_eq!(by_morsels.collect(), by_parts.collect(), "grain={grain}");
             assert_eq!(by_morsels.num_partitions(), ds.num_partitions());
             assert_eq!(by_morsels.partition_sizes(), ds.partition_sizes());
@@ -1453,9 +884,8 @@ mod tests {
         let c = Context::with_partitions(2, 2);
         let ds = c.parallelize((0..40u64).collect::<Vec<_>>(), 2);
         c.reset_metrics();
-        ds.map_morsels(5, |_, p| p.to_vec());
+        ds.map_morsels_named("m", 5, |_, p| p.to_vec());
         let snap = c.metrics();
-        assert_eq!(snap.stages[0].name, "map_morsels");
         assert_eq!(snap.stages[0].tasks, 8, "40 records / grain 5");
         assert_eq!(snap.stages[0].per_worker_busy.len(), 2);
     }
@@ -1475,7 +905,7 @@ mod tests {
     fn map_morsels_worker_slots_are_valid() {
         let c = Context::new(4);
         let ds = c.parallelize((0..200u64).collect::<Vec<_>>(), 8);
-        let slots = ds.map_morsels(3, |worker, p| vec![worker; p.len()]);
+        let slots = ds.map_morsels_named("m", 3, |worker, p| vec![worker; p.len()]);
         assert!(slots.collect().iter().all(|&w| w < 4));
     }
 
@@ -1483,7 +913,7 @@ mod tests {
     fn map_morsels_empty_partitions_survive() {
         let c = Context::new(2);
         let ds = c.parallelize(vec![1u8, 2], 5);
-        let out = ds.map_morsels(4, |_, p| p.to_vec());
+        let out = ds.map_morsels_named("m", 4, |_, p| p.to_vec());
         assert_eq!(out.num_partitions(), 5);
         assert_eq!(out.collect(), vec![1, 2]);
     }
@@ -1493,8 +923,10 @@ mod tests {
         let run = |workers: usize| {
             let c = Context::with_partitions(workers, 5);
             let ds = c.parallelize((0..301u64).collect::<Vec<_>>(), 5);
-            ds.map_morsels(8, |_, p| p.iter().map(|x| x.wrapping_mul(31)).collect())
-                .collect()
+            ds.map_morsels_named("m", 8, |_, p| {
+                p.iter().map(|x| x.wrapping_mul(31)).collect()
+            })
+            .collect()
         };
         let base = run(1);
         for w in [2, 4, 8] {

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 /// backpressure protocol [`pipelined_stage`] implements. Depth can
 /// therefore transiently exceed `capacity` by at most one in-flight
 /// payload per worker.
-pub struct MorselQueue<T> {
+pub(crate) struct MorselQueue<T> {
     capacity: usize,
     inner: Mutex<VecDeque<T>>,
     max_depth: AtomicUsize,
@@ -65,11 +65,6 @@ impl<T> MorselQueue<T> {
         }
     }
 
-    /// The backpressure threshold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// `true` when the queue holds at least `capacity` morsels — producers
     /// should consume instead of producing.
     pub fn is_full(&self) -> bool {
@@ -82,11 +77,6 @@ impl<T> MorselQueue<T> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .len()
-    }
-
-    /// `true` when no morsel is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Deepest the queue ever got (for stage reports).
@@ -186,7 +176,7 @@ impl<T> Slots<T> {
 /// with morsel `k`'s data, `consume(worker, &payload)` turns it into
 /// morsel `k`'s output, and both stages execute concurrently inside
 /// **one** pool batch — worker loops interleave producing and consuming
-/// through a bounded [`MorselQueue`] of `capacity` payloads (see
+/// through a bounded morsel queue of `capacity` payloads (see
 /// [`fused_channel_capacity`] for a budget-aware default). Consumed
 /// payloads return to the stage's free list (see the module docs), so
 /// `produce` receives whatever an earlier morsel left in its payload —
@@ -553,7 +543,7 @@ mod tests {
     #[test]
     fn morsel_queue_is_fifo_and_tracks_depth() {
         let q = MorselQueue::new(2);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         q.push(7);
         q.push(3);
         assert!(q.is_full());
@@ -564,6 +554,10 @@ mod tests {
         assert_eq!(q.pop(), Some(9));
         assert_eq!(q.pop(), None);
         assert_eq!(q.max_depth(), 3);
-        assert_eq!(MorselQueue::<usize>::new(0).capacity(), 1);
+        // Capacity clamps to 1: one queued morsel already signals full.
+        let clamped = MorselQueue::new(0);
+        assert!(!clamped.is_full());
+        clamped.push(1usize);
+        assert!(clamped.is_full());
     }
 }

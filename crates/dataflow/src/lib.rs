@@ -9,25 +9,27 @@
 //!
 //! * [`Context`] — entry point; owns the worker pool and execution metrics.
 //! * [`Dataset<T>`] — an eagerly evaluated, partitioned collection supporting
-//!   narrow transformations (`map`, `flat_map`, `filter`, `map_partitions`),
-//!   wide (shuffle) transformations (`group_by_key`, `reduce_by_key`, `join`,
-//!   `cogroup`, `distinct`, `repartition`), and actions (`collect`, `count`,
-//!   `reduce`, `fold`).
+//!   narrow transformations (`map`, `flat_map`, `map_partitions`,
+//!   `map_morsels_named`, `union`), wide (shuffle) transformations
+//!   (`group_by_key`, `reduce_by_key`, `join`), and actions (`collect`,
+//!   `count`, `for_each`, `into_partitions`).
 //! * [`Broadcast<T>`] — a read-only value shared with every task, mirroring
 //!   Spark broadcast variables (SparkER's parallel meta-blocking is built on
 //!   a broadcast join).
-//! * [`MemBudget`] — byte-level memory accounting with spill-to-disk for
-//!   wide operators ([`Dataset::group_by_key_spillable`]), so shuffles run
-//!   within a caller-specified RAM budget (`SPARKER_MEM_BUDGET_MB`); spilled
-//!   batches use the length-prefixed [`SpillCodec`] format under a
-//!   run-scoped temp dir that cleans up even on panic.
+//! * [`MemBudget`] — byte-level memory accounting with spill-to-disk. Every
+//!   wide operator runs on one budget-aware hash shuffle, so `group_by_key`,
+//!   `reduce_by_key` and `join` all stay within a caller-specified RAM
+//!   budget (`SPARKER_MEM_BUDGET_MB`); spilled batches use the
+//!   length-prefixed [`SpillCodec`] format under a run-scoped temp dir that
+//!   cleans up even on panic, and the output is byte-identical at any
+//!   budget.
 //! * [`ExecutionMetrics`] — per-stage task counts, record counts, shuffle
 //!   volumes and timing (wall, worker-busy, queue-wait), used by the
 //!   scalability experiments.
 //!
 //! ## Execution model: one persistent worker pool
 //!
-//! A [`Context`] owns a single [`WorkerPool`] whose threads are spawned
+//! A [`Context`] owns a single worker pool whose threads are spawned
 //! once (lazily, on the first parallel stage) and reused for every stage
 //! until the context is dropped. Each stage is published to the pool as a
 //! batch of independent tasks behind an atomic work queue: workers claim
@@ -48,11 +50,11 @@
 //! 1. **Cost-hinted partitioning** — [`Context::parallelize_by_cost`] cuts
 //!    contiguous chunks at the prefix-sum quantiles of per-record cost
 //!    weights, so partitions are balanced by *work*, not record count.
-//! 2. **Morsel execution** — [`Dataset::map_morsels`] splits each partition
-//!    into many small contiguous runs, each an independently claimed pool
-//!    task; idle workers steal the next morsel off the atomic counter, and
-//!    [`WorkerLocal`] gives every worker slot a reusable scratch value
-//!    across the morsels it runs.
+//! 2. **Morsel execution** — [`Dataset::map_morsels_named`] splits each
+//!    partition into many small contiguous runs, each an independently
+//!    claimed pool task; idle workers steal the next morsel off the atomic
+//!    counter, and [`WorkerLocal`] gives every worker slot a reusable
+//!    scratch value across the morsels it runs.
 //!
 //! Both are schedule-only: outputs stay slot-indexed, partition-major and
 //! byte-identical to their equal-count, one-task-per-partition equivalents.
@@ -69,8 +71,8 @@
 //!    construction, no matter which worker finishes first; there is no
 //!    channel and no post-hoc sort.
 //! 2. **Ordered shuffles** — shuffle buckets are concatenated in input
-//!    partition order, grouping preserves first-seen key order, and
-//!    [`partition_for`] is a pinned FNV-1a hash, stable across Rust
+//!    partition order, grouping preserves first-seen key order, and the
+//!    key-to-partition router is a pinned FNV-1a hash, stable across Rust
 //!    releases and platforms.
 //!
 //! This lets the test-suite assert exact outputs while still exercising
@@ -100,12 +102,12 @@
 //!
 //! let ctx = Context::new(4);
 //! let data = ctx.parallelize((0..100).collect::<Vec<_>>(), 8);
-//! let doubled = data.map(|x| x * 2);
-//! let sum: i32 = doubled.fold(0, |a, b| a + b);
-//! assert_eq!(sum, 9900);
+//! let doubled = data.map(|x| (x % 3, x * 2));
+//! let mut sums = doubled.reduce_by_key(|a, b| a + b).collect();
+//! sums.sort();
+//! assert_eq!(sums, vec![(0, 3366), (1, 3234), (2, 3300)]);
 //! ```
 
-mod accumulator;
 mod broadcast;
 mod budget;
 mod context;
@@ -116,30 +118,23 @@ mod pool;
 mod spill;
 mod worker_local;
 
-pub use accumulator::Accumulator;
 pub use broadcast::Broadcast;
 pub use budget::{MemBudget, SpillDir, MEM_BUDGET_ENV};
 pub use context::{map_ranges, Context};
-pub use dataset::{Dataset, KeyedDataset};
-pub use fused::{fused_channel_capacity, pipelined_stage, FusedStageStats, MorselQueue};
+pub use dataset::Dataset;
+pub use fused::{fused_channel_capacity, pipelined_stage, FusedStageStats};
 pub use metrics::{ExecutionMetrics, MetricsSnapshot, StageMetrics};
-pub use pool::{StageStats, WorkerPool};
-pub use spill::{
-    encoded_len_of, RunCursor, SpillCodec, SpillRun, SpilledBuckets, SPILL_BATCH_RECORDS,
-};
+pub use spill::{RunCursor, SpillCodec, SpillRun};
 pub use worker_local::WorkerLocal;
 
 /// Hash a key to a shuffle partition index.
-///
-/// Exposed so that algorithm crates can co-partition hand-built structures
-/// with engine-produced ones (e.g. the meta-blocking broadcast join).
 ///
 /// The hash is a pinned FNV-1a over the key's `Hash` byte stream. The
 /// standard library's `DefaultHasher` is explicitly *not* stable across
 /// Rust releases, which would silently re-route records between partitions
 /// (and change every golden shuffle output) on a toolchain upgrade; FNV-1a
 /// with fixed constants gives the same routing forever.
-pub fn partition_for<K: std::hash::Hash>(key: &K, num_partitions: usize) -> usize {
+pub(crate) fn partition_for<K: std::hash::Hash>(key: &K, num_partitions: usize) -> usize {
     use std::hash::Hasher;
     debug_assert!(num_partitions > 0);
     let mut h = Fnv1aHasher::default();

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 /// balanced. CPU time charges each worker exactly the work it executed, so
 /// the per-slot spread reflects the schedule itself.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StageStats {
+pub(crate) struct StageStats {
     /// Sum of task CPU time across all workers.
     pub busy_time: Duration,
     /// Sum over participating workers of the delay between stage publication
@@ -228,7 +228,7 @@ thread_local! {
 /// live until the pool is dropped; the submitting thread itself acts as
 /// worker 0, so `workers` bounds total parallelism. Results are returned in
 /// task order regardless of completion order (slot indexing).
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     workers: usize,
     shared: Arc<Shared>,
     /// Serialises whole stages: one batch in flight at a time.
@@ -316,7 +316,9 @@ impl WorkerPool {
     ///
     /// `task(i)` is invoked exactly once for every `i in 0..num_tasks`, from
     /// at most `self.workers` threads concurrently. The first task panic is
-    /// re-thrown on the caller with its original payload.
+    /// re-thrown on the caller with its original payload. (The engine's
+    /// stages all want the statistics too; this is the tests' shorthand.)
+    #[cfg(test)]
     pub fn run<R, F>(&self, num_tasks: usize, task: F) -> Vec<R>
     where
         R: Send,

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 /// Records per spill batch: bounds the encode/decode buffer regardless of
 /// partition size.
-pub const SPILL_BATCH_RECORDS: usize = 1 << 16;
+pub(crate) const SPILL_BATCH_RECORDS: usize = 1 << 16;
 
 /// Fixed-layout binary encoding for records that may be spilled to disk.
 ///
@@ -218,11 +218,6 @@ impl<A: SpillCodec, B: SpillCodec, C: SpillCodec, D: SpillCodec> SpillCodec for 
     }
 }
 
-/// Exact encoded size of a record slice, batch headers excluded.
-pub fn encoded_len_of<T: SpillCodec>(records: &[T]) -> u64 {
-    records.iter().map(|r| r.encoded_len() as u64).sum()
-}
-
 /// Write one `[len][count][payload]` batch frame; returns bytes written.
 /// `scratch` is reused across calls to avoid re-allocating the payload
 /// buffer.
@@ -284,7 +279,7 @@ struct BucketSpan {
 /// batch frames, with the byte span of every bucket kept in memory so the
 /// consuming side can stream exactly the bucket it needs.
 #[derive(Debug)]
-pub struct SpilledBuckets {
+pub(crate) struct SpilledBuckets {
     _dir: Arc<SpillDir>,
     path: PathBuf,
     spans: Vec<BucketSpan>,
@@ -316,11 +311,6 @@ impl SpilledBuckets {
             path,
             spans,
         })
-    }
-
-    /// Number of target buckets in this spill file.
-    pub fn num_buckets(&self) -> usize {
-        self.spans.len()
     }
 
     /// Read bucket `j` back, appending its records (in original order) to
@@ -426,8 +416,8 @@ mod tests {
             r.encode(&mut payload);
         }
         assert_eq!(
-            payload.len() as u64,
-            encoded_len_of(records),
+            payload.len(),
+            records.iter().map(SpillCodec::encoded_len).sum::<usize>(),
             "encoded_len exact"
         );
         let mut cursor: &[u8] = &payload;
@@ -484,7 +474,7 @@ mod tests {
             proptest::collection::vec((any::<u32>(), any::<u64>()), 0..50), 1..8)) {
             let budget = MemBudget::limited(1);
             let spilled = SpilledBuckets::write(&budget, &buckets).expect("spill");
-            prop_assert_eq!(spilled.num_buckets(), buckets.len());
+            prop_assert_eq!(spilled.spans.len(), buckets.len());
             for (j, bucket) in buckets.iter().enumerate() {
                 let mut back: Vec<(u32, u64)> = Vec::new();
                 spilled.read_bucket_into(j, &mut back).expect("read bucket");

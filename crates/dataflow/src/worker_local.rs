@@ -9,7 +9,7 @@
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// One mutable value per worker slot of a [`crate::WorkerPool`].
+/// One mutable value per worker slot of a [`crate::Context`]'s pool.
 ///
 /// The pool guarantees that at most one task executes on a given slot at a
 /// time (the slot *is* a thread: slot 0 the submitter, slots 1.. the pool
@@ -111,7 +111,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for WorkerLocal<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WorkerPool;
+    use crate::pool::WorkerPool;
 
     #[test]
     fn one_value_per_slot_accumulates() {

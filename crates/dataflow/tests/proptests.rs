@@ -25,18 +25,6 @@ proptest! {
     }
 
     #[test]
-    fn filter_preserves_relative_order(
-        data in prop::collection::vec(any::<u8>(), 0..300),
-        (workers, parts) in ctx_strategy(),
-    ) {
-        let ctx = Context::with_partitions(workers, parts);
-        let ds = ctx.parallelize(data.clone(), parts);
-        let out = ds.filter(|x| x % 2 == 0).collect();
-        let expected: Vec<u8> = data.into_iter().filter(|x| x % 2 == 0).collect();
-        prop_assert_eq!(out, expected);
-    }
-
-    #[test]
     fn group_by_key_matches_btreemap_model(
         data in prop::collection::vec((0u8..20, any::<i16>()), 0..300),
         (workers, parts) in ctx_strategy(),
@@ -58,21 +46,29 @@ proptest! {
     fn spillable_group_by_key_is_identical_at_any_budget(
         data in prop::collection::vec((0u32..40, any::<u32>()), 0..300),
         (workers, parts) in ctx_strategy(),
-        budget_bytes in prop_oneof![Just(0u64), 1u64..4096],
+        budget_bytes in 1u64..4096,
     ) {
-        // 0 = unlimited; tiny byte budgets force every partition to spill.
-        let budget = if budget_bytes == 0 {
-            MemBudget::unlimited()
-        } else {
-            MemBudget::limited(budget_bytes)
+        // Tiny byte budgets force most map tasks to spill; the output must
+        // equal the unlimited (all-resident) run element-wise, in order,
+        // and group exactly like the model.
+        let run = |budget: &MemBudget| {
+            Context::with_partitions(workers, parts)
+                .with_budget(budget.clone())
+                .parallelize(data.clone(), parts)
+                .group_by_key()
+                .collect()
         };
-        let ctx = Context::with_partitions(workers, parts).with_budget(budget);
-        let plain = ctx.parallelize(data.clone(), parts).group_by_key().collect();
-        let spillable = ctx
-            .parallelize(data.clone(), parts)
-            .group_by_key_spillable()
-            .collect();
-        prop_assert_eq!(spillable, plain);
+        let tiny = MemBudget::limited(budget_bytes);
+        let unlimited = MemBudget::unlimited();
+        let spilled = run(&tiny);
+        prop_assert_eq!(&spilled, &run(&unlimited));
+        prop_assert_eq!(unlimited.spill_batches(), 0);
+        prop_assert_eq!(tiny.tracked_bytes(), 0, "all reservations released");
+        let mut model: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for (k, v) in data.iter().copied() {
+            model.entry(k).or_default().push(v);
+        }
+        prop_assert_eq!(spilled.into_iter().collect::<BTreeMap<_, _>>(), model);
     }
 
     #[test]
@@ -82,36 +78,15 @@ proptest! {
     ) {
         let ctx = Context::with_partitions(workers, parts);
         let ds = ctx.parallelize(data.clone(), parts);
-        let reduced: BTreeMap<u8, i64> = ds.reduce_by_key(|a, b| a + *b).collect_as_map().into_iter().collect();
+        let mut reduced: BTreeMap<u8, i64> = BTreeMap::new();
+        for (k, v) in ds.reduce_by_key(|a, b| a + *b).collect() {
+            prop_assert!(reduced.insert(k, v).is_none(), "duplicate key in output");
+        }
         let mut model: BTreeMap<u8, i64> = BTreeMap::new();
         for (k, v) in data {
             *model.entry(k).or_default() += v;
         }
         prop_assert_eq!(reduced, model);
-    }
-
-    #[test]
-    fn fold_equals_iterator_sum(
-        data in prop::collection::vec(-1000i64..1000, 0..300),
-        (workers, parts) in ctx_strategy(),
-    ) {
-        let ctx = Context::with_partitions(workers, parts);
-        let ds = ctx.parallelize(data.clone(), parts);
-        prop_assert_eq!(ds.fold(0i64, |a, b| a + b), data.iter().sum::<i64>());
-    }
-
-    #[test]
-    fn distinct_matches_set_model(
-        data in prop::collection::vec(0u16..50, 0..300),
-        (workers, parts) in ctx_strategy(),
-    ) {
-        let ctx = Context::with_partitions(workers, parts);
-        let ds = ctx.parallelize(data.clone(), parts);
-        let mut out = ds.distinct().collect();
-        out.sort_unstable();
-        let mut expected: Vec<u16> = data.into_iter().collect::<std::collections::BTreeSet<_>>().into_iter().collect();
-        expected.sort_unstable();
-        prop_assert_eq!(out, expected);
     }
 
     #[test]
@@ -146,39 +121,11 @@ proptest! {
             let ctx = Context::with_partitions(workers, parts);
             ctx.parallelize(data.clone(), parts)
                 .group_by_key()
-                .map_values(|v| v.len())
-                .sort_by(|(k, _)| *k)
+                .map(|(k, v)| (*k, v.len()))
                 .collect()
         };
         let base = run(1);
         prop_assert_eq!(run(4), base.clone());
         prop_assert_eq!(run(7), base);
-    }
-
-    #[test]
-    fn sort_by_is_total_and_stable_under_reparition(
-        data in prop::collection::vec(any::<i32>(), 0..300),
-        (workers, parts) in ctx_strategy(),
-    ) {
-        let ctx = Context::with_partitions(workers, parts);
-        let ds = ctx.parallelize(data.clone(), parts);
-        let out = ds.sort_by(|x| *x).collect();
-        let mut expected = data;
-        expected.sort();
-        prop_assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn zip_with_index_is_dense(
-        data in prop::collection::vec(any::<u8>(), 0..300),
-        (workers, parts) in ctx_strategy(),
-    ) {
-        let ctx = Context::with_partitions(workers, parts);
-        let ds = ctx.parallelize(data.clone(), parts);
-        let out = ds.zip_with_index().collect();
-        for (i, (v, idx)) in out.iter().enumerate() {
-            prop_assert_eq!(*idx, i as u64);
-            prop_assert_eq!(*v, data[i]);
-        }
     }
 }

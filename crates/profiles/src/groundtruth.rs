@@ -1,6 +1,6 @@
 //! Ground truth: the set of true matching pairs of a benchmark dataset.
 
-use crate::collection::ProfileCollection;
+use crate::collection::{ErKind, ProfileCollection};
 use crate::error::{Error, Result};
 use crate::pair::Pair;
 use crate::profile::{ProfileId, SourceId};
@@ -24,28 +24,30 @@ impl GroundTruth {
         }
     }
 
-    /// Resolve `(original_id_0, original_id_1)` pairs against a clean–clean
-    /// collection (left id from source 0, right from source 1).
+    /// Resolve `(original_id_a, original_id_b)` pairs against a collection:
+    /// on a clean–clean one the left id is looked up in source 0 and the
+    /// right in source 1; on a dirty one both come from its single source.
     pub fn from_original_ids<'a>(
         collection: &ProfileCollection,
         pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> Result<Self> {
         let index = collection.original_id_index();
+        let source_b = match collection.kind() {
+            ErKind::Dirty => SourceId(0),
+            ErKind::CleanClean => SourceId(1),
+        };
+        let resolve = |source: SourceId, id: &str| {
+            index
+                .get(&(source, id))
+                .copied()
+                .ok_or_else(|| Error::UnknownOriginalId {
+                    source: source.0,
+                    original_id: id.to_string(),
+                })
+        };
         let mut matches = HashSet::new();
         for (a, b) in pairs {
-            let pa = *index
-                .get(&(SourceId(0), a))
-                .ok_or_else(|| Error::UnknownOriginalId {
-                    source: 0,
-                    original_id: a.to_string(),
-                })?;
-            let pb = *index
-                .get(&(SourceId(1), b))
-                .ok_or_else(|| Error::UnknownOriginalId {
-                    source: 1,
-                    original_id: b.to_string(),
-                })?;
-            matches.insert(Pair::new(pa, pb));
+            matches.insert(Pair::new(resolve(SourceId(0), a)?, resolve(source_b, b)?));
         }
         Ok(GroundTruth { matches })
     }
@@ -193,6 +195,21 @@ mod tests {
         );
         let err = GroundTruth::from_original_ids(&coll, vec![("a", "nope")]).unwrap_err();
         assert!(matches!(err, Error::UnknownOriginalId { source: 1, .. }));
+    }
+
+    #[test]
+    fn resolves_both_ids_in_the_single_source_of_a_dirty_collection() {
+        let coll = ProfileCollection::dirty(
+            ["a", "b", "c"]
+                .map(|id| Profile::builder(SourceId(0), id).attr("n", "x").build())
+                .into(),
+        );
+        let gt = GroundTruth::from_original_ids(&coll, vec![("a", "b"), ("c", "a")]).unwrap();
+        assert_eq!(gt.len(), 2);
+        assert!(gt.contains(&pair(0, 1)));
+        assert!(gt.contains(&pair(0, 2)));
+        let err = GroundTruth::from_original_ids(&coll, vec![("a", "zz")]).unwrap_err();
+        assert!(matches!(err, Error::UnknownOriginalId { source: 0, .. }));
     }
 
     #[test]

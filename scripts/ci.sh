@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: formatting, release build, the default-member test suites
-# (the facade plus the profiles, blocking, dataflow, metablocking, matching
-# and core crates, whose tests pin the JSON-lines loader, the
-# purging/filtering semantics, the spill codec and cross-backend
+# (the facade plus the profiles, blocking, dataflow, looseschema,
+# metablocking, matching, clustering, core and serve crates, whose tests pin
+# the JSON-lines loader, the purging/filtering semantics, the spill codec,
+# the dataflow-vs-sequential clustering, cross-backend and serve-vs-batch
 # equivalence; `cargo test --workspace` runs the rest),
 # the benchmark package's own smoke self-test, clippy and rustdoc with
 # warnings denied, end-to-end pipeline smoke, a CLI backend-matrix smoke,

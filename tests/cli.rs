@@ -95,6 +95,38 @@ fn dirty_jsonl_run() {
 }
 
 #[test]
+fn dirty_jsonl_run_with_ground_truth() {
+    // Both ids of a dirty ground-truth row name records of the one source.
+    let dir = tempdir("dirty-gt");
+    let src = write(
+        &dir,
+        "d.jsonl",
+        concat!(
+            "{\"id\":\"a\",\"title\":\"entity resolution at scale\"}\n",
+            "{\"id\":\"b\",\"title\":\"entity resolution at scale\"}\n",
+            "{\"id\":\"c\",\"title\":\"unrelated paper topic graphs\"}\n",
+        ),
+    );
+    let gt = write(&dir, "gt.csv", "id_a,id_b\na,b\n");
+    let result = sparker()
+        .args(["--source-a", &src, "--ground-truth", &gt])
+        .output()
+        .unwrap();
+    assert!(
+        result.status.success(),
+        "{}",
+        String::from_utf8_lossy(&result.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&result.stdout);
+    assert!(
+        stdout.contains("evaluation against ground truth (1 matches):"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("clustering recall 1.0000"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn config_file_is_honoured() {
     let dir = tempdir("config");
     let a = write(&dir, "a.csv", "id,name\na1,alpha beta gamma\n");
