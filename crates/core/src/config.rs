@@ -425,6 +425,9 @@ mod tests {
         let text = c.to_config_string();
         let parsed = PipelineConfig::from_config_string(&text).unwrap();
         assert_eq!(parsed.to_config_string(), text);
+        // A file with no keys is the default (the CI dense smoke saves one).
+        let empty = PipelineConfig::from_config_string("# nothing set\n").unwrap();
+        assert_eq!(empty.to_config_string(), text);
     }
 
     #[test]

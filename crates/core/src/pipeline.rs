@@ -401,7 +401,14 @@ impl Pipeline {
         };
         drop(keys);
         let morsels = stream.cost_morsels(ctx.workers() * 32);
-        let payload_bytes = (stream.total_edges() * 16 / morsels.len().max(1) as u64).max(1);
+        // The largest batch a morsel can emit: the channel's bytes are
+        // bounded by it, not by the average.
+        let payload_bytes = morsels
+            .iter()
+            .map(|range| stream.total_edges(range.clone()))
+            .max()
+            .unwrap_or(0)
+            * std::mem::size_of::<(Pair, f64)>() as u64;
         let capacity = fused_channel_capacity(budget, ctx.workers(), payload_bytes);
         let prune_locals = Arc::new(WorkerLocal::new(ctx.workers(), || stream.make_scratch()));
         let outcome = matcher.score_stream(ctx, &prepared, &morsels, capacity, {
@@ -413,12 +420,13 @@ impl Pipeline {
                 })
             }
         });
-        let candidates = CandidateSet::deferred(&outcome.retained, move || {
+        let candidates = CandidateSet::deferred(&outcome.retained, move |sink| {
             let mut scratch = stream.make_scratch();
-            morsels
-                .iter()
-                .map(|range| stream.prune_range(range.clone(), &mut scratch))
-                .collect()
+            let mut batch = Vec::new();
+            for range in &morsels {
+                stream.prune_range_into(range.clone(), &mut scratch, &mut batch);
+                sink(&batch);
+            }
         });
         let similarity = outcome.similarity;
         stages[prune_row].output = candidates.len() as u64;

@@ -248,7 +248,7 @@ impl PipelineReport {
     ///   "fused": {"morsels": 128, "produce_busy_s": 0.0402,
     ///             "consume_busy_s": 0.0317, "queue_wait_s": 0.0011,
     ///             "backpressure_yields": 3, "max_queue_depth": 9,
-    ///             "wall_s": 0.0391},
+    ///             "max_batch": 5210, "wall_s": 0.0391},
     ///   "stages": [
     ///     {"stage": "build_blocks", "input": 1000, "output": 1523,
     ///      "input_unit": "profiles", "output_unit": "blocks",
@@ -291,13 +291,14 @@ impl PipelineReport {
                     out,
                     "{{\"morsels\":{},\"produce_busy_s\":{:.9},\"consume_busy_s\":{:.9},\
                      \"queue_wait_s\":{:.9},\"backpressure_yields\":{},\
-                     \"max_queue_depth\":{},\"wall_s\":{:.9}}}",
+                     \"max_queue_depth\":{},\"max_batch\":{},\"wall_s\":{:.9}}}",
                     f.morsels,
                     f.produce_busy.as_secs_f64(),
                     f.consume_busy.as_secs_f64(),
                     f.queue_wait.as_secs_f64(),
                     f.backpressure_yields,
                     f.max_queue_depth,
+                    f.max_batch,
                     f.wall.as_secs_f64(),
                 );
             }
@@ -497,6 +498,7 @@ mod tests {
             consume_busy: Duration::from_millis(200),
             backpressure_yields: 2,
             max_queue_depth: 9,
+            max_batch: 812,
             ..FusedStageStats::default()
         });
         let json = fused.to_json();
@@ -504,7 +506,8 @@ mod tests {
             json.contains(
                 "\"fused\":{\"morsels\":64,\"produce_busy_s\":0.300000000,\
                  \"consume_busy_s\":0.200000000,\"queue_wait_s\":0.000000000,\
-                 \"backpressure_yields\":2,\"max_queue_depth\":9,\"wall_s\":0.000000000},\
+                 \"backpressure_yields\":2,\"max_queue_depth\":9,\"max_batch\":812,\
+                 \"wall_s\":0.000000000},\
                  \"stages\":["
             ),
             "{json}"

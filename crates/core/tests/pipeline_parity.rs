@@ -590,29 +590,59 @@ fn fused_plan_into_score_stream_is_capacity_invariant() {
     // payloads — at a capacity of 1 (fully serialized hand-off), 2 and
     // effectively unbounded, against the sequential run. The producers
     // record every batch they hand over, so what was produced is compared
-    // element by element, not only through the consumers' digests.
+    // element by element, not only through the consumers' digests. The
+    // third collection is one dense block of 1 150 profiles (~660 k
+    // forward edges): at one worker an even share of 32 morsels would be
+    // ~21 k edges, so the plan's 16 Ki-pair cap sets its boundaries.
     use sparker_core::PurgeConfig;
     use sparker_dataflow::{Context, WorkerLocal};
     use sparker_matching::{BatchDigest, PreparedProfile, RetainedDigest, ThresholdMatcher};
     use sparker_metablocking::{BlockGraph, StreamingMetaBlocking};
+    use sparker_profiles::{Profile, SourceId};
     use std::sync::{Arc, Mutex};
+    const MORSEL_PAIRS: u64 = 16 * 1024;
     let mut config = PipelineConfig::default();
     config.blocking.purge = PurgeConfig::Off;
     config.blocking.filter_ratio = None;
     let mb = config.blocking.meta_blocking.unwrap();
     let matcher = ThresholdMatcher::new(config.matching.measure, config.matching.threshold);
     let sequential = ExecutionBackend::Sequential;
-    for ds in [clean_dataset(70, 17, true), dirty_dataset(50, 29, true)] {
-        let reference = Pipeline::new(config.clone()).run_on(&sequential, &ds.collection);
+    let dense = ProfileCollection::dirty(
+        (0..1150)
+            .map(|i| {
+                Profile::builder(SourceId(0), i.to_string())
+                    .attr("name", format!("common w{} v{} u{}", i % 17, i % 23, i % 5))
+                    .build()
+            })
+            .collect(),
+    );
+    let mut capped = false;
+    for collection in [
+        clean_dataset(70, 17, true).collection,
+        dirty_dataset(50, 29, true).collection,
+        dense,
+    ] {
+        let reference = Pipeline::new(config.clone()).run_on(&sequential, &collection);
         assert!(!reference.similarity.is_empty());
-        let blocks = sequential.build_blocks(&ds.collection, None, &sequential.budget());
+        let blocks = sequential.build_blocks(&collection, None, &sequential.budget());
         let graph = Arc::new(BlockGraph::new(&blocks, None));
         for workers in WORKERS {
             let ctx = Context::new(workers);
             let plan = StreamingMetaBlocking::prepare(&ctx, &graph, &mb);
             let morsels = plan.cost_morsels(workers * 32);
+            let edges = plan.total_edges(0..plan.num_nodes() as u32);
+            for range in morsels.iter().filter(|r| r.len() > 1) {
+                assert!(plan.total_edges(range.clone()) <= MORSEL_PAIRS, "{range:?}");
+            }
+            if edges / (workers as u64 * 32) > MORSEL_PAIRS {
+                assert!(
+                    morsels.len() > workers * 32,
+                    "the pair cap cuts more morsels"
+                );
+                capped = true;
+            }
             let scratches = WorkerLocal::new(workers, || plan.make_scratch());
-            let prepared = PreparedProfile::prepare_all(&ds.collection);
+            let prepared = PreparedProfile::prepare_all(&collection);
             for capacity in [1, 2, 1 << 20] {
                 let produced = Mutex::new(Vec::new());
                 let out = matcher.score_stream(
@@ -647,10 +677,15 @@ fn fused_plan_into_score_stream_is_capacity_invariant() {
                     "{tag}"
                 );
                 assert!(out.report.payloads <= capacity + 2 * workers, "{tag}");
+                assert!(out.report.max_batch as u64 <= MORSEL_PAIRS, "{tag}");
                 assert_eq!(out.similarity, reference.similarity, "{tag}");
             }
         }
     }
+    assert!(
+        capped,
+        "no collection was dense enough to engage the pair cap"
+    );
 }
 
 #[test]

@@ -126,6 +126,10 @@ pub struct FusedStageStats {
     /// Payload buffers allocated over the stage (≤ capacity + 2 × workers,
     /// independent of the morsel count: consumed payloads are recycled).
     pub payloads: usize,
+    /// Items in the largest payload, when the caller measures its payloads
+    /// (the fused matcher counts the pairs of its largest batch); 0 from
+    /// [`pipelined_stage`] itself, which cannot see inside them.
+    pub max_batch: usize,
     /// Wall-clock time of the whole fused batch.
     pub wall: Duration,
     /// Per-worker-slot CPU time for the batch (max entry = critical path).
@@ -305,6 +309,7 @@ where
         backpressure_yields: backpressure.into_inner(),
         max_queue_depth: queue.max_depth(),
         payloads: payloads.into_inner(),
+        max_batch: 0,
         wall: wall_start.elapsed(),
         per_worker_busy: pool_stats.per_worker_busy.clone(),
     };

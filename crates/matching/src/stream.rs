@@ -49,7 +49,7 @@ pub struct FusedMatchOutcome {
     /// Merged cascade statistics across all workers.
     pub stats: FilterStats,
     /// Overlap accounting for the fused stage (produce vs consume busy,
-    /// queue wait, backpressure, payload buffers).
+    /// queue wait, backpressure, payload buffers, the largest batch).
     pub report: FusedStageStats,
 }
 
@@ -186,7 +186,7 @@ impl ThresholdMatcher {
             (MatchScratch::default(), FilterStats::default())
         }));
         let consume_locals = Arc::clone(&locals);
-        let (scored, report) = pipelined_stage(
+        let (scored, mut report) = pipelined_stage(
             ctx,
             "fused_prune_score",
             morsels,
@@ -214,6 +214,7 @@ impl ThresholdMatcher {
             },
         );
         let (scored_shards, retained): (Vec<_>, Vec<_>) = scored.into_iter().unzip();
+        report.max_batch = retained.iter().map(BatchDigest::len).max().unwrap_or(0);
         let similarity = SimilarityGraph::from_sorted_shards(scored_shards);
         let stats = match Arc::try_unwrap(locals) {
             Ok(locals) => {
@@ -303,6 +304,8 @@ mod tests {
                 assert!(out.stats.pairs > 0);
                 assert_eq!(out.report.morsels, morsels.len());
                 assert!(out.report.payloads <= capacity + 2 * workers, "{tag}");
+                let largest = morsels.iter().map(Vec::len).max();
+                assert_eq!(Some(out.report.max_batch), largest, "{tag}");
             }
         }
     }

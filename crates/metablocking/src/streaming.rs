@@ -63,6 +63,46 @@ pub struct StreamingMetaBlocking {
     degrees: Vec<u32>,
 }
 
+/// Most forward edges one pruning morsel may hold (a single node may hold
+/// more): its batch is then at most 16 Ki pairs of 16 bytes.
+const MORSEL_PAIRS: u64 = 16 * 1024;
+
+/// The morsel planner behind [`StreamingMetaBlocking::cost_morsels`] over
+/// per-node forward `degrees`. A range closes once its cost (Σ degree + 1)
+/// reaches an equal share of the total, or when the nodes left are only
+/// just enough for one range each of the `min(target, n)` owed; a node
+/// whose forward edges would carry the open range past `cap` starts a
+/// new one.
+pub(crate) fn plan(degrees: &[u32], target: usize, cap: u64) -> Vec<Range<u32>> {
+    let n = degrees.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let target = target.clamp(1, n);
+    let total: u64 = degrees.iter().map(|&d| u64::from(d) + 1).sum();
+    let per_task = (total / target as u64).max(1);
+    let mut cuts = Vec::new();
+    let mut start = 0;
+    let (mut cost, mut edges) = (0u64, 0u64);
+    for (i, &degree) in degrees.iter().enumerate() {
+        let degree = u64::from(degree);
+        if i > start && edges + degree > cap {
+            cuts.push(start as u32..i as u32);
+            start = i;
+            (cost, edges) = (0, 0);
+        }
+        cost += degree + 1;
+        edges += degree;
+        let owed = target.saturating_sub(cuts.len() + 1);
+        if cost >= per_task || n - 1 - i <= owed {
+            cuts.push(start as u32..i as u32 + 1);
+            start = i + 1;
+            (cost, edges) = (0, 0);
+        }
+    }
+    cuts
+}
+
 /// What one pool worker holds during pass A.
 enum PassAScratch {
     /// WEP under CBS without entropy: only the epoch-marked `seen` array of
@@ -223,11 +263,19 @@ impl StreamingMetaBlocking {
         self.graph.num_profiles()
     }
 
-    /// Total edges of the blocking graph (Σ forward degree, each edge
-    /// counted once) — an upper bound on emitted pairs, used to size fused
-    /// channel payloads.
-    pub fn total_edges(&self) -> u64 {
-        self.degrees.iter().map(|&d| u64::from(d)).sum()
+    /// Edges of the blocking graph whose lower endpoint lies in `nodes`
+    /// (Σ forward degree, each edge counted once) — an upper bound on the
+    /// pairs [`StreamingMetaBlocking::prune_range`] emits for `nodes`. Over
+    /// `0..num_nodes` it is the graph's edge count; over a morsel of
+    /// [`StreamingMetaBlocking::cost_morsels`] it is at most 16 Ki unless
+    /// the morsel is a single node, which is what the fused driver sizes
+    /// its channel payloads by. Panics if `nodes` reaches past
+    /// `num_nodes`.
+    pub fn total_edges(&self, nodes: Range<u32>) -> u64 {
+        self.degrees[nodes.start as usize..nodes.end as usize]
+            .iter()
+            .map(|&d| u64::from(d))
+            .sum()
     }
 
     /// A reusable node-pass scratch for
@@ -239,32 +287,16 @@ impl StreamingMetaBlocking {
 
     /// Cut `0..num_nodes` into contiguous ranges of roughly equal pass-B
     /// cost (forward degree + 1 per node, so nodes without forward edges
-    /// still advance), about
-    /// `target_tasks` of them. Boundaries are schedule-only: concatenating
+    /// still advance), at least `min(target_tasks, num_nodes)` of them, and
+    /// none holding more than 16 Ki forward edges unless it is a single
+    /// node. Forward degree bounds the pairs pass B emits, so a
+    /// morsel's batch is at most 16 Ki pairs (256 KiB) however large the
+    /// graph: on a dense graph the cap, not `target_tasks`, sets the morsel
+    /// count. Boundaries are schedule-only: concatenating
     /// [`StreamingMetaBlocking::prune_range`] over any disjoint ascending
     /// cover yields the same pairs.
     pub fn cost_morsels(&self, target_tasks: usize) -> Vec<Range<u32>> {
-        let n = self.num_nodes() as u32;
-        if n == 0 {
-            return Vec::new();
-        }
-        let total: u64 = self.degrees.iter().map(|&d| u64::from(d) + 1).sum();
-        let per_task = (total / target_tasks.max(1) as u64).max(1);
-        let mut cuts = Vec::new();
-        let mut start = 0u32;
-        let mut acc = 0u64;
-        for i in 0..n {
-            acc += u64::from(self.degrees[i as usize]) + 1;
-            if acc >= per_task {
-                cuts.push(start..i + 1);
-                start = i + 1;
-                acc = 0;
-            }
-        }
-        if start < n {
-            cuts.push(start..n);
-        }
-        cuts
+        plan(&self.degrees, target_tasks, MORSEL_PAIRS)
     }
 
     /// Emit the retained pairs of a contiguous node range: walk each
@@ -751,7 +783,8 @@ mod tests {
             };
             let stream = StreamingMetaBlocking::prepare(&ctx, &graph, &config);
             assert_eq!(stream.degrees, forward, "{}", pruning.name());
-            assert_eq!(stream.total_edges(), edges, "{}", pruning.name());
+            let n = stream.num_nodes() as u32;
+            assert_eq!(stream.total_edges(0..n), edges, "{}", pruning.name());
         }
     }
 
@@ -783,6 +816,52 @@ mod tests {
         let stream = StreamingMetaBlocking::prepare(&ctx, &graph, &MetaBlockingConfig::default());
         assert!(stream.prune_all().is_empty());
         assert!(stream.cost_morsels(4).is_empty());
-        assert_eq!(stream.total_edges(), 0);
+        assert_eq!(stream.total_edges(0..0), 0);
+    }
+
+    #[test]
+    fn the_pair_cap_cuts_before_the_node_that_would_cross_it() {
+        // Costs 4, 4, 4, 4 split evenly at target 2; a cap of 5 forward
+        // edges cuts before each node that would carry its range past 5,
+        // and a node over the cap on its own still gets a range.
+        assert_eq!(plan(&[3, 3, 3, 3], 2, u64::MAX), vec![0..2, 2..4]);
+        assert_eq!(plan(&[3, 3, 3, 3], 2, 5), vec![0..1, 1..2, 2..3, 3..4]);
+        assert_eq!(plan(&[2, 3, 9, 0, 1], 1, 5), vec![0..2, 2..3, 3..5]);
+        // At least min(target, n) ranges, whatever the skew.
+        assert_eq!(plan(&[100, 0, 0], 3, u64::MAX), vec![0..1, 1..2, 2..3]);
+        assert_eq!(plan(&[1, 1], 8, u64::MAX), vec![0..1, 1..2]);
+    }
+
+    proptest::proptest! {
+        /// Every plan covers each node exactly once in ascending ranges,
+        /// has at least `min(target, n)` of them, and no range holds more
+        /// than `cap` forward edges unless it is a single node.
+        #[test]
+        fn plans_cover_every_node_and_respect_the_pair_cap(
+            degrees in proptest::collection::vec(
+                proptest::prop_oneof![0u32..4, 0u32..40, 100u32..200],
+                0..300,
+            ),
+            target in 0usize..80,
+            cap in 0u64..120,
+        ) {
+            let morsels = plan(&degrees, target, cap);
+            let mut expect = 0u32;
+            for r in &morsels {
+                proptest::prop_assert_eq!(r.start, expect);
+                proptest::prop_assert!(r.end > r.start);
+                expect = r.end;
+                let edges: u64 = degrees[r.start as usize..r.end as usize]
+                    .iter()
+                    .map(|&d| u64::from(d))
+                    .sum();
+                proptest::prop_assert!(
+                    edges <= cap || r.len() == 1,
+                    "{r:?} holds {edges} forward edges over a cap of {cap}"
+                );
+            }
+            proptest::prop_assert_eq!(expect as usize, degrees.len());
+            proptest::prop_assert!(morsels.len() >= target.min(degrees.len()));
+        }
     }
 }

@@ -27,12 +27,19 @@
 //! [`MAX_HEADERS`] header lines — 431; always with a JSON
 //! `{"error": "..."}` body. A client that sends or reads nothing for
 //! [`IDLE_TIMEOUT`] is disconnected.
+//!
+//! A handler that panics answers 500 and frees its slot. The panic may
+//! leave the resolver poisoned (it panicked mid-update); every request
+//! that needs the resolver then answers 500 instead of reading a state
+//! that may be half-written, while the server keeps accepting and shuts
+//! down cleanly.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -78,6 +85,37 @@ impl Shared {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(self.addr);
     }
+
+    /// The resolver, or a 500 if a panic poisoned it.
+    fn resolver(&self) -> Result<MutexGuard<'_, ResolverState>, Reply> {
+        self.resolver.lock().map_err(|_| {
+            Reply::Internal(
+                "the resolver is unavailable: an earlier request panicked while holding it"
+                    .to_string(),
+            )
+        })
+    }
+
+    /// The gauge; it guards two counters no panic can leave half-updated.
+    fn gauge(&self) -> MutexGuard<'_, (usize, usize)> {
+        self.gauge
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+/// A reserved handler slot: returned on drop, so a handler that panics
+/// still frees it.
+struct Slot(Arc<Shared>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut gauge = self.0.gauge();
+        gauge.1 += 1;
+        gauge.0 -= 1;
+        drop(gauge);
+        self.0.gauge_cv.notify_all();
+    }
 }
 
 /// Handle to a running server: its bound address plus the levers for a
@@ -101,9 +139,18 @@ impl ServerHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let mut gauge = self.shared.gauge.lock().expect("gauge lock");
+        self.drain();
+    }
+
+    /// Wait until no handler is in flight.
+    fn drain(&self) {
+        let mut gauge = self.shared.gauge();
         while gauge.0 > 0 {
-            gauge = self.shared.gauge_cv.wait(gauge).expect("gauge wait");
+            gauge = self
+                .shared
+                .gauge_cv
+                .wait(gauge)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 
@@ -119,10 +166,7 @@ impl ServerHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let mut gauge = self.shared.gauge.lock().expect("gauge lock");
-        while gauge.0 > 0 {
-            gauge = self.shared.gauge_cv.wait(gauge).expect("gauge wait");
-        }
+        self.drain();
     }
 }
 
@@ -173,33 +217,27 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         // Reserve a worker slot (bounds handler concurrency) and count the
         // request as in-flight BEFORE the handler thread detaches, so a
-        // shutdown triggered right after accept still waits for it.
+        // shutdown triggered right after accept still waits for it. The
+        // slot goes back when the handler's guard drops — or right away,
+        // with the closure, if the thread cannot be spawned.
         {
-            let mut gauge = shared.gauge.lock().expect("gauge lock");
+            let mut gauge = shared.gauge();
             while gauge.1 == 0 {
-                gauge = shared.gauge_cv.wait(gauge).expect("gauge wait");
+                gauge = shared
+                    .gauge_cv
+                    .wait(gauge)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
             gauge.1 -= 1;
             gauge.0 += 1;
         }
-        let handler_shared = Arc::clone(&shared);
-        let spawned = std::thread::Builder::new()
+        let slot = Slot(Arc::clone(&shared));
+        let _ = std::thread::Builder::new()
             .name("sparker-serve-conn".into())
             .spawn(move || {
-                let _ = handle_connection(stream, &handler_shared);
-                let mut gauge = handler_shared.gauge.lock().expect("gauge lock");
-                gauge.1 += 1;
-                gauge.0 -= 1;
-                drop(gauge);
-                handler_shared.gauge_cv.notify_all();
+                let _ = handle_connection(stream, &slot.0);
+                drop(slot);
             });
-        if spawned.is_err() {
-            let mut gauge = shared.gauge.lock().expect("gauge lock");
-            gauge.1 += 1;
-            gauge.0 -= 1;
-            drop(gauge);
-            shared.gauge_cv.notify_all();
-        }
     }
 }
 
@@ -213,6 +251,8 @@ enum Reply {
     Ok(JsonValue),
     BadRequest(String),
     NotFound(String),
+    /// A handler panicked, now or while holding the resolver before: 500.
+    Internal(String),
 }
 
 /// Why a request was refused before routing.
@@ -262,11 +302,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
             return refuse(&stream, reader, 431, &msg);
         }
     };
-    let reply = route(&request, shared);
+    let reply = panic::catch_unwind(AssertUnwindSafe(|| route(&request, shared)))
+        .unwrap_or_else(|_| Reply::Internal("the request handler panicked".to_string()));
     match reply {
         Reply::Ok(v) => write_reply(&stream, 200, &v.to_string()),
         Reply::BadRequest(msg) => write_reply(&stream, 400, &error_json(&msg)),
         Reply::NotFound(msg) => write_reply(&stream, 404, &error_json(&msg)),
+        Reply::Internal(msg) => write_reply(&stream, 500, &error_json(&msg)),
     }
 }
 
@@ -445,7 +487,10 @@ fn post_profiles(body: &str, shared: &Shared) -> Reply {
             Err(e) => return Reply::BadRequest(e),
         }
     }
-    let mut resolver = shared.resolver.lock().expect("resolver lock");
+    let mut resolver = match shared.resolver() {
+        Ok(resolver) => resolver,
+        Err(reply) => return reply,
+    };
     let mut inserted = 0u64;
     let mut updated = 0u64;
     for p in profiles {
@@ -462,7 +507,10 @@ fn post_profiles(body: &str, shared: &Shared) -> Reply {
 }
 
 fn get_cluster(source: u32, id: &str, shared: &Shared) -> Reply {
-    let mut resolver = shared.resolver.lock().expect("resolver lock");
+    let mut resolver = match shared.resolver() {
+        Ok(resolver) => resolver,
+        Err(reply) => return reply,
+    };
     match resolver.query(source, id) {
         None => Reply::NotFound(format!("unknown profile: source={source} id={id:?}")),
         Some(view) => {
@@ -488,7 +536,10 @@ fn get_cluster(source: u32, id: &str, shared: &Shared) -> Reply {
 }
 
 fn get_stats(shared: &Shared) -> Reply {
-    let mut resolver = shared.resolver.lock().expect("resolver lock");
+    let mut resolver = match shared.resolver() {
+        Ok(resolver) => resolver,
+        Err(reply) => return reply,
+    };
     let s = resolver.stats();
     let num = |n: u64| JsonValue::Number(n as f64);
     let mut out = BTreeMap::new();
@@ -521,6 +572,7 @@ fn write_reply(mut stream: &TcpStream, status: u16, body: &str) -> io::Result<()
         404 => "Not Found",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
+        500 => "Internal Server Error",
         _ => "Error",
     };
     let response = format!(

@@ -445,3 +445,70 @@ fn idle_connections_time_out_and_free_their_slots() {
     }
     handle.shutdown();
 }
+
+#[test]
+fn a_panic_under_the_resolver_lock_answers_500_and_frees_every_slot() {
+    // The scenario runs on its own thread: a server that wedges leaves it
+    // stuck (dropping the handle waits for the leaked slots), and the test
+    // fails on the timeout below instead of hanging.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let scenario = std::thread::spawn(move || {
+        let mut handle = boot(2);
+        let addr = handle.addr();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle.with_resolver(|_| panic!("a handler panics mid-update"))
+        }));
+        assert!(panicked.is_err());
+        // More requests than the server has handler slots (2), each
+        // needing the poisoned resolver.
+        let requests = [
+            ("GET", "/stats", ""),
+            ("GET", "/clusters/a", ""),
+            (
+                "POST",
+                "/profiles",
+                r#"{"id":"a","attributes":{"name":"sony tv"}}"#,
+            ),
+            ("GET", "/stats", ""),
+            ("GET", "/clusters/0/a", ""),
+        ];
+        for (method, path, body) in requests {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let patience = IDLE_TIMEOUT + std::time::Duration::from_secs(3);
+            stream
+                .set_read_timeout(Some(patience))
+                .expect("set timeout");
+            let req = format!(
+                "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            stream.write_all(req.as_bytes()).expect("send request");
+            let mut response = String::new();
+            stream
+                .read_to_string(&mut response)
+                .unwrap_or_else(|e| panic!("{method} {path} got no reply: {e}"));
+            assert!(
+                response.starts_with("HTTP/1.1 500 Internal Server Error\r\n"),
+                "{method} {path}: {response:?}"
+            );
+            let (_, body) = response.split_once("\r\n\r\n").expect("a body");
+            let JsonValue::Object(reply) = parse_json(body).expect("JSON body") else {
+                panic!("{method} {path}: {body}")
+            };
+            assert!(
+                matches!(reply.get("error"), Some(JsonValue::String(_))),
+                "{body}"
+            );
+        }
+        // A route that does not need the resolver still answers as before.
+        assert_eq!(request(addr, "GET", "/nowhere", "").0, 404);
+        handle.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("every request answers 500 and shutdown returns");
+    scenario
+        .join()
+        .expect("the scenario thread finished cleanly");
+}

@@ -7,9 +7,11 @@
 # equivalence; `cargo test --workspace` runs the rest),
 # the benchmark package's own smoke self-test, clippy and rustdoc with
 # warnings denied, end-to-end pipeline smoke, a CLI backend-matrix smoke,
-# the supervised-scorer train/run/export smoke, the out-of-core smoke, the
-# online-serve smoke and the JSON-lines backend matrix (under every
-# set-similarity measure). Run from the repo root: scripts/ci.sh
+# the supervised-scorer train/run/export smoke, the fused-vs-sequential
+# smokes on dirty_10k (scaling and dense default configuration), the
+# out-of-core smoke, the online-serve smoke and the JSON-lines backend
+# matrix (under every set-similarity measure). Run from the repo root:
+# scripts/ci.sh
 #
 # Performance is measured by one harness only: `bash benchmark/run.sh`
 # (see benchmark/README.md).
@@ -112,6 +114,41 @@ cmp "${seq_tsv}" "${fused_tsv}"
 echo "    exported edges match ($(wc -l < "${fused_tsv}") lines)"
 rm -f "${seq_tsv}" "${fused_tsv}"
 printf '%s\n' "${fused_out}" | grep '^fused:' | sed 's/^/    /'
+
+# Dense fused smoke: the same preset under the default configuration
+# (~11.7 M candidates, so the pruning plan's 16 Ki-pair cap, not the worker
+# count, sets the morsels) must match the sequential run — result counts,
+# matcher counters and entity CSV bytes — and cut more morsels than the
+# 32 per worker it would without the cap. An empty configuration file is
+# PipelineConfig::default() (pinned by the config tests).
+echo "==> sparker --preset dirty_10k --config <default>: sequential vs fused"
+default_conf="$(mktemp --suffix .conf)"
+seq_csv="$(mktemp --suffix .csv)"
+fused_csv="$(mktemp --suffix .csv)"
+printf '# PipelineConfig::default()\n' > "${default_conf}"
+seq_out="$(cargo run -q --release --bin sparker -- --preset dirty_10k --config "${default_conf}" \
+  --backend sequential --output "${seq_csv}")"
+fused_out="$(cargo run -q --release --bin sparker -- --preset dirty_10k --config "${default_conf}" \
+  --backend fused --workers 4 --output "${fused_csv}")"
+for line in '^result counts:' '^matcher:'; do
+  seq_line="$(printf '%s\n' "${seq_out}" | grep "${line}" | sed 's/ ([^)]*)//')"
+  fused_line="$(printf '%s\n' "${fused_out}" | grep "${line}" | sed 's/ ([^)]*)//')"
+  echo "    sequential: ${seq_line}"
+  echo "    fused:      ${fused_line}"
+  if [ -z "${seq_line}" ] || [ "${seq_line}" != "${fused_line}" ]; then
+    echo "dense fused run diverged from sequential: '${fused_line}' != '${seq_line}'" >&2
+    exit 1
+  fi
+done
+cmp "${seq_csv}" "${fused_csv}"
+fused_line="$(printf '%s\n' "${fused_out}" | grep '^fused:')"
+echo "    ${fused_line}"
+morsels="$(printf '%s\n' "${fused_line}" | sed -E 's/^fused: ([0-9]+) morsels.*/\1/')"
+if [ "${morsels}" -le 128 ]; then
+  echo "dense fused run cut ${morsels} morsels; the pair cap should cut more than 128" >&2
+  exit 1
+fi
+rm -f "${default_conf}" "${seq_csv}" "${fused_csv}"
 
 # Out-of-core smoke: the dirty_100k scaling preset under a hard 8 MiB
 # budget must report result counts identical to the unbudgeted in-RAM run,

@@ -21,7 +21,7 @@ use sparker::metablocking::{
 };
 use sparker::profiles::{
     parse_csv, profiles_from_csv, profiles_from_json_lines, profiles_from_json_lines_on,
-    push_csv_row, CsvOptions, GroundTruth, Profile, ProfileCollection, ProfileId, SourceId,
+    push_csv_row, CsvOptions, GroundTruth, Pair, Profile, ProfileCollection, ProfileId, SourceId,
 };
 use sparker::serve::ResolverState;
 use sparker::{
@@ -358,7 +358,8 @@ fn run() -> Result<(), String> {
         let overlap = f.busy_time().as_secs_f64() / f.wall.as_secs_f64().max(1e-9);
         println!(
             "fused: {} morsels, produce busy {:.1?} + consume busy {:.1?} over wall {:.1?} \
-             (overlap {overlap:.2}x), queue wait {:.1?}, backpressure {}, payloads {}",
+             (overlap {overlap:.2}x), queue wait {:.1?}, backpressure {}, payloads {}, \
+             max batch {} pairs ({} KiB)",
             f.morsels,
             f.produce_busy,
             f.consume_busy,
@@ -366,6 +367,8 @@ fn run() -> Result<(), String> {
             f.queue_wait,
             f.backpressure_yields,
             f.payloads,
+            f.max_batch,
+            f.max_batch * std::mem::size_of::<(Pair, f64)>() / 1024,
         );
     }
     println!(

@@ -473,3 +473,50 @@ fn fused_reads_of_the_candidate_set_match_sequential() {
     assert!(seq_tsv == fused_tsv, "the exported TSVs differ");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn dense_fused_run_caps_its_batches() {
+    // One block shared by 2 000 profiles (~2 M forward edges) is cut into
+    // more morsels than the worker count asks for, none of whose batches
+    // exceeds the plan's 16 Ki-pair cap.
+    let dir = tempdir("dense");
+    let mut csv = String::from("id,name\n");
+    for i in 0..2000 {
+        csv.push_str(&format!("p{i},common w{} v{} u{}\n", i % 17, i % 23, i % 5));
+    }
+    let source = write(&dir, "dense.csv", &csv);
+    let config = write(&dir, "dense.conf", "purge = off\nfilter = off\n");
+    let result = sparker()
+        .args(["--source-a", &source, "--config", &config])
+        .args(["--backend", "fused", "--workers", "2"])
+        .output()
+        .unwrap();
+    assert!(
+        result.status.success(),
+        "{}",
+        String::from_utf8_lossy(&result.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&result.stdout);
+    let fused = stdout
+        .lines()
+        .find(|l| l.starts_with("fused:"))
+        .unwrap_or_else(|| panic!("no fused: line in {stdout}"));
+    let number_before = |marker: &str| -> usize {
+        let head = &fused[..fused.find(marker).unwrap_or_else(|| panic!("{fused}"))];
+        head.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    let morsels: usize = fused["fused: ".len()..]
+        .split(' ')
+        .next()
+        .unwrap()
+        .parse()
+        .unwrap();
+    let max_batch = number_before(" pairs (");
+    assert!(morsels > 64, "{fused}");
+    assert!(max_batch > 0 && max_batch <= 16384, "{fused}");
+    assert!(
+        fused.contains(&format!("({} KiB)", max_batch * 16 / 1024)),
+        "{fused}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
