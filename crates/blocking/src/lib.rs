@@ -10,8 +10,9 @@
 //!   by counting sort into a CSR-packed [`CompactBlocks`]
 //!   ([`token_blocking_pass`] is that path with the tokenization split over
 //!   an engine context's workers, returning the per-profile token ids too;
-//!   [`token_blocking_interned`] builds from an existing dictionary;
-//!   [`token_blocking_string`] is the original map-based reference).
+//!   [`TokenBlocks::from_pass`] builds from a token pass taken while
+//!   loading; [`token_blocking_string`] is the original map-based
+//!   reference).
 //! * [`keyed_blocking`] — the generalization used by Blast's loose-schema
 //!   blocking, where the caller derives the keys (token ⧺ attribute-partition
 //!   id, Figure 2(b)); [`keyed_blocking_pass`] is its CSR key pass.
@@ -59,6 +60,6 @@ pub use purging::{purge_by_comparison_level, purge_oversized, PurgeCap, PurgeCon
 pub use sparker_profiles::ProfileKeys;
 pub use tokenblocking::{
     keyed_blocking, keyed_blocking_pass, keyed_blocking_string, token_blocking,
-    token_blocking_interned, token_blocking_pass, token_blocking_streaming, token_blocking_string,
-    token_blocking_with_dict, token_blocking_with_dict_budgeted, TokenBlocks,
+    token_blocking_pass, token_blocking_string, token_blocking_with_dict,
+    token_blocking_with_dict_budgeted, TokenBlocks,
 };

@@ -15,8 +15,8 @@ use crate::collection::BlockCollection;
 use crate::csr::CompactBlocks;
 use sparker_dataflow::{Context, MemBudget};
 use sparker_profiles::{
-    each_token, intern_profile_keys, intern_profiles, DictBuilder, ErKind, Profile,
-    ProfileCollection, ProfileId, ProfileKeys, TokenDict,
+    intern_profile_keys, intern_profiles, ErKind, Profile, ProfileCollection, ProfileId,
+    ProfileKeys, TokenDict,
 };
 use std::collections::HashMap;
 
@@ -28,8 +28,8 @@ use std::collections::HashMap;
 /// clean–clean tasks) are dropped. Block order is deterministic: keys are
 /// sorted. Internally this interns tokens and buckets ids in **one pass**
 /// over the collection — see [`token_blocking_with_dict`] for the entry
-/// point that also returns the dictionary, and [`token_blocking_interned`]
-/// to reuse a dictionary that already exists.
+/// point that also returns the dictionary, and [`TokenBlocks::from_pass`]
+/// to build from a token pass taken elsewhere (while loading).
 pub fn token_blocking(collection: &ProfileCollection) -> BlockCollection {
     let (dict, compact) = token_blocking_with_dict(collection);
     compact.materialize(&dict)
@@ -51,6 +51,38 @@ pub struct TokenBlocks {
     pub blocks: CompactBlocks,
 }
 
+impl TokenBlocks {
+    /// The CSR blocks of a finished token (or key) pass over `collection`
+    /// — its dictionary and every profile's sorted key ids, in profile id
+    /// order — counting-sorted under `budget`
+    /// ([`CompactBlocks::from_profile_keys_budgeted`]). The pass may come
+    /// from [`intern_profiles`] or from the loader's text-free pass
+    /// ([`sparker_profiles::token_pass_from_json_lines`]); only the
+    /// collection's kind, separator and size are read, so a text-free
+    /// collection builds the same blocks as the full one. Panics when the
+    /// pass does not cover the collection.
+    pub fn from_pass(
+        collection: &ProfileCollection,
+        dict: TokenDict,
+        keys: ProfileKeys,
+        budget: &MemBudget,
+    ) -> Self {
+        assert_eq!(
+            keys.len(),
+            collection.len(),
+            "a token pass must cover every profile of the collection"
+        );
+        let blocks = CompactBlocks::from_profile_keys_budgeted(
+            collection.kind(),
+            collection.separator(),
+            dict.len(),
+            &keys,
+            budget,
+        );
+        TokenBlocks { dict, keys, blocks }
+    }
+}
+
 /// Interned Token Blocking in one tokenization pass: every profile is
 /// tokenized and interned exactly once ([`intern_profiles`] — one
 /// contiguous profile range per worker when a context is given, on the
@@ -65,14 +97,7 @@ pub fn token_blocking_pass(
     budget: &MemBudget,
 ) -> TokenBlocks {
     let (dict, keys) = intern_profiles(ctx, collection.profiles());
-    let blocks = CompactBlocks::from_profile_keys_budgeted(
-        collection.kind(),
-        collection.separator(),
-        dict.len(),
-        &keys,
-        budget,
-    );
-    TokenBlocks { dict, keys, blocks }
+    TokenBlocks::from_pass(collection, dict, keys, budget)
 }
 
 /// Single-pass interned Token Blocking on the calling thread — the
@@ -92,79 +117,6 @@ pub fn token_blocking_with_dict_budgeted(
 ) -> (TokenDict, CompactBlocks) {
     let TokenBlocks { dict, blocks, .. } = token_blocking_pass(None, collection, budget);
     (dict, blocks)
-}
-
-/// Streaming Token Blocking: profiles arrive as owned chunks (in ascending
-/// id order, source 0 before source 1) and each chunk's raw strings are
-/// dropped as soon as its tokens are interned — the collection's `Profile`s
-/// and their interned views never coexist in RAM. This is the 1M-profile
-/// entry point: a generator emits chunks, the dictionary and per-profile
-/// key lists grow incrementally, and the final CSR build honors `budget`.
-///
-/// Output is bit-identical to [`token_blocking_with_dict`] run over the
-/// concatenation of the chunks (pinned by tests).
-pub fn token_blocking_streaming<I>(
-    kind: ErKind,
-    chunks: I,
-    budget: &MemBudget,
-) -> (TokenDict, CompactBlocks)
-where
-    I: IntoIterator<Item = Vec<Profile>>,
-{
-    let mut builder = DictBuilder::new();
-    let mut scratch = String::new();
-    let mut keys = ProfileKeys::new();
-    let mut buf: Vec<u32> = Vec::new();
-    let mut total = 0u32;
-    let mut source0 = 0u32;
-    for chunk in chunks {
-        for p in &chunk {
-            debug_assert_eq!(p.id.0, total, "profiles must stream in id order");
-            for a in &p.attributes {
-                each_token(&a.value, &mut scratch, |t| buf.push(builder.intern(t)));
-            }
-            keys.push_keys(&mut buf);
-            if p.source.0 == 0 {
-                source0 += 1;
-            }
-            total += 1;
-        }
-        // `chunk` drops here: the raw profile strings are released before
-        // the next chunk is interned.
-    }
-    let separator = match kind {
-        ErKind::Dirty => total,
-        ErKind::CleanClean => source0,
-    };
-    let (dict, perm) = builder.finish();
-    keys.remap(&perm);
-    let compact =
-        CompactBlocks::from_profile_keys_budgeted(kind, separator, dict.len(), &keys, budget);
-    (dict, compact)
-}
-
-/// Token Blocking over a pre-built [`TokenDict`]: buckets profiles by
-/// dictionary id with a counting sort and returns the CSR-packed
-/// [`CompactBlocks`]. Pays a binary-search lookup per token occurrence, so
-/// prefer [`token_blocking_with_dict`] unless the dictionary already
-/// exists (e.g. shared with loose-schema partitioning).
-///
-/// Blocks come out ordered by token id, which (ids being assigned in
-/// lexicographic token order) is exactly the sorted-key order of
-/// [`token_blocking`]; `materialize(&dict)` yields the identical
-/// [`BlockCollection`].
-pub fn token_blocking_interned(collection: &ProfileCollection, dict: &TokenDict) -> CompactBlocks {
-    let mut scratch = String::new();
-    let keys = ProfileKeys::collect(collection.profiles(), |p, buf| {
-        for a in &p.attributes {
-            each_token(&a.value, &mut scratch, |t| {
-                if let Some(id) = dict.lookup(t) {
-                    buf.push(id.0);
-                }
-            });
-        }
-    });
-    CompactBlocks::from_profile_keys(collection.kind(), collection.separator(), dict.len(), &keys)
 }
 
 /// The original string-keyed Token Blocking: buckets into a
@@ -206,14 +158,7 @@ pub fn keyed_blocking_pass(
     budget: &MemBudget,
 ) -> TokenBlocks {
     let (dict, keys) = intern_profile_keys(ctx, collection.profiles(), key_fn);
-    let blocks = CompactBlocks::from_profile_keys_budgeted(
-        collection.kind(),
-        collection.separator(),
-        dict.len(),
-        &keys,
-        budget,
-    );
-    TokenBlocks { dict, keys, blocks }
+    TokenBlocks::from_pass(collection, dict, keys, budget)
 }
 
 /// The original map-based keyed blocking, kept as the reference
@@ -402,33 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_blocking_matches_monolithic_at_any_chunking() {
-        let coll = figure1_collection();
-        let (dict, compact) = token_blocking_with_dict(&coll);
-        for chunk_size in [1usize, 2, 3, 4] {
-            let chunks: Vec<Vec<Profile>> = coll
-                .profiles()
-                .chunks(chunk_size)
-                .map(|c| c.to_vec())
-                .collect();
-            let (sdict, scompact) =
-                token_blocking_streaming(coll.kind(), chunks, &MemBudget::unlimited());
-            assert_eq!(sdict.len(), dict.len(), "chunk={chunk_size}");
-            assert_eq!(scompact, compact, "chunk={chunk_size}");
-        }
-        // Dirty kind too, with a budget tight enough to chunk the CSR build.
-        let dirty = ProfileCollection::dirty(vec![
-            Profile::builder(SourceId(0), "a").attr("n", "x y").build(),
-            Profile::builder(SourceId(0), "b").attr("n", "y z").build(),
-            Profile::builder(SourceId(0), "c").attr("n", "z x").build(),
-        ]);
-        let (_, expect) = token_blocking_with_dict(&dirty);
-        let chunks: Vec<Vec<Profile>> = dirty.profiles().chunks(2).map(|c| c.to_vec()).collect();
-        let (_, got) = token_blocking_streaming(dirty.kind(), chunks, &MemBudget::limited(1));
-        assert_eq!(got, expect);
-    }
-
-    #[test]
     fn budgeted_with_dict_is_bit_identical() {
         let coll = figure1_collection();
         let (dict, compact) = token_blocking_with_dict(&coll);
@@ -436,19 +354,6 @@ mod tests {
             let (bdict, bcompact) = token_blocking_with_dict_budgeted(&coll, &budget);
             assert_eq!(bdict.len(), dict.len());
             assert_eq!(bcompact, compact);
-        }
-    }
-
-    #[test]
-    fn compact_blocks_expose_counts_without_materializing() {
-        let coll = figure1_collection();
-        let dict = TokenDict::build(&coll);
-        let compact = token_blocking_interned(&coll, &dict);
-        let reference = token_blocking_string(&coll);
-        assert_eq!(compact.len(), reference.len());
-        assert_eq!(compact.total_comparisons(), reference.total_comparisons());
-        for (b, blk) in reference.blocks().iter().enumerate() {
-            assert_eq!(dict.resolve(compact.key(b)), blk.key);
         }
     }
 }

@@ -235,7 +235,7 @@ mod tests {
     fn connected_components_no_edges_all_singletons() {
         let c = connected_components(&[], 3);
         assert_eq!(c.num_clusters(), 3);
-        assert!(c.asserted_pairs().is_empty());
+        assert!(c.non_trivial_clusters().is_empty());
     }
 
     #[test]

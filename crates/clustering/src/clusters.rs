@@ -1,6 +1,6 @@
 //! The output of entity clustering: a partition of profiles into entities.
 
-use sparker_profiles::{Pair, ProfileId};
+use sparker_profiles::ProfileId;
 use std::collections::HashMap;
 
 /// A partition of the profile space into entity clusters.
@@ -102,21 +102,6 @@ impl EntityClusters {
             .filter(|&(i, &l)| l as usize == i)
             .count()
     }
-
-    /// All intra-cluster pairs — the matches this clustering *asserts*.
-    /// Cluster-level evaluation compares these against the ground truth.
-    pub fn asserted_pairs(&self) -> Vec<Pair> {
-        let mut out = Vec::new();
-        for (_, members) in self.non_trivial_clusters() {
-            for i in 0..members.len() {
-                for j in i + 1..members.len() {
-                    out.push(Pair::new(members[i], members[j]));
-                }
-            }
-        }
-        out.sort();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -165,19 +150,6 @@ mod tests {
         let empty = EntityClusters::from_labels(vec![]);
         assert_eq!(empty.grouped(), (vec![0], vec![]));
         assert_eq!(empty.num_clusters(), 0);
-    }
-
-    #[test]
-    fn asserted_pairs_cover_cluster_cliques() {
-        let c = EntityClusters::from_labels(vec![0, 0, 0, 3]);
-        assert_eq!(
-            c.asserted_pairs(),
-            vec![
-                Pair::new(ProfileId(0), ProfileId(1)),
-                Pair::new(ProfileId(0), ProfileId(2)),
-                Pair::new(ProfileId(1), ProfileId(2)),
-            ]
-        );
     }
 
     #[test]

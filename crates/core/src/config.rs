@@ -136,6 +136,31 @@ impl PipelineConfig {
         }
     }
 
+    /// The settings under which a fused run, handed a token pass taken
+    /// while loading ([`crate::Pipeline::run_on_pass`]), would still read
+    /// attribute text, by configuration key: `loose_schema` (attribute
+    /// partitioning and keyed blocking read names and values), `mb.entropy`
+    /// (block entropies come from the attribute partitioning),
+    /// `matcher.measure` (the string measures score the concatenated
+    /// values) and `meta_blocking` when off (the staged matcher prepares
+    /// its views from the text). Empty when the token pass is all the run
+    /// reads of a profile.
+    pub fn text_readers(&self) -> Vec<&'static str> {
+        let mut readers = Vec::new();
+        if self.blocking.loose_schema.is_some() {
+            readers.push("loose_schema");
+        }
+        match &self.blocking.meta_blocking {
+            None => readers.push("meta_blocking"),
+            Some(mb) if mb.use_entropy => readers.push("mb.entropy"),
+            Some(_) => {}
+        }
+        if self.matching.measure.reads_text() {
+            readers.push("matcher.measure");
+        }
+        readers
+    }
+
     /// Serialize to the persistence format (one `key = value` per line).
     pub fn to_config_string(&self) -> String {
         let mut out = String::new();

@@ -124,6 +124,10 @@ impl LostPairsReport {
         ground_truth: &GroundTruth,
         candidates: &CandidateSet,
     ) -> Self {
+        assert!(
+            collection.has_text(),
+            "the lost-pair drill-down reads shared tokens: it needs the collection's text"
+        );
         let lost = ground_truth
             .lost_pairs(|pair| candidates.contains(pair))
             .into_iter()

@@ -93,15 +93,49 @@ impl PairQuality {
                 correct += 1;
             }
         }
+        Self::from_counts(correct, total, ground_truth.len() as u64)
+    }
+
+    /// Measure a clustering by its implied intra-cluster pairs, counted
+    /// rather than listed: a cluster of `s` profiles asserts `s(s−1)/2`
+    /// pairs, and an asserted pair is correct exactly when it is a
+    /// ground-truth pair whose two profiles share a cluster. The same
+    /// numbers, bit for bit, as [`PairQuality::measure`] over every
+    /// intra-cluster pair, in time linear in profiles plus truth pairs.
+    pub fn of_clusters(clusters: &EntityClusters, ground_truth: &GroundTruth) -> Self {
+        let (offsets, _) = clusters.grouped();
+        let total = offsets
+            .windows(2)
+            .map(|w| {
+                let size = u64::from(w[1] - w[0]);
+                size * size.saturating_sub(1) / 2
+            })
+            .sum();
+        let n = clusters.num_profiles();
+        let correct = ground_truth
+            .iter()
+            .filter(|p| {
+                p.first != p.second
+                    && p.first.index() < n
+                    && p.second.index() < n
+                    && clusters.same_entity(p.first, p.second)
+            })
+            .count() as u64;
+        Self::from_counts(correct, total, ground_truth.len() as u64)
+    }
+
+    /// Precision, recall and F1 from `correct` of `total` asserted pairs
+    /// against `truth` true matches.
+    fn from_counts(correct: u64, total: u64, truth: u64) -> Self {
         let precision = if total == 0 {
             0.0
         } else {
             correct as f64 / total as f64
         };
-        let recall = if ground_truth.is_empty() {
+        let recall = if truth == 0 {
             1.0
         } else {
-            correct as f64 / ground_truth.len() as f64
+            correct as f64 / truth as f64
         };
         let f1 = if precision + recall == 0.0 {
             0.0
@@ -113,12 +147,6 @@ impl PairQuality {
             recall,
             f1,
         }
-    }
-
-    /// Measure a clustering by its implied intra-cluster pairs.
-    pub fn of_clusters(clusters: &EntityClusters, ground_truth: &GroundTruth) -> Self {
-        let pairs = clusters.asserted_pairs();
-        PairQuality::measure(pairs.iter(), ground_truth)
     }
 }
 
@@ -206,5 +234,45 @@ mod tests {
         let q = PairQuality::of_clusters(&clusters, &gt);
         assert!((q.precision - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(q.recall, 1.0);
+    }
+
+    /// Every intra-cluster pair, listed — what [`PairQuality::of_clusters`]
+    /// counts without building.
+    fn listed_pairs(clusters: &EntityClusters) -> Vec<Pair> {
+        let (offsets, members) = clusters.grouped();
+        let mut pairs = Vec::new();
+        for w in offsets.windows(2) {
+            let group = &members[w[0] as usize..w[1] as usize];
+            for (i, &a) in group.iter().enumerate() {
+                for &b in &group[i + 1..] {
+                    pairs.push(Pair::new(a, b));
+                }
+            }
+        }
+        pairs
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn counted_cluster_quality_equals_listed_pairs(
+            labels in proptest::collection::vec(0u32..12, 0..40),
+            truth in proptest::collection::vec((0u32..45, 0u32..45), 0..60),
+        ) {
+            use sparker_profiles::ProfileId;
+            let clusters = EntityClusters::from_labels(labels);
+            // Truth ids may fall outside the clustering: those pairs are
+            // never asserted.
+            let gt = GroundTruth::from_pairs(
+                truth
+                    .into_iter()
+                    .filter(|(a, b)| a != b)
+                    .map(|(a, b)| Pair::new(ProfileId(a), ProfileId(b))),
+            );
+            let counted = PairQuality::of_clusters(&clusters, &gt);
+            let listed = PairQuality::measure(listed_pairs(&clusters).iter(), &gt);
+            proptest::prop_assert_eq!(counted.precision.to_bits(), listed.precision.to_bits());
+            proptest::prop_assert_eq!(counted.recall.to_bits(), listed.recall.to_bits());
+            proptest::prop_assert_eq!(counted.f1.to_bits(), listed.f1.to_bits());
+        }
     }
 }

@@ -18,7 +18,7 @@ use sparker_matching::{FilterStats, PreparedProfile, SimilarityGraph, ThresholdM
 use sparker_metablocking::{
     block_entropies, BlockEntropies, BlockGraph, MetaBlockingConfig, StreamingMetaBlocking,
 };
-use sparker_profiles::{GroundTruth, Pair, ProfileCollection};
+use sparker_profiles::{GroundTruth, Pair, ProfileCollection, ProfileKeys, TokenDict};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -146,7 +146,7 @@ impl Pipeline {
             initial_blocks,
             initial_comparisons,
             mut stages,
-        } = self.run_block_stages(backend, collection, budget);
+        } = self.run_block_stages(backend, collection, None, budget);
         let blocks = blocks.into_collection();
         let cleaned_blocks = blocks.len();
         let cleaned_comparisons = blocks.total_comparisons();
@@ -191,15 +191,26 @@ impl Pipeline {
     /// the sequential oracle materializes them first and applies the
     /// string-keyed purge and `block_filtering`, and the dataflow backend
     /// purges on the driver and filters with the paper's shuffles.
+    ///
+    /// A `supplied` token pass (the fused driver's, from
+    /// [`Pipeline::run_on_pass`]) replaces the token pass: stage 1 is then
+    /// only the CSR build. Without one, the collection's text is read, so
+    /// it must have some.
     fn run_block_stages(
         &self,
         backend: &ExecutionBackend,
         collection: &ProfileCollection,
+        supplied: Option<(TokenDict, ProfileKeys)>,
         budget: &MemBudget,
     ) -> BlockStages {
         let bc = &self.config.blocking;
         let ctx = backend.context();
         let mut stages = Vec::with_capacity(PipelineStage::ALL.len());
+        assert!(
+            supplied.is_some() || collection.has_text(),
+            "a text-free collection runs only with the token pass taken while loading it \
+             (Pipeline::run_on_pass)"
+        );
 
         // Stage 1: loose schema (driver) + (token/keyed) blocking.
         let scope = StageScope::begin(PipelineStage::BuildBlocks, ctx, budget);
@@ -207,7 +218,12 @@ impl Pipeline {
             .loose_schema
             .as_ref()
             .map(|lsh| partition_attributes(collection, lsh));
-        let blocks = backend.build_blocks_keyed(collection, partitioning.as_ref(), budget);
+        let blocks = match supplied {
+            Some((dict, keys)) => {
+                StagedBlocks::Compact(TokenBlocks::from_pass(collection, dict, keys, budget))
+            }
+            None => backend.build_blocks_keyed(collection, partitioning.as_ref(), budget),
+        };
         let initial_blocks = blocks.len();
         let initial_comparisons = blocks.total_comparisons();
         stages.push(scope.finish(collection.len() as u64, initial_blocks as u64));
@@ -273,6 +289,10 @@ impl Pipeline {
     /// let fused = pipeline.run_on(&ExecutionBackend::fused(4), &ds.collection);
     /// assert_eq!(sequential.clusters, fused.clusters);
     /// ```
+    ///
+    /// The collection must carry its attribute text; a text-free one
+    /// ([`ProfileCollection::without_text`]) runs through
+    /// [`Pipeline::run_on_pass`] and makes this panic.
     pub fn run_on(
         &self,
         backend: &ExecutionBackend,
@@ -285,7 +305,7 @@ impl Pipeline {
         // so it degrades to the staged pool path below.
         if let ExecutionBackend::FusedPool(ctx) = backend {
             if let Some(mb) = self.config.blocking.meta_blocking {
-                return self.run_fused(backend, ctx, &mb, collection, &budget);
+                return self.run_fused(backend, ctx, &mb, collection, None, &budget);
             }
         }
 
@@ -323,7 +343,50 @@ impl Pipeline {
         )
     }
 
-    /// The fused driver: stages 1–2 on CSR (the token or key pass, then
+    /// [`Pipeline::run_on`] on the fused backend with the token pass
+    /// already taken — the dictionary and every profile's sorted token ids
+    /// in profile id order, as [`intern_profiles`] over the collection
+    /// gives them, or as the JSON-lines loader's text-free pass
+    /// ([`sparker_profiles::token_pass_from_json_lines`]) gives them while
+    /// parsing. Stage 1 is then only the CSR build, and the collection may
+    /// be text-free ([`ProfileCollection::without_text`]): nothing else
+    /// the run does reads attribute text. Results are identical to
+    /// `run_on` over the collection with its text.
+    ///
+    /// Panics unless the backend is the fused one and the configuration
+    /// reads no text ([`PipelineConfig::text_readers`] is empty), and when
+    /// the pass does not cover the collection.
+    ///
+    /// [`intern_profiles`]: sparker_profiles::intern_profiles
+    pub fn run_on_pass(
+        &self,
+        backend: &ExecutionBackend,
+        collection: &ProfileCollection,
+        pass: (TokenDict, ProfileKeys),
+    ) -> PipelineResult {
+        let ExecutionBackend::FusedPool(ctx) = backend else {
+            panic!(
+                "a token pass taken while loading runs on the fused backend, not {}",
+                backend.name()
+            );
+        };
+        let readers = self.config.text_readers();
+        assert!(
+            readers.is_empty(),
+            "a run handed its token pass must read no attribute text, but {} does",
+            readers.join(", ")
+        );
+        let mb = self
+            .config
+            .blocking
+            .meta_blocking
+            .expect("text_readers lists meta_blocking when it is off");
+        let budget = backend.budget();
+        self.run_fused(backend, ctx, &mb, collection, Some(pass), &budget)
+    }
+
+    /// The fused driver: stages 1–2 on CSR (the token or key pass — or the
+    /// `supplied` one — then
     /// purging and filtering in place — no block is ever materialized, no
     /// key resolved to a `String`, nothing shuffled), the block graph
     /// adopted straight from the cleaned CSR, then prune→score as one
@@ -351,6 +414,7 @@ impl Pipeline {
         ctx: &Context,
         mb: &MetaBlockingConfig,
         collection: &ProfileCollection,
+        supplied: Option<(TokenDict, ProfileKeys)>,
         budget: &MemBudget,
     ) -> PipelineResult {
         let BlockStages {
@@ -359,7 +423,7 @@ impl Pipeline {
             initial_blocks,
             initial_comparisons,
             mut stages,
-        } = self.run_block_stages(backend, collection, budget);
+        } = self.run_block_stages(backend, collection, supplied, budget);
         let StagedBlocks::Compact(TokenBlocks { dict, keys, blocks }) = blocks else {
             unreachable!("the fused backend builds and cleans its blocks on CSR")
         };

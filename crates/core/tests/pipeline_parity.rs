@@ -8,10 +8,11 @@
 
 use proptest::prelude::*;
 use sparker_core::{
-    BlockingConfig, ClusteringAlgorithm, ExecutionBackend, Pipeline, PipelineConfig, PipelineResult,
+    BlockingConfig, ClusteringAlgorithm, ExecutionBackend, LostPairsReport, Pipeline,
+    PipelineConfig, PipelineResult,
 };
 use sparker_datasets::{generate, generate_dirty, DatasetConfig, GeneratedDataset, ZipfSkew};
-use sparker_profiles::{Attribute, Pair, ProfileCollection};
+use sparker_profiles::{intern_profiles, Attribute, Pair, ProfileCollection};
 
 const WORKERS: [usize; 3] = [1, 2, 8];
 
@@ -514,6 +515,106 @@ fn fused_runs_shuffle_nothing() {
             assert_eq!(snap.total_shuffle_records(), 0, "{tag}");
         }
     }
+}
+
+#[test]
+fn fused_run_on_a_supplied_pass_matches_sequential() {
+    // A run handed its token pass (what the CLI's text-free load takes
+    // while parsing) over the text-free collection must equal the
+    // sequential oracle over the full one — candidates, weights, cascade
+    // counters, clusters and evaluation — under both production configs,
+    // clean and dirty, at every worker count.
+    for config in [PipelineConfig::default(), PipelineConfig::scaling()] {
+        assert!(config.text_readers().is_empty());
+        let pipeline = Pipeline::new(config);
+        for (tag, ds) in [
+            ("clean", clean_dataset(80, 23, true)),
+            ("dirty", dirty_dataset(50, 29, false)),
+        ] {
+            let reference = pipeline.run_on(&ExecutionBackend::Sequential, &ds.collection);
+            let bare = ds.collection.clone().without_text();
+            for workers in WORKERS {
+                let backend = ExecutionBackend::fused(workers);
+                let pass = intern_profiles(backend.context(), ds.collection.profiles());
+                let run = pipeline.run_on_pass(&backend, &bare, pass);
+                let tag = format!("supplied pass {tag} workers={workers}");
+                assert_equivalent(&reference, &run, &ds, &tag);
+                assert!(
+                    reference
+                        .blocker
+                        .candidates
+                        .weighted()
+                        .eq(run.blocker.candidates.weighted()),
+                    "{tag}: weighted candidates diverged"
+                );
+                assert_eq!(reference.report.matcher, run.report.matcher, "{tag}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "text-free collection runs only with the token pass")]
+fn text_free_collection_without_its_pass_fails() {
+    let ds = dirty_dataset(20, 3, false);
+    let bare = ds.collection.without_text();
+    Pipeline::new(PipelineConfig::scaling()).run_on(&ExecutionBackend::fused(2), &bare);
+}
+
+#[test]
+fn supplied_pass_refuses_text_readers_and_other_backends() {
+    // Every configuration that reads text, and every backend but fused,
+    // must refuse a supplied pass rather than score empty text.
+    let ds = dirty_dataset(20, 5, false);
+    let bare = ds.collection.clone().without_text();
+    let run = |config: PipelineConfig, backend: ExecutionBackend| {
+        let pass = intern_profiles(None, ds.collection.profiles());
+        let bare = bare.clone();
+        std::panic::catch_unwind(move || {
+            Pipeline::new(config).run_on_pass(&backend, &bare, pass);
+        })
+        .is_err()
+    };
+    let mut entropy = PipelineConfig::default();
+    entropy.blocking.meta_blocking.as_mut().unwrap().use_entropy = true;
+    let mut levenshtein = PipelineConfig::default();
+    levenshtein.matching.measure = sparker_matching::SimilarityMeasure::Levenshtein;
+    let mut no_mb = PipelineConfig::default();
+    no_mb.blocking.meta_blocking = None;
+    let loose = PipelineConfig {
+        blocking: BlockingConfig::blast(),
+        ..PipelineConfig::default()
+    };
+    for (config, reader) in [
+        (entropy, "mb.entropy"),
+        (levenshtein, "matcher.measure"),
+        (no_mb, "meta_blocking"),
+        (loose, "loose_schema"),
+    ] {
+        assert!(config.text_readers().contains(&reader), "{reader}");
+        assert!(
+            run(config, ExecutionBackend::fused(2)),
+            "{reader} accepted a pass"
+        );
+    }
+    for backend in [ExecutionBackend::Sequential, ExecutionBackend::dataflow(2)] {
+        let name = backend.name();
+        assert!(
+            run(PipelineConfig::default(), backend),
+            "{name} accepted a pass"
+        );
+    }
+    // The lost-pair drill-down reads shared tokens: not from a bare
+    // collection either.
+    let result = Pipeline::new(PipelineConfig::default()).run_on_pass(
+        &ExecutionBackend::fused(2),
+        &bare,
+        intern_profiles(None, ds.collection.profiles()),
+    );
+    let drill_down = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        LostPairsReport::build(&bare, &ds.ground_truth, &result.blocker.candidates)
+    }));
+    assert!(drill_down.is_err());
 }
 
 #[test]

@@ -55,7 +55,7 @@ impl SimilarityMeasure {
 
     /// `true` for the string measures, which score the concatenated values
     /// instead of the token sets.
-    pub(crate) fn reads_text(&self) -> bool {
+    pub fn reads_text(&self) -> bool {
         matches!(
             self,
             SimilarityMeasure::Levenshtein
@@ -575,6 +575,10 @@ impl PreparedProfile {
     /// [`PreparedProfile::prepare_from_keys`]. Builds the text views too,
     /// so the result serves every measure.
     pub fn prepare_all(collection: &ProfileCollection) -> Vec<PreparedProfile> {
+        assert!(
+            collection.has_text(),
+            "matcher views cannot be prepared from a text-free collection"
+        );
         let (_, keys) = intern_profiles(None, collection.profiles());
         Self::from_keys(None, collection, &keys, true)
     }
@@ -610,6 +614,10 @@ impl PreparedProfile {
         with_text: bool,
     ) -> Vec<PreparedProfile> {
         debug_assert_eq!(keys.len(), collection.len(), "one id list per profile");
+        assert!(
+            !with_text || collection.has_text(),
+            "a text-reading view cannot be prepared from a text-free collection"
+        );
         let n = keys.len();
         let range_dfs = map_ranges(ctx, n, |range| {
             let mut df: Vec<u32> = Vec::new();

@@ -1172,11 +1172,9 @@ mod tests {
 
     #[test]
     fn from_compact_equals_from_collection() {
-        use sparker_blocking::token_blocking_interned;
-        use sparker_profiles::TokenDict;
+        use sparker_blocking::token_blocking_with_dict;
         let (coll, blocks) = figure1();
-        let dict = TokenDict::build(&coll);
-        let compact = token_blocking_interned(&coll, &dict);
+        let (_, compact) = token_blocking_with_dict(&coll);
         let a = BlockGraph::new(&blocks, None);
         let b = BlockGraph::from_compact(&compact, None);
         assert_eq!(a.num_blocks(), b.num_blocks());
@@ -1192,9 +1190,8 @@ mod tests {
 
     #[test]
     fn budgeted_graph_is_bit_identical_to_monolithic() {
-        use sparker_blocking::token_blocking_interned;
+        use sparker_blocking::token_blocking_with_dict;
         use sparker_dataflow::MemBudget;
-        use sparker_profiles::TokenDict;
         let (coll, blocks) = figure1();
         let entropies = BlockEntropies::new(vec![0.5; blocks.len()]);
 
@@ -1211,8 +1208,7 @@ mod tests {
             mono
         );
 
-        let dict = TokenDict::build(&coll);
-        let compact = token_blocking_interned(&coll, &dict);
+        let (_, compact) = token_blocking_with_dict(&coll);
         let mono_c = BlockGraph::from_compact(&compact, None);
         assert_eq!(
             BlockGraph::from_compact_budgeted(&compact, None, &tight),

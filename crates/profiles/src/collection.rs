@@ -24,6 +24,9 @@ pub struct ProfileCollection {
     profiles: Vec<Profile>,
     /// First id of source 1 for clean–clean; equals `len` for dirty.
     separator: u32,
+    /// `false` once [`ProfileCollection::without_text`] dropped the
+    /// attributes.
+    text: bool,
 }
 
 impl ProfileCollection {
@@ -41,6 +44,7 @@ impl ProfileCollection {
             kind: ErKind::Dirty,
             profiles,
             separator,
+            text: true,
         }
     }
 
@@ -57,7 +61,29 @@ impl ProfileCollection {
             kind: ErKind::CleanClean,
             profiles,
             separator,
+            text: true,
         }
+    }
+
+    /// The same collection with every attribute dropped — ids, sources
+    /// and original ids kept — and marked text-free, for a run whose
+    /// token pass was taken while loading (see
+    /// [`crate::token_pass_from_json_lines`]). Whatever would read
+    /// attribute text from a text-free collection checks
+    /// [`ProfileCollection::has_text`] and fails instead of reading empty
+    /// values.
+    pub fn without_text(mut self) -> Self {
+        for p in &mut self.profiles {
+            p.attributes = Vec::new();
+        }
+        self.text = false;
+        self
+    }
+
+    /// `false` for a collection made by [`ProfileCollection::without_text`]:
+    /// its profiles carry no attribute text, only ids and sources.
+    pub fn has_text(&self) -> bool {
+        self.text
     }
 
     /// Task kind.
@@ -217,6 +243,22 @@ mod tests {
         let empty = ProfileCollection::dirty(vec![]);
         assert_eq!(empty.comparable_pairs(), 0);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn without_text_keeps_ids_and_sources() {
+        let cc = ProfileCollection::clean_clean(vec![profile("a", "x")], vec![profile("b", "y")]);
+        assert!(cc.has_text());
+        let bare = cc.clone().without_text();
+        assert!(!bare.has_text());
+        assert_eq!((bare.kind(), bare.separator()), (cc.kind(), cc.separator()));
+        for (p, q) in bare.profiles().iter().zip(cc.profiles()) {
+            assert_eq!(
+                (p.id, p.source, &p.original_id),
+                (q.id, q.source, &q.original_id)
+            );
+            assert!(p.attributes.is_empty());
+        }
     }
 
     #[test]

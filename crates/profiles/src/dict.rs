@@ -361,80 +361,128 @@ fn intern_with<F>(ctx: Option<&Context>, profiles: &[Profile], fill: F) -> (Toke
 where
     F: Fn(&Profile, &mut DictBuilder, &mut String, &mut Vec<u32>) + Sync,
 {
-    let mut ranges = map_ranges(ctx, profiles.len(), |r| intern_range(&profiles[r], &fill));
-    if ranges.len() == 1 {
-        let RangePass {
-            tokens,
-            mut keys,
-            perm,
-        } = ranges.pop().expect("one range");
-        keys.remap(&perm);
-        return (TokenDict { tokens }, keys);
+    InternedRanges {
+        ranges: map_ranges(ctx, profiles.len(), |r| intern_range(&profiles[r], &fill)),
     }
-    let mut vocab: Vec<Vec<Token>> = ranges
-        .iter_mut()
-        .map(|r| std::mem::take(&mut r.tokens))
-        .collect();
+    .merge(ctx)
+}
 
-    // k-way merge of the sorted range vocabularies: `maps[r][i]` is the
-    // global id of range r's i-th token.
-    let mut maps: Vec<Vec<u32>> = vocab.iter().map(|v| vec![0; v.len()]).collect();
-    let mut heads = vec![0usize; vocab.len()];
-    let mut tokens: Vec<Token> = Vec::new();
-    loop {
-        let mut min: Option<usize> = None;
-        for r in 0..vocab.len() {
-            if heads[r] < vocab[r].len()
-                && min.is_none_or(|m| vocab[r][heads[r]] < vocab[m][heads[m]])
-            {
-                min = Some(r);
-            }
-        }
-        let Some(m) = min else { break };
-        let id = tokens.len() as u32;
-        let token = std::mem::take(&mut vocab[m][heads[m]]);
-        for r in 0..vocab.len() {
-            if heads[r] < vocab[r].len() && (r == m || vocab[r][heads[r]] == token) {
-                maps[r][heads[r]] = id;
-                heads[r] += 1;
-            }
-        }
-        tokens.push(token);
+/// A token pass cut into consecutive profile ranges, each interned on its
+/// own into its own [`DictBuilder`] and not yet merged: what the parallel
+/// token pass holds between its per-range tasks and its merge, and what
+/// the JSON-lines loader's text-free pass
+/// ([`crate::token_pass_from_json_lines`]) returns per source, one range
+/// per parsed chunk. [`InternedRanges::append`] puts a second source's
+/// ranges after the first's; [`InternedRanges::merge`] is the one merge
+/// both paths share.
+#[derive(Debug)]
+pub struct InternedRanges {
+    /// The ranges, in profile order.
+    pub(crate) ranges: Vec<RangePass>,
+}
+
+impl InternedRanges {
+    /// Put `other`'s profiles after this pass's (a clean–clean task's
+    /// second source after its first).
+    pub fn append(&mut self, other: InternedRanges) {
+        self.ranges.extend(other.ranges);
     }
-    // Range r's provisional id i is global id `maps[r][perm_r[i]]`: remap
-    // and sort every range once, in place, on the pool, through that
-    // composition (each range's lock is taken by its one task only).
-    let ranges: Vec<Mutex<(ProfileKeys, Vec<u32>)>> = ranges
-        .into_iter()
-        .zip(&maps)
-        .map(|(r, map)| {
-            let composed = r.perm.iter().map(|&i| map[i as usize]).collect();
-            Mutex::new((r.keys, composed))
-        })
-        .collect();
-    map_ranges(ctx, ranges.len(), |rs| {
-        for r in rs {
-            let mut range = ranges[r].lock().unwrap_or_else(PoisonError::into_inner);
-            let (local, composed) = &mut *range;
-            local.remap(composed);
+
+    /// Merge the ranges into one lexicographic [`TokenDict`] and every
+    /// profile's sorted token ids, in range order: a k-way merge of the
+    /// sorted range vocabularies, then one remap per range on the
+    /// context's pool. The ids are lexicographic, so the result does not
+    /// depend on where the ranges were cut.
+    pub fn merge(self, ctx: Option<&Context>) -> (TokenDict, ProfileKeys) {
+        let mut ranges = self.ranges;
+        if ranges.len() == 1 {
+            let RangePass {
+                tokens,
+                mut keys,
+                perm,
+            } = ranges.pop().expect("one range");
+            keys.remap(&perm);
+            return (TokenDict { tokens }, keys);
         }
-    });
-    let mut keys = ProfileKeys::new();
-    for range in ranges {
-        let (local, _) = range.into_inner().unwrap_or_else(PoisonError::into_inner);
-        keys.append(&local);
+        let mut vocab: Vec<Vec<Token>> = ranges
+            .iter_mut()
+            .map(|r| std::mem::take(&mut r.tokens))
+            .collect();
+
+        // k-way merge of the sorted range vocabularies: `maps[r][i]` is the
+        // global id of range r's i-th token.
+        let mut maps: Vec<Vec<u32>> = vocab.iter().map(|v| vec![0; v.len()]).collect();
+        let mut heads = vec![0usize; vocab.len()];
+        let mut tokens: Vec<Token> = Vec::new();
+        loop {
+            let mut min: Option<usize> = None;
+            for r in 0..vocab.len() {
+                if heads[r] < vocab[r].len()
+                    && min.is_none_or(|m| vocab[r][heads[r]] < vocab[m][heads[m]])
+                {
+                    min = Some(r);
+                }
+            }
+            let Some(m) = min else { break };
+            let id = tokens.len() as u32;
+            let token = std::mem::take(&mut vocab[m][heads[m]]);
+            for r in 0..vocab.len() {
+                if heads[r] < vocab[r].len() && (r == m || vocab[r][heads[r]] == token) {
+                    maps[r][heads[r]] = id;
+                    heads[r] += 1;
+                }
+            }
+            tokens.push(token);
+        }
+        // Range r's provisional id i is global id `maps[r][perm_r[i]]`:
+        // remap and sort every range once, in place, on the pool, through
+        // that composition (each range's lock is taken by its one task
+        // only).
+        let ranges: Vec<Mutex<(ProfileKeys, Vec<u32>)>> = ranges
+            .into_iter()
+            .zip(&maps)
+            .map(|(r, map)| {
+                let composed = r.perm.iter().map(|&i| map[i as usize]).collect();
+                Mutex::new((r.keys, composed))
+            })
+            .collect();
+        map_ranges(ctx, ranges.len(), |rs| {
+            for r in rs {
+                let mut range = ranges[r].lock().unwrap_or_else(PoisonError::into_inner);
+                let (local, composed) = &mut *range;
+                local.remap(composed);
+            }
+        });
+        let mut keys = ProfileKeys::new();
+        for range in ranges {
+            let (local, _) = range.into_inner().unwrap_or_else(PoisonError::into_inner);
+            keys.append(&local);
+        }
+        (TokenDict { tokens }, keys)
     }
-    (TokenDict { tokens }, keys)
 }
 
 /// One range of the token pass: its sorted vocabulary, and its profiles'
 /// provisional token ids with the map `perm` from provisional id to
 /// position in that vocabulary.
-#[derive(Clone)]
-struct RangePass {
+#[derive(Clone, Debug)]
+pub(crate) struct RangePass {
     tokens: Vec<Token>,
     keys: ProfileKeys,
     perm: Vec<u32>,
+}
+
+impl RangePass {
+    /// Seal one range: its builder's vocabulary, sorted, and the key lists
+    /// of provisional ids it handed out.
+    pub(crate) fn seal(builder: DictBuilder, keys: ProfileKeys) -> Self {
+        let (dict, perm) = builder.finish();
+        RangePass {
+            tokens: dict.tokens,
+            keys,
+            perm,
+        }
+    }
 }
 
 /// Intern one contiguous profile range on its own (see [`RangePass`]).
@@ -445,12 +493,7 @@ where
     let mut builder = DictBuilder::new();
     let mut scratch = String::new();
     let keys = ProfileKeys::collect(profiles, |p, buf| fill(p, &mut builder, &mut scratch, buf));
-    let (dict, perm) = builder.finish();
-    RangePass {
-        tokens: dict.tokens,
-        keys,
-        perm,
-    }
+    RangePass::seal(builder, keys)
 }
 
 #[cfg(test)]

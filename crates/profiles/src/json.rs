@@ -12,12 +12,18 @@
 //! [`Profile`] instead of building a [`JsonValue`] tree first.
 //! [`profiles_from_json_lines_on`] splits the text at newline boundaries
 //! and parses the chunks on the engine's worker pool.
+//! [`token_pass_from_json_lines`] runs the same chunks as the token pass
+//! of a run that reads no attribute text: each value is tokenized and
+//! interned as it is decoded, and only the profiles' ids and sources are
+//! kept.
 
+use crate::dict::{DictBuilder, InternedRanges, ProfileKeys, RangePass};
 use crate::error::{Error, Result};
 use crate::profile::{Profile, SourceId};
 use sparker_dataflow::Context;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// A parsed JSON value. Object keys are kept sorted (`BTreeMap`) so
@@ -257,7 +263,7 @@ impl<'a> Parser<'a> {
         let mut map = BTreeMap::new();
         self.members(|p, key| {
             let value = p.value()?;
-            map.insert(key, value);
+            map.insert(key.to_string(), value);
             Ok(())
         })?;
         Ok(JsonValue::Object(map))
@@ -265,17 +271,19 @@ impl<'a> Parser<'a> {
 
     /// Walk one object, handing each key to `member`, which must consume
     /// the member's value. The one object grammar both [`parse_json`] and
-    /// the profile loader run.
-    fn members(&mut self, mut member: impl FnMut(&mut Self, String) -> Result<()>) -> Result<()> {
+    /// the profile loader run; keys are decoded into one buffer per object.
+    fn members(&mut self, mut member: impl FnMut(&mut Self, &str) -> Result<()>) -> Result<()> {
         self.enter(b'{')?;
         if !self.closes_empty(b'}') {
+            let mut key = String::new();
             loop {
                 self.skip_ws();
-                let key = self.string()?;
+                key.clear();
+                self.string_into(&mut key)?;
                 self.skip_ws();
                 self.expect(b':')?;
                 self.skip_ws();
-                member(self, key)?;
+                member(self, &key)?;
                 if !self.next_member(b'}', "expected ',' or '}' in object")? {
                     break;
                 }
@@ -310,12 +318,18 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    /// A string literal, unescaped. Runs free of `"` and `\` are copied
-    /// as whole slices: both are ASCII, so a run always ends on a char
-    /// boundary and the scan stays linear in the input.
+    /// A string literal, unescaped.
     fn string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
         let mut out = String::new();
+        self.string_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// A string literal, unescaped and appended to `out`. Runs free of `"`
+    /// and `\` are copied as whole slices: both are ASCII, so a run always
+    /// ends on a char boundary and the scan stays linear in the input.
+    fn string_into(&mut self, out: &mut String) -> Result<()> {
+        self.expect(b'"')?;
         loop {
             let start = self.pos;
             let run = self.bytes[start..]
@@ -330,9 +344,9 @@ impl<'a> Parser<'a> {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
-                Some(_) => self.escape(&mut out)?,
+                Some(_) => self.escape(out)?,
             }
         }
     }
@@ -417,47 +431,15 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.err("invalid number"))
     }
 
-    /// A value as attribute text — [`JsonValue::to_text`] without building
-    /// a tree for the common string case.
-    fn text(&mut self) -> Result<String> {
+    /// A value as attribute text, appended to `out` —
+    /// [`JsonValue::to_text`] without building a tree for the common
+    /// string case.
+    fn text_into(&mut self, out: &mut String) -> Result<()> {
         if self.peek() == Some(b'"') {
-            self.string()
+            self.string_into(out)
         } else {
-            Ok(self.value()?.to_text())
-        }
-    }
-
-    /// One object member's value as the loader needs it: an array becomes
-    /// the text of each element, anything else one text.
-    fn field(&mut self) -> Result<Field> {
-        if self.peek() != Some(b'[') {
-            return Ok(Field::Text(self.text()?));
-        }
-        let mut items = Vec::new();
-        self.elements(|p| {
-            items.push(p.text()?);
+            out.push_str(&self.value()?.to_text());
             Ok(())
-        })?;
-        Ok(Field::Items(items))
-    }
-}
-
-/// An object member's value, reduced to attribute text.
-enum Field {
-    Text(String),
-    Items(Vec<String>),
-}
-
-impl Field {
-    /// The member as one text — [`JsonValue::to_text`] of the value.
-    fn into_text(self) -> String {
-        match self {
-            Field::Text(text) => text,
-            Field::Items(items) => items
-                .into_iter()
-                .filter(|s| !s.is_empty())
-                .collect::<Vec<_>>()
-                .join(" "),
         }
     }
 }
@@ -489,27 +471,72 @@ pub fn profiles_from_json_lines_on(
     source: SourceId,
     id_key: &str,
 ) -> Result<Vec<Profile>> {
-    let chunks = line_chunks(text, ctx.workers());
-    if chunks.len() < 2 {
-        return profiles_from_json_lines(text, source, id_key);
+    let chunks = on_line_chunks(Some(ctx), text, |chunk, first_line| {
+        json_lines_from(chunk, first_line, source, id_key)
+    })?;
+    Ok(chunks.concat())
+}
+
+/// The token pass of a JSON-lines source, fused into its parse, for a run
+/// that reads no attribute text: the same lines, grammar, key order,
+/// last-duplicate-wins rule, ids and errors as [`profiles_from_json_lines`],
+/// but every attribute value is tokenized and interned into its chunk's
+/// [`DictBuilder`] as soon as it is decoded, and no value is kept. Returns
+/// the *bare* profiles — original id and source, no attributes — and the
+/// chunks' unmerged pass; [`InternedRanges::merge`] (after
+/// [`InternedRanges::append`]ing a second source's) gives exactly what
+/// [`crate::intern_profiles`] gives over the profiles
+/// [`profiles_from_json_lines`] loads. With a context the chunks are cut
+/// and parsed as in [`profiles_from_json_lines_on`].
+pub fn token_pass_from_json_lines(
+    ctx: Option<&Context>,
+    text: &str,
+    source: SourceId,
+    id_key: &str,
+) -> Result<(Vec<Profile>, InternedRanges)> {
+    let chunks = on_line_chunks(ctx, text, |chunk, first_line| {
+        token_lines_from(chunk, first_line, source, id_key)
+    })?;
+    let mut profiles = Vec::with_capacity(chunks.iter().map(|(p, _)| p.len()).sum());
+    let mut ranges = Vec::with_capacity(chunks.len());
+    for (chunk, range) in chunks {
+        profiles.extend(chunk);
+        ranges.push(range);
     }
-    let slots: Vec<Mutex<Option<Result<Vec<Profile>>>>> =
-        chunks.iter().map(|_| Mutex::new(None)).collect();
+    Ok((profiles, InternedRanges { ranges }))
+}
+
+/// Run `parse(chunk, first_line)` over the text cut into one chunk per
+/// worker of `ctx` (the whole text on the calling thread without a
+/// context or with one worker), returning the chunks' outputs in order,
+/// or the first chunk's error.
+fn on_line_chunks<T: Send>(
+    ctx: Option<&Context>,
+    text: &str,
+    parse: impl Fn(&str, usize) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let (ctx, chunks) = match ctx {
+        Some(ctx) if ctx.workers() > 1 => (ctx, line_chunks(text, ctx.workers())),
+        _ => return Ok(vec![parse(text, 0)?]),
+    };
+    if chunks.len() < 2 {
+        return Ok(vec![parse(text, 0)?]);
+    }
+    let slots: Vec<Mutex<Option<Result<T>>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
     ctx.parallelize((0..chunks.len()).collect(), chunks.len())
         .for_each(|&i| {
             let (chunk, first_line) = chunks[i];
-            let parsed = json_lines_from(chunk, first_line, source, id_key);
+            let parsed = parse(chunk, first_line);
             *slots[i].lock().expect("no chunk panics holding its slot") = Some(parsed);
         });
-    let mut profiles = Vec::new();
-    for slot in slots {
-        let parsed = slot
-            .into_inner()
-            .expect("no chunk panics holding its slot")
-            .expect("every chunk ran");
-        profiles.extend(parsed?);
-    }
-    Ok(profiles)
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("no chunk panics holding its slot")
+                .expect("every chunk ran")
+        })
+        .collect()
 }
 
 /// Cut `text` into at most `parts` chunks, each ending just after a
@@ -545,62 +572,180 @@ fn json_lines_from(
     source: SourceId,
     id_key: &str,
 ) -> Result<Vec<Profile>> {
+    let mut fields = LineFields::default();
     let mut profiles = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        profiles.push(profile_from_line(line, first_line + i, source, id_key)?);
+        let lineno = first_line + i;
+        fields.read(line, lineno)?;
+        let mut b = Profile::builder(source, fields.original_id(id_key, lineno));
+        for (key, value) in fields.attributes(id_key) {
+            b = b.attr(key, value);
+        }
+        profiles.push(b.build());
     }
     Ok(profiles)
 }
 
-/// One JSON-lines object as a profile (see [`profiles_from_json_lines`]).
-fn profile_from_line(line: &str, lineno: usize, source: SourceId, id_key: &str) -> Result<Profile> {
-    let mut p = Parser::new(line);
-    p.skip_ws();
-    if p.peek() != Some(b'{') {
-        // Malformed JSON reports its own error; valid JSON is no object.
-        parse_json(line)?;
-        return Err(Error::Json {
-            message: format!("line {} is not a JSON object", lineno + 1),
-            offset: 0,
-        });
-    }
-    let mut fields: Vec<(String, Field)> = Vec::new();
-    p.members(|p, key| {
-        fields.push((key, p.field()?));
-        Ok(())
-    })?;
-    p.finish()?;
-
-    // Key order, the last of a repeated key winning: a stable sort keeps
-    // equal keys in input order, and only the last of each run is kept.
-    fields.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut last = Vec::with_capacity(fields.len());
-    let mut it = fields.into_iter().peekable();
-    while let Some(field) = it.next() {
-        if it.peek().is_none_or(|next| next.0 != field.0) {
-            last.push(field);
+/// The text-free loader over one chunk of lines (see
+/// [`token_pass_from_json_lines`]): bare profiles, and the chunk's token
+/// pass sealed as one range.
+fn token_lines_from(
+    text: &str,
+    first_line: usize,
+    source: SourceId,
+    id_key: &str,
+) -> Result<(Vec<Profile>, RangePass)> {
+    let mut fields = LineFields::default();
+    let mut builder = DictBuilder::new();
+    let mut keys = ProfileKeys::new();
+    let (mut scratch, mut buf) = (String::new(), Vec::new());
+    let mut profiles = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
         }
+        let lineno = first_line + i;
+        fields.read(line, lineno)?;
+        profiles.push(Profile::builder(source, fields.original_id(id_key, lineno)).build());
+        for (_, value) in fields.attributes(id_key) {
+            builder.intern_tokens(value, &mut scratch, &mut buf);
+        }
+        keys.push_keys(&mut buf);
     }
-    let id = last.iter().position(|(k, _)| k == id_key);
-    let original_id = match id {
-        Some(i) => last.remove(i).1.into_text(),
-        None => lineno.to_string(),
-    };
-    let mut b = Profile::builder(source, original_id);
-    for (k, field) in last {
-        match field {
-            Field::Text(text) => b = b.attr(k, text),
-            Field::Items(items) => {
-                for item in items {
-                    b = b.attr(k.clone(), item);
-                }
+    Ok((profiles, RangePass::seal(builder, keys)))
+}
+
+/// One object member of a line: its key and value texts as spans of
+/// [`LineFields::text`] (an array has one value text per element).
+struct Member {
+    key: Range<usize>,
+    items: Range<usize>,
+    array: bool,
+}
+
+/// One JSON-lines object reduced to attribute texts, decoded into buffers
+/// reused from line to line: every key and value back to back in `text`,
+/// and the members that survive the duplicate-key rule in key order. What
+/// both the profile loader and the text-free pass read a line into.
+#[derive(Default)]
+struct LineFields {
+    text: String,
+    /// Value spans of `text`, member after member.
+    items: Vec<Range<usize>>,
+    members: Vec<Member>,
+    /// Indices into `members` of the last member of each key, key-sorted.
+    kept: Vec<usize>,
+}
+
+impl LineFields {
+    /// Read one non-blank line (0-based number `lineno`), or fail with the
+    /// error the loader reports for it.
+    fn read(&mut self, line: &str, lineno: usize) -> Result<()> {
+        let LineFields {
+            text,
+            items,
+            members,
+            kept,
+        } = self;
+        text.clear();
+        items.clear();
+        members.clear();
+        let mut p = Parser::new(line);
+        p.skip_ws();
+        if p.peek() != Some(b'{') {
+            // Malformed JSON reports its own error; valid JSON is no object.
+            parse_json(line)?;
+            return Err(Error::Json {
+                message: format!("line {} is not a JSON object", lineno + 1),
+                offset: 0,
+            });
+        }
+        p.members(|p, key| {
+            let start = text.len();
+            text.push_str(key);
+            let key = start..text.len();
+            let first = items.len();
+            let array = p.peek() == Some(b'[');
+            let mut item = |p: &mut Parser<'_>| -> Result<()> {
+                let start = text.len();
+                p.text_into(text)?;
+                items.push(start..text.len());
+                Ok(())
+            };
+            if array {
+                p.elements(item)?;
+            } else {
+                item(p)?;
+            }
+            members.push(Member {
+                key,
+                items: first..items.len(),
+                array,
+            });
+            Ok(())
+        })?;
+        p.finish()?;
+
+        // Key order, the last of a repeated key winning: a stable sort keeps
+        // equal keys in input order, and only the last of each run is kept.
+        kept.clear();
+        kept.extend(0..members.len());
+        kept.sort_by(|&a, &b| text[members[a].key.clone()].cmp(&text[members[b].key.clone()]));
+        let mut w = 0;
+        for r in 0..kept.len() {
+            let last_of_run = kept.get(r + 1).is_none_or(|&next| {
+                text[members[next].key.clone()] != text[members[kept[r]].key.clone()]
+            });
+            if last_of_run {
+                kept[w] = kept[r];
+                w += 1;
             }
         }
+        kept.truncate(w);
+        Ok(())
     }
-    Ok(b.build())
+
+    fn key(&self, m: &Member) -> &str {
+        &self.text[m.key.clone()]
+    }
+
+    /// The original id: the `id_key` member's text (an array's non-empty
+    /// element texts space-joined), else the line number.
+    fn original_id(&self, id_key: &str, lineno: usize) -> String {
+        let Some(m) = self.kept_members().find(|m| self.key(m) == id_key) else {
+            return lineno.to_string();
+        };
+        let texts = self.items[m.items.clone()]
+            .iter()
+            .map(|item| &self.text[item.clone()]);
+        if m.array {
+            texts
+                .filter(|s| !s.is_empty())
+                .collect::<Vec<_>>()
+                .join(" ")
+        } else {
+            texts.collect()
+        }
+    }
+
+    /// The attributes as `(key, value text)`: every value of every kept
+    /// member but the id, in key order.
+    fn attributes<'a>(&'a self, id_key: &'a str) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        self.kept_members()
+            .filter(move |m| self.key(m) != id_key)
+            .flat_map(move |m| {
+                self.items[m.items.clone()]
+                    .iter()
+                    .map(move |item| (self.key(m), &self.text[item.clone()]))
+            })
+    }
+
+    fn kept_members(&self) -> impl Iterator<Item = &Member> + '_ {
+        self.kept.iter().map(|&i| &self.members[i])
+    }
 }
 
 #[cfg(test)]

@@ -78,11 +78,15 @@ pub use attribute::Attribute;
 pub use collection::{ErKind, ProfileCollection};
 pub use csv::{parse_csv, profiles_from_csv, push_csv_row, write_csv, CsvOptions};
 pub use dict::{
-    intern_profile_keys, intern_profiles, DictBuilder, ProfileKeys, TokenDict, TokenId,
+    intern_profile_keys, intern_profiles, DictBuilder, InternedRanges, ProfileKeys, TokenDict,
+    TokenId,
 };
 pub use error::{Error, Result};
 pub use groundtruth::GroundTruth;
-pub use json::{parse_json, profiles_from_json_lines, profiles_from_json_lines_on, JsonValue};
+pub use json::{
+    parse_json, profiles_from_json_lines, profiles_from_json_lines_on, token_pass_from_json_lines,
+    JsonValue,
+};
 pub use pair::Pair;
 pub use profile::{Profile, ProfileBuilder, ProfileId, SourceId};
 pub use tokenize::{each_token, ngrams, tokenize, tokenize_filtered, Token};

@@ -1,16 +1,21 @@
 //! The JSON-lines profile loader against its reference: `parse_json` on
 //! every line plus the object → profile mapping, as the loader was first
-//! written. Random JSONL (escapes and surrogate pairs, raw multi-byte text,
-//! nested values, duplicate keys, nulls and numbers, missing ids, blank and
-//! CRLF lines, truncated lines) must load identically — same profiles or
-//! the same error — serially and on 1, 2, 3 and 8 workers, and no input,
-//! however malformed, may panic the loader.
+//! written. Random JSONL (escapes and surrogate pairs, raw multi-byte and
+//! uppercase text, nested values, duplicate keys, nulls and numbers,
+//! missing ids, blank and CRLF lines, truncated lines) must load
+//! identically — same profiles or the same error — serially and on 1, 2, 3
+//! and 8 workers, and no input, however malformed, may panic the loader.
+//!
+//! The text-free pass (`token_pass_from_json_lines`) is held to the loader
+//! the same way: the same bare profiles and the same error, and after the
+//! merge the same dictionary and key lists as `intern_profiles` over the
+//! loaded profiles — per source and over two sources at once.
 
 use proptest::prelude::*;
 use sparker_dataflow::Context;
 use sparker_profiles::{
-    parse_json, profiles_from_json_lines, profiles_from_json_lines_on, Error, JsonValue, Profile,
-    Result, SourceId,
+    intern_profiles, parse_json, profiles_from_json_lines, profiles_from_json_lines_on,
+    token_pass_from_json_lines, Error, JsonValue, Profile, ProfileCollection, Result, SourceId,
 };
 use std::sync::OnceLock;
 
@@ -93,6 +98,9 @@ fn json_string() -> impl Strategy<Value = String> {
         Just("\\u00e9".to_string()),
         Just("\\u4E2D".to_string()),
         Just("\\ud83d\\ude00".to_string()),
+        Just("Sony BRAVIA".to_string()),
+        Just("ÉCOLE Straße".to_string()),
+        Just("   ".to_string()),
     ];
     prop::collection::vec(piece, 0..5).prop_map(|pieces| format!("\"{}\"", pieces.concat()))
 }
@@ -193,8 +201,73 @@ fn jsonl() -> impl Strategy<Value = String> {
         })
 }
 
+/// The text-free pass must load what the loader loads — the same
+/// profiles stripped to id and source, or the same error — and its merged
+/// pass must equal the token pass over the loaded profiles, serially and
+/// at every worker count.
+fn assert_token_pass_like_loader(text: &str) -> std::result::Result<(), TestCaseError> {
+    let loaded = profiles_from_json_lines(text, SourceId(1), "id").map_err(|e| e.to_string());
+    let expected = loaded
+        .as_ref()
+        .map(|profiles| intern_profiles(None, profiles));
+    for ctx in std::iter::once(None).chain(contexts().iter().map(Some)) {
+        let workers = ctx.map_or(0, |c| c.workers());
+        match (
+            token_pass_from_json_lines(ctx, text, SourceId(1), "id"),
+            &loaded,
+        ) {
+            (Ok((bare, ranges)), Ok(full)) => {
+                prop_assert_eq!(bare.len(), full.len(), "{} workers", workers);
+                for (b, f) in bare.iter().zip(full) {
+                    prop_assert_eq!((b.source, &b.original_id), (f.source, &f.original_id));
+                    prop_assert!(b.attributes.is_empty());
+                }
+                let pass = ranges.merge(ctx);
+                prop_assert_eq!(&pass, expected.as_ref().unwrap(), "{} workers", workers);
+            }
+            (Err(e), Err(reference)) => {
+                prop_assert_eq!(&e.to_string(), reference, "{} workers", workers)
+            }
+            (got, reference) => prop_assert!(
+                false,
+                "{} workers: text-free pass {:?} vs loader {:?}",
+                workers,
+                got.map(|(p, _)| p.len()).map_err(|e| e.to_string()),
+                reference.as_ref().map(Vec::len)
+            ),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn token_pass_equals_loader_then_intern(text in jsonl()) {
+        assert_token_pass_like_loader(&text)?;
+    }
+
+    #[test]
+    fn token_pass_over_two_sources_is_one_dictionary(
+        a in prop::collection::vec(object_line(), 0..8),
+        b in prop::collection::vec(object_line(), 0..8),
+    ) {
+        let (a, b) = (a.join("\n"), b.join("\r\n"));
+        let full = ProfileCollection::clean_clean(
+            profiles_from_json_lines(&a, SourceId(0), "id").unwrap(),
+            profiles_from_json_lines(&b, SourceId(1), "id").unwrap(),
+        );
+        let expected = intern_profiles(None, full.profiles());
+        for ctx in std::iter::once(None).chain(contexts().iter().map(Some)) {
+            let (bare_a, mut ranges) = token_pass_from_json_lines(ctx, &a, SourceId(0), "id").unwrap();
+            let (bare_b, ranges_b) = token_pass_from_json_lines(ctx, &b, SourceId(1), "id").unwrap();
+            ranges.append(ranges_b);
+            let bare = ProfileCollection::clean_clean(bare_a, bare_b).without_text();
+            prop_assert_eq!(bare.separator(), full.separator());
+            prop_assert_eq!(ranges.merge(ctx), expected.clone());
+        }
+    }
 
     #[test]
     fn loader_equals_reference_at_every_worker_count(text in jsonl()) {
@@ -223,7 +296,60 @@ proptest! {
         )
         .into_owned();
         assert_loads_like_reference(&text)?;
+        assert_token_pass_like_loader(&text)?;
     }
+}
+
+#[test]
+fn token_pass_reads_every_value_kind() {
+    // Last duplicate wins (the first "name" is dropped, and with it
+    // "dropped"), arrays give one value per element, nested objects and
+    // numbers become their text, null and blank values give no token,
+    // escapes decode before tokenizing, and tokens are case-folded —
+    // ASCII and not. The id is no attribute.
+    let text = concat!(
+        "{\"name\":\"Dropped\",\"id\":\"r1\",\"name\":\"Sony BRAVIA\",\"tags\":[\"TV\",null,\"  \",7],",
+        "\"spec\":{\"w\":2.5,\"c\":\"ÉCOLE\"},\"note\":\"caf\\u00e9\\tbar\",\"blank\":\"   \",\"none\":null}\n",
+        "\n",
+        "   \n",
+        "{\"title\":\"Straße 40\",\"year\":2017}\n",
+    );
+    let full = profiles_from_json_lines(text, SourceId(0), "id").unwrap();
+    let (dict, keys) = intern_profiles(None, &full);
+    assert_eq!(
+        dict.tokens(),
+        &["2", "2017", "40", "5", "7", "bar", "bravia", "café", "sony", "straße", "tv", "école"]
+    );
+    for ctx in std::iter::once(None).chain(contexts().iter().map(Some)) {
+        let (bare, ranges) = token_pass_from_json_lines(ctx, text, SourceId(0), "id").unwrap();
+        let ids: Vec<&str> = bare.iter().map(|p| p.original_id.as_str()).collect();
+        assert_eq!(ids, ["r1", "3"], "blank lines are counted, not loaded");
+        assert_eq!(ranges.merge(ctx), (dict.clone(), keys.clone()));
+    }
+}
+
+#[test]
+fn token_pass_fails_like_the_loader() {
+    // The first bad line wins at every worker count, with its line number.
+    let mut text = String::new();
+    for i in 0..40 {
+        text.push_str(&format!("{{\"n\":\"V{i}\"}}\n"));
+    }
+    let bad = format!("{text}\"just a string\"\n{text}{{\"broken\":\n");
+    let expected = profiles_from_json_lines(&bad, SourceId(0), "id")
+        .unwrap_err()
+        .to_string();
+    assert!(
+        expected.contains("line 41 is not a JSON object"),
+        "{expected}"
+    );
+    for ctx in std::iter::once(None).chain(contexts().iter().map(Some)) {
+        let err = token_pass_from_json_lines(ctx, &bad, SourceId(0), "id").unwrap_err();
+        assert_eq!(err.to_string(), expected);
+    }
+    let (_, empty) = token_pass_from_json_lines(None, "", SourceId(0), "id").unwrap();
+    let (dict, keys) = empty.merge(None);
+    assert!(dict.is_empty() && keys.is_empty());
 }
 
 #[test]

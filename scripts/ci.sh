@@ -10,7 +10,8 @@
 # the supervised-scorer train/run/export smoke, the fused-vs-sequential
 # smokes on dirty_10k (scaling and dense default configuration), the
 # out-of-core smoke, the online-serve smoke and the JSON-lines backend
-# matrix (under every set-similarity measure). Run from the repo root:
+# matrix (under every set-similarity measure, and under the settings that
+# make the fused run keep its attribute text). Run from the repo root:
 # scripts/ci.sh
 #
 # Performance is measured by one harness only: `bash benchmark/run.sh`
@@ -197,19 +198,29 @@ fi
 # JSON-lines backend matrix: the same JSONL input (the CLI arguments given)
 # on every backend (parallel loader and token pass on fused, the paper's
 # shuffles on dataflow, one thread on sequential) must give identical
-# result counts, matcher cascade counters and entity CSV bytes — and the
-# fused run, which blocks, purges and filters on CSR, must shuffle nothing.
+# result counts, matcher cascade counters, evaluation lines and entity CSV
+# bytes — and the fused run, which blocks, purges and filters on CSR, must
+# shuffle nothing. The fused run's load decision (`text:` — dropped at
+# load when nothing reads the attribute text, kept otherwise) and its
+# `memory:` line are printed.
 jsonl_matrix() {
   local ref_csv="" ref_lines="" backend csv out lines
   for backend in sequential dataflow fused; do
     csv="$(mktemp --suffix .csv)"
     out="$(cargo run -q --release --bin sparker -- "$@" \
       --backend "${backend}" --workers 2 --output "${csv}")"
-    lines="$(printf '%s\n' "${out}" | grep -E '^(result counts|matcher):' | sed 's/ ([^)]*)//')"
+    lines="$(printf '%s\n' "${out}" \
+      | grep -E '^(result counts|matcher|lost ground-truth pairs after blocking):|^  (blocking|matching|clustering) ' \
+      | sed 's/ ([^)]*)//')"
     echo "    ${backend}: $(printf '%s\n' "${lines}" | head -1) ($(wc -l < "${csv}") CSV lines)"
-    if [ "${backend}" = fused ] && ! printf '%s\n' "${out}" | grep -q ' 0 shuffled records$'; then
-      echo "fused run shuffled: $(printf '%s\n' "${out}" | grep 'shuffled records')" >&2
-      exit 1
+    if [ "${backend}" = fused ]; then
+      printf '%s\n' "${out}" | grep -E '^(text|memory):' | sed 's/^/      /'
+      # grep reads all its input (no -q): an early exit could SIGPIPE
+      # printf and fail the pipeline under pipefail.
+      if ! printf '%s\n' "${out}" | grep ' 0 shuffled records$' > /dev/null; then
+        echo "fused run shuffled: $(printf '%s\n' "${out}" | grep 'shuffled records')" >&2
+        exit 1
+      fi
     fi
     if [ -z "${ref_csv}" ]; then
       ref_csv="${csv}"
@@ -228,6 +239,12 @@ jsonl_matrix() {
 
 echo "==> sparker --source-a <jsonl> --output: sequential vs dataflow vs fused"
 jsonl_matrix --source-a "${serve_jsonl}"
+fused_text="$(cargo run -q --release --bin sparker -- --source-a "${serve_jsonl}" \
+  --backend fused --workers 2 | grep '^text:')"
+if [ "${fused_text}" != "text: dropped at load (tokens interned while parsing)" ]; then
+  echo "the default fused JSONL run kept its text: ${fused_text}" >&2
+  exit 1
+fi
 
 # The same matrix on the node pass's other kernels: the default CBS above
 # takes the count-only walk and the degree-only WEP pass A; JS weighs its
@@ -257,5 +274,26 @@ for measure in dice overlap cosine; do
   echo "==> sparker --source-a <jsonl> --config <matcher.measure = ${measure}>: sequential vs dataflow vs fused"
   jsonl_matrix --source-a "${serve_jsonl}" --config "${measure_conf}"
 done
+
+# The same matrix under settings that read attribute text, so the fused
+# column keeps it (`text: kept (…)`): loose-schema blocking, entropy
+# weighting and a string measure.
+for setting in 'loose_schema = on' 'mb.entropy = true' 'matcher.measure = levenshtein'; do
+  printf '%s\n' "${setting}" > "${measure_conf}"
+  echo "==> sparker --source-a <jsonl> --config <${setting}>: sequential vs dataflow vs fused"
+  jsonl_matrix --source-a "${serve_jsonl}" --config "${measure_conf}"
+done
+
+# And a ground-truth run with the lost-pair drill-down, which reads the
+# shared tokens of every lost pair: the truth pairs up consecutive records
+# of the serve slice.
+echo "==> sparker --source-a <jsonl> --ground-truth <pairs> --show-lost: sequential vs dataflow vs fused"
+truth_csv="$(mktemp --suffix .csv)"
+trap 'rm -f "${serve_jsonl}" "${half_a}" "${half_b}" "${measure_conf}" "${truth_csv}"' EXIT
+{
+  echo "id_a,id_b"
+  head -n 200 "${serve_jsonl}" | sed -E 's/.*"id":"([^"]*)".*/\1/' | paste -d, - -
+} > "${truth_csv}"
+jsonl_matrix --source-a "${serve_jsonl}" --ground-truth "${truth_csv}" --show-lost
 
 echo "CI OK"

@@ -21,7 +21,8 @@ use sparker::metablocking::{
 };
 use sparker::profiles::{
     parse_csv, profiles_from_csv, profiles_from_json_lines, profiles_from_json_lines_on,
-    push_csv_row, CsvOptions, GroundTruth, Pair, Profile, ProfileCollection, ProfileId, SourceId,
+    push_csv_row, token_pass_from_json_lines, CsvOptions, GroundTruth, InternedRanges, Pair,
+    Profile, ProfileCollection, ProfileId, SourceId,
 };
 use sparker::serve::ResolverState;
 use sparker::{
@@ -73,7 +74,10 @@ OPTIONS:
                            (default: fused). All backends produce identical
                            results. fused runs the worker-pool engine: JSON
                            lines load and token blocking run in parallel with
-                           no shuffle, and the prune->score stages overlap:
+                           no shuffle (one pass that keeps no attribute text
+                           when nothing reads it: no loose schema, entropy,
+                           string measure or --show-lost; the `text:` line
+                           says which), and the prune->score stages overlap:
                            meta-blocking streams pruned pairs through a
                            bounded channel into the matcher, so no candidate
                            graph is built.
@@ -211,7 +215,7 @@ fn load_source(
     backend: &ExecutionBackend,
 ) -> Result<Vec<Profile>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    if path.ends_with(".jsonl") || path.ends_with(".json") {
+    if is_json_lines(path) {
         match backend.context() {
             Some(ctx) => profiles_from_json_lines_on(ctx, &text, source, id_column),
             None => profiles_from_json_lines(&text, source, id_column),
@@ -224,6 +228,53 @@ fn load_source(
         };
         profiles_from_csv(&text, source, &options).map_err(|e| format!("{path}: {e}"))
     }
+}
+
+/// Load one JSON-lines source for a run that reads no attribute text: its
+/// bare profiles and its token pass, taken while parsing on the backend's
+/// pool. The file's text is dropped on return.
+fn load_source_tokens(
+    path: &str,
+    source: SourceId,
+    id_column: &str,
+    backend: &ExecutionBackend,
+) -> Result<(Vec<Profile>, InternedRanges), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    token_pass_from_json_lines(backend.context(), &text, source, id_column)
+        .map_err(|e| format!("{path}: {e}"))
+}
+
+fn is_json_lines(path: &str) -> bool {
+    path.ends_with(".jsonl") || path.ends_with(".json")
+}
+
+/// What makes this run keep its profiles' attribute text: empty when the
+/// token pass is all it reads of them — the fused backend over JSON-lines
+/// files, a configuration with no text reader
+/// ([`PipelineConfig::text_readers`]) and no `--show-lost` — so the
+/// loader can tokenize while parsing and keep no value.
+fn text_kept_by(args: &Args, backend: &ExecutionBackend, config: &PipelineConfig) -> Vec<String> {
+    let mut readers = Vec::new();
+    if !matches!(backend, ExecutionBackend::FusedPool(_)) {
+        readers.push(format!("--backend {}", backend.name()));
+    }
+    if args.preset.is_some() {
+        readers.push("--preset".to_string());
+    } else if args.demo {
+        readers.push("--demo".to_string());
+    }
+    let sources = [&args.source_a, &args.source_b];
+    if sources
+        .iter()
+        .any(|s| s.as_deref().is_some_and(|p| !is_json_lines(p)))
+    {
+        readers.push("CSV source".to_string());
+    }
+    if args.show_lost {
+        readers.push("--show-lost".to_string());
+    }
+    readers.extend(config.text_readers().into_iter().map(str::to_string));
+    readers
 }
 
 fn load_ground_truth(path: &str, collection: &ProfileCollection) -> Result<GroundTruth, String> {
@@ -267,54 +318,8 @@ fn run() -> Result<(), String> {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
     let backend = ExecutionBackend::parse(args.backend.as_deref().unwrap_or("fused"), workers)?;
 
-    // Data.
-    let (collection, ground_truth) = if let Some(name) = &args.preset {
-        let preset = Preset::by_name(name).ok_or_else(|| {
-            format!(
-                "unknown preset {name:?}; expected one of {}",
-                Preset::NAMES.join(", ")
-            )
-        })?;
-        let ds = preset.generate();
-        println!("preset {}: generated scaling-tier dataset", preset.name);
-        (ds.collection, Some(ds.ground_truth))
-    } else if args.demo {
-        let ds = generate(&DatasetConfig {
-            entities: 1000,
-            unmatched_per_source: 250,
-            ..DatasetConfig::default()
-        });
-        println!("demo mode: generated Abt-Buy-shaped dataset");
-        (ds.collection, Some(ds.ground_truth))
-    } else {
-        let a = load_source(
-            args.source_a.as_ref().unwrap(),
-            SourceId(0),
-            &args.id_column,
-            &backend,
-        )?;
-        let collection = match &args.source_b {
-            Some(b) => {
-                let b = load_source(b, SourceId(1), &args.id_column, &backend)?;
-                ProfileCollection::clean_clean(a, b)
-            }
-            None => ProfileCollection::dirty(a),
-        };
-        let gt = args
-            .ground_truth
-            .as_ref()
-            .map(|p| load_ground_truth(p, &collection))
-            .transpose()?;
-        (collection, gt)
-    };
-    println!(
-        "loaded {} profiles ({:?}), {} comparable pairs",
-        collection.len(),
-        collection.kind(),
-        collection.comparable_pairs()
-    );
-
-    // Configuration. Preset runs default to the scaling-tier configuration
+    // Configuration, read before the data: it decides how the data is
+    // loaded. Preset runs default to the scaling-tier configuration
     // (bounded candidates per profile) instead of the Abt-Buy-scale default;
     // an explicit --config always wins.
     let mut config = match &args.config {
@@ -338,9 +343,80 @@ fn run() -> Result<(), String> {
         );
     }
 
+    // Data. A run that reads no attribute text tokenizes its JSON lines
+    // while parsing them and keeps bare profiles plus the token pass;
+    // every other run keeps the text.
+    let kept_by = text_kept_by(&args, &backend, &config);
+    let mut pass = None;
+    let (collection, ground_truth) = if let Some(name) = &args.preset {
+        let preset = Preset::by_name(name).ok_or_else(|| {
+            format!(
+                "unknown preset {name:?}; expected one of {}",
+                Preset::NAMES.join(", ")
+            )
+        })?;
+        let ds = preset.generate();
+        println!("preset {}: generated scaling-tier dataset", preset.name);
+        (ds.collection, Some(ds.ground_truth))
+    } else if args.demo {
+        let ds = generate(&DatasetConfig {
+            entities: 1000,
+            unmatched_per_source: 250,
+            ..DatasetConfig::default()
+        });
+        println!("demo mode: generated Abt-Buy-shaped dataset");
+        (ds.collection, Some(ds.ground_truth))
+    } else {
+        let source_a = args.source_a.as_deref().unwrap();
+        let collection = if kept_by.is_empty() {
+            let (a, mut ranges) =
+                load_source_tokens(source_a, SourceId(0), &args.id_column, &backend)?;
+            let collection = match &args.source_b {
+                Some(b) => {
+                    let (b, ranges_b) =
+                        load_source_tokens(b, SourceId(1), &args.id_column, &backend)?;
+                    ranges.append(ranges_b);
+                    ProfileCollection::clean_clean(a, b)
+                }
+                None => ProfileCollection::dirty(a),
+            };
+            pass = Some(ranges.merge(backend.context()));
+            collection.without_text()
+        } else {
+            let a = load_source(source_a, SourceId(0), &args.id_column, &backend)?;
+            match &args.source_b {
+                Some(b) => {
+                    let b = load_source(b, SourceId(1), &args.id_column, &backend)?;
+                    ProfileCollection::clean_clean(a, b)
+                }
+                None => ProfileCollection::dirty(a),
+            }
+        };
+        let gt = args
+            .ground_truth
+            .as_ref()
+            .map(|p| load_ground_truth(p, &collection))
+            .transpose()?;
+        (collection, gt)
+    };
+    println!(
+        "loaded {} profiles ({:?}), {} comparable pairs",
+        collection.len(),
+        collection.kind(),
+        collection.comparable_pairs()
+    );
+    if pass.is_some() {
+        println!("text: dropped at load (tokens interned while parsing)");
+    } else {
+        println!("text: kept ({})", kept_by.join(", "));
+    }
+
     // Run on the selected backend (default: the fused pool engine).
     let pipeline = Pipeline::new(config);
-    let result = pipeline.run_on(&backend, &collection);
+    let result = match pass {
+        Some(pass) => pipeline.run_on_pass(&backend, &collection, pass),
+        None => pipeline.run_on(&backend, &collection),
+    };
 
     if let Some(ctx) = backend.context() {
         let snap = ctx.metrics();

@@ -384,6 +384,29 @@ fn entity_csv_is_byte_identical_to_write_csv() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The lines of a run's stdout that must not depend on the backend: the
+/// per-stage table, the engine, `fused:` and `memory:` lines are
+/// measurements and go, along with every `(…)` timing.
+fn semantic(stdout: &str) -> Vec<String> {
+    let mut in_table = false;
+    stdout
+        .lines()
+        .filter(|l| {
+            if l.starts_with("stage ") {
+                in_table = true;
+            } else if in_table && l.starts_with("total ") {
+                in_table = false;
+                return false;
+            }
+            !in_table
+                && !["fused engine:", "fused:", "memory:"]
+                    .iter()
+                    .any(|p| l.starts_with(p))
+        })
+        .map(cut_timings)
+        .collect()
+}
+
 /// `line` with every ` (…)` timing cut.
 fn cut_timings(line: &str) -> String {
     let mut out = String::new();
@@ -408,9 +431,7 @@ fn fused_reads_of_the_candidate_set_match_sequential() {
     // candidate set re-derives them the first time something reads the
     // pairs. `--show-lost` (membership) and `--export-edges` (the weighted
     // edges in order) are such reads; both must print and write exactly
-    // what the sequential run does. The per-stage table, the engine and
-    // `fused:` lines and the `memory:` line are measurements, cut along
-    // with every `(…)` timing.
+    // what the sequential run does (`semantic` lines).
     let dir = tempdir("on-demand");
     let tsv = dir.join("edges.tsv");
     let run = |backend: &[&str]| {
@@ -428,25 +449,6 @@ fn fused_reads_of_the_candidate_set_match_sequential() {
         );
         let stdout = String::from_utf8_lossy(&result.stdout).into_owned();
         (stdout, std::fs::read(&tsv).unwrap())
-    };
-    let semantic = |stdout: &str| -> Vec<String> {
-        let mut in_table = false;
-        stdout
-            .lines()
-            .filter(|l| {
-                if l.starts_with("stage ") {
-                    in_table = true;
-                } else if in_table && l.starts_with("total ") {
-                    in_table = false;
-                    return false;
-                }
-                !in_table
-                    && !["fused engine:", "fused:", "memory:"]
-                        .iter()
-                        .any(|p| l.starts_with(p))
-            })
-            .map(cut_timings)
-            .collect()
     };
     let (seq_out, seq_tsv) = run(&["--backend", "sequential"]);
     let (fused_out, fused_tsv) = run(&["--backend", "fused", "--workers", "2"]);
@@ -518,5 +520,128 @@ fn dense_fused_run_caps_its_batches() {
         fused.contains(&format!("({} KiB)", max_batch * 16 / 1024)),
         "{fused}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn text_free_load_matches_text_keeping_runs() {
+    // A fused JSON-lines run whose configuration reads no text tokenizes
+    // while parsing and keeps bare profiles; `--show-lost` (which reads
+    // shared tokens) and the sequential backend keep the text. All three
+    // must print the same counts, cascade counters and evaluation and
+    // write the same entity CSV and edge TSV — dirty and clean-clean.
+    use sparker::datasets::{
+        export_dataset, generate, generate_dirty, DatasetConfig, ExportFormat,
+    };
+    let dir = tempdir("text-free");
+    let config = DatasetConfig {
+        entities: 150,
+        unmatched_per_source: 40,
+        seed: 11,
+        ..DatasetConfig::default()
+    };
+    for (tag, ds) in [
+        ("clean", generate(&config)),
+        ("dirty", generate_dirty(&config, 3)),
+    ] {
+        let files = export_dataset(&ds, dir.join(tag), ExportFormat::JsonLines).unwrap();
+        let run = |extra: &[&str]| {
+            let (csv, tsv) = (dir.join("out.csv"), dir.join("out.tsv"));
+            let mut command = sparker();
+            command.arg("--source-a").arg(&files.sources[0]);
+            if let Some(b) = files.sources.get(1) {
+                command.arg("--source-b").arg(b);
+            }
+            let result = command
+                .arg("--ground-truth")
+                .arg(&files.ground_truth)
+                .arg("--output")
+                .arg(&csv)
+                .arg("--export-edges")
+                .arg(&tsv)
+                .args(extra)
+                .output()
+                .unwrap();
+            assert!(
+                result.status.success(),
+                "{tag} {extra:?}: {}",
+                String::from_utf8_lossy(&result.stderr)
+            );
+            let stdout = String::from_utf8_lossy(&result.stdout).into_owned();
+            let text = stdout
+                .lines()
+                .find(|l| l.starts_with("text: "))
+                .unwrap_or_else(|| panic!("no text: line in {stdout}"))
+                .to_string();
+            let lines: Vec<String> = semantic(&stdout)
+                .into_iter()
+                .filter(|l| {
+                    !(l.is_empty()
+                        || l.starts_with("text: ")
+                        || l.starts_with("lost ground-truth pairs")
+                        || l.contains(" <-> "))
+                })
+                .collect();
+            (
+                text,
+                lines,
+                std::fs::read(&csv).unwrap(),
+                std::fs::read(&tsv).unwrap(),
+            )
+        };
+        let free = run(&["--backend", "fused", "--workers", "2"]);
+        let kept = run(&["--backend", "fused", "--workers", "2", "--show-lost"]);
+        let oracle = run(&["--backend", "sequential"]);
+        assert_eq!(
+            free.0,
+            "text: dropped at load (tokens interned while parsing)"
+        );
+        assert_eq!(kept.0, "text: kept (--show-lost)");
+        assert_eq!(oracle.0, "text: kept (--backend sequential)");
+        assert!(
+            free.1.iter().any(|l| l.starts_with("  clustering recall")),
+            "{tag}: {:?}",
+            free.1
+        );
+        for (name, other) in [("text-keeping fused", &kept), ("sequential", &oracle)] {
+            assert_eq!(free.1, other.1, "{tag}: {name} printed otherwise");
+            assert!(free.2 == other.2, "{tag}: {name} wrote another entity CSV");
+            assert!(free.3 == other.3, "{tag}: {name} exported other edges");
+        }
+    }
+    // Every setting that reads text keeps it, and says which.
+    let files = export_dataset(
+        &generate(&config),
+        dir.join("readers"),
+        ExportFormat::JsonLines,
+    )
+    .unwrap();
+    for (conf, reader) in [
+        ("loose_schema = on\n", "loose_schema"),
+        ("mb.entropy = true\n", "mb.entropy"),
+        ("matcher.measure = levenshtein\n", "matcher.measure"),
+        ("meta_blocking = off\n", "meta_blocking"),
+    ] {
+        let conf_path = write(&dir, "readers.conf", conf);
+        let result = sparker()
+            .arg("--source-a")
+            .arg(&files.sources[0])
+            .args([
+                "--config",
+                &conf_path,
+                "--backend",
+                "fused",
+                "--workers",
+                "2",
+            ])
+            .output()
+            .unwrap();
+        assert!(result.status.success(), "{conf}");
+        let stdout = String::from_utf8_lossy(&result.stdout);
+        assert!(
+            stdout.contains(&format!("text: kept ({reader})")),
+            "{conf}: {stdout}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
