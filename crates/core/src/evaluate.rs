@@ -36,7 +36,8 @@ impl BlockingQuality {
 
     /// [`BlockingQuality::measure`] with an explicit comparable-pair total
     /// (the reduction-ratio baseline). The ground truth is scanned once:
-    /// the found-match count drives both `recall` and `lost_matches`.
+    /// the found-match count drives `recall`, `precision` and
+    /// `lost_matches`.
     pub fn measure_with_total(
         candidates: &CandidateSet,
         ground_truth: &GroundTruth,
@@ -51,7 +52,13 @@ impl BlockingQuality {
         } else {
             found as f64 / ground_truth.len() as f64
         };
-        let precision = ground_truth.precision_of(candidates.iter());
+        // Both sides are sets, so the found matches are exactly the true
+        // matches among the candidates.
+        let precision = if candidates.is_empty() {
+            0.0
+        } else {
+            found as f64 / candidates.len() as f64
+        };
         let reduction_ratio = if total == 0 {
             0.0
         } else {
@@ -202,6 +209,7 @@ mod tests {
         let gt = GroundTruth::from_pairs(vec![pair(0, 1)]);
         let q = BlockingQuality::measure(&CandidateSet::default(), &gt, &coll);
         assert_eq!(q.recall, 0.0);
+        assert_eq!(q.precision, 0.0);
         assert_eq!(q.reduction_ratio, 1.0);
         assert_eq!(q.lost_matches, 1);
     }

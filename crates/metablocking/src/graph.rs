@@ -6,9 +6,14 @@
 //! demand from the inverted block index, the pruning rule is applied, and
 //! the edges are discarded; this is exactly the structure SparkER
 //! parallelizes with its broadcast join.
+//!
+//! Two walks: [`BlockGraph::walk`], the production kernel every caller but
+//! the oracle uses, and [`BlockGraph::neighborhood`], the naive reference
+//! (no scratch, a sort and a fold) the oracle and the tests hold it to.
 
 use crate::entropy::BlockEntropies;
 use sparker_blocking::{BlockCollection, CompactBlocks};
+use sparker_dataflow::MemBudget;
 use sparker_profiles::{ErKind, ProfileId};
 use std::ops::Range;
 
@@ -22,25 +27,6 @@ pub struct EdgeAccumulator {
     pub arcs: f64,
     /// Σ over shared blocks of the block's entropy (entropy re-weighting).
     pub entropy_sum: f64,
-}
-
-/// Reusable accumulation buffer for [`BlockGraph::neighborhood_with`]:
-/// a dense per-profile accumulator plus a bitmap of the touched slots,
-/// reset after every call. Avoids per-node hashing, sorting of neighbor
-/// ids and allocation in meta-blocking's hot loop.
-#[derive(Debug, Clone)]
-pub struct NeighborhoodScratch {
-    acc: Vec<EdgeAccumulator>,
-    /// One bit per profile slot, set while the slot holds a neighbor of
-    /// the node being materialized; all-zero between calls.
-    touched_bits: Vec<u64>,
-    /// Indices of the non-zero words of `touched_bits`, in first-touch
-    /// order: the emit sweep visits only these, so a sparse neighborhood
-    /// never pays for the whole bitmap.
-    touched_words: Vec<u32>,
-    /// Output buffer of [`BlockGraph::neighborhood_buffered`], reused
-    /// across nodes so a warm scratch makes the whole pass allocation-free.
-    out: Vec<(ProfileId, EdgeAccumulator)>,
 }
 
 /// Density crossover of [`BlockGraph::walk`]: a node whose co-member
@@ -168,6 +154,25 @@ impl BlockGraph {
     /// Build the graph view. `entropies`, when given, must align with the
     /// block collection.
     pub fn new(blocks: &BlockCollection, entropies: Option<&BlockEntropies>) -> Self {
+        Self::new_budgeted(blocks, entropies, &MemBudget::unlimited())
+    }
+
+    /// Build the graph view straight from a CSR [`CompactBlocks`]: the flat
+    /// member and offset arrays are adopted wholesale (one memcpy each, no
+    /// per-block vectors are ever created). `entropies`, when given, must
+    /// align with the compact blocks.
+    pub fn from_compact(blocks: &CompactBlocks, entropies: Option<&BlockEntropies>) -> Self {
+        Self::from_compact_budgeted(blocks, entropies, &MemBudget::unlimited())
+    }
+
+    /// [`BlockGraph::new`] with the profile→blocks index built over
+    /// bounded profile ranges when `budget` is limited; bit-identical to
+    /// the unlimited build either way.
+    pub fn new_budgeted(
+        blocks: &BlockCollection,
+        entropies: Option<&BlockEntropies>,
+        budget: &MemBudget,
+    ) -> Self {
         if let Some(e) = entropies {
             assert_eq!(e.len(), blocks.len(), "entropies misaligned with blocks");
         }
@@ -195,14 +200,19 @@ impl BlockGraph {
             block_comparisons,
             entropies.map(|e| e.as_slice().to_vec()),
             max_profile,
+            budget.chunk_len(max_profile, 8),
         )
     }
 
-    /// Build the graph view straight from a CSR [`CompactBlocks`]: the flat
-    /// member and offset arrays are adopted wholesale (one memcpy each, no
-    /// per-block vectors are ever created). `entropies`, when given, must
-    /// align with the compact blocks.
-    pub fn from_compact(blocks: &CompactBlocks, entropies: Option<&BlockEntropies>) -> Self {
+    /// [`BlockGraph::from_compact`] under a memory budget: the
+    /// profile→blocks counting sort runs over fixed-size profile ranges,
+    /// so its scatter cursor is bounded by the range instead of the whole
+    /// profile space. Bit-identical to the unlimited build.
+    pub fn from_compact_budgeted(
+        blocks: &CompactBlocks,
+        entropies: Option<&BlockEntropies>,
+        budget: &MemBudget,
+    ) -> Self {
         if let Some(e) = entropies {
             assert_eq!(e.len(), blocks.len(), "entropies misaligned with blocks");
         }
@@ -216,117 +226,19 @@ impl BlockGraph {
             block_comparisons,
             entropies.map(|e| e.as_slice().to_vec()),
             blocks.num_profiles(),
-        )
-    }
-
-    /// [`BlockGraph::new`] with the profile→blocks index built over
-    /// bounded profile ranges when `budget` is limited; bit-identical to
-    /// the monolithic assemble either way (pinned by proptest).
-    pub fn new_budgeted(
-        blocks: &BlockCollection,
-        entropies: Option<&BlockEntropies>,
-        budget: &sparker_dataflow::MemBudget,
-    ) -> Self {
-        let g = Self::new(blocks, entropies);
-        // `new` gathers the flat arrays anyway; re-run only the index
-        // build chunked when a budget applies.
-        if budget.is_limited() {
-            let chunk = budget.chunk_len(g.num_profiles, 8);
-            return Self::assemble_chunked(
-                g.kind,
-                g.block_members,
-                g.block_offsets,
-                g.block_split,
-                g.block_comparisons,
-                g.entropies,
-                g.num_profiles,
-                chunk,
-            );
-        }
-        g
-    }
-
-    /// [`BlockGraph::from_compact`] under a memory budget: the
-    /// profile→blocks counting sort runs over fixed-size profile ranges,
-    /// so its scatter cursor is bounded by the range instead of the whole
-    /// profile space. Bit-identical to [`BlockGraph::from_compact`].
-    pub fn from_compact_budgeted(
-        blocks: &CompactBlocks,
-        entropies: Option<&BlockEntropies>,
-        budget: &sparker_dataflow::MemBudget,
-    ) -> Self {
-        if !budget.is_limited() {
-            return Self::from_compact(blocks, entropies);
-        }
-        if let Some(e) = entropies {
-            assert_eq!(e.len(), blocks.len(), "entropies misaligned with blocks");
-        }
-        let (offsets, splits, members) = blocks.raw_parts();
-        let block_comparisons = (0..blocks.len()).map(|b| blocks.comparisons(b)).collect();
-        let chunk = budget.chunk_len(blocks.num_profiles(), 8);
-        Self::assemble_chunked(
-            blocks.kind(),
-            members.to_vec(),
-            offsets.to_vec(),
-            splits.to_vec(),
-            block_comparisons,
-            entropies.map(|e| e.as_slice().to_vec()),
-            blocks.num_profiles(),
-            chunk,
+            budget.chunk_len(blocks.num_profiles(), 8),
         )
     }
 
     /// Shared tail of the constructors: build the profile→blocks CSR index
-    /// by counting sort over the flat member array.
-    fn assemble(
-        kind: ErKind,
-        block_members: Vec<ProfileId>,
-        block_offsets: Vec<u32>,
-        block_split: Vec<u32>,
-        block_comparisons: Vec<u64>,
-        entropies: Option<Vec<f64>>,
-        num_profiles: usize,
-    ) -> Self {
-        let total_assignments = block_members.len() as u64;
-        let mut profile_offsets = vec![0u32; num_profiles + 1];
-        for p in &block_members {
-            profile_offsets[p.index() + 1] += 1;
-        }
-        for i in 1..profile_offsets.len() {
-            profile_offsets[i] += profile_offsets[i - 1];
-        }
-        let mut profile_blocks = vec![0u32; block_members.len()];
-        let mut cursor = profile_offsets.clone();
-        let num_blocks = block_offsets.len() - 1;
-        // Ascending block id keeps each profile's block list sorted.
-        for b in 0..num_blocks {
-            for p in &block_members[block_offsets[b] as usize..block_offsets[b + 1] as usize] {
-                profile_blocks[cursor[p.index()] as usize] = b as u32;
-                cursor[p.index()] += 1;
-            }
-        }
-        BlockGraph {
-            kind,
-            block_members,
-            block_offsets,
-            block_split,
-            block_comparisons,
-            profile_blocks,
-            profile_offsets,
-            entropies,
-            total_assignments,
-            num_profiles,
-        }
-    }
-
-    /// [`BlockGraph::assemble`] with the fill pass chunked over profile
-    /// ranges of `chunk_profiles`: the scatter cursor is allocated per
-    /// range instead of once for the whole profile space, bounding the
-    /// build's extra working memory. Each profile's writes still happen in
-    /// ascending block-id order, so the output is bit-identical to the
-    /// monolithic pass.
+    /// by counting sort over the flat member array, filling one range of
+    /// `chunk_profiles` profiles at a time so the scatter cursor spans
+    /// only that range. A range that covers every profile is one plain
+    /// scatter; a narrower one skips the members outside it. Each
+    /// profile's writes happen in ascending block-id order either way, so
+    /// the output does not depend on the chunk size.
     #[allow(clippy::too_many_arguments)]
-    fn assemble_chunked(
+    fn assemble(
         kind: ErKind,
         block_members: Vec<ProfileId>,
         block_offsets: Vec<u32>,
@@ -336,7 +248,6 @@ impl BlockGraph {
         num_profiles: usize,
         chunk_profiles: usize,
     ) -> Self {
-        let chunk_profiles = chunk_profiles.max(1);
         let total_assignments = block_members.len() as u64;
         let mut profile_offsets = vec![0u32; num_profiles + 1];
         for p in &block_members {
@@ -346,21 +257,24 @@ impl BlockGraph {
             profile_offsets[i] += profile_offsets[i - 1];
         }
         let mut profile_blocks = vec![0u32; block_members.len()];
-        let num_blocks = block_offsets.len() - 1;
-        let mut p0 = 0usize;
-        while p0 < num_profiles {
-            let p1 = (p0 + chunk_profiles).min(num_profiles);
-            let mut cursor: Vec<u32> = profile_offsets[p0..p1].to_vec();
-            for b in 0..num_blocks {
-                for p in &block_members[block_offsets[b] as usize..block_offsets[b + 1] as usize] {
-                    let i = p.index();
-                    if (p0..p1).contains(&i) {
-                        profile_blocks[cursor[i - p0] as usize] = b as u32;
-                        cursor[i - p0] += 1;
-                    }
+        for p0 in (0..num_profiles).step_by(chunk_profiles.max(1)) {
+            let range = p0..(p0 + chunk_profiles).min(num_profiles);
+            let whole = range.len() == num_profiles;
+            let mut cursor = profile_offsets[range.clone()].to_vec();
+            // Ascending block id keeps each profile's block list sorted.
+            for (b, span) in block_offsets.windows(2).enumerate() {
+                let members = &block_members[span[0] as usize..span[1] as usize];
+                let mut put = |i: usize| {
+                    profile_blocks[cursor[i - p0] as usize] = b as u32;
+                    cursor[i - p0] += 1;
+                };
+                if whole {
+                    members.iter().for_each(|p| put(p.index()));
+                } else {
+                    let ids = members.iter().map(|p| p.index());
+                    ids.filter(|i| range.contains(i)).for_each(put);
                 }
             }
-            p0 = p1;
         }
         BlockGraph {
             kind,
@@ -422,18 +336,6 @@ impl BlockGraph {
         }
     }
 
-    /// Allocate a reusable scratch buffer for
-    /// [`BlockGraph::neighborhood_with`]. One allocation serves any number
-    /// of neighborhood materializations — the hot loop of meta-blocking.
-    pub fn scratch(&self) -> NeighborhoodScratch {
-        NeighborhoodScratch {
-            acc: vec![EdgeAccumulator::default(); self.num_profiles],
-            touched_bits: vec![0; self.num_profiles.div_ceil(64)],
-            touched_words: Vec::new(),
-            out: Vec::new(),
-        }
-    }
-
     /// Where, in the flat member array, the comparable co-members of
     /// `node` within block `b` sit (for clean–clean, the other source's
     /// side; the node's side is located from the block's own sorted
@@ -462,84 +364,40 @@ impl BlockGraph {
     }
 
     /// Materialize the neighborhood of `node`: every comparable profile
-    /// sharing ≥ 1 block, with accumulated co-occurrence statistics.
-    /// Neighbors are returned sorted by id (deterministic).
+    /// sharing ≥ 1 block, with accumulated co-occurrence statistics,
+    /// ascending by id.
     ///
-    /// Convenience wrapper over [`BlockGraph::neighborhood_with`] that
-    /// allocates a fresh scratch; loops over many nodes should hold one
-    /// scratch and call `neighborhood_with` instead (dense-array
-    /// accumulation, no hashing, no per-node allocation).
+    /// The naive reference walk, kept for the oracle
+    /// ([`crate::meta_blocking_graph`]) and the tests: it lists every
+    /// `(neighbour, block)` hit in ascending block order, stable-sorts the
+    /// list by neighbour and folds each neighbour's run, so a neighbour's
+    /// contributions add in ascending block order — the order
+    /// [`BlockGraph::walk`] adds them in, which makes the two bit-identical
+    /// (pinned by proptest). For clean–clean tasks only the other source's
+    /// side of each block is scanned.
     pub fn neighborhood(&self, node: ProfileId) -> Vec<(ProfileId, EdgeAccumulator)> {
-        let mut scratch = self.scratch();
-        self.neighborhood_with(node, &mut scratch)
-    }
-
-    /// [`BlockGraph::neighborhood`] into a reusable [`NeighborhoodScratch`].
-    ///
-    /// For clean–clean tasks, only the other source's side of each block is
-    /// scanned (same-source profiles are not comparable); the node's side
-    /// within a block is determined from the block's own membership, so no
-    /// external separator is needed.
-    pub fn neighborhood_with(
-        &self,
-        node: ProfileId,
-        scratch: &mut NeighborhoodScratch,
-    ) -> Vec<(ProfileId, EdgeAccumulator)> {
-        self.neighborhood_buffered(node, scratch).to_vec()
-    }
-
-    /// [`BlockGraph::neighborhood_with`] without the output allocation: the
-    /// neighborhood is materialized into the scratch's reusable output
-    /// buffer and returned as a borrow. After the first few nodes warm the
-    /// buffers, a pass over the graph performs **zero** heap allocations.
-    ///
-    /// This is the reference walk the oracles (`meta_blocking_graph`,
-    /// training, progressive scheduling) use: full `f64` accumulators and
-    /// the first-touch bitmap for every node. The production node pass is
-    /// [`BlockGraph::walk`], pinned against it and against a `BTreeMap`
-    /// by proptest.
-    pub fn neighborhood_buffered<'s>(
-        &self,
-        node: ProfileId,
-        scratch: &'s mut NeighborhoodScratch,
-    ) -> &'s [(ProfileId, EdgeAccumulator)] {
-        debug_assert_eq!(scratch.acc.len(), self.num_profiles, "foreign scratch");
+        let mut hits: Vec<(ProfileId, u32)> = Vec::new();
         for &b in self.blocks_of(node) {
+            for &other in self.candidates_of(node, b as usize) {
+                if other != node {
+                    hits.push((other, b));
+                }
+            }
+        }
+        // Stable: each neighbour's hits keep their ascending block order.
+        hits.sort_by_key(|&(other, _)| other);
+        let mut out: Vec<(ProfileId, EdgeAccumulator)> = Vec::new();
+        for (other, b) in hits {
+            if out.last().is_none_or(|&(j, _)| j != other) {
+                out.push((other, EdgeAccumulator::default()));
+            }
+            let (_, acc) = out.last_mut().expect("pushed above");
             let bi = b as usize;
-            let comparisons = self.block_comparisons[bi].max(1) as f64;
-            let entropy = self.entropies.as_ref().map_or(1.0, |e| e[bi]);
-            for &other in self.candidates_of(node, bi) {
-                if other == node {
-                    continue;
-                }
-                let slot = &mut scratch.acc[other.index()];
-                if slot.shared_blocks == 0 {
-                    let word = &mut scratch.touched_bits[other.index() / 64];
-                    if *word == 0 {
-                        scratch.touched_words.push(other.0 / 64);
-                    }
-                    *word |= 1 << (other.0 % 64);
-                }
-                slot.shared_blocks += 1;
-                slot.arcs += 1.0 / comparisons;
-                slot.entropy_sum += entropy;
-            }
+            acc.shared_blocks += 1;
+            acc.arcs += 1.0 / self.block_comparisons[bi].max(1) as f64;
+            acc.entropy_sum += self.entropies.as_ref().map_or(1.0, |e| e[bi]);
         }
-        // Ascending words, ascending bits within a word: neighbors come out
-        // sorted by id having ordered only the (≤ degree, ≤ n/64) words.
-        scratch.touched_words.sort_unstable();
-        scratch.out.clear();
-        for &w in &scratch.touched_words {
-            let mut bits = std::mem::take(&mut scratch.touched_bits[w as usize]);
-            while bits != 0 {
-                let t = w as usize * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                scratch.out.push((ProfileId(t as u32), scratch.acc[t]));
-                scratch.acc[t] = EdgeAccumulator::default();
-            }
-        }
-        scratch.touched_words.clear();
-        &scratch.out
+        out
     }
 
     /// Allocate the reusable buffers of [`BlockGraph::walk`]: 4 bytes of
@@ -595,9 +453,9 @@ impl BlockGraph {
     ///   its bit in a bitmap, and the emit visits only the touched words.
     ///
     /// Both modes add a neighbour's contributions in ascending block
-    /// order, so counts and sums are bit-identical to
-    /// [`BlockGraph::neighborhood_buffered`] (pinned by proptest), and
-    /// both emit ascending ids.
+    /// order, so counts and sums are bit-identical to the naive
+    /// [`BlockGraph::neighborhood`] (pinned by proptest), and both emit
+    /// ascending ids.
     pub fn walk<'s>(
         &self,
         node: ProfileId,
@@ -914,33 +772,31 @@ mod tests {
         assert_eq!(edges, expect_edges / 2);
     }
 
-    #[test]
-    fn buffered_neighborhood_equals_allocating_variant() {
-        let (_, blocks) = figure1();
-        let g = BlockGraph::new(&blocks, None);
-        let mut scratch = g.scratch();
-        for i in 0..4u32 {
-            let node = ProfileId(i);
-            let owned = g.neighborhood(node);
-            let borrowed = g.neighborhood_buffered(node, &mut scratch).to_vec();
-            assert_eq!(owned, borrowed, "node {i}");
-        }
+    fn ids(v: &[u32]) -> Vec<ProfileId> {
+        v.iter().map(|&i| ProfileId(i)).collect()
+    }
+
+    fn assert_node_scratch_clean(scratch: &NodePassScratch) {
+        assert!(scratch.touched_bits.iter().all(|&w| w == 0), "bitmap dirty");
+        assert!(scratch.touched_words.is_empty(), "word list dirty");
+        assert!(scratch.counts.iter().all(|&c| c == 0), "counts dirty");
+        assert!(scratch.sums.iter().all(|s| *s == [0.0; 2]), "sums dirty");
     }
 
     /// The neighbor ids around the bitmap's word boundaries.
     const BOUNDARY_IDS: [u32; 6] = [0, 63, 64, 65, 127, 128];
 
-    fn ids(v: &[u32]) -> Vec<ProfileId> {
-        v.iter().map(|&i| ProfileId(i)).collect()
-    }
-
-    fn assert_scratch_clean(scratch: &NeighborhoodScratch) {
-        assert!(scratch.touched_bits.iter().all(|&w| w == 0), "bitmap dirty");
-        assert!(scratch.touched_words.is_empty(), "word list dirty");
-        assert!(
-            scratch.acc.iter().all(|a| *a == EdgeAccumulator::default()),
-            "accumulators dirty"
-        );
+    /// `node`'s neighbour ids and shared-block counts by the naive walk,
+    /// checked against the full production walk.
+    fn both_walks(g: &BlockGraph, node: u32) -> (Vec<u32>, Vec<u32>) {
+        let mut scratch = g.node_scratch(false);
+        let walked = g
+            .walk(ProfileId(node), &mut scratch, false)
+            .counts()
+            .to_vec();
+        let naive = g.neighborhood(ProfileId(node));
+        assert!(naive.iter().map(|&(p, a)| (p, a.shared_blocks)).eq(walked));
+        naive.iter().map(|&(p, a)| (p.0, a.shared_blocks)).unzip()
     }
 
     #[test]
@@ -959,14 +815,9 @@ mod tests {
         );
         let g = BlockGraph::new(&blocks, None);
         assert_eq!(g.num_profiles(), 131);
-        let mut scratch = g.scratch();
-        assert_eq!(scratch.touched_bits.len(), 3);
-        let got = g.neighborhood_buffered(ProfileId(130), &mut scratch);
-        let got_ids: Vec<u32> = got.iter().map(|(p, _)| p.0).collect();
-        assert_eq!(got_ids, BOUNDARY_IDS);
-        let shared: Vec<u32> = got.iter().map(|(_, a)| a.shared_blocks).collect();
+        let (ids, shared) = both_walks(&g, 130);
+        assert_eq!(ids, BOUNDARY_IDS);
         assert_eq!(shared, [1, 1, 1, 1, 1, 2]);
-        assert_scratch_clean(&scratch);
     }
 
     #[test]
@@ -985,24 +836,10 @@ mod tests {
         );
         let g = BlockGraph::new(&blocks, None);
         assert_eq!(g.num_profiles(), 201);
-        let mut scratch = g.scratch();
-        let probe = |node: u32, scratch: &mut NeighborhoodScratch| -> Vec<u32> {
-            let out = g.neighborhood_buffered(ProfileId(node), scratch);
-            out.iter().map(|(p, _)| p.0).collect()
-        };
-        assert_eq!(probe(200, &mut scratch), BOUNDARY_IDS);
-        assert_scratch_clean(&scratch);
-        assert_eq!(probe(129, &mut scratch), [64, 65, 127]);
-        assert_eq!(probe(64, &mut scratch), [129, 200]);
-        assert_eq!(probe(128, &mut scratch), [200]);
-        assert_scratch_clean(&scratch);
-    }
-
-    fn assert_node_scratch_clean(scratch: &NodePassScratch) {
-        assert!(scratch.touched_bits.iter().all(|&w| w == 0), "bitmap dirty");
-        assert!(scratch.touched_words.is_empty(), "word list dirty");
-        assert!(scratch.counts.iter().all(|&c| c == 0), "counts dirty");
-        assert!(scratch.sums.iter().all(|s| *s == [0.0; 2]), "sums dirty");
+        assert_eq!(both_walks(&g, 200).0, BOUNDARY_IDS);
+        assert_eq!(both_walks(&g, 129).0, [64, 65, 127]);
+        assert_eq!(both_walks(&g, 64).0, [129, 200]);
+        assert_eq!(both_walks(&g, 128).0, [200]);
     }
 
     #[test]
@@ -1029,14 +866,13 @@ mod tests {
         );
         for blocks in [dirty, clean] {
             let g = BlockGraph::new(&blocks, None);
-            let mut reference = g.scratch();
             for sums in [false, true] {
                 // Epoch-marked by node id: one array per pass over the nodes.
                 let mut seen = vec![u32::MAX; g.num_profiles()];
                 let mut scratch = g.node_scratch(sums);
                 for node in [0, 63, 64, 65, 127, 128, 129, 130, 200] {
                     let node = ProfileId(node);
-                    let full = g.neighborhood_buffered(node, &mut reference).to_vec();
+                    let full = g.neighborhood(node);
                     let suffix: Vec<_> = full.iter().copied().filter(|&(j, _)| j > node).collect();
                     let counts = |v: &[(ProfileId, EdgeAccumulator)]| -> Vec<(ProfileId, u32)> {
                         v.iter().map(|(j, a)| (*j, a.shared_blocks)).collect()
@@ -1081,34 +917,6 @@ mod tests {
             .collect();
         assert_eq!(got, [64, 127, 128]);
         assert_node_scratch_clean(&scratch);
-    }
-
-    #[test]
-    fn reused_scratch_is_clean_after_every_node() {
-        // One scratch over every node of a graph spanning several bitmap
-        // words: each call must leave it as it found it, and repeating a
-        // node must repeat its output.
-        let coll = ProfileCollection::dirty(
-            (0..150)
-                .map(|i| {
-                    Profile::builder(SourceId(0), i.to_string())
-                        .attr("t", format!("tok{} tok{} hub", i % 11, (i * 7) % 13))
-                        .build()
-                })
-                .collect(),
-        );
-        let g = BlockGraph::new(&token_blocking(&coll), None);
-        let mut scratch = g.scratch();
-        for i in 0..g.num_profiles() as u32 {
-            let first = g.neighborhood_buffered(ProfileId(i), &mut scratch).to_vec();
-            assert!(
-                first.windows(2).all(|w| w[0].0 < w[1].0),
-                "node {i} unsorted"
-            );
-            assert_scratch_clean(&scratch);
-            let again = g.neighborhood_buffered(ProfileId(i), &mut scratch).to_vec();
-            assert_eq!(first, again, "node {i}");
-        }
     }
 
     #[test]
@@ -1191,32 +999,19 @@ mod tests {
     #[test]
     fn budgeted_graph_is_bit_identical_to_monolithic() {
         use sparker_blocking::token_blocking_with_dict;
-        use sparker_dataflow::MemBudget;
         let (coll, blocks) = figure1();
         let entropies = BlockEntropies::new(vec![0.5; blocks.len()]);
-
-        let mono = BlockGraph::new(&blocks, Some(&entropies));
-        // A 1-byte budget drives the chunk size to its floor, exercising
-        // many tiny profile ranges; unlimited must take the plain path.
+        // A 1-byte budget takes the limited path (its chunk floor still
+        // covers these 4 profiles; smaller chunks are the next test's).
         let tight = MemBudget::limited(1);
         assert_eq!(
             BlockGraph::new_budgeted(&blocks, Some(&entropies), &tight),
-            mono
+            BlockGraph::new(&blocks, Some(&entropies))
         );
-        assert_eq!(
-            BlockGraph::new_budgeted(&blocks, Some(&entropies), &MemBudget::unlimited()),
-            mono
-        );
-
         let (_, compact) = token_blocking_with_dict(&coll);
-        let mono_c = BlockGraph::from_compact(&compact, None);
         assert_eq!(
             BlockGraph::from_compact_budgeted(&compact, None, &tight),
-            mono_c
-        );
-        assert_eq!(
-            BlockGraph::from_compact_budgeted(&compact, None, &MemBudget::unlimited()),
-            mono_c
+            BlockGraph::from_compact(&compact, None)
         );
     }
 
@@ -1236,7 +1031,7 @@ mod tests {
         let blocks = token_blocking(&coll);
         let mono = BlockGraph::new(&blocks, None);
         for chunk in [1usize, 2, 3, 5, 8, 22, 23, 1000] {
-            let chunked = BlockGraph::assemble_chunked(
+            let chunked = BlockGraph::assemble(
                 mono.kind,
                 mono.block_members.clone(),
                 mono.block_offsets.clone(),

@@ -57,7 +57,7 @@ mod train;
 mod weights;
 
 pub use entropy::{block_entropies, BlockEntropies};
-pub use graph::{BlockGraph, EdgeAccumulator, NeighborhoodScratch, Neighbors, NodePassScratch};
+pub use graph::{BlockGraph, EdgeAccumulator, Neighbors, NodePassScratch};
 pub use progressive::{progressive_global, progressive_node_first};
 pub use pruning::{
     derived_cnp_k, meta_blocking, meta_blocking_graph, MetaBlockingConfig, NodeStats,

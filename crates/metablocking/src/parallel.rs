@@ -15,8 +15,8 @@
 //! consumer, which runs them on the pool and concatenates the results.
 //! Real blocking graphs are power-law skewed, so the ranges are cut by
 //! *degree* cost and claimed dynamically off the pool's task counter.
-//! Results are identical to the sequential [`crate::meta_blocking_graph`]
-//! (asserted by tests and proptests).
+//! Results are identical to the naive sequential oracle
+//! [`crate::meta_blocking_graph`] (asserted by tests and proptests).
 
 use crate::graph::BlockGraph;
 use crate::pruning::MetaBlockingConfig;

@@ -32,20 +32,12 @@ pub fn progressive_global(
 ) -> Vec<(Pair, f64)> {
     let scoring = ScoringContext::new(graph, scorer, use_entropy);
     let mut edges = Vec::new();
-    let mut scratch = graph.scratch();
+    let mut scratch = graph.node_scratch(scoring.reads_sums());
     for i in 0..graph.num_profiles() {
         let node = ProfileId(i as u32);
-        for (j, acc) in graph.neighborhood_with(node, &mut scratch) {
-            if node >= j {
-                continue;
-            }
-            let w = scoring.weigh(
-                node,
-                j,
-                &acc,
-                graph.blocks_of(node).len(),
-                graph.blocks_of(j).len(),
-            );
+        let blocks_node = graph.block_count(node);
+        for (j, acc) in graph.walk(node, &mut scratch, true).iter() {
+            let w = scoring.weigh(node, j, &acc, blocks_node, graph.block_count(j));
             edges.push((Pair::new(node, j), w));
         }
     }
@@ -66,23 +58,18 @@ pub fn progressive_node_first(
 ) -> Vec<(Pair, f64)> {
     let scoring = ScoringContext::new(graph, scorer, use_entropy);
     let n = graph.num_profiles();
-    let mut scratch = graph.scratch();
+    let mut scratch = graph.node_scratch(scoring.reads_sums());
 
     // Per node: its weighted neighborhood, best-first.
     let mut neighborhoods: Vec<Vec<(ProfileId, f64)>> = Vec::with_capacity(n);
     for i in 0..n {
         let node = ProfileId(i as u32);
+        let blocks_node = graph.block_count(node);
         let mut edges: Vec<(ProfileId, f64)> = graph
-            .neighborhood_with(node, &mut scratch)
-            .into_iter()
+            .walk(node, &mut scratch, false)
+            .iter()
             .map(|(j, acc)| {
-                let w = scoring.weigh(
-                    node,
-                    j,
-                    &acc,
-                    graph.blocks_of(node).len(),
-                    graph.blocks_of(j).len(),
-                );
+                let w = scoring.weigh(node, j, &acc, blocks_node, graph.block_count(j));
                 (j, w)
             })
             .collect();

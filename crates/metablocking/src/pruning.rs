@@ -262,18 +262,16 @@ pub(crate) fn node_stats_pass(
 ) -> (Vec<NodeStats>, ForwardWeights) {
     let n = graph.num_profiles();
     let mut node_stats = vec![NodeStats::default(); n];
-    let mut scratch = graph.scratch();
     let mut weights = Vec::new();
     for (i, slot) in node_stats.iter_mut().enumerate() {
         let node = ProfileId(i as u32);
-        let neighborhood = graph.neighborhood_buffered(node, &mut scratch);
         *slot = node_stats_of(
             graph,
             node,
             scoring,
             cnp_k,
             &mut forward,
-            neighborhood.iter().copied(),
+            graph.neighborhood(node).into_iter(),
             &mut weights,
         );
     }
@@ -404,7 +402,8 @@ pub(crate) fn cnp_budget(pruning: PruningStrategy, graph: &BlockGraph) -> usize 
 
 /// Sequential meta-blocking over a prebuilt [`BlockGraph`]: weight every
 /// implicit edge, derive thresholds, and return the retained candidate
-/// pairs with their weights, sorted by pair.
+/// pairs with their weights, sorted by pair. The naive oracle: both
+/// passes walk with [`BlockGraph::neighborhood`].
 pub fn meta_blocking_graph(graph: &BlockGraph, config: &MetaBlockingConfig) -> Vec<(Pair, f64)> {
     let scoring = config.scoring_context(graph);
     let cnp_k = cnp_budget(config.pruning, graph);
@@ -417,15 +416,14 @@ pub fn meta_blocking_graph(graph: &BlockGraph, config: &MetaBlockingConfig) -> V
     let rule = resolve_rule(config.pruning, graph, forward);
 
     let mut retained = Vec::new();
-    let mut scratch = graph.scratch();
     for i in 0..graph.num_profiles() {
         let node = ProfileId(i as u32);
         let blocks_node = graph.blocks_of(node).len();
-        for &(j, ref acc) in graph.neighborhood_buffered(node, &mut scratch) {
+        for (j, acc) in graph.neighborhood(node) {
             if node >= j {
                 continue; // count each edge once
             }
-            let w = scoring.weigh(node, j, acc, blocks_node, graph.blocks_of(j).len());
+            let w = scoring.weigh(node, j, &acc, blocks_node, graph.blocks_of(j).len());
             if rule.keeps(w, &node_stats[i], &node_stats[j.index()]) {
                 retained.push((Pair::new(node, j), w));
             }

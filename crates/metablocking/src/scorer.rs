@@ -5,11 +5,12 @@
 //! streaming ([`crate::StreamingMetaBlocking`]), progressive
 //! ([`crate::progressive_global`] / [`crate::progressive_node_first`]) and
 //! the online resolver's batch refresh — weighs a candidate edge the same
-//! way: it materializes the edge's [`EdgeAccumulator`] and asks a
-//! [`ScoringContext`] for the weight. The context owns everything global
-//! (block count, node degrees when the scorer reads them, the entropy
-//! precondition) so the per-path drivers carry no weighting logic of their
-//! own.
+//! way: it materializes the edge's [`EdgeAccumulator`] (by
+//! [`BlockGraph::walk`], or [`BlockGraph::neighborhood`] in the oracle)
+//! and asks a [`ScoringContext`] for the weight. The context owns
+//! everything global (block count, node degrees when the scorer reads
+//! them, the entropy precondition) so the per-path drivers carry no
+//! weighting logic of their own.
 //!
 //! Two scorer families plug into the seam:
 //!

@@ -20,12 +20,12 @@
 //! disjoint ascending cover of `0..num_profiles` is byte-identical to its
 //! output (pinned by tests here and in the core parity matrix).
 //!
-//! The oracle walks with [`BlockGraph::neighborhood_buffered`] (full `f64`
-//! accumulators, first-touch bitmap); this plan walks with
-//! [`BlockGraph::walk`] — `u32` shared-block counts, the ARCS / entropy
-//! sums only for scorers that read them, and a dense sweep or the bitmap
-//! per node by density — whose counts and sums are bit-identical to the
-//! reference walk's. Only the node-centric pass A walks full
+//! The oracle walks with the naive [`BlockGraph::neighborhood`] (every
+//! `(neighbour, block)` hit listed, sorted and folded); this plan walks
+//! with [`BlockGraph::walk`] — `u32` shared-block counts, the ARCS /
+//! entropy sums only for scorers that read them, and a dense sweep or the
+//! bitmap per node by density — whose counts and sums are bit-identical to
+//! the naive walk's. Only the node-centric pass A walks full
 //! neighborhoods; the global rules' pass A and every pass B walk forward
 //! (each edge from its lower endpoint only), so weights, the WEP/CEP
 //! threshold and the retained pairs do not move. Each
@@ -344,12 +344,6 @@ impl StreamingMetaBlocking {
             }
         }
     }
-
-    /// Prune every node sequentially, as one range.
-    pub fn prune_all(&self) -> Vec<(Pair, f64)> {
-        let mut scratch = self.make_scratch();
-        self.prune_range(0..self.num_nodes() as u32, &mut scratch)
-    }
 }
 
 /// Pass B for one node: its forward edges, decided with the scorer (the
@@ -443,6 +437,7 @@ impl WeighVisitor for KeepEdges<'_, '_> {
 mod tests {
     use super::*;
     use crate::entropy::BlockEntropies;
+    use crate::parallel;
     use crate::pruning::{meta_blocking_graph, PruningStrategy};
     use crate::scorer::EdgeScorer;
     use crate::weights::WeightScheme;
@@ -496,9 +491,9 @@ mod tests {
                 let stream = StreamingMetaBlocking::prepare(&ctx, &graph, &config);
                 // Whole-graph emission…
                 assert_eq!(
-                    stream.prune_all(),
+                    parallel::meta_blocking(&Context::new(1), &graph, &config),
                     staged,
-                    "{}+{} prune_all diverged",
+                    "{}+{} whole-graph emission diverged",
                     scheme.name(),
                     pruning.name()
                 );
@@ -539,16 +534,15 @@ mod tests {
             };
             let scoring = config.scoring_context(&graph);
             let mut pool = Vec::new();
-            let mut scratch = graph.scratch();
             for i in 0..graph.num_profiles() as u32 {
                 let node = ProfileId(i);
                 let blocks_node = graph.blocks_of(node).len();
-                for &(j, ref acc) in graph.neighborhood_buffered(node, &mut scratch) {
+                for (j, acc) in graph.neighborhood(node) {
                     if node < j {
                         pool.push(scoring.weigh(
                             node,
                             j,
-                            acc,
+                            &acc,
                             blocks_node,
                             graph.blocks_of(j).len(),
                         ));
@@ -591,11 +585,7 @@ mod tests {
                     "{} at {workers} workers",
                     scheme.name()
                 );
-                assert_eq!(stream.prune_all(), staged);
-                assert_eq!(
-                    crate::parallel::meta_blocking(&ctx, &graph, &config),
-                    staged
-                );
+                assert_eq!(parallel::meta_blocking(&ctx, &graph, &config), staged);
             }
         }
     }
@@ -657,7 +647,10 @@ mod tests {
                     "{:?} ×{factor}",
                     blocks.kind()
                 );
-                assert_eq!(stream.prune_all(), meta_blocking_graph(&graph, &config));
+                assert_eq!(
+                    parallel::meta_blocking(&Context::new(1), &graph, &config),
+                    meta_blocking_graph(&graph, &config)
+                );
             }
         }
     }
@@ -675,8 +668,7 @@ mod tests {
         let ctx = Context::new(2);
         let config = MetaBlockingConfig::blast();
         let staged = meta_blocking_graph(&graph, &config);
-        let stream = StreamingMetaBlocking::prepare(&ctx, &graph, &config);
-        assert_eq!(stream.prune_all(), staged);
+        assert_eq!(parallel::meta_blocking(&ctx, &graph, &config), staged);
     }
 
     #[test]
@@ -696,9 +688,8 @@ mod tests {
                 use_entropy: false,
             };
             let staged = meta_blocking_graph(&graph, &config);
-            let stream = StreamingMetaBlocking::prepare(&ctx, &graph, &config);
             assert_eq!(
-                stream.prune_all(),
+                parallel::meta_blocking(&ctx, &graph, &config),
                 staged,
                 "supervised {} diverged",
                 pruning.name()
@@ -712,9 +703,9 @@ mod tests {
         let blocks = token_blocking(&coll);
         let graph = Arc::new(BlockGraph::new(&blocks, None));
         let config = MetaBlockingConfig::default();
-        let base = StreamingMetaBlocking::prepare(&Context::new(1), &graph, &config).prune_all();
+        let base = parallel::meta_blocking(&Context::new(1), &graph, &config);
         for w in [2, 4, 8] {
-            let got = StreamingMetaBlocking::prepare(&Context::new(w), &graph, &config).prune_all();
+            let got = parallel::meta_blocking(&Context::new(w), &graph, &config);
             assert_eq!(got, base, "diverged at {w} workers");
         }
     }
@@ -767,11 +758,10 @@ mod tests {
         let coll = skewed_collection(90);
         let graph = Arc::new(BlockGraph::new(&token_blocking(&coll), None));
         let (_, edges) = graph.degrees();
-        let mut scratch = graph.scratch();
         let forward: Vec<u32> = (0..graph.num_profiles() as u32)
             .map(|i| {
                 let node = ProfileId(i);
-                let n = graph.neighborhood_buffered(node, &mut scratch);
+                let n = graph.neighborhood(node);
                 n.iter().filter(|&&(j, _)| j > node).count() as u32
             })
             .collect();
@@ -814,7 +804,7 @@ mod tests {
         let graph = Arc::new(BlockGraph::new(&blocks, None));
         let ctx = Context::new(2);
         let stream = StreamingMetaBlocking::prepare(&ctx, &graph, &MetaBlockingConfig::default());
-        assert!(stream.prune_all().is_empty());
+        assert!(parallel::meta_blocking(&ctx, &graph, &MetaBlockingConfig::default()).is_empty());
         assert!(stream.cost_morsels(4).is_empty());
         assert_eq!(stream.total_edges(0..0), 0);
     }

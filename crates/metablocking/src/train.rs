@@ -126,15 +126,12 @@ pub fn train_supervised(
     let mut rng = XorShift(opts.seed | 1);
     let mut pos = Reservoir::new(opts.max_per_class.max(1));
     let mut neg = Reservoir::new(opts.max_per_class.max(1));
-    let mut scratch = graph.scratch();
+    let mut scratch = graph.node_scratch(true);
     for i in 0..graph.num_profiles() {
         let node = ProfileId(i as u32);
-        let blocks_node = graph.blocks_of(node).len();
-        for &(j, ref acc) in graph.neighborhood_buffered(node, &mut scratch) {
-            if node >= j {
-                continue;
-            }
-            let f = scoring.features(node, j, acc, blocks_node, graph.blocks_of(j).len());
+        let blocks_node = graph.block_count(node);
+        for (j, acc) in graph.walk(node, &mut scratch, true).iter() {
+            let f = scoring.features(node, j, &acc, blocks_node, graph.block_count(j));
             if truth.contains(&Pair::new(node, j)) {
                 pos.offer(f, &mut rng);
             } else {

@@ -9,7 +9,7 @@ use sparker_metablocking::{
     MetaBlockingConfig, PruningStrategy, ScoringContext, WeightScheme, NUM_FEATURES,
 };
 use sparker_profiles::{ErKind, Pair, Profile, ProfileCollection, ProfileId, SourceId};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn collection_strategy() -> impl Strategy<Value = ProfileCollection> {
@@ -86,13 +86,18 @@ fn raw_blocks_strategy() -> impl Strategy<Value = (BlockCollection, BlockEntropi
             } else {
                 ErKind::Dirty
             };
-            // `new` drops blocks without comparisons; align to what is left.
             let blocks = BlockCollection::new(kind, blocks.collect());
-            let entropies = (0..blocks.len()).map(|b| 0.1 + (b % 5) as f64 * 0.3);
-            let entropies = BlockEntropies::new(entropies.collect());
+            let entropies = entropies_of(&blocks);
             (blocks, entropies)
         })
     })
+}
+
+/// Per-block entropies for `blocks` — aligned to the blocks `new` kept,
+/// since it drops blocks without comparisons.
+fn entropies_of(blocks: &BlockCollection) -> BlockEntropies {
+    let entropies = (0..blocks.len()).map(|b| 0.1 + (b % 5) as f64 * 0.3);
+    BlockEntropies::new(entropies.collect())
 }
 
 /// Graphs on both sides of the node walk's density crossover: a hub block
@@ -133,6 +138,18 @@ fn crossover_blocks_strategy() -> impl Strategy<Value = BlockCollection> {
             BlockCollection::new(kind, blocks.collect())
         })
     })
+}
+
+/// Input of `walk_equals_naive_neighborhood`: random blocks, or blocks on
+/// both sides of the crossover (flagged `true`), with entropies.
+fn walk_input_strategy() -> impl Strategy<Value = (BlockCollection, BlockEntropies, bool)> {
+    prop_oneof![
+        raw_blocks_strategy().prop_map(|(blocks, entropies)| (blocks, entropies, false)),
+        crossover_blocks_strategy().prop_map(|blocks| {
+            let entropies = entropies_of(&blocks);
+            (blocks, entropies, true)
+        }),
+    ]
 }
 
 fn config_strategy() -> impl Strategy<Value = MetaBlockingConfig> {
@@ -241,79 +258,35 @@ proptest! {
     }
 
     #[test]
-    fn neighborhood_equals_naive_btreemap_reference(input in raw_blocks_strategy()) {
-        // The bitmap sweep must return exactly what an ordered map gives:
-        // the same neighbors ascending, the same accumulators bit for bit
-        // (both add blocks in ascending block order) — with one scratch
-        // reused across all nodes and both walks.
-        let (blocks, entropies) = input;
-        let kind = blocks.kind();
+    fn walk_equals_naive_neighborhood(input in walk_input_strategy()) {
+        // The production walk, full and forward (the `j > node` suffix),
+        // count-only and with sums, must give exactly the naive walk's
+        // neighbours ascending and its accumulators bit for bit (both add
+        // blocks in ascending block order) — one scratch of each kind
+        // reused across all nodes. On the crossover graphs it must have
+        // emitted both ways.
+        let (blocks, entropies, crossover) = input;
         let graph = BlockGraph::new(&blocks, Some(&entropies));
-        let mut scratch = graph.scratch();
+        let mut counts = graph.node_scratch(false);
         let mut sums = graph.node_scratch(true);
+        prop_assert!(!counts.has_sums());
         for i in 0..graph.num_profiles() as u32 {
             let node = ProfileId(i);
-            let mut reference = BTreeMap::new();
-            for (b, block) in blocks.blocks().iter().enumerate() {
-                let side = block.members.iter().position(|m| m.binary_search(&node).is_ok());
-                let Some(side) = side else { continue };
-                let others = match kind {
-                    ErKind::Dirty => &block.members[0],
-                    ErKind::CleanClean => &block.members[1 - side],
-                };
-                for &other in others.iter().filter(|&&o| o != node) {
-                    let acc = reference
-                        .entry(other)
-                        .or_insert_with(sparker_metablocking::EdgeAccumulator::default);
-                    acc.shared_blocks += 1;
-                    acc.arcs += 1.0 / block.comparisons(kind).max(1) as f64;
-                    acc.entropy_sum += entropies.as_slice()[b];
-                }
+            let full = graph.neighborhood(node);
+            let from = full.partition_point(|(j, _)| *j <= node);
+            for (forward, expected) in [(false, &full[..]), (true, &full[from..])] {
+                let got: Vec<_> = graph.walk(node, &mut sums, forward).iter().collect();
+                prop_assert_eq!(&got[..], expected);
+                let shared: Vec<_> = expected.iter().map(|(j, a)| (*j, a.shared_blocks)).collect();
+                prop_assert_eq!(graph.walk(node, &mut counts, forward).counts(), &shared[..]);
             }
-            let expected: Vec<_> = reference.into_iter().collect();
-            prop_assert_eq!(graph.neighborhood_buffered(node, &mut scratch), &expected[..]);
-            // The production walk with sums gives the same accumulators bit
-            // for bit — the forward walk the `j > node` suffix of them.
-            let from = expected.partition_point(|(j, _)| *j <= node);
-            let full: Vec<_> = graph.walk(node, &mut sums, false).iter().collect();
-            prop_assert_eq!(&full[..], &expected[..]);
-            let forward: Vec<_> = graph.walk(node, &mut sums, true).iter().collect();
-            prop_assert_eq!(&forward[..], &expected[from..]);
         }
-    }
-
-    #[test]
-    fn count_walk_equals_btreemap_reference_across_the_crossover(
-        blocks in crossover_blocks_strategy(),
-    ) {
-        // The count-only walk, forward and full, must give exactly the
-        // reference's neighbours and shared-block counts, whichever way it
-        // emits a node — and on these graphs it must have used both ways.
-        let kind = blocks.kind();
-        let graph = BlockGraph::new(&blocks, None);
-        let mut scratch = graph.node_scratch(false);
-        prop_assert!(!scratch.has_sums());
-        for i in 0..graph.num_profiles() as u32 {
-            let node = ProfileId(i);
-            let mut reference = BTreeMap::new();
-            for block in blocks.blocks() {
-                let side = block.members.iter().position(|m| m.binary_search(&node).is_ok());
-                let Some(side) = side else { continue };
-                let others = match kind {
-                    ErKind::Dirty => &block.members[0],
-                    ErKind::CleanClean => &block.members[1 - side],
-                };
-                for &other in others.iter().filter(|&&o| o != node) {
-                    *reference.entry(other).or_insert(0u32) += 1;
-                }
+        if crossover {
+            for scratch in [&counts, &sums] {
+                let (bitmap, sweep) = scratch.emission_modes();
+                prop_assert!(bitmap > 0 && sweep > 0, "bitmap {} / sweep {} nodes", bitmap, sweep);
             }
-            let expected: Vec<(ProfileId, u32)> = reference.into_iter().collect();
-            prop_assert_eq!(graph.walk(node, &mut scratch, false).counts(), &expected[..]);
-            let from = expected.partition_point(|(j, _)| *j <= node);
-            prop_assert_eq!(graph.walk(node, &mut scratch, true).counts(), &expected[from..]);
         }
-        let (bitmap, sweep) = scratch.emission_modes();
-        prop_assert!(bitmap > 0 && sweep > 0, "bitmap {} / sweep {} nodes", bitmap, sweep);
     }
 
     #[test]
@@ -323,11 +296,10 @@ proptest! {
         // A supervised scorer requests degrees, exercising every feature.
         let scoring =
             ScoringContext::new(&graph, EdgeScorer::Supervised(LinearModel::zero()), false);
-        let mut scratch = graph.scratch();
         for i in 0..graph.num_profiles() as u32 {
             let node = sparker_profiles::ProfileId(i);
             let blocks_node = graph.blocks_of(node).len();
-            for (j, acc) in graph.neighborhood_with(node, &mut scratch) {
+            for (j, acc) in graph.neighborhood(node) {
                 if node >= j {
                     continue;
                 }
@@ -355,12 +327,11 @@ proptest! {
         let cbs = ScoringContext::new(&graph, EdgeScorer::Classic(WeightScheme::Cbs), false);
         let one_hot =
             ScoringContext::new(&graph, EdgeScorer::Supervised(LinearModel::one_hot(0)), false);
-        let mut scratch = graph.scratch();
         let mut scores = Vec::new();
         for i in 0..graph.num_profiles() as u32 {
             let node = sparker_profiles::ProfileId(i);
             let bn = graph.blocks_of(node).len();
-            for (j, acc) in graph.neighborhood_with(node, &mut scratch) {
+            for (j, acc) in graph.neighborhood(node) {
                 if node >= j {
                     continue;
                 }

@@ -85,25 +85,6 @@ impl GroundTruth {
         found as f64 / self.matches.len() as f64
     }
 
-    /// Fraction of `candidates` that are true matches — *pair quality* (the
-    /// blocking literature's name for precision). Returns 0 for an empty
-    /// candidate set.
-    pub fn precision_of<'a>(&self, candidates: impl IntoIterator<Item = &'a Pair>) -> f64 {
-        let mut total = 0usize;
-        let mut found = 0usize;
-        for p in candidates {
-            total += 1;
-            if self.matches.contains(p) {
-                found += 1;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            found as f64 / total as f64
-        }
-    }
-
     /// True matches for which `is_candidate` is false — the "false
     /// positives" of the paper's Figure 6(d) debug view (ground-truth pairs
     /// lost during blocking).
@@ -145,7 +126,6 @@ mod tests {
         let gt = GroundTruth::from_pairs(vec![pair(0, 1), pair(2, 3)]);
         let candidates = [pair(0, 1), pair(0, 2), pair(1, 3)];
         assert!((gt.recall_of(candidates.iter()) - 0.5).abs() < 1e-12);
-        assert!((gt.precision_of(candidates.iter()) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -153,7 +133,6 @@ mod tests {
         let gt = GroundTruth::default();
         assert!(gt.is_empty());
         assert_eq!(gt.recall_of(std::iter::empty()), 1.0);
-        assert_eq!(gt.precision_of(std::iter::empty()), 0.0);
     }
 
     #[test]

@@ -142,6 +142,8 @@ for line in '^result counts:' '^matcher:'; do
   fi
 done
 cmp "${seq_csv}" "${fused_csv}"
+# The naive oracle's node pass, shown so its cost is in every log.
+echo "    sequential $(printf '%s\n' "${seq_out}" | grep '^prune_candidates')"
 fused_line="$(printf '%s\n' "${fused_out}" | grep '^fused:')"
 echo "    ${fused_line}"
 morsels="$(printf '%s\n' "${fused_line}" | sed -E 's/^fused: ([0-9]+) morsels.*/\1/')"
@@ -295,5 +297,8 @@ trap 'rm -f "${serve_jsonl}" "${half_a}" "${half_b}" "${measure_conf}" "${truth_
   head -n 200 "${serve_jsonl}" | sed -E 's/.*"id":"([^"]*)".*/\1/' | paste -d, - -
 } > "${truth_csv}"
 jsonl_matrix --source-a "${serve_jsonl}" --ground-truth "${truth_csv}" --show-lost
+
+echo "==> lines of metablocking + core + blocking + matching (ROADMAP item 5)"
+echo "    $(find crates/{metablocking,core,blocking,matching} -name '*.rs' | xargs cat | wc -l)"
 
 echo "CI OK"
