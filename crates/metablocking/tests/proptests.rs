@@ -5,11 +5,11 @@ use proptest::prelude::*;
 use sparker_blocking::{token_blocking, Block, BlockCollection};
 use sparker_dataflow::Context;
 use sparker_metablocking::{
-    meta_blocking_graph, parallel, BlockEntropies, BlockGraph, EdgeScorer, LinearModel,
-    MetaBlockingConfig, PruningStrategy, ScoringContext, WeightScheme, NUM_FEATURES,
+    meta_blocking_graph, parallel, BlockEntropies, BlockGraph, EdgeAccumulator, EdgeScorer,
+    LinearModel, MetaBlockingConfig, PruningStrategy, ScoringContext, WeightScheme, NUM_FEATURES,
 };
 use sparker_profiles::{ErKind, Pair, Profile, ProfileCollection, ProfileId, SourceId};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 fn collection_strategy() -> impl Strategy<Value = ProfileCollection> {
@@ -140,16 +140,68 @@ fn crossover_blocks_strategy() -> impl Strategy<Value = BlockCollection> {
     })
 }
 
-/// Input of `walk_equals_naive_neighborhood`: random blocks, or blocks on
-/// both sides of the crossover (flagged `true`), with entropies.
-fn walk_input_strategy() -> impl Strategy<Value = (BlockCollection, BlockEntropies, bool)> {
-    prop_oneof![
-        raw_blocks_strategy().prop_map(|(blocks, entropies)| (blocks, entropies, false)),
-        crossover_blocks_strategy().prop_map(|blocks| {
-            let entropies = entropies_of(&blocks);
-            (blocks, entropies, true)
-        }),
-    ]
+/// Every neighbour of `node` in `blocks` with its accumulators, from an
+/// ordered map filled block by block in ascending block order.
+fn btreemap_reference(
+    blocks: &BlockCollection,
+    entropies: &BlockEntropies,
+    node: ProfileId,
+) -> Vec<(ProfileId, EdgeAccumulator)> {
+    let kind = blocks.kind();
+    let mut reference = BTreeMap::new();
+    for (b, block) in blocks.blocks().iter().enumerate() {
+        let side = block
+            .members
+            .iter()
+            .position(|m| m.binary_search(&node).is_ok());
+        let Some(side) = side else { continue };
+        let others = match kind {
+            ErKind::Dirty => &block.members[0],
+            ErKind::CleanClean => &block.members[1 - side],
+        };
+        for &other in others.iter().filter(|&&o| o != node) {
+            let acc = reference
+                .entry(other)
+                .or_insert_with(EdgeAccumulator::default);
+            acc.shared_blocks += 1;
+            acc.arcs += 1.0 / block.comparisons(kind).max(1) as f64;
+            acc.entropy_sum += entropies.as_slice()[b];
+        }
+    }
+    reference.into_iter().collect()
+}
+
+/// Checks, for every node, the naive `neighborhood` against the ordered-map
+/// reference, and the production walk — full and forward (the `j > node`
+/// suffix), count-only and with sums — against `neighborhood`: the same
+/// neighbours ascending, the same accumulators bit for bit (all three add
+/// blocks in ascending block order), one scratch of each kind reused
+/// across all nodes. Returns both scratches' `(bitmap, sweep)` emission
+/// counts.
+fn walks_equal_reference(
+    blocks: &BlockCollection,
+    entropies: &BlockEntropies,
+) -> Result<[(u64, u64); 2], TestCaseError> {
+    let graph = BlockGraph::new(blocks, Some(entropies));
+    let mut counts = graph.node_scratch(false);
+    let mut sums = graph.node_scratch(true);
+    prop_assert!(!counts.has_sums());
+    for i in 0..graph.num_profiles() as u32 {
+        let node = ProfileId(i);
+        let full = graph.neighborhood(node);
+        prop_assert_eq!(&full, &btreemap_reference(blocks, entropies, node));
+        let from = full.partition_point(|(j, _)| *j <= node);
+        for (forward, expected) in [(false, &full[..]), (true, &full[from..])] {
+            let got: Vec<_> = graph.walk(node, &mut sums, forward).iter().collect();
+            prop_assert_eq!(&got[..], expected);
+            let shared: Vec<_> = expected
+                .iter()
+                .map(|(j, a)| (*j, a.shared_blocks))
+                .collect();
+            prop_assert_eq!(graph.walk(node, &mut counts, forward).counts(), &shared[..]);
+        }
+    }
+    Ok([counts.emission_modes(), sums.emission_modes()])
 }
 
 fn config_strategy() -> impl Strategy<Value = MetaBlockingConfig> {
@@ -258,34 +310,20 @@ proptest! {
     }
 
     #[test]
-    fn walk_equals_naive_neighborhood(input in walk_input_strategy()) {
-        // The production walk, full and forward (the `j > node` suffix),
-        // count-only and with sums, must give exactly the naive walk's
-        // neighbours ascending and its accumulators bit for bit (both add
-        // blocks in ascending block order) — one scratch of each kind
-        // reused across all nodes. On the crossover graphs it must have
-        // emitted both ways.
-        let (blocks, entropies, crossover) = input;
-        let graph = BlockGraph::new(&blocks, Some(&entropies));
-        let mut counts = graph.node_scratch(false);
-        let mut sums = graph.node_scratch(true);
-        prop_assert!(!counts.has_sums());
-        for i in 0..graph.num_profiles() as u32 {
-            let node = ProfileId(i);
-            let full = graph.neighborhood(node);
-            let from = full.partition_point(|(j, _)| *j <= node);
-            for (forward, expected) in [(false, &full[..]), (true, &full[from..])] {
-                let got: Vec<_> = graph.walk(node, &mut sums, forward).iter().collect();
-                prop_assert_eq!(&got[..], expected);
-                let shared: Vec<_> = expected.iter().map(|(j, a)| (*j, a.shared_blocks)).collect();
-                prop_assert_eq!(graph.walk(node, &mut counts, forward).counts(), &shared[..]);
-            }
-        }
-        if crossover {
-            for scratch in [&counts, &sums] {
-                let (bitmap, sweep) = scratch.emission_modes();
-                prop_assert!(bitmap > 0 && sweep > 0, "bitmap {} / sweep {} nodes", bitmap, sweep);
-            }
+    fn neighborhood_equals_naive_btreemap_reference(input in raw_blocks_strategy()) {
+        let (blocks, entropies) = input;
+        walks_equal_reference(&blocks, &entropies)?;
+    }
+
+    #[test]
+    fn count_walk_equals_btreemap_reference_across_the_crossover(
+        blocks in crossover_blocks_strategy(),
+    ) {
+        // As above, and on these graphs the walk, count-only and with
+        // sums, must have emitted nodes both ways.
+        let entropies = entropies_of(&blocks);
+        for (bitmap, sweep) in walks_equal_reference(&blocks, &entropies)? {
+            prop_assert!(bitmap > 0 && sweep > 0, "bitmap {} / sweep {} nodes", bitmap, sweep);
         }
     }
 
