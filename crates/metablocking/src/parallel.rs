@@ -246,26 +246,32 @@ mod tests {
         let coll = skewed_collection(80);
         let blocks = token_blocking(&coll);
         let graph = Arc::new(BlockGraph::new(&blocks, None));
-        let mut model = crate::LinearModel::zero();
-        model.weights[0] = 0.4; // shared blocks
-        model.weights[3] = 2.5; // jaccard
-        model.weights[11] = -0.01; // max degree
-        model.bias = -1.0;
-        for pruning in ALL_PRUNINGS {
-            let config = MetaBlockingConfig {
-                scorer: EdgeScorer::Supervised(model),
-                pruning,
-                use_entropy: false,
-            };
-            let seq = meta_blocking_graph(&graph, &config);
-            assert!(!seq.is_empty(), "{}: nothing retained", pruning.name());
-            for w in [1, 2, 4] {
-                assert_eq!(
-                    meta_blocking(&Context::new(w), &graph, &config),
-                    seq,
-                    "supervised {} diverged at {w} workers",
-                    pruning.name(),
-                );
+        let mut jaccard = crate::LinearModel::zero();
+        jaccard.weights[0] = 0.4; // shared blocks
+        jaccard.weights[3] = 2.5; // jaccard
+        jaccard.weights[11] = -0.01; // max degree
+        jaccard.bias = -1.0;
+        let mut dice = crate::LinearModel::zero();
+        dice.weights[0] = 0.6; // shared blocks
+        dice.weights[4] = 1.5; // dice
+        dice.bias = -0.5;
+        for model in [jaccard, dice] {
+            for pruning in ALL_PRUNINGS {
+                let config = MetaBlockingConfig {
+                    scorer: EdgeScorer::Supervised(model),
+                    pruning,
+                    use_entropy: false,
+                };
+                let seq = meta_blocking_graph(&graph, &config);
+                assert!(!seq.is_empty(), "{}: nothing retained", pruning.name());
+                for w in [1, 2, 4] {
+                    assert_eq!(
+                        meta_blocking(&Context::new(w), &graph, &config),
+                        seq,
+                        "supervised {} diverged at {w} workers",
+                        pruning.name(),
+                    );
+                }
             }
         }
     }

@@ -436,7 +436,6 @@ impl WeighVisitor for KeepEdges<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entropy::BlockEntropies;
     use crate::parallel;
     use crate::pruning::{meta_blocking_graph, PruningStrategy};
     use crate::scorer::EdgeScorer;
@@ -652,48 +651,6 @@ mod tests {
                     meta_blocking_graph(&graph, &config)
                 );
             }
-        }
-    }
-
-    #[test]
-    fn streamed_matches_staged_with_entropy() {
-        let coll = skewed_collection(60);
-        let blocks = token_blocking(&coll);
-        let entropies = BlockEntropies::new(
-            (0..blocks.len())
-                .map(|b| 0.1 + (b % 5) as f64 * 0.3)
-                .collect(),
-        );
-        let graph = Arc::new(BlockGraph::new(&blocks, Some(&entropies)));
-        let ctx = Context::new(2);
-        let config = MetaBlockingConfig::blast();
-        let staged = meta_blocking_graph(&graph, &config);
-        assert_eq!(parallel::meta_blocking(&ctx, &graph, &config), staged);
-    }
-
-    #[test]
-    fn streamed_matches_staged_with_supervised_scorer() {
-        let coll = skewed_collection(60);
-        let blocks = token_blocking(&coll);
-        let graph = Arc::new(BlockGraph::new(&blocks, None));
-        let ctx = Context::new(3);
-        let mut model = crate::LinearModel::zero();
-        model.weights[0] = 0.6; // shared blocks
-        model.weights[4] = 1.5; // dice
-        model.bias = -0.5;
-        for pruning in ALL_PRUNINGS {
-            let config = MetaBlockingConfig {
-                scorer: EdgeScorer::Supervised(model),
-                pruning,
-                use_entropy: false,
-            };
-            let staged = meta_blocking_graph(&graph, &config);
-            assert_eq!(
-                parallel::meta_blocking(&ctx, &graph, &config),
-                staged,
-                "supervised {} diverged",
-                pruning.name()
-            );
         }
     }
 

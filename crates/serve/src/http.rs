@@ -10,8 +10,9 @@
 //! * `POST /profiles` — body is one profile object or an array of them:
 //!   `{"source": 0, "id": "p1", "attributes": {"name": "sony tv"}}`
 //!   (`source` optional, default 0; attribute values are stringified with
-//!   the same rules as the batch JSON loader). Responds
-//!   `{"inserted": n, "updated": m}`.
+//!   the same rules as the batch JSON loader). The request is applied as
+//!   one delta with one maintenance pass ([`ResolverState::bulk_load`]):
+//!   an array is all or nothing. Responds `{"inserted": n, "updated": m}`.
 //! * `GET /clusters/{id}` (dirty) or `GET /clusters/{source}/{id}` —
 //!   the profile's cluster: `{"cluster": label, "members": [{"source": s,
 //!   "id": "..."}]}`; 404 for unknown ids.
@@ -45,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use sparker_profiles::{parse_json, JsonValue, Profile, SourceId};
 
-use crate::resolver::{OpKind, ResolverState};
+use crate::resolver::ResolverState;
 
 /// Largest request body accepted (64 MiB) — far above any batch of
 /// profiles a client posts, far below what would exhaust memory.
@@ -491,15 +492,14 @@ fn post_profiles(body: &str, shared: &Shared) -> Reply {
         Ok(resolver) => resolver,
         Err(reply) => return reply,
     };
-    let mut inserted = 0u64;
-    let mut updated = 0u64;
-    for p in profiles {
-        match resolver.upsert(p) {
-            Ok(OpKind::Inserted) => inserted += 1,
-            Ok(OpKind::Updated) => updated += 1,
-            Err(e) => return Reply::BadRequest(e),
-        }
-    }
+    // One request is one delta: all or nothing, one maintenance pass.
+    let before = resolver.num_profiles();
+    let n = match resolver.bulk_load(profiles) {
+        Ok(n) => n,
+        Err(e) => return Reply::BadRequest(e),
+    };
+    let inserted = resolver.num_profiles() - before;
+    let updated = n - inserted;
     let mut out = BTreeMap::new();
     out.insert("inserted".to_string(), JsonValue::Number(inserted as f64));
     out.insert("updated".to_string(), JsonValue::Number(updated as f64));

@@ -2,20 +2,23 @@
 //!
 //! [`ResolverState`] keeps the interned token dictionary, the token
 //! postings (append-friendly block index), the retained similarity edges
-//! and a live [`UnionFind`] in memory across requests. `insert` / `update`
-//! extend the dictionary and postings incrementally and re-run
-//! purge / filter / prune only over the touched token neighborhoods;
-//! `query` and `stats` lazily refresh the derived results (retention,
-//! matching, clustering) and answer from the refreshed snapshot.
+//! and a live [`UnionFind`] in memory across requests. A batch of upserts
+//! ([`ResolverState::bulk_load`]; [`ResolverState::upsert`] is a batch of
+//! one) extends the dictionary and postings incrementally and re-runs
+//! purge / filter / prune once, only over the touched token
+//! neighborhoods; `query` and `stats` lazily refresh the derived results
+//! (retention, matching, clustering) and answer from the refreshed
+//! snapshot.
 //!
 //! # Equivalence contract
 //!
-//! After any operation sequence, the resolver's candidates, match edges
-//! (scores bit-identical) and entity clusters equal a cold batch
-//! [`Pipeline::run_on`] over the collection materialized from the same
-//! profiles. This is pinned by [`ResolverState::verify_against_batch`],
-//! the proptest harness in `tests/equivalence.rs`, and — per operation —
-//! by setting `SPARKER_SERVE_CHECK=1`.
+//! After any operation sequence, however it is cut into batches, the
+//! resolver's candidates, match edges (scores bit-identical) and entity
+//! clusters equal a cold batch [`Pipeline::run_on`] over the collection
+//! materialized from the same profiles. This is pinned by
+//! [`ResolverState::verify_against_batch`], the proptest harness in
+//! `tests/equivalence.rs`, and — per batch — by setting
+//! `SPARKER_SERVE_CHECK=1`.
 //!
 //! # Incremental maintenance invariants
 //!
@@ -27,19 +30,24 @@
 //!   score caches only ever grow or patch in place;
 //! * **rebuilt per neighborhood** — purge flags, per-profile filter
 //!   selections, and adjacency rows are recomputed wholesale, but only
-//!   for the profiles a mutation can actually affect:
+//!   for the profiles a batch can actually affect:
 //!
-//!   1. an operation touches the blocks of the profile's old and new
-//!      tokens; purging is re-derived globally (cheap integer pass) and
-//!      blocks whose purge state flips join the touched set;
+//!   1. each profile of the batch touches the blocks of its old and new
+//!      tokens (`op_blocks` is the union over the batch); purging is
+//!      re-derived globally once (cheap integer pass) and blocks whose
+//!      purge state flips join the touched set;
 //!   2. the *affected* profiles are the members of touched blocks (their
-//!      filter ordering or quota may change) plus the operated profile;
+//!      filter ordering or quota may change) plus the operated profiles;
 //!      only they re-run block filtering;
 //!   3. a CBS edge weight is the count of shared post-filter blocks, so
 //!      any weight that changes has **both** endpoints inside some
 //!      filter-changed block — replacing the adjacency rows of those
 //!      *dirty* nodes wholesale keeps the edge map globally consistent
 //!      without symmetric patching.
+//!
+//! Every decision in 1–3 is a function of the final block memberships, so
+//! one pass over a batch's union reaches the state a pass per profile
+//! reaches.
 //!
 //! Configurations outside the mirrored family (loose-schema / entropy /
 //! CEP / meta-blocking off) fall back to re-running the batch blocker per
@@ -197,12 +205,11 @@ struct FastPath {
     /// CBS adjacency: per profile, `(neighbor, shared post-filter blocks)`
     /// sorted by neighbor key. Rows are symmetric.
     rows: HashMap<PKey, Vec<(PKey, u32)>>,
-    /// Σ post-filter member counts over all post-purge blocks (the block
-    /// graph's `total_assignments`).
-    total_assignments: u64,
-    /// Per source: indices of profiles with ≥ 1 post-filter assignment
-    /// (the block graph's `num_profiles` is derived from the maxima).
-    assigned: [BTreeSet<u32>; 2],
+    /// `rebuild_row` scratch: shared-block count per neighbour index (all
+    /// zero between calls; sized to the larger source) …
+    row_counts: Vec<u32>,
+    /// … and the indices whose count left zero.
+    row_touched: Vec<u32>,
 }
 
 impl FastPath {
@@ -298,7 +305,6 @@ impl FastPath {
             let list = &mut self.filtered[b as usize][side];
             if let Ok(pos) = list.binary_search(&idx) {
                 list.remove(pos);
-                self.total_assignments -= 1;
             }
             changed_blocks.insert(b);
         }
@@ -306,15 +312,12 @@ impl FastPath {
             let list = &mut self.filtered[b as usize][side];
             if let Err(pos) = list.binary_search(&idx) {
                 list.insert(pos, idx);
-                self.total_assignments += 1;
             }
             changed_blocks.insert(b);
         }
         if new_sel.is_empty() {
-            self.assigned[side].remove(&idx);
             self.selection.remove(&p);
         } else {
-            self.assigned[side].insert(idx);
             self.selection.insert(p, new_sel);
         }
         true
@@ -331,54 +334,68 @@ impl FastPath {
     }
 
     /// Rebuild one profile's adjacency row wholesale from its post-filter
-    /// blocks (the "touched token neighborhood" unit of work).
+    /// blocks (the "touched token neighborhood" unit of work). Every
+    /// neighbour sits on one side (side 0 for dirty, the other side for
+    /// clean–clean), so a dense count array indexed by neighbour index
+    /// plus the sorted touched list yields the row in ascending key order.
     fn rebuild_row(&mut self, p: PKey, kind: ErKind) {
         let side = key_source(p) as usize;
         let idx = key_idx(p);
-        let mut counts: BTreeMap<PKey, u32> = BTreeMap::new();
-        if let Some(sel) = self.selection.get(&p) {
-            for &b in sel {
-                match kind {
-                    ErKind::Dirty => {
-                        for &m in &self.filtered[b as usize][0] {
-                            if m != idx {
-                                *counts.entry(pkey(0, m)).or_insert(0) += 1;
-                            }
-                        }
-                    }
-                    ErKind::CleanClean => {
-                        let other = 1 - side;
-                        for &m in &self.filtered[b as usize][other] {
-                            *counts.entry(pkey(other as u32, m)).or_insert(0) += 1;
-                        }
-                    }
+        let other = match kind {
+            ErKind::Dirty => 0,
+            ErKind::CleanClean => 1 - side,
+        };
+        let counts = &mut self.row_counts;
+        let touched = &mut self.row_touched;
+        for &b in self.selection.get(&p).into_iter().flatten() {
+            for &m in &self.filtered[b as usize][other] {
+                if other == side && m == idx {
+                    continue;
                 }
+                let c = &mut counts[m as usize];
+                if *c == 0 {
+                    touched.push(m);
+                }
+                *c += 1;
             }
         }
-        if counts.is_empty() {
+        if touched.is_empty() {
             self.rows.remove(&p);
-        } else {
-            self.rows.insert(p, counts.into_iter().collect());
+            return;
         }
+        touched.sort_unstable();
+        let row = touched
+            .drain(..)
+            .map(|m| {
+                let shared = std::mem::take(&mut counts[m as usize]);
+                (pkey(other as u32, m), shared)
+            })
+            .collect();
+        self.rows.insert(p, row);
     }
 
-    /// The block graph's `num_profiles`: one past the maximum dense id
-    /// among profiles holding ≥ 1 post-filter assignment.
-    fn graph_num_profiles(&self, kind: ErKind, source0_len: usize) -> usize {
-        let a0 = self.assigned[0]
-            .last()
-            .map(|&i| i as usize + 1)
-            .unwrap_or(0);
-        match kind {
-            ErKind::Dirty => a0,
-            ErKind::CleanClean => {
-                let a1 = self.assigned[1]
-                    .last()
-                    .map(|&i| source0_len + i as usize + 1)
-                    .unwrap_or(0);
-                a0.max(a1)
+    /// The block graph's `(total_assignments, num_profiles)`: the member
+    /// count of the post-filter blocks the batch keeps (a dirty block with
+    /// ≥ 2 members, a clean–clean block with both sides), and one past
+    /// the largest dense id among those members. A post-filter block that
+    /// lost its comparisons is dropped by the batch and counts for neither.
+    fn graph_size(&self, kind: ErKind, source0_len: usize) -> (u64, usize) {
+        let mut assignments = 0u64;
+        let mut num_profiles = 0usize;
+        for [s0, s1] in &self.filtered {
+            let useful = match kind {
+                ErKind::Dirty => s0.len() >= 2,
+                ErKind::CleanClean => !s0.is_empty() && !s1.is_empty(),
+            };
+            if !useful {
+                continue;
             }
+            assignments += (s0.len() + s1.len()) as u64;
+            let last0 = s0.last().map_or(0, |&i| i as usize + 1);
+            let last1 = s1.last().map_or(0, |&i| source0_len + i as usize + 1);
+            num_profiles = num_profiles.max(last0).max(last1);
         }
+        (assignments, num_profiles)
     }
 }
 
@@ -482,42 +499,67 @@ impl ResolverState {
     }
 
     /// Insert a new profile or replace an existing one (matched by
-    /// `(source, original_id)`). Dirty resolvers accept source 0 only;
-    /// clean–clean resolvers accept sources 0 and 1.
+    /// `(source, original_id)`): a [`bulk_load`](Self::bulk_load) of one.
+    /// Dirty resolvers accept source 0 only; clean–clean resolvers accept
+    /// sources 0 and 1.
     pub fn upsert(&mut self, profile: Profile) -> Result<OpKind, String> {
-        let source = profile.source.0;
+        let before = self.num_profiles();
+        self.bulk_load(vec![profile])?;
+        Ok(if self.num_profiles() > before {
+            OpKind::Inserted
+        } else {
+            OpKind::Updated
+        })
+    }
+
+    /// Apply a batch of upserts — one `POST /profiles` request, or a warm
+    /// preset — as one delta, and return how many profiles it held.
+    ///
+    /// Every source is checked before anything is applied, so a rejected
+    /// batch changes nothing. The slots are then filled in order (an id
+    /// repeated within the batch is inserted, then updated, exactly as one
+    /// by one) and the incremental mirror runs one maintenance pass over
+    /// the union of the touched blocks. Purge, filter and CBS weights are
+    /// functions of the final block sizes, so the result equals a
+    /// per-profile replay of the same batch. With `SPARKER_SERVE_CHECK`
+    /// set, the batch is verified against the batch pipeline once applied.
+    pub fn bulk_load(&mut self, profiles: Vec<Profile>) -> Result<usize, String> {
         let max_source = match self.kind {
             ErKind::Dirty => 0,
             ErKind::CleanClean => 1,
         };
-        if source > max_source {
+        if let Some(p) = profiles.iter().find(|p| p.source.0 > max_source) {
             return Err(format!(
-                "source {source} out of range for a {:?} resolver",
-                self.kind
+                "source {} out of range for a {:?} resolver",
+                p.source.0, self.kind
             ));
         }
-        let op = self.upsert_slot(profile);
-        match op {
-            OpKind::Inserted => self.counters.inserts += 1,
-            OpKind::Updated => self.counters.updates += 1,
+        if profiles.is_empty() {
+            return Ok(0);
         }
+        let n = profiles.len();
+        let keys: Vec<PKey> = profiles.into_iter().map(|p| self.upsert_slot(p)).collect();
+        self.fast_apply(&keys);
         self.dirty = true;
         if self.check_every_op {
             self.refresh();
             self.verify_inner();
         }
-        Ok(op)
+        Ok(n)
     }
 
-    fn upsert_slot(&mut self, profile: Profile) -> OpKind {
+    /// Store `profile` in its slot (a new one, or the slot of its id) and
+    /// count the insert or update; the mirror is left to `fast_apply`.
+    fn upsert_slot(&mut self, profile: Profile) -> PKey {
         let source = profile.source.0 as u32;
         let id_key = (source, profile.original_id.clone());
-        let (key, op) = match self.id_index.get(&id_key) {
+        match self.id_index.get(&id_key) {
             Some(&idx) => {
                 let slot = &mut self.slots[source as usize][idx as usize];
                 slot.profile = profile;
                 slot.version += 1;
-                (pkey(source, idx), OpKind::Updated)
+                self.counters.updates += 1;
+                pkey(source, idx)
             }
             None => {
                 let idx = self.slots[source as usize].len() as u32;
@@ -529,113 +571,57 @@ impl ResolverState {
                     global,
                 });
                 self.id_index.insert(id_key, idx);
-                (pkey(source, idx), OpKind::Inserted)
+                self.counters.inserts += 1;
+                pkey(source, idx)
             }
-        };
-        self.fast_apply(key);
-        op
+        }
     }
 
-    /// Bulk-load a batch of profiles (e.g. a warm preset). Slots are filled
-    /// first and the incremental mirror is rebuilt once, which is far
-    /// cheaper than replaying per-op neighborhood maintenance.
-    pub fn bulk_load(&mut self, profiles: Vec<Profile>) -> Result<usize, String> {
-        let n = profiles.len();
-        let fast = self.fast.take(); // suspend per-op maintenance
-        for p in profiles {
-            self.upsert(p)?;
-        }
-        self.fast = fast;
-        if self.fast.is_some() {
-            self.rebuild_fast();
-        }
-        self.dirty = true;
-        Ok(n)
-    }
-
-    /// Rebuild the incremental mirror from the profile stores.
-    fn rebuild_fast(&mut self) {
+    /// Incremental maintenance of one batch: extend the postings with each
+    /// key's token delta, then — once over the union — re-derive purging,
+    /// re-filter the affected profiles, and rebuild the adjacency rows of
+    /// the dirty nodes.
+    fn fast_apply(&mut self, keys: &[PKey]) {
         let Some(fast) = self.fast.as_mut() else {
             return;
         };
-        *fast = FastPath::default();
-        let mut scratch = String::new();
-        let mut keys: Vec<PKey> = Vec::with_capacity(self.global_order.len());
-        for source in 0..2usize {
-            for (idx, slot) in self.slots[source].iter().enumerate() {
-                let key = pkey(source as u32, idx as u32);
-                let mut tokens: BTreeSet<String> = BTreeSet::new();
-                for a in &slot.profile.attributes {
-                    each_token(&a.value, &mut scratch, |t| {
-                        tokens.insert(t.to_string());
-                    });
-                }
-                let mut bids = Vec::with_capacity(tokens.len());
-                for t in &tokens {
-                    let b = fast.intern_block(t);
-                    fast.blocks[b as usize].members[source].push(idx as u32);
-                    bids.push(b);
-                }
-                bids.sort_unstable();
-                fast.memberships.insert(key, bids);
-                keys.push(key);
-            }
-        }
-        for b in &mut fast.blocks {
-            b.members[0].sort_unstable();
-            b.members[1].sort_unstable();
-        }
-        let total = self.slots[0].len() + self.slots[1].len();
-        fast.recompute_purge(self.kind, total, &self.config.blocking.purge);
-        let mut changed = BTreeSet::new();
-        for &k in &keys {
-            fast.refilter_profile(k, self.config.blocking.filter_ratio, &mut changed);
-        }
-        for &k in &keys {
-            fast.rebuild_row(k, self.kind);
-        }
-    }
 
-    /// Per-op incremental maintenance: extend the postings with the
-    /// profile's token delta, re-derive purging, re-filter the affected
-    /// profiles, and rebuild the adjacency rows of the dirty nodes.
-    fn fast_apply(&mut self, key: PKey) {
-        let Some(fast) = self.fast.as_mut() else {
-            return;
-        };
-        let side = key_source(key) as usize;
-        let idx = key_idx(key);
-        let slot = &self.slots[side][idx as usize];
+        // 1. Per key, in batch order: token delta → postings update;
+        //    op_blocks accumulates every key's old ∪ new blocks.
+        let mut op_blocks: BTreeSet<u32> = BTreeSet::new();
         let mut new_tokens: BTreeSet<String> = BTreeSet::new();
-        for a in &slot.profile.attributes {
-            each_token(&a.value, &mut self.tok_scratch, |t| {
-                new_tokens.insert(t.to_string());
-            });
-        }
-
-        // 1. Token delta → postings update; op_blocks = old ∪ new blocks.
-        let old_bids: Vec<u32> = fast.memberships.get(&key).cloned().unwrap_or_default();
-        let mut op_blocks: BTreeSet<u32> = old_bids.iter().copied().collect();
-        for &b in &old_bids {
-            if !new_tokens.contains(&fast.blocks[b as usize].token) {
-                let members = &mut fast.blocks[b as usize].members[side];
-                if let Ok(pos) = members.binary_search(&idx) {
-                    members.remove(pos);
+        for &key in keys {
+            let side = key_source(key) as usize;
+            let idx = key_idx(key);
+            new_tokens.clear();
+            for a in &self.slots[side][idx as usize].profile.attributes {
+                each_token(&a.value, &mut self.tok_scratch, |t| {
+                    new_tokens.insert(t.to_string());
+                });
+            }
+            let old_bids: Vec<u32> = fast.memberships.get(&key).cloned().unwrap_or_default();
+            op_blocks.extend(old_bids.iter().copied());
+            for &b in &old_bids {
+                if !new_tokens.contains(&fast.blocks[b as usize].token) {
+                    let members = &mut fast.blocks[b as usize].members[side];
+                    if let Ok(pos) = members.binary_search(&idx) {
+                        members.remove(pos);
+                    }
                 }
             }
-        }
-        let mut new_bids: Vec<u32> = Vec::with_capacity(new_tokens.len());
-        for t in &new_tokens {
-            let b = fast.intern_block(t);
-            let members = &mut fast.blocks[b as usize].members[side];
-            if let Err(pos) = members.binary_search(&idx) {
-                members.insert(pos, idx);
+            let mut new_bids: Vec<u32> = Vec::with_capacity(new_tokens.len());
+            for t in &new_tokens {
+                let b = fast.intern_block(t);
+                let members = &mut fast.blocks[b as usize].members[side];
+                if let Err(pos) = members.binary_search(&idx) {
+                    members.insert(pos, idx);
+                }
+                new_bids.push(b);
+                op_blocks.insert(b);
             }
-            new_bids.push(b);
-            op_blocks.insert(b);
+            new_bids.sort_unstable();
+            fast.memberships.insert(key, new_bids);
         }
-        new_bids.sort_unstable();
-        fast.memberships.insert(key, new_bids);
 
         // 2. Purge is a global function of the size distribution; re-derive
         //    it and fold state flips into the touched set.
@@ -644,9 +630,8 @@ impl ResolverState {
         op_blocks.extend(flips);
 
         // 3. Affected profiles: members of touched blocks + the operated
-        //    profile. Only their filter selections can change.
-        let mut affected: BTreeSet<PKey> = BTreeSet::new();
-        affected.insert(key);
+        //    profiles. Only their filter selections can change.
+        let mut affected: BTreeSet<PKey> = keys.iter().copied().collect();
         for &b in &op_blocks {
             for s in 0..2usize {
                 for &m in &fast.blocks[b as usize].members[s] {
@@ -658,8 +643,7 @@ impl ResolverState {
         // 4. Re-filter the affected profiles; collect filter-changed blocks
         //    and selection-changed profiles.
         let mut changed_blocks: BTreeSet<u32> = BTreeSet::new();
-        let mut dirty_nodes: BTreeSet<PKey> = BTreeSet::new();
-        dirty_nodes.insert(key);
+        let mut dirty_nodes: BTreeSet<PKey> = keys.iter().copied().collect();
         for &p in &affected {
             if fast.refilter_profile(p, self.config.blocking.filter_ratio, &mut changed_blocks) {
                 dirty_nodes.insert(p);
@@ -676,6 +660,8 @@ impl ResolverState {
                 }
             }
         }
+        fast.row_counts
+            .resize(self.slots[0].len().max(self.slots[1].len()), 0);
         for &p in &dirty_nodes {
             fast.rebuild_row(p, self.kind);
         }
@@ -891,10 +877,9 @@ impl ResolverState {
         if needs_stats {
             let cnp_k = match meta.pruning {
                 PruningStrategy::Cnp { k, .. } => k.unwrap_or_else(|| {
-                    derived_cnp_k(
-                        fast.total_assignments,
-                        fast.graph_num_profiles(self.kind, self.slots[0].len()),
-                    )
+                    let (assignments, num_profiles) =
+                        fast.graph_size(self.kind, self.slots[0].len());
+                    derived_cnp_k(assignments, num_profiles)
                 }),
                 _ => 1,
             };
@@ -1159,6 +1144,27 @@ mod tests {
     }
 
     #[test]
+    fn cnp_k_counts_only_blocks_the_batch_keeps() {
+        // After filtering, "sony" keeps one member: the batch drops that
+        // block, so its assignment must not lift the derived CNP k from 1
+        // (8 assignments over 6 profiles) to 2 (9 over 6), which would
+        // retain the weight-1 edge (p5, p1) as well.
+        let mut r = ResolverState::new(PipelineConfig::scaling(), ErKind::Dirty);
+        for (id, t) in [
+            ("p9", "sony canon led"),
+            ("p5", "nikon bravia led canon charger"),
+            ("p7", "bravia"),
+            ("p8", "bravia"),
+            ("p2", "sony"),
+            ("p1", "nikon charger"),
+        ] {
+            r.upsert(profile(0, id, t)).unwrap();
+        }
+        r.verify_against_batch();
+        assert_eq!(r.stats().candidates, 2);
+    }
+
+    #[test]
     fn updates_match_batch() {
         let mut r = ResolverState::new(PipelineConfig::default(), ErKind::Dirty);
         for (i, t) in ["alpha beta gamma", "alpha beta gamma", "delta epsilon"]
@@ -1222,7 +1228,8 @@ mod tests {
         }
         assert_eq!(bulk.stats(), {
             let mut s = ops.stats();
-            // Op counters differ by construction; align them for the
+            // Refresh counters differ under `SPARKER_SERVE_CHECK` (one
+            // per op against one per batch); align them for the
             // derived-result comparison.
             s.ops = bulk.stats().ops;
             s
@@ -1233,5 +1240,21 @@ mod tests {
     fn rejects_out_of_range_source() {
         let mut r = ResolverState::new(PipelineConfig::default(), ErKind::Dirty);
         assert!(r.upsert(profile(1, "x", "text")).is_err());
+    }
+
+    #[test]
+    fn rejected_bulk_load_changes_nothing() {
+        let mut r = ResolverState::new(PipelineConfig::default(), ErKind::Dirty);
+        r.upsert(profile(0, "a", "red widget deluxe")).unwrap();
+        let before = r.stats();
+        // The bad source is last: nothing before it may land either.
+        let batch = vec![
+            profile(0, "b", "red widget deluxe"),
+            profile(0, "a", "blue gadget"),
+            profile(1, "c", "red widget"),
+        ];
+        assert!(r.bulk_load(batch).is_err());
+        assert_eq!(r.stats(), before);
+        r.verify_against_batch();
     }
 }

@@ -1,9 +1,11 @@
 //! The headline harness: randomized insert/update sequences against the
-//! online resolver must produce exactly the batch pipeline's results over
-//! the same final collection — candidate set, match scores (bit-identical)
-//! and entity partition — for dirty and clean–clean tasks, skewed and
-//! uniform vocabularies, the default / scaling / Blast configurations, and
-//! (for the partition) every execution backend at several worker counts.
+//! online resolver (one upsert at a time, or cut into random-size
+//! requests through `bulk_load`) must produce exactly the batch
+//! pipeline's results over the same final collection — candidate set,
+//! match scores (bit-identical) and entity partition — for dirty and
+//! clean–clean tasks, skewed and uniform vocabularies, the default /
+//! scaling / Blast configurations, and (for the partition) every
+//! execution backend at several worker counts.
 
 use proptest::prelude::*;
 use sparker_core::{ExecutionBackend, Pipeline, PipelineConfig};
@@ -38,11 +40,11 @@ fn text_of(tokens: &[usize], skewed: bool) -> String {
         .join(" ")
 }
 
-fn ops_strategy(max_source: u8, max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
+fn ops_strategy(max_source: u8, ids: usize, max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         (
             0..=max_source as usize,
-            0..10usize,
+            0..ids,
             prop::collection::vec(0..VOCAB.len(), 0..7),
         )
             .prop_map(|(source, id_idx, tokens)| Op {
@@ -79,38 +81,115 @@ fn replay_and_verify(config: PipelineConfig, kind: ErKind, ops: &[Op], skewed: b
     resolver.verify_against_batch();
 }
 
+/// Random ops plus random request sizes: the ops are cut into requests of
+/// those sizes, in turn. With two ops or more, the first request inserts
+/// an id and then updates it.
+fn requests_strategy(
+    max_source: u8,
+    max_ops: usize,
+) -> impl Strategy<Value = (Vec<Op>, Vec<usize>)> {
+    // More ids than the per-op cases: with a few profiles every request's
+    // blocks reach nearly all of them, which would hide a pass that
+    // re-filters the neighbourhood of only part of the request.
+    (
+        ops_strategy(max_source, 40, max_ops),
+        prop::collection::vec(1..8usize, 1..6),
+    )
+        .prop_map(|(mut ops, mut sizes)| {
+            if ops.len() >= 2 {
+                ops[1].source = ops[0].source;
+                ops[1].id_idx = ops[0].id_idx;
+                sizes[0] = sizes[0].max(2);
+            }
+            (ops, sizes)
+        })
+}
+
+/// Replay `ops` through `bulk_load`, one request per size in `sizes`
+/// (cycled), and assert full equivalence with the sequential batch
+/// pipeline at the midpoint request and at the end. The same ops applied
+/// one `upsert` at a time, refreshed at the same points, must report the
+/// same `stats()`, counters included.
+fn replay_batched_and_verify(
+    config: PipelineConfig,
+    kind: ErKind,
+    ops: &[Op],
+    sizes: &[usize],
+    skewed: bool,
+) {
+    let mut requests: Vec<&[Op]> = Vec::new();
+    let mut rest = ops;
+    for &size in sizes.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (request, tail) = rest.split_at(size.min(rest.len()));
+        requests.push(request);
+        rest = tail;
+    }
+    let mut batched = ResolverState::new(config.clone(), kind);
+    let mut per_op = ResolverState::new(config, kind);
+    let mid = requests.len() / 2;
+    for (i, request) in requests.iter().enumerate() {
+        let profiles = request.iter().map(|op| profile_of(op, skewed)).collect();
+        assert_eq!(
+            batched.bulk_load(profiles).expect("in-range sources"),
+            request.len()
+        );
+        for op in request.iter() {
+            per_op
+                .upsert(profile_of(op, skewed))
+                .expect("in-range source");
+        }
+        if i + 1 == mid {
+            batched.verify_against_batch();
+            per_op.refresh();
+        }
+    }
+    batched.verify_against_batch();
+    let got = batched.stats();
+    let mut expected = per_op.stats();
+    if std::env::var("SPARKER_SERVE_CHECK").is_ok_and(|v| !v.is_empty()) {
+        // The check refreshes once per op one way and once per request the
+        // other; every other field must still agree.
+        expected.ops.refreshes = got.ops.refreshes;
+        expected.ops.fallback_refreshes = got.ops.fallback_refreshes;
+    }
+    assert_eq!(got, expected);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn dirty_uniform_default_config(ops in ops_strategy(0, 30)) {
+    fn dirty_uniform_default_config(ops in ops_strategy(0, 10, 30)) {
         replay_and_verify(PipelineConfig::default(), ErKind::Dirty, &ops, false);
     }
 
     #[test]
-    fn dirty_skewed_default_config(ops in ops_strategy(0, 30)) {
+    fn dirty_skewed_default_config(ops in ops_strategy(0, 10, 30)) {
         replay_and_verify(PipelineConfig::default(), ErKind::Dirty, &ops, true);
     }
 
     #[test]
-    fn dirty_skewed_scaling_config(ops in ops_strategy(0, 30)) {
+    fn dirty_skewed_scaling_config(ops in ops_strategy(0, 10, 30)) {
         // Scaling tier: comparison-level purge + reciprocal CNP — the
         // pruning family with per-node k-th statistics.
         replay_and_verify(PipelineConfig::scaling(), ErKind::Dirty, &ops, true);
     }
 
     #[test]
-    fn clean_clean_uniform_default_config(ops in ops_strategy(1, 30)) {
+    fn clean_clean_uniform_default_config(ops in ops_strategy(1, 10, 30)) {
         replay_and_verify(PipelineConfig::default(), ErKind::CleanClean, &ops, false);
     }
 
     #[test]
-    fn clean_clean_skewed_scaling_config(ops in ops_strategy(1, 30)) {
+    fn clean_clean_skewed_scaling_config(ops in ops_strategy(1, 10, 30)) {
         replay_and_verify(PipelineConfig::scaling(), ErKind::CleanClean, &ops, true);
     }
 
     #[test]
-    fn blast_config_uses_fallback_and_matches(ops in ops_strategy(0, 16)) {
+    fn blast_config_uses_fallback_and_matches(ops in ops_strategy(0, 10, 16)) {
         // Blast (loose schema + entropy + local-maxima pruning) is outside
         // the fast-path family; refreshes re-run the batch blocker, and the
         // matcher/clusterer layers must still agree end to end.
@@ -124,7 +203,7 @@ proptest! {
     }
 
     #[test]
-    fn meta_blocking_off_uses_fallback_and_matches(ops in ops_strategy(0, 20)) {
+    fn meta_blocking_off_uses_fallback_and_matches(ops in ops_strategy(0, 10, 20)) {
         let mut config = PipelineConfig::default();
         config.blocking.meta_blocking = None;
         let resolver = ResolverState::new(config.clone(), ErKind::Dirty);
@@ -133,7 +212,48 @@ proptest! {
     }
 
     #[test]
-    fn clusters_match_every_backend_at_1_2_8_workers(ops in ops_strategy(1, 30)) {
+    fn batched_dirty_uniform_default_config((ops, sizes) in requests_strategy(0, 60)) {
+        replay_batched_and_verify(PipelineConfig::default(), ErKind::Dirty, &ops, &sizes, false);
+    }
+
+    #[test]
+    fn batched_dirty_skewed_scaling_config((ops, sizes) in requests_strategy(0, 60)) {
+        replay_batched_and_verify(PipelineConfig::scaling(), ErKind::Dirty, &ops, &sizes, true);
+    }
+
+    #[test]
+    fn batched_clean_clean_uniform_default_config((ops, sizes) in requests_strategy(1, 60)) {
+        replay_batched_and_verify(
+            PipelineConfig::default(),
+            ErKind::CleanClean,
+            &ops,
+            &sizes,
+            false,
+        );
+    }
+
+    #[test]
+    fn batched_clean_clean_skewed_scaling_config((ops, sizes) in requests_strategy(1, 60)) {
+        replay_batched_and_verify(
+            PipelineConfig::scaling(),
+            ErKind::CleanClean,
+            &ops,
+            &sizes,
+            true,
+        );
+    }
+
+    #[test]
+    fn batched_blast_config_uses_fallback_and_matches((ops, sizes) in requests_strategy(0, 16)) {
+        let config = PipelineConfig {
+            blocking: sparker_core::BlockingConfig::blast(),
+            ..PipelineConfig::default()
+        };
+        replay_batched_and_verify(config, ErKind::Dirty, &ops, &sizes, false);
+    }
+
+    #[test]
+    fn clusters_match_every_backend_at_1_2_8_workers(ops in ops_strategy(1, 10, 30)) {
         // The incremental partition must equal run_on's partition on the
         // parallel backends too (they are byte-identical to sequential by
         // the parity suite; this closes the loop from the resolver's side).

@@ -128,6 +128,8 @@ fn malformed_bodies_get_400() {
         r#"{"id":"a","source":-1,"attributes":{"n":"x"}}"#, // negative source
         r#"[{"id":"a","attributes":{"n":"x"}}, 42]"#,       // non-object in array
         r#"{"id":"a","attributes":{"n":"x"}} trailing"#,    // trailing garbage
+        // Parses, but its second element's source is out of range (dirty).
+        r#"[{"id":"a","attributes":{"n":"x"}},{"id":"b","source":1,"attributes":{"n":"y"}}]"#,
     ];
     for body in cases {
         let (status, reply) = request(addr, "POST", "/profiles", body);
@@ -138,7 +140,8 @@ fn malformed_bodies_get_400() {
         };
         assert!(map.contains_key("error"), "error body names the problem");
     }
-    // A rejected batch is atomic: nothing from the mixed array landed.
+    // A rejected batch is atomic: nothing from the mixed arrays landed,
+    // whether the parse or the resolver refused them.
     let (_, stats) = get_json(addr, "/stats");
     assert_eq!(field_u64(&stats, "profiles"), 0);
 }

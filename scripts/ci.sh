@@ -180,13 +180,17 @@ for backend in fused dataflow; do
 done
 
 # Online-serve smoke: boot the incremental resolver behind its HTTP API,
-# insert a 1k slice of dirty_10k over the wire from concurrent clients,
-# and diff the service's /stats counts against a cold batch CLI run over
-# the same profiles (written to a JSONL file by the smoke binary).
-echo "==> smoke_serve: online service vs batch CLI on 1k profiles"
+# insert a 2k slice of dirty_10k over the wire from concurrent clients
+# (each request one maintenance pass), and diff the service's /stats
+# counts against a cold batch CLI run over the same profiles (written to a
+# JSONL file by the smoke binary).
+echo "==> smoke_serve: online service vs batch CLI on 2k profiles"
 serve_jsonl="$(mktemp --suffix .jsonl)"
 trap 'rm -f "${serve_jsonl}"' EXIT
-serve_out="$(cargo run -q --release -p sparker-bench --bin smoke_serve -- "${serve_jsonl}" 1000)"
+cargo build -q --release -p sparker-bench --bin smoke_serve
+serve_started_ns="$(date +%s%N)"
+serve_out="$(cargo run -q --release -p sparker-bench --bin smoke_serve -- "${serve_jsonl}" 2000)"
+echo "    smoke_serve wall: $(( ($(date +%s%N) - serve_started_ns) / 1000000 )) ms"
 serve_counts="$(printf '%s\n' "${serve_out}" | grep '^result counts:')"
 batch_counts="$(cargo run -q --release --bin sparker -- --source-a "${serve_jsonl}" \
   | grep '^result counts:')"
