@@ -4,14 +4,18 @@
 //! structure, not a map of strings to vectors. [`CompactBlocks`] is that
 //! structure: one contiguous `members` array plus an offsets array (CSR —
 //! compressed sparse row), keyed by dense [`TokenId`]s instead of `String`s.
-//! It is built by counting sort — two passes over per-profile key-id lists,
-//! zero hashing, zero per-block allocation — and is what
+//! It is built by counting sort — one scatter over per-profile key-id
+//! lists, its offsets taken from the lists' document frequencies, zero
+//! hashing, zero per-block allocation — and is what
 //! `sparker-metablocking`'s `BlockGraph` is built from without re-copying
 //! per-block vectors.
 //!
 //! Block cleaning runs on the same structure: [`CompactBlocks::clean`]
 //! purges and filters in one pass over the per-profile key lists the
-//! blocks were built from, so the production path never leaves CSR.
+//! blocks were built from, so the production path never leaves CSR. The
+//! fused driver goes one step further and knows its blocks by their sizes
+//! alone ([`BlockSizes`]) until [`BlockSizes::clean`] scatters the members
+//! that survive.
 //!
 //! Block keys stay recoverable: [`CompactBlocks::materialize`] resolves ids
 //! back to strings through the [`TokenDict`] and yields a classic
@@ -70,15 +74,19 @@ pub struct CompactBlocks {
     num_profiles: usize,
 }
 
+/// A [`CompactBlocks::build`] cursor for a key that gets no bucket.
+const SKIP: u32 = u32::MAX;
+
 impl CompactBlocks {
     /// Build by counting sort from per-profile key lists.
     ///
     /// `num_keys` bounds the dense key space (`0..num_keys`); `separator`
     /// is the first profile id of source 1 (`== len` for dirty tasks), as
-    /// in `ProfileCollection::separator`. Pass 1 counts bucket sizes, pass
-    /// 2 scatters profile ids; because profiles are scanned in increasing
-    /// id order each bucket comes out sorted with its source-0 members
-    /// first, so no per-block sort is needed. Useless blocks (inducing no
+    /// in `ProfileCollection::separator`. Bucket sizes are the lists'
+    /// document frequencies ([`ProfileKeys::df`]), so one pass scatters
+    /// profile ids; because profiles are scanned in increasing id order
+    /// each bucket comes out sorted with its source-0 members first, so no
+    /// per-block sort is needed. Useless blocks (inducing no
     /// comparison) are dropped while compacting.
     pub fn from_profile_keys(
         kind: ErKind,
@@ -92,9 +100,9 @@ impl CompactBlocks {
     /// [`CompactBlocks::from_profile_keys`] with the counting sort run over
     /// fixed-size ascending [`TokenId`] ranges of `chunk_keys` keys each.
     ///
-    /// Every chunk re-scans the per-profile key lists but only counts and
-    /// scatters the keys inside its range, so the scatter temporaries
-    /// (counts, cursors, unpruned member buckets) are bounded by the chunk
+    /// Every chunk re-scans the per-profile key lists but only scatters
+    /// the keys inside its range, so the scatter temporaries
+    /// (offsets, cursors, unpruned member buckets) are bounded by the chunk
     /// instead of the whole key space — the memory-dominant part of token
     /// blocking at the million-profile scale. Chunks append to the output
     /// arrays in ascending key order, exactly the order the monolithic
@@ -146,71 +154,70 @@ impl CompactBlocks {
         let mut members: Vec<ProfileId> = Vec::new();
         let mut num_profiles = 0usize;
         let mut k0 = 0usize;
+        let df = profile_keys.df();
         while k0 < num_keys {
             let k1 = (k0 + chunk_keys).min(num_keys);
             let width = k1 - k0;
-            // Pass 1 over this key range: bucket sizes (total and source-0
-            // prefix).
-            let mut counts = vec![0u32; width];
-            let mut counts0 = vec![0u32; width];
-            for p in 0..n {
-                let in_source0 = (p as u32) < separator;
-                for &k in profile_keys.keys_of(p) {
-                    let k = k as usize;
-                    if (k0..k1).contains(&k) {
-                        counts[k - k0] += 1;
-                        counts0[k - k0] += u32::from(in_source0);
-                    }
+            // Bucket sizes are the keys' document frequencies, carried by
+            // the key lists — no counting pass. A key held by fewer than
+            // two profiles induces no comparison and gets no bucket
+            // (`SKIP`); the others are laid out, in key order, straight
+            // into `members`.
+            let scratch_bytes = (4 * width) as u64;
+            let reserved = budget.filter(|b| b.try_reserve(scratch_bytes));
+            let base = members.len();
+            let mut cursor = vec![SKIP; width];
+            let mut end = base as u32;
+            for (k, c) in cursor.iter_mut().enumerate() {
+                let size = df.get(k0 + k).copied().unwrap_or(0);
+                if size >= 2 {
+                    *c = end;
+                    end += size;
                 }
             }
-            let mut range_offsets = Vec::with_capacity(width + 1);
-            range_offsets.push(0u32);
-            for &c in &counts {
-                range_offsets.push(range_offsets.last().unwrap() + c);
-            }
-            // Pass 2: scatter this range's profile ids; ascending p keeps
-            // buckets sorted.
-            let total = *range_offsets.last().unwrap() as usize;
-            let scratch_bytes = (16 * width + 4 * total) as u64;
-            let reserved = budget.filter(|b| b.try_reserve(scratch_bytes));
-            let mut range_members = vec![ProfileId(0); total];
-            let mut cursor: Vec<u32> = range_offsets[..width].to_vec();
+            members.resize(end as usize, ProfileId(0));
+            // Scatter this range's profile ids; ascending p keeps buckets
+            // sorted, source-0 members first.
             for p in 0..n {
                 let pid = ProfileId(p as u32);
                 for &k in profile_keys.keys_of(p) {
                     let k = k as usize;
-                    if (k0..k1).contains(&k) {
-                        range_members[cursor[k - k0] as usize] = pid;
+                    if (k0..k1).contains(&k) && cursor[k - k0] != SKIP {
+                        members[cursor[k - k0] as usize] = pid;
                         cursor[k - k0] += 1;
                     }
                 }
             }
-            // Compact: keep only blocks that induce a comparison, appending
-            // in ascending key order.
-            for k in 0..width {
-                let (lo, hi) = (range_offsets[k] as usize, range_offsets[k + 1] as usize);
-                let size = hi - lo;
-                let s0 = counts0[k] as usize;
-                let useful = match kind {
-                    ErKind::Dirty => size >= 2,
-                    ErKind::CleanClean => s0 > 0 && s0 < size,
-                };
-                if !useful {
+            // Each cursor now ends its bucket. Keep the buckets that induce
+            // a comparison, in ascending key order: every dirty one, and
+            // the clean–clean ones holding both sources, moved down over
+            // the dropped ones.
+            let (mut lo, mut kept_end) = (base, base);
+            for (k, &hi) in cursor.iter().enumerate() {
+                if hi == SKIP {
                     continue;
                 }
-                keys.push(TokenId((k0 + k) as u32));
-                members.extend_from_slice(&range_members[lo..hi]);
-                offsets.push(members.len() as u32);
+                let hi = hi as usize;
+                let size = hi - lo;
                 // Dirty blocks keep everything on the source-0 side,
                 // mirroring `Block::dirty`.
-                splits.push(match kind {
-                    ErKind::Dirty => size as u32,
-                    ErKind::CleanClean => s0 as u32,
-                });
-                if let Some(m) = range_members[lo..hi].iter().map(|p| p.index()).max() {
-                    num_profiles = num_profiles.max(m + 1);
+                let s0 = match kind {
+                    ErKind::Dirty => size,
+                    ErKind::CleanClean => members[lo..hi].partition_point(|p| p.0 < separator),
+                };
+                if kind == ErKind::Dirty || (s0 > 0 && s0 < size) {
+                    if kept_end != lo {
+                        members.copy_within(lo..hi, kept_end);
+                    }
+                    kept_end += size;
+                    keys.push(TokenId((k0 + k) as u32));
+                    offsets.push(kept_end as u32);
+                    splits.push(s0 as u32);
+                    num_profiles = num_profiles.max(members[kept_end - 1].index() + 1);
                 }
+                lo = hi;
             }
+            members.truncate(kept_end);
             if let Some(b) = reserved {
                 b.release(scratch_bytes);
             }
@@ -288,117 +295,31 @@ impl CompactBlocks {
         filter_ratio: Option<f64>,
         budget: &MemBudget,
     ) -> CompactBlocks {
-        if let Some(ratio) = filter_ratio {
-            assert!(
-                (0.0..=1.0).contains(&ratio) && ratio > 0.0,
-                "filter ratio must be in (0, 1], got {ratio}"
-            );
-        }
-        if matches!(purge, PurgeConfig::Off) && filter_ratio.is_none() {
+        if !cleans(purge, filter_ratio) {
             return self;
         }
-        let num_blocks = self.len();
-        let n = profile_keys.len();
-        let key_space = self.keys.last().map_or(0, |k| k.index() + 1);
-        let scratch_bytes = (4 * key_space + 32 * num_blocks + 4 * (n + self.members.len())) as u64;
-        let reserved = budget.try_reserve(scratch_bytes);
-
-        let comparisons: Vec<u64> = (0..num_blocks).map(|b| self.comparisons(b)).collect();
-        let size = |b: usize| u64::from(self.offsets[b + 1] - self.offsets[b]);
-        let cap = purge.cap(
-            total_profiles,
-            (0..num_blocks).map(|b| (comparisons[b], size(b))),
-        );
-        let mut block_of = vec![NONE; key_space];
-        for b in 0..num_blocks {
-            if cap.keeps(comparisons[b], size(b)) {
-                block_of[self.keys[b].index()] = b as u32;
-            }
-        }
-
-        let select = |range: Range<usize>| {
-            let mut out = Selection::default();
-            let mut candidates: Vec<(u64, u32)> = Vec::new();
-            for p in range {
-                candidates.clear();
-                for &k in profile_keys.keys_of(p) {
-                    match block_of.get(k as usize) {
-                        Some(&b) if b != NONE => candidates.push((comparisons[b as usize], b)),
-                        _ => {}
-                    }
-                }
-                let keep = match filter_ratio {
-                    Some(ratio) if !candidates.is_empty() => {
-                        let quota = ((candidates.len() as f64 * ratio).ceil() as usize).max(1);
-                        if quota < candidates.len() {
-                            candidates.select_nth_unstable(quota - 1);
-                        }
-                        quota.min(candidates.len())
-                    }
-                    _ => candidates.len(),
-                };
-                out.lens.push(keep as u32);
-                out.blocks
-                    .extend(candidates[..keep].iter().map(|&(_, b)| b));
-            }
-            out
-        };
-        let selected = map_ranges(ctx, n, select);
-
-        // A member of block `b` is on the source-0 side iff it precedes the
-        // block's first source-1 member (dirty blocks have none).
-        let source1_from: Vec<u32> = (0..num_blocks)
-            .map(|b| self.members(b).get(self.split(b)).map_or(u32::MAX, |p| p.0))
-            .collect();
-        let mut counts = vec![0u32; num_blocks];
-        let mut counts0 = vec![0u32; num_blocks];
-        for_each_selected(&selected, |p, b| {
-            counts[b] += 1;
-            counts0[b] += u32::from(p < source1_from[b]);
-        });
-        let mut cleaned = CompactBlocks {
+        // Every member below the smallest source-1 member of any block is
+        // on the source-0 side (dirty blocks have no source-1 side).
+        let source1 = (0..self.len())
+            .filter_map(|b| self.members(b).get(self.split(b)))
+            .map(|p| p.0)
+            .min()
+            .unwrap_or(u32::MAX);
+        let shape = Shape {
             kind: self.kind,
-            keys: Vec::new(),
-            offsets: vec![0],
-            splits: Vec::new(),
-            members: Vec::new(),
-            num_profiles: 0,
+            keys: &self.keys,
+            offsets: &self.offsets,
+            splits: &self.splits,
+            source1,
         };
-        let mut new_id = vec![NONE; num_blocks];
-        for b in 0..num_blocks {
-            let (size, s0) = (counts[b], counts0[b]);
-            let useful = match self.kind {
-                ErKind::Dirty => size >= 2,
-                ErKind::CleanClean => s0 > 0 && s0 < size,
-            };
-            if !useful {
-                continue;
-            }
-            new_id[b] = cleaned.keys.len() as u32;
-            cleaned.keys.push(self.keys[b]);
-            cleaned
-                .offsets
-                .push(cleaned.offsets.last().expect("offsets start at 0") + size);
-            cleaned.splits.push(match self.kind {
-                ErKind::Dirty => size,
-                ErKind::CleanClean => s0,
-            });
-        }
-        let total = *cleaned.offsets.last().expect("offsets start at 0") as usize;
-        cleaned.members = vec![ProfileId(0); total];
-        let mut cursor = cleaned.offsets[..cleaned.keys.len()].to_vec();
-        for_each_selected(&selected, |p, b| {
-            let j = new_id[b];
-            if j != NONE {
-                cleaned.members[cursor[j as usize] as usize] = ProfileId(p);
-                cursor[j as usize] += 1;
-                cleaned.num_profiles = p as usize + 1;
-            }
-        });
-        if reserved {
-            budget.release(scratch_bytes);
-        }
-        cleaned
+        shape.clean(
+            ctx,
+            profile_keys,
+            purge,
+            total_profiles,
+            filter_ratio,
+            budget,
+        )
     }
 
     /// Task kind the blocks were built for.
@@ -450,11 +371,7 @@ impl CompactBlocks {
     /// Number of comparisons block `b` induces.
     pub fn comparisons(&self, b: usize) -> u64 {
         let size = (self.offsets[b + 1] - self.offsets[b]) as u64;
-        let s0 = self.splits[b] as u64;
-        match self.kind {
-            ErKind::Dirty => size * size.saturating_sub(1) / 2,
-            ErKind::CleanClean => s0 * (size - s0),
-        }
+        block_comparisons(self.kind, size, self.splits[b] as u64)
     }
 
     /// Total comparisons over all blocks (comparison cardinality ‖B‖).
@@ -491,6 +408,285 @@ impl CompactBlocks {
             })
             .collect();
         BlockCollection::new(self.kind, blocks)
+    }
+}
+
+/// `true` when purging or filtering has anything to do.
+fn cleans(purge: &PurgeConfig, filter_ratio: Option<f64>) -> bool {
+    if let Some(ratio) = filter_ratio {
+        assert!(
+            (0.0..=1.0).contains(&ratio) && ratio > 0.0,
+            "filter ratio must be in (0, 1], got {ratio}"
+        );
+    }
+    !matches!(purge, PurgeConfig::Off) || filter_ratio.is_some()
+}
+
+/// Comparisons a block of `size` members, `s0` of them on the source-0
+/// side, induces.
+fn block_comparisons(kind: ErKind, size: u64, s0: u64) -> u64 {
+    match kind {
+        ErKind::Dirty => size * size.saturating_sub(1) / 2,
+        ErKind::CleanClean => s0 * (size - s0),
+    }
+}
+
+/// What cleaning reads of a block collection: every block's key, size
+/// (`offsets`) and source-0 split, and the profile id below which a
+/// member is on the source-0 side.
+struct Shape<'a> {
+    kind: ErKind,
+    keys: &'a [TokenId],
+    offsets: &'a [u32],
+    splits: &'a [u32],
+    source1: u32,
+}
+
+impl Shape<'_> {
+    /// The one purge-filter-rebuild pass behind [`CompactBlocks::clean`]
+    /// and [`BlockSizes::clean`].
+    fn clean(
+        &self,
+        ctx: Option<&Context>,
+        profile_keys: &ProfileKeys,
+        purge: &PurgeConfig,
+        total_profiles: usize,
+        filter_ratio: Option<f64>,
+        budget: &MemBudget,
+    ) -> CompactBlocks {
+        let num_blocks = self.keys.len();
+        let n = profile_keys.len();
+        let key_space = self.keys.last().map_or(0, |k| k.index() + 1);
+        let scratch_bytes = (4 * key_space
+            + 32 * num_blocks
+            + 4 * (n + *self.offsets.last().unwrap_or(&0) as usize))
+            as u64;
+        let reserved = budget.try_reserve(scratch_bytes);
+
+        let size = |b: usize| u64::from(self.offsets[b + 1] - self.offsets[b]);
+        let comparisons: Vec<u64> = (0..num_blocks)
+            .map(|b| block_comparisons(self.kind, size(b), u64::from(self.splits[b])))
+            .collect();
+        let cap = purge.cap(
+            total_profiles,
+            (0..num_blocks).map(|b| (comparisons[b], size(b))),
+        );
+        let mut block_of = vec![NONE; key_space];
+        for b in 0..num_blocks {
+            if cap.keeps(comparisons[b], size(b)) {
+                block_of[self.keys[b].index()] = b as u32;
+            }
+        }
+
+        let select = |range: Range<usize>| {
+            let mut out = Selection::default();
+            let mut candidates: Vec<(u64, u32)> = Vec::new();
+            for p in range {
+                candidates.clear();
+                for &k in profile_keys.keys_of(p) {
+                    match block_of.get(k as usize) {
+                        Some(&b) if b != NONE => candidates.push((comparisons[b as usize], b)),
+                        _ => {}
+                    }
+                }
+                let keep = match filter_ratio {
+                    Some(ratio) if !candidates.is_empty() => {
+                        let quota = ((candidates.len() as f64 * ratio).ceil() as usize).max(1);
+                        if quota < candidates.len() {
+                            candidates.select_nth_unstable(quota - 1);
+                        }
+                        quota.min(candidates.len())
+                    }
+                    _ => candidates.len(),
+                };
+                out.lens.push(keep as u32);
+                out.blocks
+                    .extend(candidates[..keep].iter().map(|&(_, b)| b));
+            }
+            out
+        };
+        let selected = map_ranges(ctx, n, select);
+
+        let mut counts = vec![0u32; num_blocks];
+        let mut counts0 = vec![0u32; num_blocks];
+        for_each_selected(&selected, |p, b| {
+            counts[b] += 1;
+            counts0[b] += u32::from(p < self.source1);
+        });
+        let mut cleaned = CompactBlocks {
+            kind: self.kind,
+            keys: Vec::new(),
+            offsets: vec![0],
+            splits: Vec::new(),
+            members: Vec::new(),
+            num_profiles: 0,
+        };
+        let mut new_id = vec![NONE; num_blocks];
+        for b in 0..num_blocks {
+            let (size, s0) = (counts[b], counts0[b]);
+            let useful = match self.kind {
+                ErKind::Dirty => size >= 2,
+                ErKind::CleanClean => s0 > 0 && s0 < size,
+            };
+            if !useful {
+                continue;
+            }
+            new_id[b] = cleaned.keys.len() as u32;
+            cleaned.keys.push(self.keys[b]);
+            cleaned
+                .offsets
+                .push(cleaned.offsets.last().expect("offsets start at 0") + size);
+            cleaned.splits.push(match self.kind {
+                ErKind::Dirty => size,
+                ErKind::CleanClean => s0,
+            });
+        }
+        let total = *cleaned.offsets.last().expect("offsets start at 0") as usize;
+        cleaned.members = vec![ProfileId(0); total];
+        let mut cursor = cleaned.offsets[..cleaned.keys.len()].to_vec();
+        for_each_selected(&selected, |p, b| {
+            let j = new_id[b];
+            if j != NONE {
+                cleaned.members[cursor[j as usize] as usize] = ProfileId(p);
+                cursor[j as usize] += 1;
+                cleaned.num_profiles = p as usize + 1;
+            }
+        });
+        if reserved {
+            budget.release(scratch_bytes);
+        }
+        cleaned
+    }
+}
+
+/// The blocks a key pass induces, known by their sizes alone: every
+/// block's key, size and source-0 split, in key order, without its
+/// members — all that [`CompactBlocks::clean`] reads of them. A key's
+/// block size is its document frequency, which the key lists carry
+/// ([`ProfileKeys::df`]), so this costs no pass over the lists for a
+/// dirty task and one over the source-0 lists for a clean–clean one. The
+/// fused driver builds its blocks this way and has [`BlockSizes::clean`]
+/// scatter only the members that survive cleaning.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockSizes {
+    kind: ErKind,
+    separator: u32,
+    num_keys: usize,
+    keys: Vec<TokenId>,
+    offsets: Vec<u32>,
+    splits: Vec<u32>,
+}
+
+impl BlockSizes {
+    /// The blocks [`CompactBlocks::from_profile_keys`] builds from the
+    /// same arguments, by size: the same keys, sizes and splits, useless
+    /// blocks dropped alike.
+    pub fn from_profile_keys(
+        kind: ErKind,
+        separator: u32,
+        num_keys: usize,
+        profile_keys: &ProfileKeys,
+    ) -> Self {
+        let df = profile_keys.df();
+        // Clean–clean: how many source-0 profiles hold each key.
+        let mut held0 = Vec::new();
+        if kind == ErKind::CleanClean {
+            held0 = vec![0u32; num_keys];
+            for p in 0..(separator as usize).min(profile_keys.len()) {
+                for &k in profile_keys.keys_of(p) {
+                    held0[k as usize] += 1;
+                }
+            }
+        }
+        let mut sizes = BlockSizes {
+            kind,
+            separator,
+            num_keys,
+            keys: Vec::new(),
+            offsets: vec![0],
+            splits: Vec::new(),
+        };
+        // Keys past the frequencies are held by no profile.
+        for (k, &size) in df.iter().enumerate() {
+            let (useful, s0) = match kind {
+                ErKind::Dirty => (size >= 2, size),
+                ErKind::CleanClean => (held0[k] > 0 && held0[k] < size, held0[k]),
+            };
+            if useful {
+                sizes.keys.push(TokenId(k as u32));
+                let end = sizes.offsets.last().expect("offsets start at 0") + size;
+                sizes.offsets.push(end);
+                sizes.splits.push(s0);
+            }
+        }
+        sizes
+    }
+
+    /// Number of blocks.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// `true` when there are no blocks.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Total comparisons over all blocks, as
+    /// [`CompactBlocks::total_comparisons`] counts them.
+    pub fn total_comparisons(&self) -> u64 {
+        (0..self.len())
+            .map(|b| {
+                let size = u64::from(self.offsets[b + 1] - self.offsets[b]);
+                block_comparisons(self.kind, size, u64::from(self.splits[b]))
+            })
+            .sum()
+    }
+
+    /// The blocks themselves, scattered from the key lists the sizes were
+    /// taken from ([`CompactBlocks::from_profile_keys_budgeted`]).
+    pub fn into_blocks(self, profile_keys: &ProfileKeys, budget: &MemBudget) -> CompactBlocks {
+        CompactBlocks::from_profile_keys_budgeted(
+            self.kind,
+            self.separator,
+            self.num_keys,
+            profile_keys,
+            budget,
+        )
+    }
+
+    /// [`CompactBlocks::clean`] of the blocks these sizes describe, over
+    /// the key lists they were taken from: the same cleaned blocks,
+    /// without scattering the members of blocks that do not survive. With
+    /// nothing to purge or filter it builds the blocks
+    /// ([`BlockSizes::into_blocks`]).
+    pub fn clean(
+        self,
+        ctx: Option<&Context>,
+        profile_keys: &ProfileKeys,
+        purge: &PurgeConfig,
+        total_profiles: usize,
+        filter_ratio: Option<f64>,
+        budget: &MemBudget,
+    ) -> CompactBlocks {
+        if !cleans(purge, filter_ratio) {
+            return self.into_blocks(profile_keys, budget);
+        }
+        let shape = Shape {
+            kind: self.kind,
+            keys: &self.keys,
+            offsets: &self.offsets,
+            splits: &self.splits,
+            source1: self.separator,
+        };
+        shape.clean(
+            ctx,
+            profile_keys,
+            purge,
+            total_profiles,
+            filter_ratio,
+            budget,
+        )
     }
 }
 

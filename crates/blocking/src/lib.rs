@@ -51,7 +51,7 @@ mod tokenblocking;
 
 pub use block::{Block, BlockId};
 pub use collection::{BlockCollection, ProfileBlocksIndex};
-pub use csr::CompactBlocks;
+pub use csr::{BlockSizes, CompactBlocks};
 pub use filtering::block_filtering;
 pub use methods::{
     canopy_blocking, ngram_blocking, rarest_token_key, sorted_neighborhood, sorted_neighborhood_by,

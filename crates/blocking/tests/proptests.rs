@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use sparker_blocking::{
     block_filtering, purge_by_comparison_level, purge_oversized, token_blocking,
     token_blocking_pass, token_blocking_string, token_blocking_with_dict, BlockCollection,
-    CompactBlocks, PurgeConfig, TokenBlocks,
+    BlockSizes, CompactBlocks, PurgeConfig, TokenBlocks,
 };
 use sparker_dataflow::{Context, MemBudget};
 use sparker_profiles::{Profile, ProfileCollection, SourceId, TokenDict};
@@ -164,7 +164,9 @@ proptest! {
     /// both task kinds, for every purge rule and ratio, at every worker
     /// count and budget, including empty collections and profiles left in
     /// no block. The staged route (a collection packed back into CSR)
-    /// filters identically.
+    /// filters identically, and so does the fused driver's route, which
+    /// knows the blocks only by their sizes until it cleans them
+    /// (`BlockSizes`).
     #[test]
     fn csr_clean_equals_purge_then_block_filtering(
         coll in prop_oneof![
@@ -186,11 +188,17 @@ proptest! {
         prop_assert_eq!(serial.num_profiles(), oracle.profile_index().len());
         prop_assert_eq!(serial.total_comparisons(), oracle.total_comparisons());
         let (packed, lists) = CompactBlocks::from_collection(&purged);
+        let sizes = BlockSizes::from_profile_keys(coll.kind(), coll.separator(), dict.len(), &keys);
+        prop_assert_eq!(sizes.len(), blocks.len());
+        prop_assert_eq!(sizes.total_comparisons(), blocks.total_comparisons());
         for ctx in contexts() {
             for budget in [MemBudget::unlimited(), MemBudget::limited(1)] {
                 let cleaned =
                     blocks.clone().clean(Some(ctx), &keys, &purge, coll.len(), ratio, &budget);
                 prop_assert_eq!(&cleaned, &serial, "{} workers", ctx.workers());
+                let from_sizes =
+                    sizes.clone().clean(Some(ctx), &keys, &purge, coll.len(), ratio, &budget);
+                prop_assert_eq!(&from_sizes, &serial, "sizes, {} workers", ctx.workers());
                 let staged = packed
                     .clone()
                     .clean(Some(ctx), &lists, &PurgeConfig::Off, 0, ratio, &budget)

@@ -13,8 +13,8 @@
 //! points, not writing a fourth driver.
 
 use sparker_blocking::{
-    block_filtering, keyed_blocking_pass, token_blocking_pass, BlockCollection, CompactBlocks,
-    PurgeConfig, TokenBlocks,
+    block_filtering, keyed_blocking_pass, token_blocking_pass, BlockCollection, BlockSizes,
+    CompactBlocks, PurgeConfig, TokenBlocks,
 };
 use sparker_clustering::{
     cluster_edges, ClusteringAlgorithm, CollectionShape, ComponentsMode, EntityClusters,
@@ -25,7 +25,9 @@ use sparker_matching::{CandidateGraph, FilterStats, SimilarityGraph, ThresholdMa
 use sparker_metablocking::{
     meta_blocking_graph, parallel, BlockEntropies, BlockGraph, MetaBlockingConfig,
 };
-use sparker_profiles::{Pair, ProfileCollection};
+use sparker_profiles::{
+    intern_profile_keys, intern_profiles, Pair, ProfileCollection, ProfileKeys, TokenDict,
+};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -137,15 +139,16 @@ impl ExecutionBackend {
         budget: &MemBudget,
     ) -> BlockCollection {
         self.build_blocks_keyed(collection, partitioning, budget)
-            .into_collection()
+            .into_collection(budget)
     }
 
     /// [`ExecutionBackend::build_blocks`] before materializing: on the
-    /// sequential and fused backends, the CSR blocks of one token pass
+    /// sequential and fused backends, the blocks of one token pass
     /// (schema-agnostic blocking) or key pass (loose-schema keys) together
     /// with the pass's dictionary and every profile's sorted key ids — on
-    /// one thread for the sequential oracle, one contiguous profile range
-    /// per worker on the fused pool. The dataflow backend keeps the
+    /// one thread, as CSR blocks, for the sequential oracle; one
+    /// contiguous profile range per worker, and the blocks known by size
+    /// until the clean, on the fused pool. The dataflow backend keeps the
     /// paper's `flat_map` → `group_by_key` shuffle.
     pub(crate) fn build_blocks_keyed(
         &self,
@@ -162,6 +165,16 @@ impl ExecutionBackend {
             (ExecutionBackend::Dataflow(ctx), None) => StagedBlocks::Collection(
                 sparker_blocking::dataflow::token_blocking(ctx, collection),
             ),
+            (ExecutionBackend::FusedPool(ctx), Some(parts)) => {
+                let (dict, keys) = intern_profile_keys(Some(ctx), collection.profiles(), |p| {
+                    loose_schema_keys(p, parts)
+                });
+                StagedBlocks::sized(collection, dict, keys)
+            }
+            (ExecutionBackend::FusedPool(ctx), None) => {
+                let (dict, keys) = intern_profiles(Some(ctx), collection.profiles());
+                StagedBlocks::sized(collection, dict, keys)
+            }
             (_, Some(parts)) => StagedBlocks::Compact(keyed_blocking_pass(
                 self.context(),
                 collection,
@@ -298,9 +311,18 @@ impl ExecutionBackend {
 
 /// Blocks on their way through stages 1–2.
 pub(crate) enum StagedBlocks {
+    /// The blocks of a token or key pass known by their sizes, with the
+    /// pass's key dictionary and every profile's key ids (fused backend,
+    /// stage 1): only the members that survive cleaning are ever
+    /// scattered.
+    Sized {
+        dict: TokenDict,
+        keys: ProfileKeys,
+        sizes: BlockSizes,
+    },
     /// The CSR blocks of a token or key pass, with the pass's key
-    /// dictionary and every profile's key ids (sequential and fused
-    /// backends).
+    /// dictionary and every profile's key ids (sequential backend, and
+    /// the fused backend once cleaned).
     Compact(TokenBlocks),
     /// A block collection (the dataflow backend's shuffle output, or any
     /// backend's blocks once materialized).
@@ -308,9 +330,31 @@ pub(crate) enum StagedBlocks {
 }
 
 impl StagedBlocks {
+    /// The blocks of a finished token or key pass over `collection`, by
+    /// size. Panics when the pass does not cover the collection.
+    pub(crate) fn sized(
+        collection: &ProfileCollection,
+        dict: TokenDict,
+        keys: ProfileKeys,
+    ) -> Self {
+        assert_eq!(
+            keys.len(),
+            collection.len(),
+            "a token pass must cover every profile of the collection"
+        );
+        let sizes = BlockSizes::from_profile_keys(
+            collection.kind(),
+            collection.separator(),
+            dict.len(),
+            &keys,
+        );
+        StagedBlocks::Sized { dict, keys, sizes }
+    }
+
     /// Number of blocks.
     pub(crate) fn len(&self) -> usize {
         match self {
+            StagedBlocks::Sized { sizes, .. } => sizes.len(),
             StagedBlocks::Compact(pass) => pass.blocks.len(),
             StagedBlocks::Collection(blocks) => blocks.len(),
         }
@@ -319,15 +363,19 @@ impl StagedBlocks {
     /// Comparisons over all blocks.
     pub(crate) fn total_comparisons(&self) -> u64 {
         match self {
+            StagedBlocks::Sized { sizes, .. } => sizes.total_comparisons(),
             StagedBlocks::Compact(pass) => pass.blocks.total_comparisons(),
             StagedBlocks::Collection(blocks) => blocks.total_comparisons(),
         }
     }
 
     /// The blocks as a [`BlockCollection`], resolving CSR keys through the
-    /// pass's dictionary.
-    pub(crate) fn into_collection(self) -> BlockCollection {
+    /// pass's dictionary (blocks known by size are built under `budget`).
+    pub(crate) fn into_collection(self, budget: &MemBudget) -> BlockCollection {
         match self {
+            StagedBlocks::Sized { dict, keys, sizes } => {
+                sizes.into_blocks(&keys, budget).materialize(&dict)
+            }
             StagedBlocks::Compact(pass) => pass.blocks.materialize(&pass.dict),
             StagedBlocks::Collection(blocks) => blocks,
         }

@@ -68,17 +68,23 @@ impl Deferred {
     /// ascending, and the same length and fingerprint.
     fn materialize(&self) -> Vec<(Pair, f64)> {
         let mut edges = Vec::with_capacity(self.digest.len());
+        self.replay(|batch| edges.extend_from_slice(batch));
+        edges
+    }
+
+    /// Run the re-derivation, handing `sink` each batch, with the checks
+    /// [`Deferred::materialize`] makes.
+    fn replay(&self, mut sink: impl FnMut(&[(Pair, f64)])) {
         let mut digests = Vec::new();
         (self.rederive)(&mut |batch| {
             digests.push(BatchDigest::of(batch));
-            edges.extend_from_slice(batch);
+            sink(batch);
         });
         assert!(
             RetainedDigest::fold(&digests) == self.digest,
             "re-derived candidate edges differ from the streamed ones \
              (pass B must be a pure function of its morsels)"
         );
-        edges
     }
 }
 
@@ -144,6 +150,32 @@ impl CandidateSet {
     /// Membership test: one binary search.
     pub fn contains(&self, pair: &Pair) -> bool {
         self.edges().binary_search_by(|(p, _)| p.cmp(pair)).is_ok()
+    }
+
+    /// How many of `pairs` — ascending, repeats counted each time — are
+    /// candidates. A set that holds its pairs answers by one binary search
+    /// per pair; a deferred one not yet read is re-derived batch by batch,
+    /// with the checks of its first read, and merge-joined against `pairs`
+    /// as the batches go by, so its pairs are never held at once.
+    pub(crate) fn count_contained(&self, pairs: &[Pair]) -> usize {
+        debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]), "pairs ascending");
+        let deferred = match &self.store {
+            Store::Deferred(deferred) if deferred.edges.get().is_none() => deferred,
+            _ => return pairs.iter().filter(|p| self.contains(p)).count(),
+        };
+        let (mut found, mut next) = (0, 0);
+        deferred.replay(|batch| {
+            for (edge, _) in batch {
+                while pairs.get(next).is_some_and(|p| p < edge) {
+                    next += 1;
+                }
+                while pairs.get(next) == Some(edge) {
+                    found += 1;
+                    next += 1;
+                }
+            }
+        });
+        found
     }
 
     /// The candidate pairs, ascending.
@@ -367,6 +399,42 @@ mod tests {
     }
 
     #[test]
+    fn counting_streams_a_deferred_set_without_holding_it() {
+        let morsels = morsels();
+        let adopted = CandidateSet::from_sorted(morsels.concat());
+        let mut probes: Vec<Pair> = [(0, 1), (0, 2), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)]
+            .into_iter()
+            .map(|(a, b)| pair(a, b))
+            .collect();
+        probes.sort_unstable();
+        let expected = probes.iter().filter(|p| adopted.contains(p)).count();
+        assert_eq!(expected, 5, "a repeated pair counts each time");
+        assert_eq!(adopted.count_contained(&probes), expected);
+        let (set, calls) = deferred(&morsels, morsels.clone());
+        assert_eq!(set.count_contained(&probes), expected);
+        assert_eq!(set.count_contained(&[]), 0);
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "each count re-derives");
+        let Store::Deferred(lazy) = &set.store else {
+            unreachable!("a deferred set")
+        };
+        assert!(lazy.edges.get().is_none(), "counting holds no pairs");
+        // Once read, the held pairs answer.
+        assert!(set.contains(&pair(0, 1)));
+        assert_eq!(set.count_contained(&probes), expected);
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "re-derived candidate edges differ")]
+    fn counting_checks_the_rederivation() {
+        let mut changed = morsels();
+        changed[0][0].1 = 0.5;
+        deferred(&morsels(), changed)
+            .0
+            .count_contained(&[pair(0, 1)]);
+    }
+
+    #[test]
     #[should_panic(expected = "re-derived candidate edges differ")]
     fn rederived_weight_change_panics() {
         let mut changed = morsels();
@@ -494,6 +562,15 @@ mod tests {
                 prop_assert!(lazy.contains(&chunk[0].0));
                 prop_assert!(lazy.contains(&chunk[chunk.len() - 1].0));
             }
+            let mut sorted_probes: Vec<Pair> = probes
+                .iter()
+                .filter(|(a, b)| a != b)
+                .map(|&(a, b)| pair(a, b))
+                .collect();
+            sorted_probes.sort_unstable();
+            let in_oracle = sorted_probes.iter().filter(|p| oracle.contains(p)).count();
+            prop_assert_eq!(lazy.count_contained(&sorted_probes), in_oracle);
+            prop_assert_eq!(set.count_contained(&sorted_probes), in_oracle);
             prop_assert!(lazy.weighted().eq(sorted.iter()));
             prop_assert_eq!(&lazy, &set);
         }

@@ -35,18 +35,18 @@ impl BlockingQuality {
     }
 
     /// [`BlockingQuality::measure`] with an explicit comparable-pair total
-    /// (the reduction-ratio baseline). The ground truth is scanned once:
-    /// the found-match count drives `recall`, `precision` and
-    /// `lost_matches`.
+    /// (the reduction-ratio baseline). The ground truth is sorted once and
+    /// merge-joined against the ascending candidates — a deferred set is
+    /// re-derived batch by batch, not materialized: the found-match count
+    /// drives `recall`, `precision` and `lost_matches`.
     pub fn measure_with_total(
         candidates: &CandidateSet,
         ground_truth: &GroundTruth,
         total: u64,
     ) -> Self {
-        let found = ground_truth
-            .iter()
-            .filter(|p| candidates.contains(p))
-            .count() as u64;
+        let mut truth: Vec<Pair> = ground_truth.iter().copied().collect();
+        truth.sort_unstable();
+        let found = candidates.count_contained(&truth) as u64;
         let recall = if ground_truth.is_empty() {
             1.0
         } else {

@@ -147,7 +147,7 @@ impl Pipeline {
             initial_comparisons,
             mut stages,
         } = self.run_block_stages(backend, collection, None, budget);
-        let blocks = blocks.into_collection();
+        let blocks = blocks.into_collection(budget);
         let cleaned_blocks = blocks.len();
         let cleaned_comparisons = blocks.total_comparisons();
 
@@ -186,16 +186,17 @@ impl Pipeline {
     /// and fused drivers. Returns the cleaned blocks plus the two stage
     /// rows.
     ///
-    /// The fused backend purges and filters its CSR blocks in place
-    /// ([`CompactBlocks::clean`](sparker_blocking::CompactBlocks::clean));
+    /// The fused backend knows its blocks by size until it purges and
+    /// filters them, scattering only the members that survive
+    /// ([`BlockSizes::clean`](sparker_blocking::BlockSizes::clean));
     /// the sequential oracle materializes them first and applies the
     /// string-keyed purge and `block_filtering`, and the dataflow backend
     /// purges on the driver and filters with the paper's shuffles.
     ///
     /// A `supplied` token pass (the fused driver's, from
     /// [`Pipeline::run_on_pass`]) replaces the token pass: stage 1 is then
-    /// only the CSR build. Without one, the collection's text is read, so
-    /// it must have some.
+    /// only the block sizes. Without one, the collection's text is read,
+    /// so it must have some.
     fn run_block_stages(
         &self,
         backend: &ExecutionBackend,
@@ -219,9 +220,7 @@ impl Pipeline {
             .as_ref()
             .map(|lsh| partition_attributes(collection, lsh));
         let blocks = match supplied {
-            Some((dict, keys)) => {
-                StagedBlocks::Compact(TokenBlocks::from_pass(collection, dict, keys, budget))
-            }
+            Some((dict, keys)) => StagedBlocks::sized(collection, dict, keys),
             None => backend.build_blocks_keyed(collection, partitioning.as_ref(), budget),
         };
         let initial_blocks = blocks.len();
@@ -231,9 +230,8 @@ impl Pipeline {
         // Stage 2: block purging + block filtering.
         let scope = StageScope::begin(PipelineStage::FilterBlocks, ctx, budget);
         let blocks = match (backend, blocks) {
-            (ExecutionBackend::FusedPool(ctx), StagedBlocks::Compact(pass)) => {
-                let TokenBlocks { dict, keys, blocks } = pass;
-                let blocks = blocks.clean(
+            (ExecutionBackend::FusedPool(ctx), StagedBlocks::Sized { dict, keys, sizes }) => {
+                let blocks = sizes.clean(
                     Some(ctx),
                     &keys,
                     &bc.purge,
@@ -244,7 +242,7 @@ impl Pipeline {
                 StagedBlocks::Compact(TokenBlocks { dict, keys, blocks })
             }
             (_, blocks) => {
-                let blocks = blocks.into_collection();
+                let blocks = blocks.into_collection(budget);
                 let blocks = match bc.purge {
                     PurgeConfig::Off => blocks,
                     PurgeConfig::Oversized { max_fraction } => {
@@ -348,7 +346,7 @@ impl Pipeline {
     /// in profile id order, as [`intern_profiles`] over the collection
     /// gives them, or as the JSON-lines loader's text-free pass
     /// ([`sparker_profiles::token_pass_from_json_lines`]) gives them while
-    /// parsing. Stage 1 is then only the CSR build, and the collection may
+    /// parsing. Stage 1 is then only the block sizes, and the collection may
     /// be text-free ([`ProfileCollection::without_text`]): nothing else
     /// the run does reads attribute text. Results are identical to
     /// `run_on` over the collection with its text.

@@ -827,8 +827,9 @@ fn budgeted_pipeline_full_10k_preset_on_fused() {
     // dirty_10k preset under the scaling-tier configuration (the same pair
     // the CLI's --preset runs), fused backend, 1 MiB budget — byte-identical
     // to the unbudgeted sequential run. Fused token blocking has no shuffle
-    // left to spill: it is the token pass plus the CSR build, which holds
-    // its scatter temporaries against the budget one key range at a time.
+    // left to spill: it is the token pass plus block sizes read off the
+    // pass's document frequencies, so it scatters nothing and holds no
+    // temporaries; the members are scattered once, by the clean.
     use sparker_core::PipelineStage;
     use sparker_dataflow::{Context, MemBudget};
     let ds = sparker_datasets::Preset::by_name("dirty_10k")
@@ -841,11 +842,18 @@ fn budgeted_pipeline_full_10k_preset_on_fused() {
     let run = pipeline.run_on(&backend, &ds.collection);
     assert_equivalent(&reference, &run, &ds, "budgeted 10k fused");
     let build = run.report.stage(PipelineStage::BuildBlocks).unwrap();
-    assert!(
-        build.buffered_bytes > 0 && build.buffered_bytes <= 1 << 20,
-        "the budgeted CSR build accounts its key ranges within the budget: {} bytes",
-        build.buffered_bytes
+    assert_eq!(
+        build.buffered_bytes, 0,
+        "the fused build sizes its blocks and buffers nothing"
     );
+    for stage in &run.report.stages {
+        assert!(
+            stage.buffered_bytes <= 1 << 20,
+            "{:?} buffers {} bytes past the budget",
+            stage.stage,
+            stage.buffered_bytes
+        );
+    }
     assert_eq!(run.report.spill_batches, 0, "nothing left to spill");
     assert!(run.report.peak_rss_bytes > 0, "VmHWM should be readable");
 }

@@ -503,14 +503,15 @@ pub struct PreparedProfile {
     pub concatenated: String,
     /// Char count of `concatenated` (cached for length filters).
     pub chars: usize,
-    /// The hot prefix of `token_ids` (its ids `< HOT_TOKENS`), if any.
-    /// Only the collection-wide constructors renumber tokens that way, and
-    /// only views holding hot tokens get one, so no other view pays for it.
-    hot: Option<Box<HotPrefix>>,
+    /// The hot prefix of `token_ids` (its ids `< HOT_TOKENS`), empty
+    /// unless a collection-wide constructor renumbered the tokens that way.
+    /// Held in the view itself: a collection's views are built by the
+    /// hundred thousand, one allocation each for their ids and none more.
+    hot: HotPrefix,
 }
 
 /// The hot prefix of a prepared view's `token_ids`, mirrored as a bitset.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct HotPrefix {
     /// Number of hot ids at the front of `token_ids`.
     len: u32,
@@ -588,16 +589,17 @@ impl PreparedProfile {
     /// backend), so the matcher tokenizes nothing again. The concatenated
     /// text and its char count are built only when `measure` reads them.
     ///
-    /// Document frequencies are counted from the lists; the hot tokens take
-    /// ids `0..512` ranked by df descending, then token id, and every other
-    /// token moves past them. The renumbering is injective, so every score
-    /// is unchanged; what it buys is that the cascade counts the shared hot
-    /// tokens — the long, mostly-shared head of skewed token sets — with
-    /// AND + popcount and merge-joins only the tails.
+    /// The hot tokens take ids `0..512` ranked by document frequency
+    /// (carried by the lists, [`ProfileKeys::df`]) descending, then token
+    /// id, and every other token moves past them. The renumbering is
+    /// injective, so every score is unchanged; what it buys is that the
+    /// cascade counts the shared hot tokens — the long, mostly-shared head
+    /// of skewed token sets — with AND + popcount and merge-joins only the
+    /// tails.
     ///
-    /// With a context, both passes — counting df and building the views —
-    /// run over one contiguous profile range per worker on its pool; the
-    /// views are identical for any worker count.
+    /// With a context, the views are built over one contiguous profile
+    /// range per worker on its pool; they are identical for any worker
+    /// count.
     pub fn prepare_from_keys(
         ctx: Option<&Context>,
         collection: &ProfileCollection,
@@ -619,26 +621,7 @@ impl PreparedProfile {
             "a text-reading view cannot be prepared from a text-free collection"
         );
         let n = keys.len();
-        let range_dfs = map_ranges(ctx, n, |range| {
-            let mut df: Vec<u32> = Vec::new();
-            for p in range {
-                for &t in keys.keys_of(p) {
-                    if t as usize >= df.len() {
-                        df.resize(t as usize + 1, 0);
-                    }
-                    df[t as usize] += 1;
-                }
-            }
-            df
-        });
-        let mut df = vec![0u32; range_dfs.iter().map(Vec::len).max().unwrap_or(0)];
-        for range_df in &range_dfs {
-            for (total, &count) in df.iter_mut().zip(range_df) {
-                *total += count;
-            }
-        }
-        drop(range_dfs);
-        let remap = hot_remap(&df);
+        let remap = hot_remap(keys.df());
         let profiles = collection.profiles();
         let views = map_ranges(ctx, n, |range| {
             range
@@ -694,10 +677,10 @@ impl PreparedProfile {
                 k += 1;
             }
         }
-        self.hot = Some(Box::new(HotPrefix {
+        self.hot = HotPrefix {
             len: hot as u32,
             bits,
-        }));
+        };
     }
 
     /// `Some(|A∩B|)` iff the two token sets share at least `need` tokens —
@@ -708,9 +691,10 @@ impl PreparedProfile {
     /// for the plain merge-join; views without a hot prefix merge-join in
     /// full.
     fn intersect_at_least(&self, other: &PreparedProfile, need: usize) -> Option<usize> {
-        let hot = match (&self.hot, &other.hot) {
-            (Some(a), Some(b)) => shared_hot(&a.bits, &b.bits),
-            _ => 0,
+        let hot = if self.hot.len > 0 && other.hot.len > 0 {
+            shared_hot(&self.hot.bits, &other.hot.bits)
+        } else {
+            0
         };
         let a = &self.token_ids[self.hot_len()..];
         let b = &other.token_ids[other.hot_len()..];
@@ -722,7 +706,7 @@ impl PreparedProfile {
 
     /// Length of the hot prefix of `token_ids` (0 without one).
     fn hot_len(&self) -> usize {
-        self.hot.as_ref().map_or(0, |h| h.len as usize)
+        self.hot.len as usize
     }
 }
 
@@ -1393,7 +1377,11 @@ mod tests {
         let prepared = PreparedProfile::prepare_all(&tied_collection(false));
         let hot: Vec<usize> = prepared.iter().map(PreparedProfile::hot_len).collect();
         assert_eq!(hot, [0, 32, 60, 60, 60, 60, 60, 60, 60, 60]);
-        assert!(prepared[0].hot.is_none(), "no hot tokens, no prefix");
+        assert_eq!(
+            prepared[0].hot,
+            HotPrefix::default(),
+            "no hot tokens, no prefix"
+        );
         assert_eq!(prepared[9].token_ids, (0..60).collect::<Vec<u32>>());
         assert_eq!(
             prepared[1].token_ids[..32],
@@ -1418,8 +1406,9 @@ mod tests {
         let prepared = PreparedProfile::prepare_all(&tied_collection(true));
         for p in &prepared {
             assert!(p.token_ids.windows(2).all(|w| w[0] < w[1]), "unsorted");
-            let prefix = p.hot.as_ref().expect("every profile holds `common`");
+            let prefix = &p.hot;
             let hot = p.hot_len();
+            assert!(hot > 0, "every profile holds `common`");
             assert!(p.token_ids[..hot].iter().all(|&t| t < HOT_TOKENS as u32));
             assert!(p.token_ids[hot..].iter().all(|&t| t >= HOT_TOKENS as u32));
             let ones: u32 = prefix.bits.iter().map(|w| w.count_ones()).sum();
@@ -1433,7 +1422,7 @@ mod tests {
             tied_collection(false).get(ProfileId(0)),
             tied_collection(false).get(ProfileId(1)),
         );
-        assert!(a.hot.is_none());
+        assert_eq!(a.hot, HotPrefix::default());
     }
 
     #[test]

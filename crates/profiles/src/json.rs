@@ -6,18 +6,19 @@
 //! strings with escapes, numbers, booleans, null).
 //!
 //! Loading is on the critical path of a batch run, so the scan touches
-//! every byte a bounded number of times: strings are copied run by run
-//! between escapes, and
-//! [`profiles_from_json_lines`] walks each line's object straight into a
-//! [`Profile`] instead of building a [`JsonValue`] tree first.
-//! [`profiles_from_json_lines_on`] splits the text at newline boundaries
-//! and parses the chunks on the engine's worker pool.
+//! every byte a bounded number of times: the end of a string is found
+//! eight bytes at a time, a string with no escape is kept as a span of the
+//! line (only strings holding a `\` and non-string values are decoded
+//! into a buffer), and [`profiles_from_json_lines`] walks each line's
+//! object straight into a [`Profile`] instead of building a [`JsonValue`]
+//! tree first. [`profiles_from_json_lines_on`] splits the text at newline
+//! boundaries and parses the chunks on the engine's worker pool.
 //! [`token_pass_from_json_lines`] runs the same chunks as the token pass
 //! of a run that reads no attribute text: each value is tokenized and
-//! interned as it is decoded, and only the profiles' ids and sources are
-//! kept.
+//! interned straight from its span, and only the profiles' ids and sources
+//! are kept.
 
-use crate::dict::{DictBuilder, InternedRanges, ProfileKeys, RangePass};
+use crate::dict::{InternedRanges, RangeBuilder, RangePass};
 use crate::error::{Error, Result};
 use crate::profile::{Profile, SourceId};
 use sparker_dataflow::Context;
@@ -143,6 +144,7 @@ pub fn parse_json(text: &str) -> Result<JsonValue> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -151,6 +153,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -261,9 +264,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<JsonValue> {
         let mut map = BTreeMap::new();
-        self.members(|p, key| {
+        let mut decoded = String::new();
+        self.members(&mut decoded, |p, decoded, key| {
+            let key = key.text(p.text, decoded).to_string();
+            decoded.clear();
             let value = p.value()?;
-            map.insert(key.to_string(), value);
+            map.insert(key, value);
             Ok(())
         })?;
         Ok(JsonValue::Object(map))
@@ -271,19 +277,22 @@ impl<'a> Parser<'a> {
 
     /// Walk one object, handing each key to `member`, which must consume
     /// the member's value. The one object grammar both [`parse_json`] and
-    /// the profile loader run; keys are decoded into one buffer per object.
-    fn members(&mut self, mut member: impl FnMut(&mut Self, &str) -> Result<()>) -> Result<()> {
+    /// the profile loader run; a key that holds an escape is decoded into
+    /// `decoded`, any other is a span of the text.
+    fn members(
+        &mut self,
+        decoded: &mut String,
+        mut member: impl FnMut(&mut Self, &mut String, Span) -> Result<()>,
+    ) -> Result<()> {
         self.enter(b'{')?;
         if !self.closes_empty(b'}') {
-            let mut key = String::new();
             loop {
                 self.skip_ws();
-                key.clear();
-                self.string_into(&mut key)?;
+                let key = self.string_span(decoded)?;
                 self.skip_ws();
                 self.expect(b':')?;
                 self.skip_ws();
-                member(self, &key)?;
+                member(self, decoded, key)?;
                 if !self.next_member(b'}', "expected ',' or '}' in object")? {
                     break;
                 }
@@ -321,25 +330,43 @@ impl<'a> Parser<'a> {
     /// A string literal, unescaped.
     fn string(&mut self) -> Result<String> {
         let mut out = String::new();
-        self.string_into(&mut out)?;
+        self.expect(b'"')?;
+        self.string_rest(&mut out)?;
         Ok(out)
     }
 
-    /// A string literal, unescaped and appended to `out`. Runs free of `"`
+    /// A string literal as a [`Span`]: of the text when it holds no
+    /// escape — nothing is copied — and otherwise of `decoded`, where it is
+    /// unescaped.
+    fn string_span(&mut self, decoded: &mut String) -> Result<Span> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.pos = quote_or_backslash(self.bytes, start);
+        match self.peek() {
+            Some(b'"') => {
+                self.pos += 1;
+                Ok(Span::raw(start, self.pos - 1))
+            }
+            None => Err(self.err("unterminated string")),
+            Some(_) => {
+                let from = decoded.len();
+                decoded.push_str(&self.text[start..self.pos]);
+                self.escape(decoded)?;
+                self.string_rest(decoded)?;
+                Ok(Span::decoded(from, decoded.len()))
+            }
+        }
+    }
+
+    /// The rest of a string literal from just inside its quotes (or just
+    /// after an escape), unescaped and appended to `out`. Runs free of `"`
     /// and `\` are copied as whole slices: both are ASCII, so a run always
     /// ends on a char boundary and the scan stays linear in the input.
-    fn string_into(&mut self, out: &mut String) -> Result<()> {
-        self.expect(b'"')?;
+    fn string_rest(&mut self, out: &mut String) -> Result<()> {
         loop {
             let start = self.pos;
-            let run = self.bytes[start..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .unwrap_or(self.bytes.len() - start);
-            self.pos += run;
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| self.err("invalid utf-8"))?;
-            out.push_str(text);
+            self.pos = quote_or_backslash(self.bytes, start);
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -431,17 +458,42 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.err("invalid number"))
     }
 
-    /// A value as attribute text, appended to `out` —
-    /// [`JsonValue::to_text`] without building a tree for the common
-    /// string case.
-    fn text_into(&mut self, out: &mut String) -> Result<()> {
+    /// A value as attribute text — [`JsonValue::to_text`] without
+    /// building a tree for the common string case: a string is read as
+    /// its [`Span`], any other value rendered into `decoded`.
+    fn text_span(&mut self, decoded: &mut String) -> Result<Span> {
         if self.peek() == Some(b'"') {
-            self.string_into(out)
+            self.string_span(decoded)
         } else {
-            out.push_str(&self.value()?.to_text());
-            Ok(())
+            let from = decoded.len();
+            decoded.push_str(&self.value()?.to_text());
+            Ok(Span::decoded(from, decoded.len()))
         }
     }
+}
+
+/// The index of the first `"` or `\` in `bytes` at or after `from`, or
+/// `bytes.len()`: eight bytes per step, each word tested for both bytes at
+/// once (a byte equal to the sought one is a zero byte of the xor, and the
+/// lowest zero byte of a word is the lowest one flagged).
+#[inline]
+fn quote_or_backslash(bytes: &[u8], from: usize) -> usize {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let zero_bytes = |x: u64| x.wrapping_sub(LO) & !x & HI;
+    let mut i = from;
+    while let Some(word) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        let hit = zero_bytes(w ^ (LO * u64::from(b'"'))) | zero_bytes(w ^ (LO * u64::from(b'\\')));
+        if hit != 0 {
+            return i + hit.trailing_zeros() as usize / 8;
+        }
+        i += 8;
+    }
+    while i < bytes.len() && bytes[i] != b'"' && bytes[i] != b'\\' {
+        i += 1;
+    }
+    i
 }
 
 /// Load profiles from JSON-lines text: one object per non-empty line; every
@@ -481,7 +533,8 @@ pub fn profiles_from_json_lines_on(
 /// that reads no attribute text: the same lines, grammar, key order,
 /// last-duplicate-wins rule, ids and errors as [`profiles_from_json_lines`],
 /// but every attribute value is tokenized and interned into its chunk's
-/// [`DictBuilder`] as soon as it is decoded, and no value is kept. Returns
+/// [`crate::DictBuilder`] straight from its span of the line, each token
+/// counted once per profile, and no value is kept. Returns
 /// the *bare* profiles — original id and source, no attributes — and the
 /// chunks' unmerged pass; [`InternedRanges::merge`] (after
 /// [`InternedRanges::append`]ing a second source's) gives exactly what
@@ -497,10 +550,15 @@ pub fn token_pass_from_json_lines(
     let chunks = on_line_chunks(ctx, text, |chunk, first_line| {
         token_lines_from(chunk, first_line, source, id_key)
     })?;
-    let mut profiles = Vec::with_capacity(chunks.iter().map(|(p, _)| p.len()).sum());
+    let mut profiles = Vec::new();
     let mut ranges = Vec::with_capacity(chunks.len());
-    for (chunk, range) in chunks {
-        profiles.extend(chunk);
+    for (mut chunk, range) in chunks {
+        // The first chunk's vector is grown rather than copied.
+        if profiles.is_empty() {
+            profiles = chunk;
+        } else {
+            profiles.append(&mut chunk);
+        }
         ranges.push(range);
     }
     Ok((profiles, InternedRanges { ranges }))
@@ -579,9 +637,9 @@ fn json_lines_from(
             continue;
         }
         let lineno = first_line + i;
-        fields.read(line, lineno)?;
-        let mut b = Profile::builder(source, fields.original_id(id_key, lineno));
-        for (key, value) in fields.attributes(id_key) {
+        let line = fields.read(line, lineno)?;
+        let mut b = Profile::builder(source, line.original_id(id_key, lineno));
+        for (key, value) in line.attributes(id_key) {
             b = b.attr(key, value);
         }
         profiles.push(b.build());
@@ -599,58 +657,99 @@ fn token_lines_from(
     id_key: &str,
 ) -> Result<(Vec<Profile>, RangePass)> {
     let mut fields = LineFields::default();
-    let mut builder = DictBuilder::new();
-    let mut keys = ProfileKeys::new();
-    let (mut scratch, mut buf) = (String::new(), Vec::new());
+    let mut range = RangeBuilder::default();
     let mut profiles = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let lineno = first_line + i;
-        fields.read(line, lineno)?;
-        profiles.push(Profile::builder(source, fields.original_id(id_key, lineno)).build());
-        for (_, value) in fields.attributes(id_key) {
-            builder.intern_tokens(value, &mut scratch, &mut buf);
+        let line = fields.read(line, lineno)?;
+        profiles.push(Profile::builder(source, line.original_id(id_key, lineno)).build());
+        for (_, value) in line.attributes(id_key) {
+            range.tokens(value);
         }
-        keys.push_keys(&mut buf);
+        range.end_profile();
     }
-    Ok((profiles, RangePass::seal(builder, keys)))
+    Ok((profiles, range.seal()))
 }
 
-/// One object member of a line: its key and value texts as spans of
-/// [`LineFields::text`] (an array has one value text per element).
+/// A key or value text of a line: a span of the line itself when the
+/// string holds no escape, else of [`LineFields::decoded`].
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: usize,
+    end: usize,
+    raw: bool,
+}
+
+impl Span {
+    fn raw(start: usize, end: usize) -> Self {
+        Span {
+            start,
+            end,
+            raw: true,
+        }
+    }
+
+    fn decoded(start: usize, end: usize) -> Self {
+        Span {
+            start,
+            end,
+            raw: false,
+        }
+    }
+
+    /// The text behind the span: of `line` when raw, of `decoded`
+    /// otherwise.
+    fn text<'s>(self, line: &'s str, decoded: &'s str) -> &'s str {
+        let from = if self.raw { line } else { decoded };
+        &from[self.start..self.end]
+    }
+}
+
+/// One object member of a line: its key and value texts (an array has one
+/// value text per element).
 struct Member {
-    key: Range<usize>,
+    key: Span,
     items: Range<usize>,
     array: bool,
 }
 
-/// One JSON-lines object reduced to attribute texts, decoded into buffers
-/// reused from line to line: every key and value back to back in `text`,
-/// and the members that survive the duplicate-key rule in key order. What
-/// both the profile loader and the text-free pass read a line into.
+/// One JSON-lines object reduced to attribute texts, in buffers reused
+/// from line to line: every key and value as a [`Span`] — of the line
+/// itself, or of `decoded` for the strings that hold an escape and the
+/// values that are no string — and the members that survive the
+/// duplicate-key rule in key order. What both the profile loader and the
+/// text-free pass read a line into.
 #[derive(Default)]
 struct LineFields {
-    text: String,
-    /// Value spans of `text`, member after member.
-    items: Vec<Range<usize>>,
+    decoded: String,
+    /// Value texts, member after member.
+    items: Vec<Span>,
     members: Vec<Member>,
     /// Indices into `members` of the last member of each key, key-sorted.
     kept: Vec<usize>,
 }
 
+/// A line read by [`LineFields::read`], with the buffers it was read into.
+#[derive(Clone, Copy)]
+struct Line<'a> {
+    line: &'a str,
+    fields: &'a LineFields,
+}
+
 impl LineFields {
     /// Read one non-blank line (0-based number `lineno`), or fail with the
     /// error the loader reports for it.
-    fn read(&mut self, line: &str, lineno: usize) -> Result<()> {
+    fn read<'a>(&'a mut self, line: &'a str, lineno: usize) -> Result<Line<'a>> {
         let LineFields {
-            text,
+            decoded,
             items,
             members,
             kept,
         } = self;
-        text.clear();
+        decoded.clear();
         items.clear();
         members.clear();
         let mut p = Parser::new(line);
@@ -663,22 +762,16 @@ impl LineFields {
                 offset: 0,
             });
         }
-        p.members(|p, key| {
-            let start = text.len();
-            text.push_str(key);
-            let key = start..text.len();
+        p.members(decoded, |p, decoded, key| {
             let first = items.len();
             let array = p.peek() == Some(b'[');
-            let mut item = |p: &mut Parser<'_>| -> Result<()> {
-                let start = text.len();
-                p.text_into(text)?;
-                items.push(start..text.len());
-                Ok(())
-            };
             if array {
-                p.elements(item)?;
+                p.elements(|p| {
+                    items.push(p.text_span(decoded)?);
+                    Ok(())
+                })?;
             } else {
-                item(p)?;
+                items.push(p.text_span(decoded)?);
             }
             members.push(Member {
                 key,
@@ -691,36 +784,44 @@ impl LineFields {
 
         // Key order, the last of a repeated key winning: a stable sort keeps
         // equal keys in input order, and only the last of each run is kept.
+        // Distinct keys written in order (the common case) are kept as
+        // they are.
+        let key = |m: usize| members[m].key.text(line, decoded);
         kept.clear();
         kept.extend(0..members.len());
-        kept.sort_by(|&a, &b| text[members[a].key.clone()].cmp(&text[members[b].key.clone()]));
+        if kept.is_sorted_by(|&a, &b| key(a) < key(b)) {
+            return Ok(Line { line, fields: self });
+        }
+        kept.sort_by(|&a, &b| key(a).cmp(key(b)));
         let mut w = 0;
         for r in 0..kept.len() {
-            let last_of_run = kept.get(r + 1).is_none_or(|&next| {
-                text[members[next].key.clone()] != text[members[kept[r]].key.clone()]
-            });
-            if last_of_run {
+            if kept
+                .get(r + 1)
+                .is_none_or(|&next| key(next) != key(kept[r]))
+            {
                 kept[w] = kept[r];
                 w += 1;
             }
         }
         kept.truncate(w);
-        Ok(())
+        Ok(Line { line, fields: self })
     }
+}
 
-    fn key(&self, m: &Member) -> &str {
-        &self.text[m.key.clone()]
+impl<'a> Line<'a> {
+    fn text(self, span: Span) -> &'a str {
+        span.text(self.line, &self.fields.decoded)
     }
 
     /// The original id: the `id_key` member's text (an array's non-empty
     /// element texts space-joined), else the line number.
-    fn original_id(&self, id_key: &str, lineno: usize) -> String {
-        let Some(m) = self.kept_members().find(|m| self.key(m) == id_key) else {
+    fn original_id(self, id_key: &str, lineno: usize) -> String {
+        let Some(m) = self.kept_members().find(|m| self.text(m.key) == id_key) else {
             return lineno.to_string();
         };
-        let texts = self.items[m.items.clone()]
+        let texts = self.fields.items[m.items.clone()]
             .iter()
-            .map(|item| &self.text[item.clone()]);
+            .map(|&item| self.text(item));
         if m.array {
             texts
                 .filter(|s| !s.is_empty())
@@ -733,18 +834,19 @@ impl LineFields {
 
     /// The attributes as `(key, value text)`: every value of every kept
     /// member but the id, in key order.
-    fn attributes<'a>(&'a self, id_key: &'a str) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+    fn attributes(self, id_key: &'a str) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
         self.kept_members()
-            .filter(move |m| self.key(m) != id_key)
+            .filter(move |m| self.text(m.key) != id_key)
             .flat_map(move |m| {
-                self.items[m.items.clone()]
+                self.fields.items[m.items.clone()]
                     .iter()
-                    .map(move |item| (self.key(m), &self.text[item.clone()]))
+                    .map(move |&item| (self.text(m.key), self.text(item)))
             })
     }
 
-    fn kept_members(&self) -> impl Iterator<Item = &Member> + '_ {
-        self.kept.iter().map(|&i| &self.members[i])
+    fn kept_members(self) -> impl Iterator<Item = &'a Member> + 'a {
+        let fields = self.fields;
+        fields.kept.iter().map(move |&i| &fields.members[i])
     }
 }
 

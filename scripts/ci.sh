@@ -10,8 +10,9 @@
 # the supervised-scorer train/run/export smoke, the fused-vs-sequential
 # smokes on dirty_10k (scaling and dense default configuration), the
 # out-of-core smoke, the online-serve smoke and the JSON-lines backend
-# matrix (under every set-similarity measure, and under the settings that
-# make the fused run keep its attribute text). Run from the repo root:
+# matrix (on a checked-in file of the loader's traps, under every
+# set-similarity measure, and under the settings that make the fused run
+# keep its attribute text). Run from the repo root:
 # scripts/ci.sh
 #
 # Performance is measured by one harness only: `bash benchmark/run.sh`
@@ -203,24 +204,31 @@ fi
 
 # JSON-lines backend matrix: the same JSONL input (the CLI arguments given)
 # on every backend (parallel loader and token pass on fused, the paper's
-# shuffles on dataflow, one thread on sequential) must give identical
+# shuffles on dataflow, one thread on sequential), and once more on fused
+# with `--show-lost`, which keeps the attribute text, must give identical
 # result counts, matcher cascade counters, evaluation lines and entity CSV
 # bytes — and the fused run, which blocks, purges and filters on CSR, must
 # shuffle nothing. The fused run's load decision (`text:` — dropped at
-# load when nothing reads the attribute text, kept otherwise) and its
-# `memory:` line are printed.
+# load when nothing reads the attribute text, kept otherwise), its `load:`
+# line (bytes read, token pass or parse, merge) and its `memory:` line are
+# printed.
 jsonl_matrix() {
-  local ref_csv="" ref_lines="" backend csv out lines
-  for backend in sequential dataflow fused; do
+  local ref_csv="" ref_lines="" run backend csv out lines
+  for run in sequential dataflow fused fused-text; do
+    backend="${run%-text}"
+    local extra=()
+    if [ "${run}" = fused-text ]; then
+      extra=(--show-lost)
+    fi
     csv="$(mktemp --suffix .csv)"
-    out="$(cargo run -q --release --bin sparker -- "$@" \
+    out="$(cargo run -q --release --bin sparker -- "$@" "${extra[@]}" \
       --backend "${backend}" --workers 2 --output "${csv}")"
     lines="$(printf '%s\n' "${out}" \
       | grep -E '^(result counts|matcher|lost ground-truth pairs after blocking):|^  (blocking|matching|clustering) ' \
       | sed 's/ ([^)]*)//')"
-    echo "    ${backend}: $(printf '%s\n' "${lines}" | head -1) ($(wc -l < "${csv}") CSV lines)"
-    if [ "${backend}" = fused ]; then
-      printf '%s\n' "${out}" | grep -E '^(text|memory):' | sed 's/^/      /'
+    echo "    ${run}: $(printf '%s\n' "${lines}" | head -1) ($(wc -l < "${csv}") CSV lines)"
+    if [ "${run}" = fused ]; then
+      printf '%s\n' "${out}" | grep -E '^(text|load|memory):' | sed 's/^/      /'
       # grep reads all its input (no -q): an early exit could SIGPIPE
       # printf and fail the pipeline under pipefail.
       if ! printf '%s\n' "${out}" | grep ' 0 shuffled records$' > /dev/null; then
@@ -233,7 +241,7 @@ jsonl_matrix() {
       ref_lines="${lines}"
     else
       if [ "${lines}" != "${ref_lines}" ]; then
-        echo "backend ${backend} disagrees: '${lines}' != '${ref_lines}'" >&2
+        echo "${run} disagrees: '${lines}' != '${ref_lines}'" >&2
         exit 1
       fi
       cmp "${ref_csv}" "${csv}"
@@ -243,7 +251,15 @@ jsonl_matrix() {
   rm -f "${ref_csv}"
 }
 
-echo "==> sparker --source-a <jsonl> --output: sequential vs dataflow vs fused"
+# A small checked-in file of the JSON-lines loader's traps: escapes inside
+# and between tokens, an escaped id key, Unicode case folding (KELVIN SIGN,
+# dotted capital I, a titlecase digraph, a non-ASCII digit between letters),
+# duplicate keys, arrays, nested and non-string values, blank lines and
+# missing ids.
+echo "==> sparker --source-a tests/data/hostile.jsonl: sequential vs dataflow vs fused vs text-keeping fused"
+jsonl_matrix --source-a tests/data/hostile.jsonl
+
+echo "==> sparker --source-a <jsonl> --output: sequential vs dataflow vs fused vs text-keeping fused"
 jsonl_matrix --source-a "${serve_jsonl}"
 fused_text="$(cargo run -q --release --bin sparker -- --source-a "${serve_jsonl}" \
   --backend fused --workers 2 | grep '^text:')"
@@ -256,13 +272,13 @@ fi
 # takes the count-only walk and the degree-only WEP pass A; JS weighs its
 # pass A on the count-only walk; ARCS accumulates the f64 sums.
 for scorer in js arcs; do
-  echo "==> sparker --source-a <jsonl> --edge-scorer ${scorer}: sequential vs dataflow vs fused"
+  echo "==> sparker --source-a <jsonl> --edge-scorer ${scorer}: sequential vs dataflow vs fused vs text-keeping fused"
   jsonl_matrix --source-a "${serve_jsonl}" --edge-scorer "${scorer}"
 done
 
 # The same profiles split into two sources: a clean-clean task, whose
 # blocks carry a source-0 prefix through the fused backend's CSR clean.
-echo "==> sparker --source-a <half> --source-b <half> (clean-clean): sequential vs dataflow vs fused"
+echo "==> sparker --source-a <half> --source-b <half> (clean-clean): sequential vs dataflow vs fused vs text-keeping fused"
 half_a="$(mktemp --suffix .jsonl)"
 half_b="$(mktemp --suffix .jsonl)"
 measure_conf="$(mktemp --suffix .conf)"
@@ -277,7 +293,7 @@ jsonl_matrix --source-a "${half_a}" --source-b "${half_b}"
 # Jaccard, the default, ran above.
 for measure in dice overlap cosine; do
   printf 'matcher.measure = %s\n' "${measure}" > "${measure_conf}"
-  echo "==> sparker --source-a <jsonl> --config <matcher.measure = ${measure}>: sequential vs dataflow vs fused"
+  echo "==> sparker --source-a <jsonl> --config <matcher.measure = ${measure}>: sequential vs dataflow vs fused vs text-keeping fused"
   jsonl_matrix --source-a "${serve_jsonl}" --config "${measure_conf}"
 done
 
@@ -286,14 +302,14 @@ done
 # weighting and a string measure.
 for setting in 'loose_schema = on' 'mb.entropy = true' 'matcher.measure = levenshtein'; do
   printf '%s\n' "${setting}" > "${measure_conf}"
-  echo "==> sparker --source-a <jsonl> --config <${setting}>: sequential vs dataflow vs fused"
+  echo "==> sparker --source-a <jsonl> --config <${setting}>: sequential vs dataflow vs fused vs text-keeping fused"
   jsonl_matrix --source-a "${serve_jsonl}" --config "${measure_conf}"
 done
 
 # And a ground-truth run with the lost-pair drill-down, which reads the
 # shared tokens of every lost pair: the truth pairs up consecutive records
 # of the serve slice.
-echo "==> sparker --source-a <jsonl> --ground-truth <pairs> --show-lost: sequential vs dataflow vs fused"
+echo "==> sparker --source-a <jsonl> --ground-truth <pairs> --show-lost: sequential vs dataflow vs fused vs text-keeping fused"
 truth_csv="$(mktemp --suffix .csv)"
 trap 'rm -f "${serve_jsonl}" "${half_a}" "${half_b}" "${measure_conf}" "${truth_csv}"' EXIT
 {

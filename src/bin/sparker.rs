@@ -29,9 +29,11 @@ use sparker::{
     export_edges_tsv, ExecutionBackend, LostPairsReport, Pipeline, PipelineConfig, PurgeConfig,
     WeightFilter,
 };
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 #[derive(Default)]
 struct Args {
@@ -206,6 +208,54 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// What loading the source files cost, printed as the `load:` line: the
+/// bytes read and the read's wall time, the parse's — or, for a run that
+/// reads no attribute text, the token pass's — and the range merge's with
+/// the distinct tokens it found.
+#[derive(Default)]
+struct LoadStats {
+    bytes: usize,
+    read: Duration,
+    parse: Duration,
+    merge: Option<(Duration, usize)>,
+}
+
+impl LoadStats {
+    /// Read one source file, counting its bytes and the read's time.
+    fn read(&mut self, path: &str) -> Result<String, String> {
+        let started = Instant::now();
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        self.read += started.elapsed();
+        self.bytes += text.len();
+        Ok(text)
+    }
+
+    /// `parse(text)`, its time counted as the parse's.
+    fn parse<T>(&mut self, text: &str, parse: impl FnOnce(&str) -> T) -> T {
+        let started = Instant::now();
+        let parsed = parse(text);
+        self.parse += started.elapsed();
+        parsed
+    }
+
+    fn line(&self, workers: usize) -> String {
+        let mb = self.bytes as f64 / 1e6;
+        let rate = mb / self.parse.as_secs_f64().max(1e-9);
+        match self.merge {
+            Some((merge, tokens)) => format!(
+                "load: read {} bytes ({:.1?}), token pass {:.1?} ({rate:.0} MB/s), \
+                 merge {merge:.1?}, {tokens} distinct tokens, {workers} workers",
+                self.bytes, self.read, self.parse,
+            ),
+            None => format!(
+                "load: read {} bytes ({:.1?}), parse {:.1?} ({rate:.0} MB/s), text kept, \
+                 {workers} workers",
+                self.bytes, self.read, self.parse,
+            ),
+        }
+    }
+}
+
 /// Load one source file; JSON lines are parsed on the backend's worker
 /// pool when it has one.
 fn load_source(
@@ -213,21 +263,25 @@ fn load_source(
     source: SourceId,
     id_column: &str,
     backend: &ExecutionBackend,
+    stats: &mut LoadStats,
 ) -> Result<Vec<Profile>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    if is_json_lines(path) {
-        match backend.context() {
-            Some(ctx) => profiles_from_json_lines_on(ctx, &text, source, id_column),
-            None => profiles_from_json_lines(&text, source, id_column),
-        }
+    let text = stats.read(path)?;
+    stats
+        .parse(&text, |text| {
+            if is_json_lines(path) {
+                match backend.context() {
+                    Some(ctx) => profiles_from_json_lines_on(ctx, text, source, id_column),
+                    None => profiles_from_json_lines(text, source, id_column),
+                }
+            } else {
+                let options = CsvOptions {
+                    id_column: Some(id_column.to_string()),
+                    ..CsvOptions::default()
+                };
+                profiles_from_csv(text, source, &options)
+            }
+        })
         .map_err(|e| format!("{path}: {e}"))
-    } else {
-        let options = CsvOptions {
-            id_column: Some(id_column.to_string()),
-            ..CsvOptions::default()
-        };
-        profiles_from_csv(&text, source, &options).map_err(|e| format!("{path}: {e}"))
-    }
 }
 
 /// Load one JSON-lines source for a run that reads no attribute text: its
@@ -238,9 +292,13 @@ fn load_source_tokens(
     source: SourceId,
     id_column: &str,
     backend: &ExecutionBackend,
+    stats: &mut LoadStats,
 ) -> Result<(Vec<Profile>, InternedRanges), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    token_pass_from_json_lines(backend.context(), &text, source, id_column)
+    let text = stats.read(path)?;
+    stats
+        .parse(&text, |text| {
+            token_pass_from_json_lines(backend.context(), text, source, id_column)
+        })
         .map_err(|e| format!("{path}: {e}"))
 }
 
@@ -348,6 +406,7 @@ fn run() -> Result<(), String> {
     // every other run keeps the text.
     let kept_by = text_kept_by(&args, &backend, &config);
     let mut pass = None;
+    let mut load = None;
     let (collection, ground_truth) = if let Some(name) = &args.preset {
         let preset = Preset::by_name(name).ok_or_else(|| {
             format!(
@@ -368,25 +427,29 @@ fn run() -> Result<(), String> {
         (ds.collection, Some(ds.ground_truth))
     } else {
         let source_a = args.source_a.as_deref().unwrap();
+        let stats = load.insert(LoadStats::default());
         let collection = if kept_by.is_empty() {
             let (a, mut ranges) =
-                load_source_tokens(source_a, SourceId(0), &args.id_column, &backend)?;
+                load_source_tokens(source_a, SourceId(0), &args.id_column, &backend, stats)?;
             let collection = match &args.source_b {
                 Some(b) => {
                     let (b, ranges_b) =
-                        load_source_tokens(b, SourceId(1), &args.id_column, &backend)?;
+                        load_source_tokens(b, SourceId(1), &args.id_column, &backend, stats)?;
                     ranges.append(ranges_b);
                     ProfileCollection::clean_clean(a, b)
                 }
                 None => ProfileCollection::dirty(a),
             };
-            pass = Some(ranges.merge(backend.context()));
+            let started = Instant::now();
+            let (dict, keys) = ranges.merge(backend.context());
+            stats.merge = Some((started.elapsed(), dict.len()));
+            pass = Some((dict, keys));
             collection.without_text()
         } else {
-            let a = load_source(source_a, SourceId(0), &args.id_column, &backend)?;
+            let a = load_source(source_a, SourceId(0), &args.id_column, &backend, stats)?;
             match &args.source_b {
                 Some(b) => {
-                    let b = load_source(b, SourceId(1), &args.id_column, &backend)?;
+                    let b = load_source(b, SourceId(1), &args.id_column, &backend, stats)?;
                     ProfileCollection::clean_clean(a, b)
                 }
                 None => ProfileCollection::dirty(a),
@@ -409,6 +472,12 @@ fn run() -> Result<(), String> {
         println!("text: dropped at load (tokens interned while parsing)");
     } else {
         println!("text: kept ({})", kept_by.join(", "));
+    }
+    if let Some(load) = &load {
+        println!(
+            "{}",
+            load.line(backend.context().map_or(1, |ctx| ctx.workers()))
+        );
     }
 
     // Run on the selected backend (default: the fused pool engine).
@@ -571,15 +640,14 @@ fn write_entities(
     out.write_all(row.as_bytes())?;
     for w in offsets.windows(2) {
         let group = &members[w[0] as usize..w[1] as usize];
-        let entity = group[0].0.to_string();
+        let entity = group[0].0;
         for &m in group {
             let p = collection.get(m);
+            // Integers never need quoting: only the original id goes
+            // through the CSV quoting rule.
             row.clear();
-            push_csv_row(
-                &mut row,
-                &[entity.as_str(), &p.source.0.to_string(), &p.original_id],
-                ',',
-            );
+            write!(row, "{entity},{},", p.source.0).expect("writing to a String");
+            push_csv_row(&mut row, &[&p.original_id], ',');
             out.write_all(row.as_bytes())?;
         }
     }

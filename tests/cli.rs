@@ -385,7 +385,7 @@ fn entity_csv_is_byte_identical_to_write_csv() {
 }
 
 /// The lines of a run's stdout that must not depend on the backend: the
-/// per-stage table, the engine, `fused:` and `memory:` lines are
+/// per-stage table, the engine, `fused:`, `load:` and `memory:` lines are
 /// measurements and go, along with every `(…)` timing.
 fn semantic(stdout: &str) -> Vec<String> {
     let mut in_table = false;
@@ -399,7 +399,7 @@ fn semantic(stdout: &str) -> Vec<String> {
                 return false;
             }
             !in_table
-                && !["fused engine:", "fused:", "memory:"]
+                && !["fused engine:", "fused:", "load:", "memory:"]
                     .iter()
                     .any(|p| l.starts_with(p))
         })
