@@ -4,8 +4,10 @@
 //! reference (same clusters, same evaluation, same matcher cascade
 //! counters). Exercised by `ci.sh`.
 
-use sparker_bench::skewed_dirty;
 use sparker_core::{ExecutionBackend, Pipeline, PipelineConfig};
+use sparker_datasets::{
+    generate_dirty, DatasetConfig, Domain, GeneratedDataset, NoiseConfig, ZipfSkew,
+};
 
 fn main() {
     let ds = skewed_dirty(250);
@@ -66,4 +68,31 @@ fn main() {
         sequential.clusters.num_clusters(),
         seq_eval.clustering.f1,
     );
+}
+
+/// Dirty products catalogue with rank-correlated Zipfian block skew: the
+/// first eighth of the file is "popular" and draws many tokens from a
+/// Zipf-distributed hot pool, so the blocking graph has a contiguous hub
+/// region at low profile ids — the worst case for equal-count contiguous
+/// partitioning. The pool is wide and the exponent mild so the hub is made
+/// of *many mid-size* hot blocks: those survive the standard
+/// purge + block-filtering pipeline (which kills the few monster blocks)
+/// and keep the hub dense while the tail goes sparse.
+fn skewed_dirty(entities: usize) -> GeneratedDataset {
+    generate_dirty(
+        &DatasetConfig {
+            entities,
+            unmatched_per_source: 0,
+            domain: Domain::Products,
+            noise: NoiseConfig::default(),
+            seed: 0x51E3BF,
+            skew: Some(ZipfSkew {
+                hot_tokens: 1000,
+                exponent: 0.4,
+                hot_entity_fraction: 0.125,
+                appends: 96,
+            }),
+        },
+        2,
+    )
 }

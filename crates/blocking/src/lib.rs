@@ -45,7 +45,6 @@ mod collection;
 mod csr;
 pub mod dataflow;
 mod filtering;
-mod methods;
 mod purging;
 mod tokenblocking;
 
@@ -53,9 +52,6 @@ pub use block::{Block, BlockId};
 pub use collection::{BlockCollection, ProfileBlocksIndex};
 pub use csr::{BlockSizes, CompactBlocks};
 pub use filtering::block_filtering;
-pub use methods::{
-    canopy_blocking, ngram_blocking, rarest_token_key, sorted_neighborhood, sorted_neighborhood_by,
-};
 pub use purging::{purge_by_comparison_level, purge_oversized, PurgeCap, PurgeConfig};
 pub use sparker_profiles::ProfileKeys;
 pub use tokenblocking::{

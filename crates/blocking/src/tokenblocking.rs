@@ -102,7 +102,7 @@ pub fn token_blocking_pass(
 
 /// Single-pass interned Token Blocking on the calling thread — the
 /// one-range case of [`token_blocking_pass`]. Returns the dictionary
-/// alongside the blocks so downstream stages (meta-blocking, TF-IDF,
+/// alongside the blocks so downstream stages (meta-blocking, matching,
 /// materialization) share the same id space.
 pub fn token_blocking_with_dict(collection: &ProfileCollection) -> (TokenDict, CompactBlocks) {
     token_blocking_with_dict_budgeted(collection, &MemBudget::unlimited())

@@ -11,7 +11,7 @@
 //! candidates out of its neighborhood, costs are per-profile degrees, and
 //! no global pair vector ever exists.
 //!
-//! [`score_candidates_pool`] is the execution half: profile ids are
+//! [`filter_candidates_pool`] is the execution half: profile ids are
 //! partitioned by candidate-degree cost hints (`parallelize_by_cost`),
 //! executed as dynamically claimed morsels with per-worker scratch
 //! ([`WorkerLocal`]), and each morsel emits a sorted [`SimilarityGraph`]
@@ -237,31 +237,6 @@ where
     SimilarityGraph::from_sorted_shards(shards.into_partitions())
 }
 
-/// Score every candidate of `graph` on the worker pool and keep pairs with
-/// `score ≥ threshold`.
-///
-/// `scratch` builds one per-worker-slot value (reused across morsels —
-/// e.g. [`crate::similarity::EditScratch`] for edit-based measures). A thin
-/// wrapper over [`filter_candidates_pool`] with the threshold folded into
-/// the decision; same determinism contract.
-pub fn score_candidates_pool<W, F>(
-    ctx: &Context,
-    graph: &Arc<CandidateGraph>,
-    threshold: f64,
-    scratch: impl FnMut() -> W,
-    score: F,
-) -> SimilarityGraph
-where
-    W: Send,
-    F: Fn(&mut W, ProfileId, ProfileId) -> f64 + Send + Sync,
-{
-    let locals = Arc::new(WorkerLocal::new(ctx.workers(), scratch));
-    filter_candidates_pool(ctx, graph, &locals, move |scr, a, b| {
-        let s = score(scr, a, b);
-        (s >= threshold).then_some(s)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,7 +341,11 @@ mod tests {
         );
         for workers in [1, 2, 8] {
             let ctx = Context::new(workers);
-            let got = score_candidates_pool(&ctx, &g, 0.3, || (), move |_, a, b| score(a, b));
+            let locals = Arc::new(WorkerLocal::new(workers, || ()));
+            let got = filter_candidates_pool(&ctx, &g, &locals, move |_, a, b| {
+                let s = score(a, b);
+                (s >= 0.3).then_some(s)
+            });
             assert_eq!(got, expected, "workers={workers}");
         }
     }
@@ -375,7 +354,8 @@ mod tests {
     fn pool_scorer_empty_graph() {
         let g = Arc::new(CandidateGraph::from_pairs(3, std::iter::empty()));
         let ctx = Context::new(2);
-        let out = score_candidates_pool(&ctx, &g, 0.5, || (), |_: &mut (), _, _| 1.0);
+        let locals = Arc::new(WorkerLocal::new(2, || ()));
+        let out = filter_candidates_pool(&ctx, &g, &locals, |_: &mut (), _, _| Some(1.0));
         assert!(out.is_empty());
     }
 

@@ -9,23 +9,18 @@
 //! scores, e.g.: Jaccard similarity, Edit Distance, CSA". This crate
 //! provides:
 //!
-//! * [`similarity`] — token-set measures (Jaccard, Dice, overlap, cosine),
-//!   string measures (Levenshtein, Jaro, Jaro–Winkler, Monge–Elkan) and a
-//!   TF-IDF weighted cosine ([`TfIdfIndex`]) standing in for corpus-level
-//!   measures like CSA.
+//! * [`similarity`] — token-set measures (Jaccard, Dice, overlap, cosine)
+//!   and string measures (Levenshtein, Jaro, Jaro–Winkler, Monge–Elkan).
 //! * [`ThresholdMatcher`] — the unsupervised mode: one measure + one
 //!   threshold.
-//! * [`WeightedRuleMatcher`] — user-authored per-attribute rules
-//!   (supervised mode, knowledge injection).
 //! * [`PerceptronMatcher`] — a trainable linear matcher over similarity
 //!   features, standing in for Magellan's learned matchers (which need
 //!   labelled pairs, exactly as the paper's supervised mode describes).
 //! * [`SimilarityGraph`] — the matcher output: weighted matching pairs.
-//! * [`CandidateGraph`] + [`score_candidates_pool`] /
-//!   [`filter_candidates_pool`] — the pool-parallel batch scorer:
-//!   candidate pairs in CSR form streamed per profile, degree-cost morsel
-//!   scheduling, per-worker scratch, sorted shard output byte-identical to
-//!   the sequential matchers.
+//! * [`CandidateGraph`] + [`filter_candidates_pool`] — the pool-parallel
+//!   batch scorer: candidate pairs in CSR form streamed per profile,
+//!   degree-cost morsel scheduling, per-worker scratch, sorted shard output
+//!   byte-identical to the sequential matchers.
 //!
 //! The batch matchers score through a **filter–verify cascade** by
 //! default: cheap [`ScoreBound`]s computed from cached token/char counts
@@ -42,14 +37,12 @@ mod graph;
 mod matcher;
 mod perceptron;
 mod stream;
-mod tfidf;
 
-pub use candidates::{filter_candidates_pool, score_candidates_pool, CandidateGraph};
+pub use candidates::{filter_candidates_pool, CandidateGraph};
 pub use graph::SimilarityGraph;
 pub use matcher::{
     FilterStats, Matcher, PreparedProfile, ScoreBound, ScoringMode, SimilarityMeasure,
-    TfIdfMatcher, ThresholdMatcher, WeightedRule, WeightedRuleMatcher,
+    ThresholdMatcher,
 };
 pub use perceptron::{pair_features, PerceptronMatcher, TrainConfig, FEATURE_NAMES};
 pub use stream::{BatchDigest, FusedMatchOutcome, RetainedDigest};
-pub use tfidf::TfIdfIndex;

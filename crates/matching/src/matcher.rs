@@ -13,7 +13,6 @@
 use crate::candidates::{filter_candidates_pool, CandidateGraph};
 use crate::graph::SimilarityGraph;
 use crate::similarity::{self, MatchScratch};
-use crate::tfidf::TfIdfIndex;
 use sparker_dataflow::{map_ranges, Context, WorkerLocal};
 use sparker_profiles::{
     intern_profiles, DictBuilder, Pair, Profile, ProfileCollection, ProfileKeys,
@@ -544,21 +543,6 @@ impl PreparedProfile {
         }
     }
 
-    /// Prepare a bare attribute value (used by [`WeightedRuleMatcher`],
-    /// whose rules compare single values rather than whole profiles).
-    pub fn from_value(value: &str, dict: &mut DictBuilder, scratch: &mut String) -> Self {
-        let mut token_ids = Vec::new();
-        dict.intern_tokens(value, scratch, &mut token_ids);
-        token_ids.sort_unstable();
-        token_ids.dedup();
-        PreparedProfile {
-            token_ids,
-            concatenated: value.to_string(),
-            chars: value.chars().count(),
-            ..PreparedProfile::default()
-        }
-    }
-
     /// Prepare two profiles against a fresh shared interner — the
     /// convenience path for one-off [`SimilarityMeasure::score`] calls.
     pub fn pair(a: &Profile, b: &Profile) -> (Self, Self) {
@@ -779,32 +763,6 @@ pub trait Matcher {
             (s >= t).then_some((pair, s))
         }))
     }
-
-    /// Parallel variant: distribute the candidate pairs on the dataflow
-    /// engine with the profile collection broadcast to every task — the
-    /// way SparkER runs matching on Spark.
-    fn match_pairs_dataflow(
-        &self,
-        ctx: &Context,
-        collection: &ProfileCollection,
-        candidates: Vec<Pair>,
-    ) -> SimilarityGraph
-    where
-        Self: Sync,
-    {
-        let profiles = ctx.broadcast(collection.clone());
-        let t = self.threshold();
-        let ds = ctx.parallelize_default(candidates);
-        let scored = ds.flat_map(move |pair| {
-            let s = self.score(profiles.get(pair.first), profiles.get(pair.second));
-            if s >= t {
-                vec![(*pair, s)]
-            } else {
-                Vec::new()
-            }
-        });
-        SimilarityGraph::new(scored.collect())
-    }
 }
 
 /// The unsupervised matcher: one similarity measure plus one threshold.
@@ -946,9 +904,11 @@ impl ThresholdMatcher {
         (graph, stats)
     }
 
-    /// [`Matcher::match_pairs_dataflow`] plus the cascade's
-    /// [`FilterStats`], merged across partitions (a sum, so independent of
-    /// the order partitions finish in).
+    /// Parallel variant of [`ThresholdMatcher::match_pairs_stats`]:
+    /// distribute the candidate pairs on the dataflow engine with the
+    /// prepared profile views broadcast to every task — the way SparkER
+    /// runs matching on Spark. The [`FilterStats`] are merged across
+    /// partitions (a sum, so independent of the order partitions finish in).
     pub fn match_pairs_dataflow_stats(
         &self,
         ctx: &Context,
@@ -1005,234 +965,6 @@ impl Matcher for ThresholdMatcher {
         candidates: impl IntoIterator<Item = Pair>,
     ) -> SimilarityGraph {
         self.match_pairs_stats(collection, candidates).0
-    }
-
-    fn match_pairs_dataflow(
-        &self,
-        ctx: &Context,
-        collection: &ProfileCollection,
-        candidates: Vec<Pair>,
-    ) -> SimilarityGraph {
-        self.match_pairs_dataflow_stats(ctx, collection, candidates)
-            .0
-    }
-}
-
-/// One user-authored matching rule: compare a specific attribute of each
-/// side with a chosen measure and weight.
-#[derive(Debug, Clone)]
-pub struct WeightedRule {
-    /// Attribute name on the first profile's source.
-    pub attribute_a: String,
-    /// Attribute name on the second profile's source.
-    pub attribute_b: String,
-    /// Measure applied to the two attribute values.
-    pub measure: SimilarityMeasure,
-    /// Rule weight (weights are normalized over the applicable rules).
-    pub weight: f64,
-}
-
-/// The supervised-mode matcher built from user knowledge: a weighted
-/// combination of per-attribute similarity rules (the kind of matcher a
-/// Magellan user would assemble). Rules whose attributes are missing on a
-/// pair are skipped and the remaining weights renormalized.
-#[derive(Debug, Clone)]
-pub struct WeightedRuleMatcher {
-    rules: Vec<WeightedRule>,
-    threshold: f64,
-}
-
-impl WeightedRuleMatcher {
-    /// Create from rules; panics on empty rules, non-positive weights or an
-    /// out-of-range threshold.
-    pub fn new(rules: Vec<WeightedRule>, threshold: f64) -> Self {
-        assert!(!rules.is_empty(), "need at least one rule");
-        assert!(
-            rules.iter().all(|r| r.weight > 0.0),
-            "rule weights must be positive"
-        );
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "threshold must be in [0, 1], got {threshold}"
-        );
-        WeightedRuleMatcher { rules, threshold }
-    }
-
-    /// The rules, as configured.
-    pub fn rules(&self) -> &[WeightedRule] {
-        &self.rules
-    }
-
-    /// Rule score of two raw attribute values (fresh shared interner, so
-    /// the result equals scoring the same values from any cache).
-    fn value_score(measure: SimilarityMeasure, va: &str, vb: &str) -> f64 {
-        let mut dict = DictBuilder::new();
-        let mut scratch = String::new();
-        let pa = PreparedProfile::from_value(va, &mut dict, &mut scratch);
-        let pb = PreparedProfile::from_value(vb, &mut dict, &mut scratch);
-        measure.score_prepared(&pa, &pb)
-    }
-}
-
-impl Matcher for WeightedRuleMatcher {
-    fn score(&self, a: &Profile, b: &Profile) -> f64 {
-        let mut total_weight = 0.0;
-        let mut total = 0.0;
-        for rule in &self.rules {
-            // Rules are directional on attribute names but profiles may
-            // arrive in either order; evaluate every orientation that
-            // resolves and take the better one. `max` commutes under
-            // argument swap, so the combined score is symmetric (a
-            // first-orientation-wins preference is not).
-            let fwd = match (a.value_of(&rule.attribute_a), b.value_of(&rule.attribute_b)) {
-                (Some(va), Some(vb)) => Some(Self::value_score(rule.measure, va, vb)),
-                _ => None,
-            };
-            let rev = match (b.value_of(&rule.attribute_a), a.value_of(&rule.attribute_b)) {
-                (Some(va), Some(vb)) => Some(Self::value_score(rule.measure, va, vb)),
-                _ => None,
-            };
-            let s = match (fwd, rev) {
-                (Some(x), Some(y)) => Some(x.max(y)),
-                (x, y) => x.or(y),
-            };
-            if let Some(s) = s {
-                total += rule.weight * s;
-                total_weight += rule.weight;
-            }
-        }
-        if total_weight == 0.0 {
-            0.0
-        } else {
-            total / total_weight
-        }
-    }
-
-    fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    fn match_pairs(
-        &self,
-        collection: &ProfileCollection,
-        candidates: impl IntoIterator<Item = Pair>,
-    ) -> SimilarityGraph {
-        // Cache prepared attribute views per (profile, rule attribute)
-        // across the candidate loop — the naive path re-tokenized both
-        // values for every rule on every pair. One shared interner keeps
-        // ids comparable across all cached views, and set-measure scores
-        // only depend on intersection counts, so cached scoring is
-        // bit-identical to `score`.
-        let mut names: Vec<&str> = self
-            .rules
-            .iter()
-            .flat_map(|r| [r.attribute_a.as_str(), r.attribute_b.as_str()])
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        let width = names.len();
-        // cache[profile * width + name]: None = not derived yet,
-        // Some(None) = attribute missing on that profile.
-        let mut cache: Vec<Option<Option<PreparedProfile>>> = vec![None; collection.len() * width];
-        let mut dict = DictBuilder::new();
-        let mut tok_scratch = String::new();
-        let mut retained = Vec::new();
-        for pair in candidates {
-            let (pa, pb) = (collection.get(pair.first), collection.get(pair.second));
-            let mut total_weight = 0.0;
-            let mut total = 0.0;
-            for rule in &self.rules {
-                let ia = names.binary_search(&rule.attribute_a.as_str()).unwrap();
-                let ib = names.binary_search(&rule.attribute_b.as_str()).unwrap();
-                for (p, ni) in [(pa, ia), (pb, ib), (pb, ia), (pa, ib)] {
-                    let slot = p.id.index() * width + ni;
-                    if cache[slot].is_none() {
-                        cache[slot] =
-                            Some(p.value_of(names[ni]).map(|v| {
-                                PreparedProfile::from_value(v, &mut dict, &mut tok_scratch)
-                            }));
-                    }
-                }
-                let view = |p: &Profile, ni: usize| -> Option<&PreparedProfile> {
-                    cache[p.id.index() * width + ni].as_ref().unwrap().as_ref()
-                };
-                let fwd = match (view(pa, ia), view(pb, ib)) {
-                    (Some(x), Some(y)) => Some(rule.measure.score_prepared(x, y)),
-                    _ => None,
-                };
-                let rev = match (view(pb, ia), view(pa, ib)) {
-                    (Some(x), Some(y)) => Some(rule.measure.score_prepared(x, y)),
-                    _ => None,
-                };
-                let s = match (fwd, rev) {
-                    (Some(x), Some(y)) => Some(x.max(y)),
-                    (x, y) => x.or(y),
-                };
-                if let Some(s) = s {
-                    total += rule.weight * s;
-                    total_weight += rule.weight;
-                }
-            }
-            let score = if total_weight == 0.0 {
-                0.0
-            } else {
-                total / total_weight
-            };
-            if score >= self.threshold {
-                retained.push((pair, score));
-            }
-        }
-        SimilarityGraph::new(retained)
-    }
-}
-
-/// TF-IDF cosine as a matcher (needs the prebuilt index, so it does not fit
-/// the `SimilarityMeasure` enum).
-#[derive(Debug, Clone)]
-pub struct TfIdfMatcher {
-    index: TfIdfIndex,
-    threshold: f64,
-}
-
-impl TfIdfMatcher {
-    /// Build the index over `collection` and wrap it as a matcher.
-    pub fn new(collection: &ProfileCollection, threshold: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "threshold must be in [0, 1], got {threshold}"
-        );
-        TfIdfMatcher {
-            index: TfIdfIndex::build(collection),
-            threshold,
-        }
-    }
-
-    /// Pool-parallel batch scoring over a [`CandidateGraph`] with the
-    /// TF-IDF index broadcast once to every task; byte-identical to
-    /// [`Matcher::match_pairs`] over the same pair set at any worker count.
-    pub fn match_candidates_pool(
-        &self,
-        ctx: &Context,
-        graph: &Arc<CandidateGraph>,
-    ) -> SimilarityGraph {
-        let index = ctx.broadcast(self.index.clone());
-        crate::candidates::score_candidates_pool(
-            ctx,
-            graph,
-            self.threshold,
-            || (),
-            move |_, a, b| index.cosine(a, b),
-        )
-    }
-}
-
-impl Matcher for TfIdfMatcher {
-    fn score(&self, a: &Profile, b: &Profile) -> f64 {
-        self.index.cosine_profiles(a, b)
-    }
-
-    fn threshold(&self) -> f64 {
-        self.threshold
     }
 }
 
@@ -1485,147 +1217,15 @@ mod tests {
         let m = ThresholdMatcher::new(SimilarityMeasure::Dice, 0.3);
         let seq = m.match_pairs(&coll, all_candidates(&coll));
         let ctx = Context::new(4);
-        let par = m.match_pairs_dataflow(&ctx, &coll, all_candidates(&coll));
+        let par = m
+            .match_pairs_dataflow_stats(&ctx, &coll, all_candidates(&coll))
+            .0;
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn weighted_rules_combine_attributes() {
-        let coll = collection();
-        let m = WeightedRuleMatcher::new(
-            vec![
-                WeightedRule {
-                    attribute_a: "name".to_string(),
-                    attribute_b: "title".to_string(),
-                    measure: SimilarityMeasure::MongeElkan,
-                    weight: 3.0,
-                },
-                WeightedRule {
-                    attribute_a: "price".to_string(),
-                    attribute_b: "cost".to_string(),
-                    measure: SimilarityMeasure::Levenshtein,
-                    weight: 1.0,
-                },
-            ],
-            0.6,
-        );
-        let g = m.match_pairs(&coll, all_candidates(&coll));
-        assert_eq!(g.pairs(), vec![Pair::new(ProfileId(0), ProfileId(2))]);
-        // Score order does not matter.
-        let a = coll.get(ProfileId(0));
-        let b = coll.get(ProfileId(2));
-        assert!((m.score(a, b) - m.score(b, a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_rules_symmetric_when_both_orientations_resolve() {
-        // Regression: both profiles carry both rule attributes, so both
-        // orientations resolve with *different* value pairs. The score must
-        // still be exactly symmetric (max over orientations, not
-        // first-orientation-wins).
-        let coll = ProfileCollection::dirty(vec![
-            Profile::builder(SourceId(0), "p0")
-                .attr("x", "foo bar")
-                .attr("y", "baz")
-                .build(),
-            Profile::builder(SourceId(0), "p1")
-                .attr("x", "qux")
-                .attr("y", "foo")
-                .build(),
-        ]);
-        let m = WeightedRuleMatcher::new(
-            vec![WeightedRule {
-                attribute_a: "x".to_string(),
-                attribute_b: "y".to_string(),
-                measure: SimilarityMeasure::Jaccard,
-                weight: 1.0,
-            }],
-            0.0,
-        );
-        let a = coll.get(ProfileId(0));
-        let b = coll.get(ProfileId(1));
-        let fwd = WeightedRuleMatcher::value_score(SimilarityMeasure::Jaccard, "foo bar", "foo");
-        let rev = WeightedRuleMatcher::value_score(SimilarityMeasure::Jaccard, "qux", "baz");
-        assert!(
-            fwd > rev,
-            "test fixture should make the orientations differ"
-        );
-        assert_eq!(m.score(a, b).to_bits(), m.score(b, a).to_bits());
-        assert_eq!(m.score(a, b).to_bits(), fwd.to_bits());
-    }
-
-    #[test]
-    fn weighted_rules_cached_match_pairs_equals_scores() {
-        let coll = collection();
-        let m = WeightedRuleMatcher::new(
-            vec![
-                WeightedRule {
-                    attribute_a: "name".to_string(),
-                    attribute_b: "title".to_string(),
-                    measure: SimilarityMeasure::Jaccard,
-                    weight: 2.0,
-                },
-                WeightedRule {
-                    attribute_a: "price".to_string(),
-                    attribute_b: "cost".to_string(),
-                    measure: SimilarityMeasure::Levenshtein,
-                    weight: 1.0,
-                },
-            ],
-            0.3,
-        );
-        let candidates = all_candidates(&coll);
-        // Reference: the per-pair `score` path (no cache), thresholded.
-        let reference = SimilarityGraph::new(candidates.iter().filter_map(|pair| {
-            let s = m.score(coll.get(pair.first), coll.get(pair.second));
-            (s >= m.threshold()).then_some((*pair, s))
-        }));
-        let cached = m.match_pairs(&coll, candidates);
-        assert_eq!(reference, cached);
-    }
-
-    #[test]
-    fn rules_with_missing_attributes_renormalize() {
-        let coll = collection();
-        let m = WeightedRuleMatcher::new(
-            vec![
-                WeightedRule {
-                    attribute_a: "name".to_string(),
-                    attribute_b: "title".to_string(),
-                    measure: SimilarityMeasure::Jaccard,
-                    weight: 1.0,
-                },
-                WeightedRule {
-                    attribute_a: "nonexistent".to_string(),
-                    attribute_b: "also-missing".to_string(),
-                    measure: SimilarityMeasure::Jaccard,
-                    weight: 100.0,
-                },
-            ],
-            0.2,
-        );
-        let s = m.score(coll.get(ProfileId(0)), coll.get(ProfileId(2)));
-        assert!(s > 0.0, "missing rule must not zero the score");
-    }
-
-    #[test]
-    fn tfidf_matcher_works_as_matcher() {
-        let coll = collection();
-        let m = TfIdfMatcher::new(&coll, 0.2);
-        let g = m.match_pairs(&coll, all_candidates(&coll));
-        assert!(g.pairs().contains(&Pair::new(ProfileId(0), ProfileId(2))));
-        assert!(!g.pairs().contains(&Pair::new(ProfileId(1), ProfileId(3))));
     }
 
     #[test]
     #[should_panic(expected = "threshold")]
     fn bad_threshold_rejected() {
         ThresholdMatcher::new(SimilarityMeasure::Jaccard, 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one rule")]
-    fn empty_rules_rejected() {
-        WeightedRuleMatcher::new(vec![], 0.5);
     }
 }

@@ -49,7 +49,6 @@
 mod entropy;
 mod graph;
 pub mod parallel;
-pub mod progressive;
 mod pruning;
 mod scorer;
 mod streaming;
@@ -58,7 +57,6 @@ mod weights;
 
 pub use entropy::{block_entropies, BlockEntropies};
 pub use graph::{BlockGraph, EdgeAccumulator, Neighbors, NodePassScratch};
-pub use progressive::{progressive_global, progressive_node_first};
 pub use pruning::{
     derived_cnp_k, meta_blocking, meta_blocking_graph, MetaBlockingConfig, NodeStats,
     PruningStrategy, RetentionRule,

@@ -2,9 +2,8 @@
 //!
 //! Every execution path of meta-blocking — staged ([`crate::meta_blocking_graph`]),
 //! broadcast-join parallel ([`crate::parallel::meta_blocking`]), fused
-//! streaming ([`crate::StreamingMetaBlocking`]), progressive
-//! ([`crate::progressive_global`] / [`crate::progressive_node_first`]) and
-//! the online resolver's batch refresh — weighs a candidate edge the same
+//! streaming ([`crate::StreamingMetaBlocking`]) and the online resolver's
+//! batch refresh — weighs a candidate edge the same
 //! way: it materializes the edge's [`EdgeAccumulator`] (by
 //! [`BlockGraph::walk`], or [`BlockGraph::neighborhood`] in the oracle)
 //! and asks a [`ScoringContext`] for the weight. The context owns

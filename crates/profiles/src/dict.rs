@@ -1,8 +1,8 @@
 //! Token dictionary: interning normalized tokens to dense integer ids.
 //!
 //! Every stage of the blocker keys on tokens — Token Blocking buckets by
-//! them, Meta-Blocking's graph is built over the blocks they induce, TF-IDF
-//! weights them. Re-hashing and re-allocating the same `String`s at each
+//! them, Meta-Blocking's graph is built over the blocks they induce, the
+//! matcher compares their sets. Re-hashing and re-allocating the same `String`s at each
 //! stage is pure overhead, so the pipeline interns the distinct tokens of a
 //! collection **once** into a [`TokenDict`] and pushes the dense
 //! [`TokenId`]s through every hot path. Ids are assigned in lexicographic

@@ -33,7 +33,7 @@
 //! ## Dictionary encoding
 //!
 //! Tokens are the currency of the whole blocker — blocking keys, graph
-//! edges, TF-IDF terms. This crate therefore provides [`TokenDict`]: the
+//! edges, matcher token sets. This crate therefore provides [`TokenDict`]: the
 //! distinct normalized tokens of a collection interned once to dense `u32`
 //! [`TokenId`]s — by [`TokenDict::build`], or by the token pass
 //! [`intern_profiles`], which also returns every profile's sorted token
@@ -41,8 +41,8 @@
 //! so sorting by id is sorting by key string, and structures built over ids
 //! come out in exactly the order their string-keyed equivalents would.
 //! Downstream crates key every hot path on `TokenId` (flat counting-sort
-//! buckets, CSR block graphs, merge-join TF-IDF vectors) and only resolve
-//! ids back to strings at the edges via [`TokenDict::resolve`].
+//! buckets, CSR block graphs, merge-joined matcher token sets) and only
+//! resolve ids back to strings at the edges via [`TokenDict::resolve`].
 //!
 //! Single-pass pipelines use [`DictBuilder`] instead of build-then-lookup:
 //! it interns tokens to provisional insertion-order ids while the caller
@@ -89,4 +89,4 @@ pub use json::{
 };
 pub use pair::Pair;
 pub use profile::{Profile, ProfileBuilder, ProfileId, SourceId};
-pub use tokenize::{each_token, ngrams, tokenize, tokenize_filtered, Token};
+pub use tokenize::{each_token, tokenize, tokenize_filtered, Token};

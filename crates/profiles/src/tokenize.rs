@@ -254,43 +254,6 @@ pub fn tokenize_filtered(text: &str, min_len: usize) -> impl Iterator<Item = Tok
     tokenize(text).filter(move |t| t.chars().count() >= min_len)
 }
 
-/// Character n-grams of the normalized text (whitespace collapsed), used by
-/// the LSH attribute-partitioning step and by string similarity measures.
-///
-/// Returns the whole string as a single gram when it is shorter than `n`.
-///
-/// ```
-/// use sparker_profiles::ngrams;
-/// assert_eq!(ngrams("abcd", 3), vec!["abc", "bcd"]);
-/// assert_eq!(ngrams("ab", 3), vec!["ab"]);
-/// ```
-pub fn ngrams(text: &str, n: usize) -> Vec<String> {
-    assert!(n > 0, "ngram size must be positive");
-    // Collapse whitespace runs while collecting chars — no intermediate
-    // split/join strings.
-    let lower = text.to_lowercase();
-    let mut normalized: Vec<char> = Vec::with_capacity(lower.len());
-    for c in lower.chars() {
-        if c.is_whitespace() {
-            if !normalized.is_empty() && *normalized.last().unwrap() != ' ' {
-                normalized.push(' ');
-            }
-        } else {
-            normalized.push(c);
-        }
-    }
-    if normalized.last() == Some(&' ') {
-        normalized.pop();
-    }
-    if normalized.is_empty() {
-        return Vec::new();
-    }
-    if normalized.len() <= n {
-        return vec![normalized.into_iter().collect()];
-    }
-    normalized.windows(n).map(|w| w.iter().collect()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,27 +363,5 @@ mod tests {
         assert_eq!(visit("plain tokens 123"), vec!["plain", "tokens", "123"]);
         // Mixed-case ASCII takes the byte-map path.
         assert_eq!(visit("MiXeD"), vec!["mixed"]);
-    }
-
-    #[test]
-    fn ngrams_basic() {
-        assert_eq!(ngrams("hello", 3), vec!["hel", "ell", "llo"]);
-    }
-
-    #[test]
-    fn ngrams_normalizes_whitespace_and_case() {
-        assert_eq!(ngrams("A  B", 3), vec!["a b"]);
-    }
-
-    #[test]
-    fn ngrams_short_input_is_one_gram() {
-        assert_eq!(ngrams("hi", 4), vec!["hi"]);
-        assert!(ngrams("", 3).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "ngram size")]
-    fn ngrams_zero_panics() {
-        ngrams("abc", 0);
     }
 }

@@ -2,9 +2,7 @@
 //! tokenization invariants, pair normalization.
 
 use proptest::prelude::*;
-use sparker_profiles::{
-    ngrams, parse_csv, parse_json, tokenize, write_csv, JsonValue, Pair, ProfileId,
-};
+use sparker_profiles::{parse_csv, parse_json, tokenize, write_csv, JsonValue, Pair, ProfileId};
 
 fn json_value_strategy() -> impl Strategy<Value = JsonValue> {
     let leaf = prop_oneof![
@@ -74,19 +72,6 @@ proptest! {
         let once: Vec<String> = tokenize(&s).collect();
         let again: Vec<String> = tokenize(&once.join(" ")).collect();
         prop_assert_eq!(once, again);
-    }
-
-    #[test]
-    fn ngrams_cover_text(s in "[a-z]{1,30}", n in 1usize..6) {
-        let grams = ngrams(&s, n);
-        prop_assert!(!grams.is_empty());
-        if s.len() > n {
-            prop_assert_eq!(grams.len(), s.len() - n + 1);
-            for g in &grams {
-                prop_assert_eq!(g.chars().count(), n);
-                prop_assert!(s.contains(g.as_str()));
-            }
-        }
     }
 
     #[test]

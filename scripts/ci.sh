@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: formatting, release build, the default-member test suites
-# (the facade plus the profiles, blocking, dataflow, looseschema,
+# (the facade plus the profiles, datasets, blocking, dataflow, looseschema,
 # metablocking, matching, clustering, core and serve crates, whose tests pin
-# the JSON-lines loader, the purging/filtering semantics, the spill codec,
-# the dataflow-vs-sequential clustering, cross-backend and serve-vs-batch
-# equivalence; `cargo test --workspace` runs the rest),
+# the JSON-lines loader, the data generator, the purging/filtering
+# semantics, the spill codec, the dataflow-vs-sequential clustering,
+# cross-backend and serve-vs-batch equivalence and the paper's Figure 6
+# walk-through; `cargo test --workspace` adds the smoke binaries' crate),
 # the benchmark package's own smoke self-test, clippy and rustdoc with
 # warnings denied, end-to-end pipeline smoke, a CLI backend-matrix smoke,
 # the supervised-scorer train/run/export smoke, the fused-vs-sequential

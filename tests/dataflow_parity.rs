@@ -96,7 +96,9 @@ fn matching_parity() {
     let seq = matcher.match_pairs(&ds.collection, candidates.iter().copied());
     for workers in [1usize, 4] {
         let ctx = Context::new(workers);
-        let par = matcher.match_pairs_dataflow(&ctx, &ds.collection, candidates.clone());
+        let par = matcher
+            .match_pairs_dataflow_stats(&ctx, &ds.collection, candidates.clone())
+            .0;
         assert_eq!(seq, par, "workers={workers}");
     }
 }
